@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CavityFilterError, ConfigError
 from .fock import CovariancePair
-from .qkf import ModeParams, RiccatiState, riccati_integrate
+from .qkf import ModeParams, RiccatiState, _step_count, riccati_integrate
 from .control import (
     PIDGains,
     ReferenceSignal,
@@ -505,11 +505,8 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     kb = DiscreteKalmanState(x0, p0)
     dk = DiscreteKalmanState(x0, p0)
 
-    n = int(round(cfg.T / cfg.dt))
-    if n < 1 or abs(n * cfg.dt - cfg.T) > 1e-12 * max(1.0, cfg.T):
-        raise ConfigError(f"run.dt: {cfg.dt} does not divide T={cfg.T}")
-    if n % cfg.stride != 0:
-        raise ConfigError(f"run.stride: {cfg.stride} does not divide {n} steps")
+    n = _step_count(cfg.T, cfg.dt, cfg.stride, error=ConfigError,
+                    names=("run.dt: ", "run.stride: "))
     noise = NoiseStream(seed=cfg.seed, dt=cfg.dt)
     dws = noise.increments(n)
     dvs = noise.spawn(1).increments(n)

@@ -11,6 +11,17 @@ through a Hamiltonian shifts both coefficients: L picks up -iF_D and H
 picks up the compensating (F_D L + L' F_D)/2 term, which is what keeps
 the observed quadrature L + L' unchanged by the feedback.
 
+The feedback therefore moves only a few complex scalars on a fixed
+ladder basis (see ``fock._LADDER_KEYS``):
+
+    L = c1 a + c2 a',    H = omega a'a + z a' + conj(z) a
+                             + w (a^2 + a'a) + conj(w) (a'^2 + a'a),
+
+with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
+materializes them as dense SLH coefficients; ``closed_loop_cosim``
+never does, and steps the truth from the scalars alone (banded for a
+state vector, dense sums over the basis for a density matrix).
+
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
 truth the cheap filter is judged against everywhere in this package.
@@ -33,9 +44,12 @@ from .fock import (
     DensityOperator,
     StateVector,
     _annihilation_matrix,
+    _band_apply,
+    _band_buffers,
     _check_truncation,
     _gaussian_vector,
-    _mode_matrices,
+    _ladder_banded,
+    _ladder_dense,
     _moments_from_density,
     _moments_from_vector,
     gaussian_state,
@@ -46,14 +60,14 @@ from .qkf import (
     RiccatiState,
     _advance_riccati,
     _mean_update,
+    _step_count,
 )
 from .trajectory import (
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
     _sme_kernel,
-    _sse_kernel,
-    _stepper_matrices,
+    _sse_update,
     damped_cavity_slh,
 )
 
@@ -201,7 +215,11 @@ def error_signal(r_t: complex, a_hat: complex) -> complex:
 
 def xi_gain(cov: RiccatiState, gains: PIDGains, gamma: float) -> XiGain:
     """Innovations gain sqrt(gamma) (V + W) / (1 + k_D)."""
-    return XiGain(math.sqrt(gamma) * (cov.V + cov.W) / (1.0 + gains.k_D))
+    return XiGain(_xi(cov.V, cov.W, gains.k_D, gamma))
+
+
+def _xi(v: float, w: complex, k_D: float, gamma: float) -> complex:
+    return math.sqrt(gamma) * (v + w) / (1.0 + k_D)
 
 
 def drift_estimate(
@@ -227,19 +245,88 @@ def drift_estimate(
 
 def _drift(gains: PIDGains, a_hat: complex, integral_error: complex,
            t: float, params: ModeParams, ref: ReferenceSignal) -> complex:
+    return _drift_at(gains, a_hat, integral_error, ref.value(t),
+                     _d_reference(gains, ref, t), params)
+
+
+def _d_reference(gains: PIDGains, ref: ReferenceSignal, t: float) -> complex:
+    """dr/dt where the derivative channel reads it, else 0."""
+    return ref.derivative(t) if gains.k_D != 0.0 else 0.0j
+
+
+def _drift_at(gains: PIDGains, a_hat: complex, integral_error: complex,
+              r_t: complex, dr_t: complex, params: ModeParams) -> complex:
     num = -complex(0.5 * params.gamma, params.omega) * a_hat
     if gains.k_P != 0.0:
-        num = num + gains.k_P * (gains.mu * ref.value(t) - a_hat)
+        num = num + gains.k_P * (gains.mu * r_t - a_hat)
     if gains.k_I != 0.0:
         num = num + gains.k_I * integral_error
     if gains.k_D != 0.0:
-        num = num + gains.k_D * (gains.nu * ref.derivative(t))
+        num = num + gains.k_D * (gains.nu * dr_t)
     return num / (1.0 + gains.k_D)
 
 
 @lru_cache(maxsize=32)
 def _open_loop_slh(gamma: float, omega: float, dim: int) -> SLHCoefficients:
     return damped_cavity_slh(ModeParams(gamma, omega), dim)
+
+
+def _feedback_scalars(gains: PIDGains, a_hat: complex,
+                      integral_error: complex, V: float, W: complex,
+                      t: float, params: ModeParams, ref: ReferenceSignal):
+    """(c1, c2, z, w, drift, xi, r(t)): everything the PID loop feeds back
+    at one filter state, with the reference, the drift and the Xi gain
+    evaluated once for both the coefficients and the filter update.
+
+    S = 1 throughout.  P and I act purely through the displacement z of
+    the error and its integral.  D modifies the coupling,
+    L = sqrt(gamma) a - iF_D with F_D = i k_D (Xi* a - Xi a'), so
+    c1 = sqrt(gamma) + k_D Xi* and c2 = -k_D Xi, and adds the
+    derivative Hamiltonian to z plus the current-feedback correction
+    (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
+    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.
+    """
+    sg = math.sqrt(params.gamma)
+    r_t, dr_t = ref.value(t), _d_reference(gains, ref, t)
+    drift = _drift_at(gains, a_hat, integral_error, r_t, dr_t, params)
+    xi = _xi(V, W, gains.k_D, params.gamma)
+    z = 0.0j
+    if gains.k_P != 0.0:
+        z += 1j * gains.k_P * (gains.mu * r_t - a_hat)
+    if gains.k_I != 0.0:
+        z += 1j * gains.k_I * complex(integral_error)
+    if gains.k_D == 0.0:
+        return sg, 0.0j, z, 0.0j, drift, xi, r_t
+    lam_hat = sg * 2.0 * a_hat.real
+    z += 1j * gains.k_D * (gains.nu * dr_t - drift + lam_hat * xi)
+    xi_c = xi.conjugate()
+    return (sg + gains.k_D * xi_c, -gains.k_D * xi, z,
+            0.5j * sg * gains.k_D * xi_c, drift, xi, r_t)
+
+
+def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
+                      omega: float):
+    """Ladder-basis coefficients of L, L', L'L and H, one row each.
+
+    L'L is the closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
+    + conj(c1) c2 a'^2: truncated products of a and a' equal their
+    closed forms, so no matrix product is needed and H is Hermitian by
+    construction."""
+    c1c, c2c, zc, wc = (complex(c1).conjugate(), complex(c2).conjugate(),
+                        z.conjugate(), w.conjugate())
+    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
+    return [
+        [0.0, c2, 0.0, c1, 0.0, 0.0],
+        [0.0, c1c, 0.0, c2c, 0.0, 0.0],
+        [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real],
+        [wc, z, omega + 2.0 * w.real, zc, w, 0.0],
+    ]
+
+
+def _sse_coefficients(c1, c2, z, w, omega):
+    """Ladder-basis rows of L and A0 = -iH - L'L/2."""
+    l_row, _, ll_row, h_row = _slh_coefficients(c1, c2, z, w, omega)
+    return [l_row, [-1j * h - 0.5 * q for h, q in zip(h_row, ll_row)]]
 
 
 def controlled_slh(
@@ -251,49 +338,40 @@ def controlled_slh(
     params: ModeParams,
     dim: int,
 ) -> SLHCoefficients:
-    """SLH coefficients of the mode under the PID feedback actuation.
+    """SLH coefficients of the mode under the PID feedback actuation,
+    materialized densely from the scalars of ``_feedback_scalars``.
 
-    S = 1 throughout.  P and I act purely through displacement
-    Hamiltonians built from the error and its integral.  D modifies the
-    coupling, L = sqrt(gamma) a - iF_D with F_D = i k_D (Xi* a - Xi a'),
-    and adds the derivative Hamiltonian plus the current-feedback
-    correction (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a.  The
-    result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
+    The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
     if gains.all_zero:
         return _open_loop_slh(params.gamma, params.omega, dim)
-
-    mats = _mode_matrices(dim)
-    sg = math.sqrt(params.gamma)
-    a_hat = filt.a_hat
-
-    # coefficient of a' in the displacement part of H; conjugate rides on a
-    z = 0.0j
-    if gains.k_P != 0.0:
-        z += 1j * gains.k_P * (gains.mu * ref.value(t) - a_hat)
-    if gains.k_I != 0.0:
-        z += 1j * gains.k_I * complex(integral_error)
-
-    h_mat = params.omega * mats["n"]
-    if gains.k_D != 0.0:
-        xi = xi_gain(filt.riccati, gains, params.gamma).value
-        lam_hat = sg * 2.0 * a_hat.real
-        varpi = _drift(gains, a_hat, integral_error, t, params, ref)
-        g = gains.nu * ref.derivative(t) - varpi + lam_hat * xi
-        z += 1j * gains.k_D * g
-        w_c = 0.5j * sg * gains.k_D * xi.conjugate()
-        h_mat = h_mat + w_c * mats["m1"] + w_c.conjugate() * mats["m2"]
-        l_mat = sg * mats["a"] + gains.k_D * (
-            xi.conjugate() * mats["a"] - xi * mats["ad"])
-    else:
-        l_mat = sg * mats["a"]
-    if z != 0.0:
-        h_mat = h_mat + z * mats["ad"] + z.conjugate() * mats["a"]
-
+    ric = filt.riccati
+    c1, c2, z, w, *_ = _feedback_scalars(gains, filt.a_hat, integral_error,
+                                         ric.V, ric.W, t, params, ref)
+    coef = _slh_coefficients(c1, c2, z, w, params.omega)
+    l_mat, h_mat = _ladder_dense([coef[0], coef[3]], dim)
     return SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
                            CavityOperator(dim, h_mat))
+
+
+def _filter_update(a_hat: complex, integral_error: complex, V: float,
+                   W: complex, r_t: complex, drift: complex, xi: complex,
+                   dI: float, params: ModeParams, dt: float):
+    """(a_hat, integral_error, V, W) one closed-loop filter step later.
+
+    The one copy of the update arithmetic, shared by ``pid_filter_step``
+    and the co-simulation loop."""
+    a_new = _mean_update(a_hat, drift, xi, dI, dt)
+    v_new, w_new = _advance_riccati(V, W, 0.0, dt, params.gamma, params.omega,
+                                    _untilted)
+    ie_new = integral_error + error_signal(r_t, a_hat) * dt
+    return a_new, ie_new, v_new, w_new
+
+
+def _untilted(_t: float) -> float:
+    return 0.0
 
 
 def pid_filter_step(
@@ -317,11 +395,10 @@ def pid_filter_step(
     filt = state.filter
     ric = filt.riccati
     drift = _drift(gains, filt.a_hat, state.integral_error, state.t, params, ref)
-    gain = xi_gain(ric, gains, params.gamma).value
-    a_new = _mean_update(filt.a_hat, drift, gain, dI, dt)
-    v_new, w_new = _advance_riccati(ric.V, ric.W, ric.t, dt,
-                                    params.gamma, params.omega, lambda _t: 0.0)
-    ie_new = state.integral_error + error_signal(ref.value(state.t), filt.a_hat) * dt
+    xi = _xi(ric.V, ric.W, gains.k_D, params.gamma)
+    a_new, ie_new, v_new, w_new = _filter_update(
+        filt.a_hat, state.integral_error, ric.V, ric.W, ref.value(state.t),
+        drift, xi, dI, params, dt)
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
         integral_error=ie_new,
@@ -347,11 +424,7 @@ def noise_free_response(
     i.e. the filter recursion with the innovations switched off.
     Returns (t, a_hat, integral_error) arrays on the full step grid.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-        raise DomainError(f"dt={dt} does not divide T={T}")
+    n = _step_count(T, dt)
 
     def rhs(t, a, ie):
         return (_drift(gains, a, ie, t, params, ref), ref.value(t) - a)
@@ -393,12 +466,19 @@ def closed_loop_cosim(
 ) -> ClosedLoopRecord:
     """Co-simulate the Fock-space truth and the two-moment filter.
 
-    Per step: (1) the controlled coefficients are built from the current
-    filter state; (2) the truth advances one step on the sampled noise
-    increment; (3) the record increment dY = lambda_truth dt + dW is
-    synthesized; (4) the filter consumes its own innovations
+    Per step: (1) the feedback scalars (c1, c2, z, w) and the filter's
+    drift and gain are computed once from the current filter state;
+    (2) the truth advances one step on the sampled noise increment;
+    (3) the record increment dY = lambda_truth dt + dW is synthesized;
+    (4) the filter consumes its own innovations
     dI' = dY - sqrt(gamma) 2 Re(a_hat) dt.  All coefficients are frozen
     at step start, so neither side anticipates.
+
+    The truth never sees dense SLH coefficients.  A state vector is
+    stepped from the bands of L and A0 = -iH - L'L/2 on the ladder
+    basis, in O(dim) per step; a density matrix from dense L, L', L'L
+    and H summed over the same basis.  Without gains the coefficients
+    are built once, before the loop.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -406,15 +486,7 @@ def closed_loop_cosim(
     ``truth_cov`` override it, which is how an ensemble represents a
     mixed prior as a classical draw over pure preparations.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-        raise DomainError(f"dt={dt} does not divide T={T}")
-    if n % record_stride != 0:
-        raise DomainError(
-            f"record_stride={record_stride} does not divide {n} steps"
-        )
+    n = _step_count(T, dt, record_stride)
     if abs(noise.dt - dt) > 1e-15:
         raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
 
@@ -423,12 +495,23 @@ def closed_loop_cosim(
     pure = abs(t_cov.physicality_excess()) <= 1e-8
     if pure:
         state_arr = _gaussian_vector(t_alpha, t_cov, dim).amplitudes
+        buffers = _band_buffers(dim)
     else:
         state_arr = gaussian_state(t_alpha, t_cov, dim).entries
 
-    loop = ClosedLoopState(
-        filter=QKFState(complex(alpha), RiccatiState(cov.V, cov.W, 0.0)))
+    def truth_coefficients(c1, c2, z, w):
+        if pure:
+            return _ladder_banded(
+                _sse_coefficients(c1, c2, z, w, params.omega), dim)
+        return _ladder_dense(_slh_coefficients(c1, c2, z, w, params.omega),
+                             dim)
+
+    a_hat, ie = complex(alpha), 0.0j
+    v, w_cov = cov.V, cov.W
     sg = math.sqrt(params.gamma)
+    fixed = None
+    if gains.all_zero:
+        fixed = truth_coefficients(sg, 0.0j, 0.0j, 0.0j)
     a_mat = _annihilation_matrix(dim)
     dws = noise.increments(n)
 
@@ -442,7 +525,7 @@ def closed_loop_cosim(
     rec_y = np.empty(n_rec)
     rec_i = np.empty(n_rec)
 
-    def record(idx, t, arr, y, i_acc, filt_state):
+    def record(idx, t, arr, y, i_acc):
         if pure:
             ma, mn, _ = _moments_from_vector(arr, a_mat)
             pop = (abs(arr[-1]) ** 2 + abs(arr[-2]) ** 2) / np.vdot(arr, arr).real
@@ -450,17 +533,16 @@ def closed_loop_cosim(
             ma, mn, _ = _moments_from_density(arr, dim)
             pop = (arr[-1, -1] + arr[-2, -2]).real
         _check_truncation(float(pop), f"closed loop (t={t:.4g})")
-        ric = filt_state.filter.riccati
         rec_t[idx] = t
         rec_ta[idx] = ma
         rec_tn[idx] = mn
-        rec_ah[idx] = filt_state.filter.a_hat
-        rec_v[idx] = ric.V
-        rec_w[idx] = ric.W
+        rec_ah[idx] = a_hat
+        rec_v[idx] = v
+        rec_w[idx] = w_cov
         rec_y[idx] = y
         rec_i[idx] = i_acc
 
-    record(0, 0.0, state_arr, 0.0, 0.0, loop)
+    record(0, 0.0, state_arr, 0.0, 0.0)
 
     y_acc = 0.0
     i_acc = 0.0
@@ -468,38 +550,45 @@ def closed_loop_cosim(
     idx = 1
     for k in range(n):
         t = k * dt
-        slh = controlled_slh(gains, loop.filter, ref, loop.integral_error,
-                             t, params, dim)
-        l_mat, ld, ll, a0_mat, h_mat = _stepper_matrices(slh)
+        c1, c2, z, w, drift, xi, r_t = _feedback_scalars(
+            gains, a_hat, ie, v, w_cov, t, params, ref)
+        coef = fixed if fixed is not None else truth_coefficients(c1, c2, z, w)
         dw = dws[k]
         try:
             if pure:
-                state_arr, lam = _sse_kernel(state_arr, l_mat, a0_mat,
-                                             1.0 + 0.0j, dw, dt)
+                u, a0_psi = _band_apply(coef, state_arr, buffers)
+                state_arr, lam = _sse_update(state_arr, u, a0_psi, 1.0 + 0.0j,
+                                             dw, dt)
             else:
+                l_mat, ld, ll, h_mat = coef
                 state_arr, lam = _sme_kernel(state_arr, l_mat, ld, ll, h_mat,
                                              1.0 + 0.0j, dw, dt)
         except CavityFilterError as exc:
             raise type(exc)(f"step {k} (t={t:.6g}): {exc}") from exc
         dy = lam * dt + dw
-        di_f = dy - (sg * 2.0 * loop.filter.a_hat.real) * dt
-        loop = pid_filter_step(loop, di_f, gains, ref, params, dt)
+        di_f = dy - (sg * 2.0 * a_hat.real) * dt
+        a_hat, ie, v, w_cov = _filter_update(a_hat, ie, v, w_cov, r_t,
+                                             drift, xi, di_f, params, dt)
+        if not (v >= -1e-10 and cmath.isfinite(ie)):
+            raise DomainError(f"step {k} (t={t:.6g}): filter left its domain "
+                              f"(V={v}, integral_error={ie})")
         y_acc += dy
         i_acc += di_f
         qv += di_f * di_f
         if (k + 1) % record_stride == 0:
-            record(idx, (k + 1) * dt, state_arr, y_acc, i_acc, loop)
+            record(idx, (k + 1) * dt, state_arr, y_acc, i_acc)
             idx += 1
 
+    t_end = n * dt
     if pure:
-        truth = TrajectoryState(n * dt, y_acc, float(np.sum(dws)),
+        truth = TrajectoryState(t_end, y_acc, float(np.sum(dws)),
                                 psi=StateVector(dim, state_arr))
     else:
-        truth = TrajectoryState(n * dt, y_acc, float(np.sum(dws)),
+        truth = TrajectoryState(t_end, y_acc, float(np.sum(dws)),
                                 rho=DensityOperator(dim, state_arr))
-    final = ClosedLoopState(filter=loop.filter,
-                            integral_error=loop.integral_error,
-                            truth=truth, t=loop.t)
+    final = ClosedLoopState(
+        filter=QKFState(a_hat, RiccatiState(v, w_cov, t_end)),
+        integral_error=ie, truth=truth, t=t_end)
     for arr in (rec_t, rec_ta, rec_tn, rec_ah, rec_v, rec_w, rec_y, rec_i):
         arr.setflags(write=False)
     return ClosedLoopRecord(rec_t, rec_ta, rec_tn, rec_ah, rec_v, rec_w,

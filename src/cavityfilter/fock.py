@@ -1,9 +1,13 @@
 """Truncated Fock-space algebra for a single cavity mode.
 
 Operators and states live on the span of the photon-number states
-|0>, ..., |dim-1>.  Storage is dense complex128 throughout: the
-dimensions of interest stay well below a few hundred, where dense
-linear algebra is both faster and simpler than sparse structures.
+|0>, ..., |dim-1>.  Storage is dense complex128: the dimensions of
+interest stay well below a few hundred, where dense linear algebra is
+both faster and simpler than sparse structures.  The one exception is
+the ladder basis a, a', a'a, a a', a^2, a'^2, whose members each have a
+single nonzero diagonal: a combination of them is kept either dense or
+as its few bands, which act on a vector by elementwise products on
+shifted slices in O(dim).
 
 Truncation policy: constructors check the population of the top two
 Fock levels and warn above 1e-8 (``TruncationWarning``) or raise above
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from .errors import (
@@ -204,7 +209,7 @@ def _annihilation_matrix(dim: int) -> np.ndarray:
 def _mode_matrices(dim: int) -> dict:
     """Cached read-only products of a and a' used by hot assembly paths.
 
-    Keys: a, ad, n (a'a), aad (a a'), a2, ad2, m1 (a2 + n), m2 (m1'), eye.
+    Keys: a, ad, n (a'a), aad (a a'), a2, ad2, eye.
     """
     a = _annihilation_matrix(dim)
     ad = np.ascontiguousarray(a.conj().T)
@@ -217,14 +222,78 @@ def _mode_matrices(dim: int) -> dict:
     for k in range(dim - 2):
         a2[k, k + 2] = math.sqrt((k + 1) * (k + 2))
     ad2 = np.ascontiguousarray(a2.conj().T)
-    m1 = a2 + n
-    m2 = np.ascontiguousarray(m1.conj().T)
     eye = np.eye(dim, dtype=np.complex128)
     out = {"a": a, "ad": ad, "n": n, "aad": aad, "a2": a2, "ad2": ad2,
-           "m1": m1, "m2": m2, "eye": eye}
+           "eye": eye}
     for v in out.values():
         v.setflags(write=False)
     return out
+
+
+#: the ladder basis a'^2, a', a'a, a, a^2, a a' of the structured
+#: coefficients and the Fock-index offset o_j of each: X_j[k, k + o_j] is
+#: the only nonzero entry of row k.  The first five run through the
+#: offsets -2..2 in order; a a' shares the main diagonal with a'a.
+_LADDER_KEYS = ("ad2", "ad", "n", "a", "a2", "aad")
+_LADDER_OFFSETS = (-2, -1, 0, 1, 2, 0)
+
+
+@lru_cache(maxsize=None)
+def _ladder_stack(dim: int) -> np.ndarray:
+    """Read-only (6, dim, dim) stack of the ladder basis matrices."""
+    mats = _mode_matrices(dim)
+    stack = np.stack([mats[key] for key in _LADDER_KEYS])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=None)
+def _ladder_bands(dim: int) -> np.ndarray:
+    """Read-only (6, dim) bands of the ladder basis: row j holds
+    X_j[k, k + o_j], zero where k + o_j leaves the space.  Read off the
+    closed forms of ``_mode_matrices``, so the banded and the dense forms
+    of a ladder combination share every entry."""
+    stack = _ladder_stack(dim)
+    k = np.arange(dim)
+    bands = np.zeros((len(_LADDER_KEYS), dim), dtype=np.complex128)
+    for j, off in enumerate(_LADDER_OFFSETS):
+        rows = k[(k + off >= 0) & (k + off < dim)]
+        bands[j, rows] = stack[j, rows, rows + off]
+    bands.setflags(write=False)
+    return bands
+
+
+def _ladder_dense(coef, dim: int) -> np.ndarray:
+    """Dense matrices sum_j coef[i, j] X_j, one per row of ``coef``."""
+    return np.tensordot(np.asarray(coef, dtype=np.complex128),
+                        _ladder_stack(dim), axes=1)
+
+
+def _ladder_banded(coef, dim: int) -> np.ndarray:
+    """Banded form of the ladder combinations in the rows of ``coef``:
+    an (rows, 5, dim) array whose [i, o + 2, k] entry is X_i[k, k + o]."""
+    coef = np.asarray(coef, dtype=np.complex128)
+    scaled = coef[:, :, None] * _ladder_bands(dim)
+    scaled[:, 2] += scaled[:, 5]
+    return scaled[:, :5]
+
+
+def _band_buffers(dim: int):
+    """(pad, window) for ``_band_apply``: a zero buffer of length dim + 4
+    and its (5, dim) view whose row o + 2 is the buffer shifted by o."""
+    pad = np.zeros(dim + 4, dtype=np.complex128)
+    return pad, sliding_window_view(pad, dim)
+
+
+def _band_apply(bands: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
+    """(X_i psi)_i for the banded operators of ``_ladder_banded``.
+
+    The five bands are summed in offset order -2..2: a reduction over a
+    non-contiguous axis, which numpy accumulates in index order, so a
+    column of a batch of states gets the bits of a lone state."""
+    pad, window = buffers
+    pad[2:psi.shape[0] + 2] = psi
+    return np.add.reduce(bands * window, axis=1)
 
 
 def annihilation_op(dim: int) -> CavityOperator:

@@ -42,7 +42,7 @@ from .errors import (
     PoleEvaluationError,
 )
 from .control import PIDGains, ReferenceSignal
-from .qkf import ModeParams
+from .qkf import ModeParams, _step_count
 
 __all__ = [
     "RationalTF",
@@ -386,11 +386,7 @@ def step_response(tf: RationalTF, ref: ReferenceSignal, T: float, dt: float):
     The derivative channel sees ref.derivative, so an ideal step excites
     only the r channel, matching the filter's own convention.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-        raise DomainError(f"dt={dt} does not divide T={T}")
+    n = _step_count(T, dt)
     sys = realize(tf)
     a, b_r, b_dr, c = sys.a, sys.b_r, sys.b_dr, sys.c
     x = np.zeros(sys.order, dtype=np.complex128)

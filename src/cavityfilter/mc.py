@@ -174,8 +174,11 @@ def _draw_displacement(cov: CovariancePair, rng: np.random.Generator) -> complex
 
 
 def _worker_count() -> int:
+    """QKF_THREADS, else the number of CPUs this process may run on."""
     env = os.environ.get("QKF_THREADS")
     if env is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(env)

@@ -62,6 +62,22 @@ class QKFState:
     riccati: RiccatiState
 
 
+def _step_count(T: float, dt: float, stride: int = 1, *, min_steps: int = 1,
+                error=DomainError,
+                names: tuple[str, str] = ("dt=", "record_stride=")) -> int:
+    """Number n >= min_steps of dt steps that tile [0, T], with ``stride``
+    dividing n.  Otherwise raises ``error``, naming dt and the stride by
+    ``names``; the tiling tolerance is 1e-12 relative to max(1, |T|)."""
+    if dt <= 0.0:
+        raise error(f"dt must be positive, got {dt}")
+    n = int(round(T / dt))
+    if n < min_steps or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
+        raise error(f"{names[0]}{dt} does not divide T={T}")
+    if n % stride != 0:
+        raise error(f"{names[1]}{stride} does not divide {n} steps")
+    return n
+
+
 def _rhs(v: float, w: complex, theta: float, gamma: float, omega: float,
          w_form: str) -> tuple[float, complex]:
     """Raw Riccati right-hand side, python scalars for speed.
@@ -159,11 +175,7 @@ def riccati_integrate(
     initial state.  Raises ``DivergenceError`` if the state leaves the
     finite range (the Riccati flow can blow up only for unphysical data).
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-        raise DomainError(f"dt={dt} does not divide T={T}")
+    n = _step_count(T, dt, min_steps=0)
     theta_fn = _as_theta_fn(theta)
     v, w, t = initial.V, initial.W, initial.t
     out = [initial]

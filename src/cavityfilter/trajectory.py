@@ -19,6 +19,13 @@ All steppers are fixed-step Euler-Maruyama with per-step
 renormalization (weak order 1); the per-step state objects are cheap
 wrappers over dense arrays, and ``run_trajectory`` keeps the inner loop
 on the raw arrays.
+
+The state-vector step is split in two: forming u = L psi and
+w = A0 psi, and the update arithmetic with its norm guard
+(``_sse_update``).  ``run_trajectory`` forms u and w by dense matvecs
+from ``SLHCoefficients``; the PID co-simulation in ``control`` forms
+them from the bands of a few feedback scalars on the ladder basis and
+shares the same update.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .fock import (
     _moments_from_density,
     _moments_from_vector,
 )
-from .qkf import ModeParams
+from .qkf import ModeParams, _step_count
 
 __all__ = [
     "SLHCoefficients",
@@ -221,9 +228,14 @@ def _sse_kernel(psi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
     with L_th = e^{i theta} L and lam = 2 Re e^{i theta} <L>; explicit
     renormalization closes the step.
     """
-    u = l_mat @ psi
+    return _sse_update(psi, l_mat @ psi, a0 @ psi, cis, dI, dt)
+
+
+def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
+                cis: complex, dI: float, dt: float):
+    """The step of ``_sse_kernel`` from u = L psi and w = A0 psi, however
+    they were formed (dense matvecs here, bands in the co-simulation)."""
     lam = 2.0 * (cis * np.vdot(psi, u)).real
-    w = a0 @ psi
     cu = u if cis == 1.0 else cis * u
     psi_new = (1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * dI) * psi
     psi_new += dt * w
@@ -454,15 +466,7 @@ def run_trajectory(
     including t=0; the stride must divide the step count.  Stepper
     failures are re-raised with the failing step index.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-        raise DomainError(f"dt={dt} does not divide T={T}")
-    if n % record_stride != 0:
-        raise DomainError(
-            f"record_stride={record_stride} does not divide {n} steps"
-        )
+    n = _step_count(T, dt, record_stride)
     if abs(noise.dt - dt) > 1e-15:
         raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
     if mode not in ("sse", "sme", "zakai"):

@@ -416,3 +416,15 @@ seed = 5
                  "--assert"]) == 4
     err = capsys.readouterr().err
     assert "statistical verdict failed" in err
+
+
+def test_classical_grid_errors_name_run_keys():
+    base = MINIMAL.replace("state = vacuum", "state = thermal\nnbar = 0.5")
+    cfg = parse_config(base.replace("dt = 1e-3", "dt = 3e-4"))
+    with pytest.raises(ConfigError,
+                       match=r"^run\.dt: 0\.0003 does not divide T=1\.0$"):
+        run_subcommand("classical", cfg, out_dir=".")
+    cfg = parse_config(base + "stride = 7\n")
+    with pytest.raises(ConfigError,
+                       match=r"^run\.stride: 7 does not divide 1000 steps$"):
+        run_subcommand("classical", cfg, out_dir=".")

@@ -3,14 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from cavityfilter.errors import DimensionError, DomainError
-from cavityfilter.fock import CovariancePair, annihilation_op, number_op
+from cavityfilter import control, trajectory
+from cavityfilter.errors import (
+    DimensionError,
+    DomainError,
+    StepSizeError,
+    TruncationError,
+    TruncationWarning,
+)
+from cavityfilter.fock import (
+    CavityOperator,
+    CovariancePair,
+    _band_apply,
+    _band_buffers,
+    _ladder_banded,
+    _ladder_dense,
+    annihilation_op,
+    number_op,
+)
 from cavityfilter.qkf import ModeParams, QKFState, RiccatiState, qkf_step
 from cavityfilter.control import (
     ClosedLoopState,
     PIDGains,
     ReferenceSignal,
     XiGain,
+    _feedback_scalars,
+    _slh_coefficients,
+    _sse_coefficients,
     closed_loop_cosim,
     controlled_slh,
     drift_estimate,
@@ -326,3 +345,156 @@ def test_cosim_validation():
         closed_loop_cosim(**{**good, "record_stride": 7})
     with pytest.raises(DomainError):
         closed_loop_cosim(**{**good, "noise": NoiseStream(0, 1e-2)})
+
+
+# ---------------------------------------------------------------------------
+# structured feedback coefficients
+
+
+def _reference_slh(gains, a_hat, ie, v, w, t, params, ref, dim):
+    """Dense (L, H) of the feedback actuation, assembled term by term from
+    the ladder matrices: the reference the structured forms must match."""
+    a = annihilation_op(dim).entries
+    ad = a.conj().T
+    n = number_op(dim).entries
+    a2 = a @ a
+    m1 = a2 + n
+    sg = math.sqrt(params.gamma)
+    xi = sg * (v + w) / (1.0 + gains.k_D)
+    z = (1j * gains.k_P * (gains.mu * ref.value(t) - a_hat)
+         + 1j * gains.k_I * ie)
+    filt = QKFState(a_hat, RiccatiState(v, w, t))
+    varpi = drift_estimate(gains, filt, ref, ie, t, params)
+    z += 1j * gains.k_D * (gains.nu * ref.derivative(t) - varpi
+                           + sg * 2.0 * a_hat.real * xi)
+    w_c = 0.5j * sg * gains.k_D * np.conj(xi)
+    l_mat = sg * a + gains.k_D * (np.conj(xi) * a - xi * ad)
+    h_mat = (params.omega * n + w_c * m1 + np.conj(w_c) * m1.conj().T
+             + z * ad + np.conj(z) * a)
+    return l_mat, h_mat
+
+
+@pytest.mark.parametrize("dim", [2, 3, 30])
+@pytest.mark.parametrize("kp,ki,kd", [(2.0, 0.0, 0.0), (0.0, 1.5, 0.0),
+                                      (0.0, 0.0, 0.7), (2.0, 1.5, 0.7)])
+def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
+    # the banded (L psi, A0 psi) of the SSE path and the dense (L, L',
+    # L'L, H) of the SME path both equal the term-by-term assembly, as
+    # does the public controlled_slh built from the same scalars
+    rng = np.random.default_rng(dim)
+    params = ModeParams(1.3, 0.4)
+    ref = ReferenceSignal("ramp", 0.3, slope=0.7)
+    buffers = _band_buffers(dim)
+    for _ in range(10):
+        gains = PIDGains(kp, ki, kd, mu=rng.uniform(0.0, 2.0),
+                         nu=rng.uniform(0.0, 2.0))
+        a_hat = complex(*rng.normal(0.0, 1.0, 2))
+        ie = complex(*rng.normal(0.0, 1.0, 2))
+        v, w = rng.uniform(0.0, 1.0), complex(*rng.normal(0.0, 0.3, 2))
+        t = rng.uniform(0.0, 5.0)
+        l_ref, h_ref = _reference_slh(gains, a_hat, ie, v, w, t, params, ref,
+                                      dim)
+        ll_ref = l_ref.conj().T @ l_ref
+        a0_ref = -1j * h_ref - 0.5 * ll_ref
+
+        slh = controlled_slh(gains, QKFState(a_hat, RiccatiState(v, w, t)),
+                             ref, ie, t, params, dim)
+        assert np.max(np.abs(slh.l.entries - l_ref)) < 1e-12
+        assert np.max(np.abs(slh.h.entries - h_ref)) < 1e-12
+
+        c1, c2, z, wz, *_ = _feedback_scalars(gains, a_hat, ie, v, w, t,
+                                              params, ref)
+        dense = _ladder_dense(_slh_coefficients(c1, c2, z, wz, params.omega),
+                              dim)
+        for got, want in zip(dense, (l_ref, l_ref.conj().T, ll_ref, h_ref)):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        bands = _ladder_banded(
+            _sse_coefficients(c1, c2, z, wz, params.omega), dim)
+        l_psi, a0_psi = _band_apply(bands, psi, buffers)
+        assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
+        assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
+
+
+def test_band_apply_is_batch_invariant():
+    # a column of a (dim, B) batch gets the bits of a lone state
+    dim, batch = 12, 5
+    rng = np.random.default_rng(3)
+    bands = _ladder_banded(_sse_coefficients(1.1 + 0.2j, -0.3j, 0.4 + 0.1j,
+                                             0.05j, 0.5), dim)
+    psis = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
+    pad = np.zeros((dim + 4, batch), dtype=np.complex128)
+    pad[2:dim + 2] = psis
+    window = np.stack([pad[o:o + dim] for o in range(5)])
+    together = np.add.reduce(bands[..., None] * window, axis=1)
+    buffers = _band_buffers(dim)
+    for b in range(batch):
+        alone = _band_apply(bands, psis[:, b], buffers)
+        assert np.array_equal(together[..., b], alone)
+
+
+@pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
+                                 CovariancePair(0.5, 0.0)],
+                         ids=["pure", "mixed"])
+def test_cosim_step_builds_no_dense_coefficients(monkeypatch, cov):
+    # the per-step body works on scalars: no SLH materialization, no
+    # stepper cache, and the filter state is wrapped once, at the end
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("called inside the co-simulation step")
+
+    monkeypatch.setattr(control, "controlled_slh", forbidden)
+    monkeypatch.setattr(trajectory, "_stepper_matrices", forbidden)
+    monkeypatch.setattr(trajectory.SLHCoefficients, "__post_init__", forbidden)
+    monkeypatch.setattr(CavityOperator, "__post_init__", forbidden)
+    made = {"QKFState": 0, "ClosedLoopState": 0}
+    for name in made:
+        cls = getattr(control, name)
+
+        def counted(*args, _cls=cls, _name=name, **kwargs):
+            made[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(control, name, counted)
+    rec = closed_loop_cosim(0.3, cov, PIDGains(2.0, 1.0, 0.5),
+                            ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5),
+                            24, NoiseStream(4, 1e-3), 0.05, 1e-3)
+    assert made == {"QKFState": 1, "ClosedLoopState": 1}
+    assert rec.t.shape == (51,)
+
+
+@pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
+                                 CovariancePair(0.5, 0.0)],
+                         ids=["pure-norm-guard", "mixed-positivity-guard"])
+@pytest.mark.filterwarnings("ignore::cavityfilter.errors.TruncationWarning")
+def test_cosim_coarse_step_raises_step_tagged_error(cov):
+    with pytest.raises(StepSizeError, match=r"step \d+"):
+        closed_loop_cosim(1.5, cov, PIDGains(2.0, 1.0, 0.5),
+                          ReferenceSignal("step", 1.0), ModeParams(1.0, 0.0),
+                          20, NoiseStream(3, 0.5), 1.0, 0.5)
+
+
+def test_cosim_undersized_dim_raises_truncation_error():
+    # the loop drives the mode toward |a| ~ 2.4, beyond what dim 10 holds
+    with pytest.warns(TruncationWarning), \
+            pytest.raises(TruncationError, match=r"closed loop \(t="):
+        closed_loop_cosim(0.0, CovariancePair(0.0, 0.0), PIDGains(20.0),
+                          ReferenceSignal("step", 2.5), ModeParams(1.0, 0.0),
+                          10, NoiseStream(3, 1e-3), 1.0, 1e-3,
+                          record_stride=10)
+
+
+def test_cosim_mixed_truth_under_pid_tracks_filter():
+    # thermal prior, no purification: the truth is a density matrix
+    # stepped by the SME under PID feedback (criterion 9's tolerance)
+    rec = closed_loop_cosim(0.0, CovariancePair(0.5, 0.0j),
+                            PIDGains(2.0, 1.0, 0.5),
+                            ReferenceSignal("step", 1.0), ModeParams(1.0, 0.0),
+                            20, NoiseStream(5, 1e-3), 2.0, 1e-3,
+                            record_stride=10)
+    assert rec.final.truth.rho is not None
+    assert np.max(np.abs(rec.a_hat - rec.truth_mean_a)) <= 1e-1
+    v_truth = rec.truth_mean_n - np.abs(rec.truth_mean_a) ** 2
+    assert np.max(np.abs(rec.V - v_truth)) <= 1e-1
+    assert abs(rec.a_hat[-1] - 1.0) < 0.5

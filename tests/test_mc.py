@@ -7,6 +7,7 @@ and would not give independent ensembles.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cavityfilter.mc import (
     FilterScenario,
     MSEReport,
     _draw_displacement,
+    _worker_count,
     innovations_test,
     mse_vs_V,
     run_ensemble,
@@ -82,6 +84,19 @@ def test_worker_count_does_not_change_bytes(monkeypatch):
     assert a.mean_a_hat.tobytes() == b.mean_a_hat.tobytes()
     assert a.mse.tobytes() == b.mse.tobytes()
     assert a.terminal_I.tobytes() == b.terminal_I.tobytes()
+
+
+def test_worker_count_defaults_to_cpu_affinity(monkeypatch):
+    # a process pinned to 3 of 64 CPUs runs 3 workers, not 64
+    monkeypatch.delenv("QKF_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                        raising=False)
+    assert _worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count() == 64
+    monkeypatch.setenv("QKF_THREADS", "2")
+    assert _worker_count() == 2
 
 
 def test_trajectory_failure_carries_index():

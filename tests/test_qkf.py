@@ -9,6 +9,7 @@ from cavityfilter.qkf import (
     ModeParams,
     QKFState,
     RiccatiState,
+    _step_count,
     optimal_quadrature_scan,
     qkf_step,
     riccati_integrate,
@@ -147,3 +148,23 @@ def test_scan_matches_fine_grid_bruteforce():
     th_coarse, _ = optimal_quadrature_scan(params, initial, 3.0, coarse)
     th_fine, _ = optimal_quadrature_scan(params, initial, 3.0, fine)
     assert abs(th_coarse - th_fine) <= math.pi / 16 + 1e-12
+
+
+def test_step_grid_messages_and_zero_horizon():
+    # one grid check serves every integrator; its messages are the
+    # ones each call site raised on its own before
+    with pytest.raises(DomainError, match=r"^dt must be positive, got 0\.0$"):
+        _step_count(1.0, 0.0)
+    with pytest.raises(DomainError,
+                       match=r"^dt=0\.0003 does not divide T=1\.0$"):
+        _step_count(1.0, 3e-4)
+    with pytest.raises(DomainError,
+                       match=r"^record_stride=7 does not divide 1000 steps$"):
+        _step_count(1.0, 1e-3, 7)
+    assert _step_count(1.0, 1e-3, 10) == 1000
+    with pytest.raises(DomainError, match="does not divide T=0"):
+        _step_count(0.0, 1e-3)
+    # the Riccati integrator alone accepts an empty horizon
+    series = riccati_integrate(RiccatiState(0.5, 0.0), 0.0, ModeParams(1.0),
+                               1e-3, 0.0)
+    assert series == [RiccatiState(0.5, 0.0)]
