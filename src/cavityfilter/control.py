@@ -25,6 +25,11 @@ state vector, dense sums over the basis for a density matrix).
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
 truth the cheap filter is judged against everywhere in this package.
+It is the open-loop trajectory with another coefficient source, so it
+runs on the one trajectory loop of ``trajectory._integrate``: its
+``step`` closure computes the feedback scalars, steps the truth and
+updates the filter, and a ``sample`` hook adds the filter's columns to
+the loop's record of the truth.
 """
 
 from __future__ import annotations
@@ -37,21 +42,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, CavityFilterError
+from .errors import DimensionError, DomainError
 from .fock import (
     CavityOperator,
     CovariancePair,
-    DensityOperator,
-    StateVector,
-    _annihilation_matrix,
     _band_apply,
     _band_buffers,
-    _check_truncation,
     _gaussian_vector,
     _ladder_banded,
     _ladder_dense,
-    _moments_from_density,
-    _moments_from_vector,
     gaussian_state,
 )
 from .qkf import (
@@ -66,6 +65,8 @@ from .trajectory import (
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
+    _increments,
+    _integrate,
     _sme_kernel,
     _sse_update,
     damped_cavity_slh,
@@ -142,6 +143,8 @@ class ReferenceSignal:
             )
         if not (self.onset >= 0.0 and math.isfinite(self.onset)):
             raise DomainError(f"onset must be a nonnegative real, got {self.onset}")
+        if not cmath.isfinite(complex(self.amplitude)):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
         for name in ("slope", "frequency"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -486,10 +489,6 @@ def closed_loop_cosim(
     ``truth_cov`` override it, which is how an ensemble represents a
     mixed prior as a classical draw over pure preparations.
     """
-    n = _step_count(T, dt, record_stride)
-    if abs(noise.dt - dt) > 1e-15:
-        raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
-
     t_alpha = alpha if truth_alpha is None else truth_alpha
     t_cov = cov if truth_cov is None else truth_cov
     pure = abs(t_cov.physicality_excess()) <= 1e-8
@@ -508,88 +507,55 @@ def closed_loop_cosim(
 
     a_hat, ie = complex(alpha), 0.0j
     v, w_cov = cov.V, cov.W
+    i_filter = qv = 0.0
     sg = math.sqrt(params.gamma)
     fixed = None
     if gains.all_zero:
         fixed = truth_coefficients(sg, 0.0j, 0.0j, 0.0j)
-    a_mat = _annihilation_matrix(dim)
-    dws = noise.increments(n)
+    dws = _increments(noise, T, dt, record_stride)
 
-    n_rec = n // record_stride + 1
-    rec_t = np.empty(n_rec)
-    rec_ta = np.empty(n_rec, dtype=np.complex128)
-    rec_tn = np.empty(n_rec)
+    n_rec = len(dws) // record_stride + 1
     rec_ah = np.empty(n_rec, dtype=np.complex128)
     rec_v = np.empty(n_rec)
     rec_w = np.empty(n_rec, dtype=np.complex128)
-    rec_y = np.empty(n_rec)
     rec_i = np.empty(n_rec)
 
-    def record(idx, t, arr, y, i_acc):
-        if pure:
-            ma, mn, _ = _moments_from_vector(arr, a_mat)
-            pop = (abs(arr[-1]) ** 2 + abs(arr[-2]) ** 2) / np.vdot(arr, arr).real
-        else:
-            ma, mn, _ = _moments_from_density(arr, dim)
-            pop = (arr[-1, -1] + arr[-2, -2]).real
-        _check_truncation(float(pop), f"closed loop (t={t:.4g})")
-        rec_t[idx] = t
-        rec_ta[idx] = ma
-        rec_tn[idx] = mn
-        rec_ah[idx] = a_hat
-        rec_v[idx] = v
-        rec_w[idx] = w_cov
-        rec_y[idx] = y
-        rec_i[idx] = i_acc
-
-    record(0, 0.0, state_arr, 0.0, 0.0)
-
-    y_acc = 0.0
-    i_acc = 0.0
-    qv = 0.0
-    idx = 1
-    for k in range(n):
-        t = k * dt
+    def step(t, arr, dw):
+        nonlocal a_hat, ie, v, w_cov, i_filter, qv
         c1, c2, z, w, drift, xi, r_t = _feedback_scalars(
             gains, a_hat, ie, v, w_cov, t, params, ref)
         coef = fixed if fixed is not None else truth_coefficients(c1, c2, z, w)
-        dw = dws[k]
-        try:
-            if pure:
-                u, a0_psi = _band_apply(coef, state_arr, buffers)
-                state_arr, lam = _sse_update(state_arr, u, a0_psi, 1.0 + 0.0j,
-                                             dw, dt)
-            else:
-                l_mat, ld, ll, h_mat = coef
-                state_arr, lam = _sme_kernel(state_arr, l_mat, ld, ll, h_mat,
-                                             1.0 + 0.0j, dw, dt)
-        except CavityFilterError as exc:
-            raise type(exc)(f"step {k} (t={t:.6g}): {exc}") from exc
+        if pure:
+            u, a0_psi = _band_apply(coef, arr, buffers)
+            arr, lam = _sse_update(arr, u, a0_psi, 1.0 + 0.0j, dw, dt)
+        else:
+            l_mat, ld, ll, h_mat = coef
+            arr, lam = _sme_kernel(arr, l_mat, ld, ll, h_mat, 1.0 + 0.0j,
+                                   dw, dt)
         dy = lam * dt + dw
         di_f = dy - (sg * 2.0 * a_hat.real) * dt
         a_hat, ie, v, w_cov = _filter_update(a_hat, ie, v, w_cov, r_t,
                                              drift, xi, di_f, params, dt)
         if not (v >= -1e-10 and cmath.isfinite(ie)):
-            raise DomainError(f"step {k} (t={t:.6g}): filter left its domain "
-                              f"(V={v}, integral_error={ie})")
-        y_acc += dy
-        i_acc += di_f
+            raise DomainError(f"filter left its domain (V={v}, "
+                              f"integral_error={ie})")
+        i_filter += di_f
         qv += di_f * di_f
-        if (k + 1) % record_stride == 0:
-            record(idx, (k + 1) * dt, state_arr, y_acc, i_acc)
-            idx += 1
+        return arr, dy
 
-    t_end = n * dt
-    if pure:
-        truth = TrajectoryState(t_end, y_acc, float(np.sum(dws)),
-                                psi=StateVector(dim, state_arr))
-    else:
-        truth = TrajectoryState(t_end, y_acc, float(np.sum(dws)),
-                                rho=DensityOperator(dim, state_arr))
+    def sample(idx):
+        rec_ah[idx] = a_hat
+        rec_v[idx] = v
+        rec_w[idx] = w_cov
+        rec_i[idx] = i_filter
+
+    truth = _integrate(state_arr, "psi" if pure else "rho", dws, dt,
+                       record_stride, step, "closed loop", sample)
+    t_end = truth.final.t
     final = ClosedLoopState(
         filter=QKFState(a_hat, RiccatiState(v, w_cov, t_end)),
-        integral_error=ie, truth=truth, t=t_end)
-    for arr in (rec_t, rec_ta, rec_tn, rec_ah, rec_v, rec_w, rec_y, rec_i):
-        arr.setflags(write=False)
-    return ClosedLoopRecord(rec_t, rec_ta, rec_tn, rec_ah, rec_v, rec_w,
-                            rec_y, rec_i, final, qv)
+        integral_error=ie, truth=truth.final, t=t_end)
+    for col in (rec_ah, rec_v, rec_w, rec_i):
+        col.setflags(write=False)
+    return ClosedLoopRecord(truth.t, truth.mean_a, truth.mean_n, rec_ah, rec_v,
+                            rec_w, truth.Y, rec_i, final, qv)

@@ -17,15 +17,17 @@ avoids representing the field the mode radiates into.
 
 All steppers are fixed-step Euler-Maruyama with per-step
 renormalization (weak order 1); the per-step state objects are cheap
-wrappers over dense arrays, and ``run_trajectory`` keeps the inner loop
-on the raw arrays.
+wrappers over dense arrays.
 
-The state-vector step is split in two: forming u = L psi and
-w = A0 psi, and the update arithmetic with its norm guard
-(``_sse_update``).  ``run_trajectory`` forms u and w by dense matvecs
-from ``SLHCoefficients``; the PID co-simulation in ``control`` forms
-them from the bands of a few feedback scalars on the ladder basis and
-shares the same update.
+There is one trajectory loop, ``_integrate``: it records (t, <a>,
+<a'a>, <a^2>, Y, I) behind the truncation check, tags package errors
+with their step and builds the final ``TrajectoryState``; a ``step``
+closure says what one step does.  ``run_trajectory`` passes the dense
+kernels over ``SLHCoefficients``; the PID co-simulation in ``control``
+passes the feedback scalars, the banded truth step and the filter
+update.  The state-vector and Zakai steps are split into forming
+u = L psi (and w = A0 psi) and the update with its guard
+(``_sse_update``, ``_zakai_update``), so every caller shares one update.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
     psi_new += ((0.5 * lam) * dt + dI) * cu
     n2 = np.vdot(psi_new, psi_new).real
     nrm = math.sqrt(n2)
-    if abs(nrm - 1.0) > NORM_GUARD:
+    if not abs(nrm - 1.0) <= NORM_GUARD:
         raise StepSizeError(
             f"norm moved to {nrm:.6f} in one step; reduce dt"
         )
@@ -259,7 +261,8 @@ def _sme_kernel(rho: np.ndarray, l_mat: np.ndarray, ld: np.ndarray,
             + (L_th rho + rho L_th' - lam rho) dI,
 
     followed by Hermitization, trace renormalization, and a positivity
-    check (smallest eigenvalue above -1e-6, else the step is too large).
+    check (entries finite and smallest eigenvalue above -1e-6, else the
+    step is too large).
     """
     lr = l_mat @ rho
     meas = lr if cis == 1.0 else cis * lr
@@ -273,6 +276,8 @@ def _sme_kernel(rho: np.ndarray, l_mat: np.ndarray, ld: np.ndarray,
     rho_new = 0.5 * (rho_new + rho_new.conj().T)
     tr = np.trace(rho_new).real
     rho_new *= 1.0 / tr
+    if not np.isfinite(rho_new).all():
+        raise StepSizeError("density matrix is not finite; reduce dt")
     low = float(np.linalg.eigvalsh(rho_new)[0])
     if low < -1e-6:
         raise StepSizeError(
@@ -287,14 +292,20 @@ def _zakai_kernel(chi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
 
         d chi = L chi dY - (L'L/2 + iH) chi dt.
 
-    Returns (new chi, lambda of the normalized state).  The vector is
+    Returns (new chi, lambda of the normalized state).
+    """
+    u = l_mat @ chi
+    lam = 2.0 * np.vdot(chi, u).real / np.vdot(chi, chi).real
+    return _zakai_update(chi, u, a0, dY, dt), lam
+
+
+def _zakai_update(chi: np.ndarray, u: np.ndarray, a0: np.ndarray,
+                  dY: float, dt: float) -> np.ndarray:
+    """The step of ``_zakai_kernel`` from u = L chi.  The vector is
     rescaled by a power of two when its norm leaves [1e-50, 1e50]
     (mantissas, and hence all normalized quantities, are unchanged);
     beyond 1e+-100 the caller gets a NormBoundsError.
     """
-    n2 = np.vdot(chi, chi).real
-    u = l_mat @ chi
-    lam = 2.0 * np.vdot(chi, u).real / n2
     chi_new = chi + dt * (a0 @ chi)
     chi_new += dY * u
     nrm = math.sqrt(np.vdot(chi_new, chi_new).real)
@@ -304,7 +315,7 @@ def _zakai_kernel(chi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
                 f"unnormalized state norm {nrm:.3e} left the representable band"
             )
         chi_new *= 2.0 ** (-math.frexp(nrm)[1])
-    return chi_new, lam
+    return chi_new
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +447,78 @@ def _as_slh_provider(source) -> Callable[[float, object], SLHCoefficients]:
     )
 
 
+def _increments(noise: NoiseStream, T: float, dt: float,
+                stride: int) -> np.ndarray:
+    """The increments of a run on [0, T], drawn after checking that dt and
+    the record stride divide the grid and that the stream's dt is dt."""
+    n = _step_count(T, dt, stride)
+    if abs(noise.dt - dt) > 1e-15:
+        raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
+    return noise.increments(n)
+
+
+def _integrate(arr: np.ndarray, kind: str, dws: np.ndarray, dt: float,
+               stride: int, step, what: str, sample=None) -> TrajectoryRecord:
+    """The trajectory loop: one ``step`` per increment of ``dws``.
+
+    ``arr`` is the truth's raw array and ``kind`` its ``TrajectoryState``
+    field: a vector for "psi" and "chi", a matrix for "rho".
+    ``step(t, arr, dw)`` returns the next array and the record increment
+    dY; package errors it raises are re-raised tagged with the step.
+    (t, <a>, <a'a>, <a^2>, Y, I) are recorded at t = 0 and every
+    ``stride`` steps behind the truncation check labelled ``what``, and
+    ``sample(idx)`` then lets the caller record its own columns at
+    index idx.  Y accumulates dY and I the increments dw.
+    """
+    n = len(dws)
+    dim = arr.shape[0]
+    n_rec = n // stride + 1
+    rec_t = np.empty(n_rec)
+    rec_a = np.empty(n_rec, dtype=np.complex128)
+    rec_n = np.empty(n_rec)
+    rec_a2 = np.empty(n_rec, dtype=np.complex128)
+    rec_y = np.empty(n_rec)
+    rec_i = np.empty(n_rec)
+    a_mat = None if kind == "rho" else _annihilation_matrix(dim)
+    y_acc = i_acc = 0.0
+
+    def record(idx: int):
+        t = idx * stride * dt
+        if kind == "rho":
+            ma, mn, ma2 = _moments_from_density(arr, dim)
+            pop = (arr[-1, -1] + arr[-2, -2]).real
+        else:
+            ma, mn, ma2 = _moments_from_vector(arr, a_mat)
+            pop = (abs(arr[-1]) ** 2 + abs(arr[-2]) ** 2) / np.vdot(arr, arr).real
+        _check_truncation(float(pop), f"{what} (t={t:.4g})")
+        rec_t[idx] = t
+        rec_a[idx] = ma
+        rec_n[idx] = mn
+        rec_a2[idx] = ma2
+        rec_y[idx] = y_acc
+        rec_i[idx] = i_acc
+        if sample is not None:
+            sample(idx)
+
+    record(0)
+    for k, dw in enumerate(dws):
+        t = k * dt
+        try:
+            arr, dy = step(t, arr, dw)
+        except CavityFilterError as exc:
+            raise type(exc)(f"step {k} (t={t:.6g}): {exc}") from exc
+        y_acc += dy
+        i_acc += dw
+        if (k + 1) % stride == 0:
+            record((k + 1) // stride)
+
+    state = DensityOperator(dim, arr) if kind == "rho" else StateVector(dim, arr)
+    final = TrajectoryState(n * dt, y_acc, i_acc, **{kind: state})
+    for col in (rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i):
+        col.setflags(write=False)
+    return TrajectoryRecord(rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i, final)
+
+
 def run_trajectory(
     initial,
     slh_source,
@@ -466,9 +549,6 @@ def run_trajectory(
     including t=0; the stride must divide the step count.  Stepper
     failures are re-raised with the failing step index.
     """
-    n = _step_count(T, dt, record_stride)
-    if abs(noise.dt - dt) > 1e-15:
-        raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
     if mode not in ("sse", "sme", "zakai"):
         raise DomainError(f"unknown mode {mode!r}")
 
@@ -483,97 +563,31 @@ def run_trajectory(
         if not isinstance(initial, DensityOperator):
             raise DomainError("sme mode needs a DensityOperator initial state")
         state_arr = initial.entries
-        dim = initial.dim
     else:
         if not isinstance(initial, StateVector):
             raise DomainError(f"{mode} mode needs a StateVector initial state")
         state_arr = initial.amplitudes
-        dim = initial.dim
-
-    a_mat = _annihilation_matrix(dim)
-    dws = noise.increments(n)
-
-    n_rec = n // record_stride + 1
-    rec_t = np.empty(n_rec)
-    rec_a = np.empty(n_rec, dtype=np.complex128)
-    rec_n = np.empty(n_rec)
-    rec_a2 = np.empty(n_rec, dtype=np.complex128)
-    rec_y = np.empty(n_rec)
-    rec_i = np.empty(n_rec)
-
-    def record(idx: int, t: float, arr: np.ndarray, y: float, i_acc: float):
-        if mode == "sme":
-            ma, mn, ma2 = _moments_from_density(arr, dim)
-            pop = (arr[-1, -1] + arr[-2, -2]).real
-            _check_truncation(float(pop), f"trajectory (t={t:.4g})")
-        else:
-            ma, mn, ma2 = _moments_from_vector(arr, a_mat)
-            pop = abs(arr[-1]) ** 2 + abs(arr[-2]) ** 2
-            pop /= np.vdot(arr, arr).real
-            _check_truncation(float(pop), f"trajectory (t={t:.4g})")
-        rec_t[idx] = t
-        rec_a[idx] = ma
-        rec_n[idx] = mn
-        rec_a2[idx] = ma2
-        rec_y[idx] = y
-        rec_i[idx] = i_acc
-
-    record(0, 0.0, state_arr, 0.0, 0.0)
 
     if const_theta is None:
         cis_at = lambda t: complex(np.exp(1j * phase.at(t)))
     else:
-        const_cis = 1.0 + 0.0j if const_theta == 0.0 else complex(
-            np.exp(1j * const_theta))
+        const_cis = complex(np.exp(1j * const_theta))
         cis_at = lambda _t: const_cis
 
-    y_acc = 0.0
-    i_acc = 0.0
-    t = 0.0
-    idx = 1
-    prev_slh = None
-    mats = l_eff = None
-    for k in range(n):
-        slh = provider(t, state_arr)
-        if slh is not prev_slh:
-            mats = _stepper_matrices(slh)
-            prev_slh = slh
-            l_eff = None
-        l_mat, ld, ll, a0, h_mat = mats
+    def step(t, arr, dw):
+        l_mat, ld, ll, a0, h_mat = _stepper_matrices(provider(t, arr))
         cis = cis_at(t)
-        dw = dws[k]
-        try:
-            if mode == "sse":
-                state_arr, lam = _sse_kernel(state_arr, l_mat, a0, cis, dw, dt)
-                dy = lam * dt + dw
-            elif mode == "sme":
-                state_arr, lam = _sme_kernel(state_arr, l_mat, ld, ll, h_mat,
-                                             cis, dw, dt)
-                dy = lam * dt + dw
-            else:
-                if l_eff is None:
-                    l_eff = l_mat if cis == 1.0 else cis * l_mat
-                chi_n2 = np.vdot(state_arr, state_arr).real
-                lam = 2.0 * (np.vdot(state_arr, l_eff @ state_arr) / chi_n2).real
-                dy = lam * dt + dw
-                state_arr, _ = _zakai_kernel(state_arr, l_eff, a0, dy, dt)
-        except CavityFilterError as exc:
-            raise type(exc)(f"step {k} (t={t:.6g}): {exc}") from exc
-        t = (k + 1) * dt
-        y_acc += dy
-        i_acc += dw
-        if (k + 1) % record_stride == 0:
-            record(idx, t, state_arr, y_acc, i_acc)
-            idx += 1
+        if mode == "sse":
+            arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)
+        elif mode == "sme":
+            arr, lam = _sme_kernel(arr, l_mat, ld, ll, h_mat, cis, dw, dt)
+        else:
+            u = (l_mat if cis == 1.0 else cis * l_mat) @ arr
+            lam = 2.0 * (np.vdot(arr, u) / np.vdot(arr, arr).real).real
+            dy = lam * dt + dw
+            return _zakai_update(arr, u, a0, dy, dt), dy
+        return arr, lam * dt + dw
 
-    if mode == "sme":
-        final = TrajectoryState(t, y_acc, i_acc,
-                                rho=DensityOperator(dim, state_arr))
-    elif mode == "sse":
-        final = TrajectoryState(t, y_acc, i_acc, psi=StateVector(dim, state_arr))
-    else:
-        final = TrajectoryState(t, y_acc, i_acc, chi=StateVector(dim, state_arr))
-
-    for arr in (rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i):
-        arr.setflags(write=False)
-    return TrajectoryRecord(rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i, final)
+    kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]
+    return _integrate(state_arr, kind, _increments(noise, T, dt, record_stride),
+                      dt, record_stride, step, "trajectory")

@@ -16,9 +16,11 @@ from cavityfilter.fock import (
     CovariancePair,
     _band_apply,
     _band_buffers,
+    _gaussian_vector,
     _ladder_banded,
     _ladder_dense,
     annihilation_op,
+    gaussian_state,
     number_op,
 )
 from cavityfilter.qkf import ModeParams, QKFState, RiccatiState, qkf_step
@@ -38,7 +40,11 @@ from cavityfilter.control import (
     pid_filter_step,
     xi_gain,
 )
-from cavityfilter.trajectory import NoiseStream
+from cavityfilter.trajectory import (
+    NoiseStream,
+    damped_cavity_slh,
+    run_trajectory,
+)
 
 
 def make_state(a_hat=0.0j, v=0.0, w=0.0j, ie=0.0j, t=0.0):
@@ -100,6 +106,13 @@ def test_reference_signals():
         ReferenceSignal("square")
     with pytest.raises(DomainError):
         ReferenceSignal("step", onset=-1.0)
+
+
+def test_reference_amplitude_must_be_finite():
+    # rejected at construction, as onset, slope and frequency are
+    for bad in (complex(math.nan), complex(math.inf, 0.0), math.nan):
+        with pytest.raises(DomainError, match="amplitude"):
+            ReferenceSignal("constant", amplitude=bad)
 
 
 def test_drift_estimate_open_loop():
@@ -498,3 +511,46 @@ def test_cosim_mixed_truth_under_pid_tracks_filter():
     v_truth = rec.truth_mean_n - np.abs(rec.truth_mean_a) ** 2
     assert np.max(np.abs(rec.V - v_truth)) <= 1e-1
     assert abs(rec.a_hat[-1] - 1.0) < 0.5
+
+
+@pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
+                                 CovariancePair(0.5, 0.0)],
+                         ids=["pure", "mixed"])
+def test_cosim_runs_the_one_trajectory_loop(monkeypatch, cov):
+    calls = []
+    loop = trajectory._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_integrate", counted)
+    monkeypatch.setattr(control, "_integrate", counted)
+    closed_loop_cosim(0.3, cov, PIDGains(2.0, 1.0, 0.5),
+                      ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5), 24,
+                      NoiseStream(4, 1e-3), 0.01, 1e-3)
+    assert calls == ["psi" if cov.V == 0.0 else "rho"]
+
+
+@pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
+                                 CovariancePair(0.5, 0.0)],
+                         ids=["pure-bands-vs-dense", "mixed"])
+def test_cosim_zero_gain_truth_matches_open_loop_trajectory(cov):
+    # without gains the co-simulation's truth is the open-loop trajectory
+    # of the damped mode on the same noise
+    params, dim, dt, T = ModeParams(1.0, 0.5), 24, 1e-3, 0.2
+    alpha = 0.4
+    rec = closed_loop_cosim(alpha, cov, PIDGains(0.0),
+                            ReferenceSignal("constant", 0.0), params, dim,
+                            NoiseStream(8, dt), T, dt, record_stride=5)
+    if cov.V == 0.0:
+        initial, mode = _gaussian_vector(alpha, cov, dim), "sse"
+    else:
+        initial, mode = gaussian_state(alpha, cov, dim), "sme"
+    ref = run_trajectory(initial, damped_cavity_slh(params, dim), 0.0,
+                         NoiseStream(8, dt), T, dt, mode=mode,
+                         record_stride=5)
+    assert np.array_equal(rec.t, ref.t)
+    for got, want in ((rec.truth_mean_a, ref.mean_a),
+                      (rec.truth_mean_n, ref.mean_n), (rec.Y, ref.Y)):
+        assert np.max(np.abs(got - want)) < 1e-12

@@ -19,6 +19,7 @@ from cavityfilter.fock import (
     identity_op,
     number_op,
 )
+from cavityfilter import trajectory
 from cavityfilter.qkf import ModeParams, RiccatiState, riccati_integrate
 from cavityfilter.trajectory import (
     NoiseStream,
@@ -341,3 +342,55 @@ def test_stepper_errors_carry_step_index():
     with pytest.raises(StepSizeError, match=r"step \d+"):
         run_trajectory(coherent_state(1.5, dim), slh, 0.0,
                        NoiseStream(3, 0.5), 50.0, 0.5, mode="sse")
+
+
+@pytest.mark.parametrize("mode,theta,error", [
+    ("sse", lambda t: math.nan, StepSizeError),
+    ("sme", lambda t: math.nan, StepSizeError),
+    ("zakai", math.nan, NormBoundsError),
+])
+def test_nan_phase_raises_step_tagged_error(mode, theta, error):
+    # a NaN passes no guard silently: each mode stops at the first step
+    # with a typed error instead of recording NaN moments
+    dim = 10
+    slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
+    psi0 = coherent_state(0.5, dim)
+    initial = pure_density(psi0) if mode == "sme" else psi0
+    with pytest.raises(error, match=r"^step 0 "):
+        run_trajectory(initial, slh, theta, NoiseStream(1, 1e-3), 0.1, 1e-3,
+                       mode=mode)
+
+
+def test_zakai_run_matches_step_chain_bitwise():
+    # the loop forms L chi once per step; the public measurement and step
+    # calls form it twice, and both give the same bits
+    dim, dt, T = 12, 1e-3, 0.1
+    slh = damped_cavity_slh(ModeParams(1.0, 0.4), dim)
+    psi0 = coherent_state(0.5, dim)
+    rec = run_trajectory(psi0, slh, 0.0, NoiseStream(5, dt), T, dt,
+                         mode="zakai")
+    state = TrajectoryState(0.0, 0.0, 0.0, chi=psi0)
+    for dw in NoiseStream(5, dt).increments(len(rec.t) - 1):
+        dy = measurement_increment(state, slh, 0.0, dw, dt)
+        state = belavkin_zakai_step(state, slh, dy, dt)
+    assert np.array_equal(rec.final.chi.amplitudes, state.chi.amplitudes)
+    assert rec.final.Y == state.Y
+
+
+def test_each_mode_runs_one_trajectory_loop(monkeypatch):
+    calls = []
+    loop = trajectory._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_integrate", counted)
+    dim = 8
+    slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
+    psi0 = coherent_state(0.3, dim)
+    for mode, initial in (("sse", psi0), ("sme", pure_density(psi0)),
+                          ("zakai", psi0)):
+        run_trajectory(initial, slh, 0.0, NoiseStream(2, 1e-3), 0.01, 1e-3,
+                       mode=mode)
+    assert calls == ["psi", "rho", "chi"]
