@@ -18,7 +18,8 @@ ladder basis (see ``fock._LADDER_KEYS``):
                              + w (a^2 + a'a) + conj(w) (a'^2 + a'a),
 
 with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
-materializes them as dense SLH coefficients; ``closed_loop_cosim``
+materializes them as SLH coefficients on the ladder basis, whose
+steppers take L'L from the same closed form; ``closed_loop_cosim``
 never does, and steps the truth from the scalars alone (banded for a
 state vector, dense sums over the basis for a density matrix).
 
@@ -37,14 +38,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .fock import (
-    CavityOperator,
     CovariancePair,
     _band_apply,
     _band_buffers,
@@ -67,9 +66,10 @@ from .trajectory import (
     TrajectoryState,
     _increments,
     _integrate,
+    _ladder_slh,
+    _slh_coefficients,
     _sme_kernel,
     _sse_update,
-    damped_cavity_slh,
 )
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "ReferenceSignal",
     "ClosedLoopState",
     "ClosedLoopRecord",
-    "XiGain",
     "error_signal",
     "xi_gain",
     "drift_estimate",
@@ -170,14 +169,6 @@ class ReferenceSignal:
 
 
 @dataclass(frozen=True)
-class XiGain:
-    """Innovations gain of the derivative-controlled filter,
-    sqrt(gamma) (V + W) / (1 + k_D)."""
-
-    value: complex
-
-
-@dataclass(frozen=True)
 class ClosedLoopState:
     """Filter state, accumulated integral of the error, optional truth."""
 
@@ -216,9 +207,9 @@ def error_signal(r_t: complex, a_hat: complex) -> complex:
     return complex(r_t) - complex(a_hat)
 
 
-def xi_gain(cov: RiccatiState, gains: PIDGains, gamma: float) -> XiGain:
+def xi_gain(cov: RiccatiState, gains: PIDGains, gamma: float) -> complex:
     """Innovations gain sqrt(gamma) (V + W) / (1 + k_D)."""
-    return XiGain(_xi(cov.V, cov.W, gains.k_D, gamma))
+    return _xi(cov.V, cov.W, gains.k_D, gamma)
 
 
 def _xi(v: float, w: complex, k_D: float, gamma: float) -> complex:
@@ -269,11 +260,6 @@ def _drift_at(gains: PIDGains, a_hat: complex, integral_error: complex,
     return num / (1.0 + gains.k_D)
 
 
-@lru_cache(maxsize=32)
-def _open_loop_slh(gamma: float, omega: float, dim: int) -> SLHCoefficients:
-    return damped_cavity_slh(ModeParams(gamma, omega), dim)
-
-
 def _feedback_scalars(gains: PIDGains, a_hat: complex,
                       integral_error: complex, V: float, W: complex,
                       t: float, params: ModeParams, ref: ReferenceSignal):
@@ -307,25 +293,6 @@ def _feedback_scalars(gains: PIDGains, a_hat: complex,
             0.5j * sg * gains.k_D * xi_c, drift, xi, r_t)
 
 
-def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
-                      omega: float):
-    """Ladder-basis coefficients of L, L', L'L and H, one row each.
-
-    L'L is the closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
-    + conj(c1) c2 a'^2: truncated products of a and a' equal their
-    closed forms, so no matrix product is needed and H is Hermitian by
-    construction."""
-    c1c, c2c, zc, wc = (complex(c1).conjugate(), complex(c2).conjugate(),
-                        z.conjugate(), w.conjugate())
-    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
-    return [
-        [0.0, c2, 0.0, c1, 0.0, 0.0],
-        [0.0, c1c, 0.0, c2c, 0.0, 0.0],
-        [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real],
-        [wc, z, omega + 2.0 * w.real, zc, w, 0.0],
-    ]
-
-
 def _sse_coefficients(c1, c2, z, w, omega):
     """Ladder-basis rows of L and A0 = -iH - L'L/2."""
     l_row, _, ll_row, h_row = _slh_coefficients(c1, c2, z, w, omega)
@@ -346,17 +313,10 @@ def controlled_slh(
 
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
-    if gains.all_zero:
-        return _open_loop_slh(params.gamma, params.omega, dim)
     ric = filt.riccati
     c1, c2, z, w, *_ = _feedback_scalars(gains, filt.a_hat, integral_error,
                                          ric.V, ric.W, t, params, ref)
-    coef = _slh_coefficients(c1, c2, z, w, params.omega)
-    l_mat, h_mat = _ladder_dense([coef[0], coef[3]], dim)
-    return SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
-                           CavityOperator(dim, h_mat))
+    return _ladder_slh(c1, c2, z, w, params.omega, dim)
 
 
 def _filter_update(a_hat: complex, integral_error: complex, V: float,

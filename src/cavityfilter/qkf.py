@@ -66,10 +66,12 @@ def _step_count(T: float, dt: float, stride: int = 1, *, min_steps: int = 1,
                 error=DomainError,
                 names: tuple[str, str] = ("dt=", "record_stride=")) -> int:
     """Number n >= min_steps of dt steps that tile [0, T], with ``stride``
-    dividing n.  Otherwise raises ``error``, naming dt and the stride by
+    >= 1 dividing n.  Otherwise raises ``error``, naming dt and the stride by
     ``names``; the tiling tolerance is 1e-12 relative to max(1, |T|)."""
     if dt <= 0.0:
         raise error(f"dt must be positive, got {dt}")
+    if stride < 1:
+        raise error(f"{names[1]}{stride} must be >= 1")
     n = int(round(T / dt))
     if n < min_steps or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise error(f"{names[0]}{dt} does not divide T={T}")
@@ -176,6 +178,8 @@ def riccati_integrate(
     finite range (the Riccati flow can blow up only for unphysical data).
     """
     n = _step_count(T, dt, min_steps=0)
+    if record_stride < 1:
+        raise DomainError(f"record_stride={record_stride} must be >= 1")
     theta_fn = _as_theta_fn(theta)
     v, w, t = initial.V, initial.W, initial.t
     out = [initial]

@@ -17,7 +17,9 @@ avoids representing the field the mode radiates into.
 
 All steppers are fixed-step Euler-Maruyama with per-step
 renormalization (weak order 1); the per-step state objects are cheap
-wrappers over dense arrays.
+wrappers over dense arrays, and each ``SLHCoefficients`` derives the
+kernels' arrays once (L'L in the co-simulation's closed form when it is
+built on the ladder basis).
 
 There is one trajectory loop, ``_integrate``: it records (t, <a>,
 <a'a>, <a^2>, Y, I) behind the truncation check, tags package errors
@@ -35,7 +37,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -53,7 +55,7 @@ from .fock import (
     StateVector,
     _annihilation_matrix,
     _check_truncation,
-    _mode_matrices,
+    _ladder_dense,
     _moments_from_density,
     _moments_from_vector,
 )
@@ -89,14 +91,14 @@ class SLHCoefficients:
 
     S is a unit-modulus scattering phase (fixed at 1 throughout this
     package), L the coupling operator into the monitored field, H the
-    Hamiltonian.  Identity-based equality: steppers cache the derived
-    matrices per instance, so reuse the same object while coefficients
-    are unchanged.
+    Hamiltonian.  Equality is identity (the fields hold arrays).  L'L is
+    the product L'L, or the closed form for ``_ladder_slh`` instances.
     """
 
     s: complex
     l: CavityOperator
     h: CavityOperator
+    _ladder: Union[list, None] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(abs(complex(self.s)) - 1.0) > 1e-12:
@@ -111,6 +113,22 @@ class SLHCoefficients:
     @property
     def dim(self) -> int:
         return self.l.dim
+
+    def _arrays(self, dim: int):
+        """(L, L', L'L, A0 = -iH - L'L/2, H) for a dim-dimensional state."""
+        if dim != self.dim:
+            raise DimensionError(f"dim {dim} != SLH dim {self.dim}")
+        return self._kernel
+
+    @cached_property
+    def _kernel(self):
+        if self._ladder is None:
+            l_mat, h_mat = self.l.entries, self.h.entries
+            ld = np.ascontiguousarray(l_mat.conj().T)
+            ll = ld @ l_mat
+        else:
+            l_mat, ld, ll, h_mat = _ladder_dense(self._ladder, self.dim)
+        return l_mat, ld, ll, -1j * h_mat - 0.5 * ll, h_mat
 
 
 @dataclass(frozen=True)
@@ -197,23 +215,41 @@ class TrajectoryRecord:
     final: TrajectoryState
 
 
+def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
+                      omega: float):
+    """Ladder-basis coefficients of L, L', L'L and H, one row each.
+
+    L'L is the closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
+    + conj(c1) c2 a'^2: truncated products of a and a' equal their
+    closed forms, so no matrix product is needed and H is Hermitian by
+    construction."""
+    c1c, c2c, zc, wc = (complex(c1).conjugate(), complex(c2).conjugate(),
+                        z.conjugate(), w.conjugate())
+    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
+    return [
+        [0.0, c2, 0.0, c1, 0.0, 0.0],
+        [0.0, c1c, 0.0, c2c, 0.0, 0.0],
+        [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real],
+        [wc, z, omega + 2.0 * w.real, zc, w, 0.0],
+    ]
+
+
+def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
+                omega: float, dim: int) -> SLHCoefficients:
+    """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
+    are kept, so the steppers' L' and L'L are closed forms too."""
+    rows = _slh_coefficients(c1, c2, z, w, omega)
+    l_mat, h_mat = _ladder_dense([rows[0], rows[3]], dim)
+    slh = SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
+                          CavityOperator(dim, h_mat))
+    object.__setattr__(slh, "_ladder", rows)
+    return slh
+
+
 def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
     """The uncontrolled damped mode: S=1, L=sqrt(gamma) a, H=omega a'a."""
-    mats = _mode_matrices(dim)
-    l_op = CavityOperator(dim, math.sqrt(params.gamma) * mats["a"])
-    h_op = CavityOperator(dim, params.omega * mats["n"])
-    return SLHCoefficients(1.0 + 0.0j, l_op, h_op)
-
-
-@lru_cache(maxsize=64)
-def _stepper_matrices(slh: SLHCoefficients):
-    """(L, L', L'L, A0 = -iH - L'L/2, H) as contiguous arrays, cached per
-    SLH instance (identity equality makes frozen instances cacheable)."""
-    l_mat = slh.l.entries
-    ld = np.ascontiguousarray(l_mat.conj().T)
-    ll = ld @ l_mat
-    a0 = -1j * slh.h.entries - 0.5 * ll
-    return l_mat, ld, ll, np.ascontiguousarray(a0), slh.h.entries
+    return _ladder_slh(math.sqrt(params.gamma), 0.0j, 0.0j, 0.0j,
+                       params.omega, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +358,22 @@ def _zakai_update(chi: np.ndarray, u: np.ndarray, a0: np.ndarray,
 # public operations
 
 
+def _check_normalized(psi: np.ndarray, what: str) -> None:
+    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
+        raise DomainError(f"{what} needs a normalized state vector")
+
+
 def lindblad_apply(slh: SLHCoefficients, x: CavityOperator) -> CavityOperator:
     """Adjoint-generator action on an operator:
 
         L(X) = L'[X, L]/2 + [L', X] L/2 - i [X, H].
     """
-    if x.dim != slh.dim:
-        raise DimensionError(f"operator dim {x.dim} != SLH dim {slh.dim}")
-    l_mat, ld, _, _, h_mat = _stepper_matrices(slh)
+    l_mat, ld, _, _, h_mat = slh._arrays(x.dim)
     xm = x.entries
     out = 0.5 * (ld @ (xm @ l_mat - l_mat @ xm))
     out += 0.5 * ((ld @ xm - xm @ ld) @ l_mat)
     out -= 1j * (xm @ h_mat - h_mat @ xm)
     return CavityOperator(x.dim, out)
-
-
-def _conditional_lambda(state: TrajectoryState, slh: SLHCoefficients,
-                        cis: complex) -> float:
-    l_mat = slh.l.entries
-    if state.psi is not None:
-        psi = state.psi.amplitudes
-        val = np.vdot(psi, l_mat @ psi) / np.vdot(psi, psi).real
-    elif state.chi is not None:
-        chi = state.chi.amplitudes
-        val = np.vdot(chi, l_mat @ chi) / np.vdot(chi, chi).real
-    else:
-        val = np.sum(state.rho.entries.T * l_mat)
-    return 2.0 * (cis * val).real
 
 
 def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
@@ -357,8 +382,15 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
     lambda = <e^{i theta} L + e^{-i theta} L'> on the conditional state."""
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
-    cis = np.exp(1j * float(theta_t))
-    lam = _conditional_lambda(state, slh, complex(cis))
+    vec = state.psi if state.psi is not None else state.chi
+    if vec is not None:
+        l_mat = slh._arrays(vec.dim)[0]
+        x = vec.amplitudes
+        val = np.vdot(x, l_mat @ x) / np.vdot(x, x).real
+    else:
+        l_mat = slh._arrays(state.rho.dim)[0]
+        val = np.sum(state.rho.entries.T * l_mat)
+    lam = 2.0 * (complex(np.exp(1j * float(theta_t))) * val).real
     return lam * dt + dW
 
 
@@ -374,9 +406,8 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     if state.psi is None:
         raise DomainError("sse_step needs a state vector (psi)")
     psi = state.psi.amplitudes
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
-        raise DomainError("sse_step needs a normalized state vector")
-    l_mat, _, _, a0, _ = _stepper_matrices(slh)
+    _check_normalized(psi, "sse_step")
+    l_mat, _, _, a0, _ = slh._arrays(state.psi.dim)
     cis = complex(np.exp(1j * float(theta_t)))
     psi_new, lam = _sse_kernel(psi, l_mat, a0, cis, dI, dt)
     return TrajectoryState(
@@ -394,7 +425,7 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
-    l_mat, ld, ll, _, h_mat = _stepper_matrices(slh)
+    l_mat, ld, ll, _, h_mat = slh._arrays(state.rho.dim)
     cis = complex(np.exp(1j * float(theta_t)))
     rho_new, lam = _sme_kernel(state.rho.entries, l_mat, ld, ll, h_mat,
                                cis, dI, dt)
@@ -418,7 +449,7 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    l_mat, _, _, a0, _ = _stepper_matrices(slh)
+    l_mat, _, _, a0, _ = slh._arrays(state.chi.dim)
     chi_new, lam = _zakai_kernel(state.chi.amplitudes, l_mat, a0, dY, dt)
     return TrajectoryState(
         t=state.t + dt,
@@ -534,7 +565,7 @@ def run_trajectory(
     Parameters
     ----------
     initial : StateVector or DensityOperator
-        StateVector for modes "sse" and "zakai", DensityOperator for "sme".
+        StateVector ("sse": normalized; "zakai"), DensityOperator ("sme").
     slh_source : SLHCoefficients or callable
         Constant coefficients, or ``f(t)`` / ``f(t, state_array)`` for
         time- or state-dependent coefficients.
@@ -567,6 +598,8 @@ def run_trajectory(
         if not isinstance(initial, StateVector):
             raise DomainError(f"{mode} mode needs a StateVector initial state")
         state_arr = initial.amplitudes
+        if mode == "sse":
+            _check_normalized(state_arr, "sse mode")
 
     if const_theta is None:
         cis_at = lambda t: complex(np.exp(1j * phase.at(t)))
@@ -575,7 +608,7 @@ def run_trajectory(
         cis_at = lambda _t: const_cis
 
     def step(t, arr, dw):
-        l_mat, ld, ll, a0, h_mat = _stepper_matrices(provider(t, arr))
+        l_mat, ld, ll, a0, h_mat = provider(t, arr)._arrays(arr.shape[0])
         cis = cis_at(t)
         if mode == "sse":
             arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)

@@ -1,9 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from cavityfilter.control import PIDGains, ReferenceSignal, closed_loop_cosim
 from cavityfilter.errors import (
+    DimensionError,
     DomainError,
     NormBoundsError,
     StepSizeError,
@@ -394,3 +398,98 @@ def test_each_mode_runs_one_trajectory_loop(monkeypatch):
         run_trajectory(initial, slh, 0.0, NoiseStream(2, 1e-3), 0.01, 1e-3,
                        mode=mode)
     assert calls == ["psi", "rho", "chi"]
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("entry", ["run_trajectory", "closed_loop_cosim",
+                                   "riccati_integrate"])
+def test_record_stride_below_one_raises_domain_error(entry, stride):
+    dim, dt, T = 6, 1e-3, 0.01
+    calls = {
+        "run_trajectory": lambda: run_trajectory(
+            coherent_state(0.1, dim), damped_cavity_slh(ModeParams(1.0), dim),
+            0.0, NoiseStream(0, dt), T, dt, record_stride=stride),
+        "closed_loop_cosim": lambda: closed_loop_cosim(
+            0.1, CovariancePair(0.0, 0.0), PIDGains(1.0),
+            ReferenceSignal("step", 1.0), ModeParams(1.0), dim,
+            NoiseStream(0, dt), T, dt, record_stride=stride),
+        "riccati_integrate": lambda: riccati_integrate(
+            RiccatiState(0.5, 0.0), 0.0, ModeParams(1.0), dt, T,
+            record_stride=stride),
+    }
+    with pytest.raises(DomainError, match=rf"record_stride={stride} must be >= 1"):
+        calls[entry]()
+
+
+def test_sse_run_rejects_unnormalized_initial_state():
+    # the fault is the initial state, not dt: rejected before any
+    # increment is drawn; the Zakai state stays unnormalized by design
+    dim, dt = 10, 1e-3
+    slh = damped_cavity_slh(ModeParams(1.0), dim)
+    unnorm = StateVector(dim, 1.4 * coherent_state(0.5, dim).amplitudes)
+    ns = NoiseStream(3, dt)
+    with pytest.raises(DomainError, match="normalized state vector"):
+        run_trajectory(unnorm, slh, 0.0, ns, 0.1, dt, mode="sse")
+    assert np.array_equal(ns.increments(4), NoiseStream(3, dt).increments(4))
+    run_trajectory(unnorm, slh, 0.0, NoiseStream(3, dt), 0.1, dt, mode="zakai")
+
+
+def test_state_and_slh_dims_must_agree():
+    slh = damped_cavity_slh(ModeParams(1.0, 0.3), 10)
+    psi = coherent_state(0.2, 12)
+    vec = TrajectoryState(0.0, 0.0, 0.0, psi=psi)
+    rho = TrajectoryState(0.0, 0.0, 0.0, rho=pure_density(psi))
+    chi = TrajectoryState(0.0, 0.0, 0.0, chi=psi)
+    calls = [
+        lambda: sse_step(vec, slh, 0.0, 0.0, 1e-3),
+        lambda: sme_step(rho, slh, 0.0, 0.0, 1e-3),
+        lambda: belavkin_zakai_step(chi, slh, 0.0, 1e-3),
+        lambda: measurement_increment(vec, slh, 0.0, 0.0, 1e-3),
+        lambda: measurement_increment(rho, slh, 0.0, 0.0, 1e-3),
+        lambda: lindblad_apply(slh, number_op(12)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match="dim 12 != SLH dim 10"):
+            call()
+    # a source that changes dim mid-run fails at that step
+    other = damped_cavity_slh(ModeParams(1.0, 0.3), 12)
+    with pytest.raises(DimensionError, match=r"^step 3 "):
+        run_trajectory(psi, lambda t: slh if t > 2.5e-3 else other, 0.0,
+                       NoiseStream(1, 1e-3), 0.01, 1e-3)
+
+
+def test_callable_source_leaves_no_slh_alive():
+    # the stepper arrays live on each instance: nothing outlives the run
+    dim, dt = 30, 1e-3
+    params = ModeParams(1.0, 0.4)
+    refs = []
+
+    def source(t):
+        slh = damped_cavity_slh(params, dim)
+        refs.append(weakref.ref(slh))
+        return slh
+
+    run_trajectory(coherent_state(0.5, dim), source, 0.0, NoiseStream(2, dt),
+                   0.1, dt)
+    gc.collect()
+    assert len(refs) == 100
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_ladder_and_operator_slh_step_alike():
+    # the same damped mode given as operators (L'L a product) and on the
+    # ladder basis (L'L a closed form) agrees to rounding
+    dim, dt, T = 24, 1e-3, 0.1
+    params = ModeParams(1.0, 0.4)
+    ladder = damped_cavity_slh(params, dim)
+    ops = SLHCoefficients(1.0, CavityOperator(dim, ladder.l.entries),
+                          CavityOperator(dim, ladder.h.entries))
+    psi0 = coherent_state(0.6, dim)
+    rho0 = gaussian_state(0.6, CovariancePair(0.3, 0.0), dim)
+    for mode, initial in (("sse", psi0), ("sme", rho0), ("zakai", psi0)):
+        a = run_trajectory(initial, ladder, 0.0, NoiseStream(4, dt), T, dt,
+                           mode=mode, record_stride=10)
+        b = run_trajectory(initial, ops, 0.0, NoiseStream(4, dt), T, dt,
+                           mode=mode, record_stride=10)
+        assert np.max(np.abs(a.mean_a - b.mean_a)) < 1e-13
+        assert np.max(np.abs(a.mean_n - b.mean_n)) < 1e-13
