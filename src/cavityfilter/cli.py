@@ -505,8 +505,7 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     kb = DiscreteKalmanState(x0, p0)
     dk = DiscreteKalmanState(x0, p0)
 
-    n = _step_count(cfg.T, cfg.dt, cfg.stride, error=ConfigError,
-                    names=("run.dt: ", "run.stride: "))
+    n = int(round(cfg.T / cfg.dt))  # the grid is checked by run_subcommand
     noise = NoiseStream(seed=cfg.seed, dt=cfg.dt)
     dws = noise.increments(n)
     dvs = noise.spawn(1).increments(n)
@@ -552,9 +551,13 @@ _DISPATCH = {
 def run_subcommand(name: str, config: ScenarioConfig,
                    out_dir: Union[str, None] = None,
                    assert_stats: bool = False):
-    """Execute one subcommand; returns (exit_code, written paths)."""
+    """Execute one subcommand; returns (exit_code, written paths).  Every
+    subcommand but ``tune`` checks the run grid before any work."""
     if name not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {name!r}")
+    if name != "tune":
+        _step_count(config.T, config.dt, config.stride, error=ConfigError,
+                    names=("run.dt: ", "run.stride: "))
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written, stats_ok = _DISPATCH[name](config, out)

@@ -19,9 +19,10 @@ ladder basis (see ``fock._LADDER_KEYS``):
 
 with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
 materializes them as SLH coefficients on the ladder basis, whose
-steppers take L'L from the same closed form; ``closed_loop_cosim``
-never does, and steps the truth from the scalars alone (banded for a
-state vector, dense sums over the basis for a density matrix).
+steppers read L and A0 = -iH - L'L/2 from the same ladder rows;
+``closed_loop_cosim`` never does, and steps the truth from those rows
+alone (banded for a state vector, dense sums over the basis for a
+density matrix).
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
@@ -293,12 +294,6 @@ def _feedback_scalars(gains: PIDGains, a_hat: complex,
             0.5j * sg * gains.k_D * xi_c, drift, xi, r_t)
 
 
-def _sse_coefficients(c1, c2, z, w, omega):
-    """Ladder-basis rows of L and A0 = -iH - L'L/2."""
-    l_row, _, ll_row, h_row = _slh_coefficients(c1, c2, z, w, omega)
-    return [l_row, [-1j * h - 0.5 * q for h, q in zip(h_row, ll_row)]]
-
-
 def controlled_slh(
     gains: PIDGains,
     filt: QKFState,
@@ -437,11 +432,11 @@ def closed_loop_cosim(
     dI' = dY - sqrt(gamma) 2 Re(a_hat) dt.  All coefficients are frozen
     at step start, so neither side anticipates.
 
-    The truth never sees dense SLH coefficients.  A state vector is
-    stepped from the bands of L and A0 = -iH - L'L/2 on the ladder
-    basis, in O(dim) per step; a density matrix from dense L, L', L'L
-    and H summed over the same basis.  Without gains the coefficients
-    are built once, before the loop.
+    The truth never sees dense SLH coefficients.  It is stepped from the
+    ladder rows of L and A0 = -iH - L'L/2: a state vector from their
+    bands, in O(dim) per step, a density matrix from the dense sums over
+    the same basis.  Without gains the coefficients are built once,
+    before the loop.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -459,11 +454,8 @@ def closed_loop_cosim(
         state_arr = gaussian_state(t_alpha, t_cov, dim).entries
 
     def truth_coefficients(c1, c2, z, w):
-        if pure:
-            return _ladder_banded(
-                _sse_coefficients(c1, c2, z, w, params.omega), dim)
-        return _ladder_dense(_slh_coefficients(c1, c2, z, w, params.omega),
-                             dim)
+        rows = _slh_coefficients(c1, c2, z, w, params.omega)[:2]
+        return (_ladder_banded if pure else _ladder_dense)(rows, dim)
 
     a_hat, ie = complex(alpha), 0.0j
     v, w_cov = cov.V, cov.W
@@ -489,9 +481,7 @@ def closed_loop_cosim(
             u, a0_psi = _band_apply(coef, arr, buffers)
             arr, lam = _sse_update(arr, u, a0_psi, 1.0 + 0.0j, dw, dt)
         else:
-            l_mat, ld, ll, h_mat = coef
-            arr, lam = _sme_kernel(arr, l_mat, ld, ll, h_mat, 1.0 + 0.0j,
-                                   dw, dt)
+            arr, lam = _sme_kernel(arr, coef[0], coef[1], 1.0 + 0.0j, dw, dt)
         dy = lam * dt + dw
         di_f = dy - (sg * 2.0 * a_hat.real) * dt
         a_hat, ie, v, w_cov = _filter_update(a_hat, ie, v, w_cov, r_t,

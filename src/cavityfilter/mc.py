@@ -128,14 +128,14 @@ class FilterScenario:
     With ``purify`` the truth of trajectory i is a pure coherent state
     displaced by a draw from the prior covariance (prior mean plus
     Gaussian), while the filter always starts on (alpha, cov).  Without
-    it the truth simply shares the filter's initial data.
+    it the truth simply shares the filter's initial data.  The record is
+    always the theta = 0 quadrature that ``closed_loop_cosim`` observes.
     """
 
     params: ModeParams
     dim: int
     alpha: complex
     cov: CovariancePair
-    theta: float = 0.0
     purify: bool = False
     gains: PIDGains = PIDGains(0.0)
     reference: ReferenceSignal = ReferenceSignal("constant", amplitude=0.0)

@@ -17,19 +17,19 @@ avoids representing the field the mode radiates into.
 
 All steppers are fixed-step Euler-Maruyama with per-step
 renormalization (weak order 1); the per-step state objects are cheap
-wrappers over dense arrays, and each ``SLHCoefficients`` derives the
-kernels' arrays once (L'L in the co-simulation's closed form when it is
-built on the ladder basis).
+wrappers over dense arrays.  Every stepper reads the coefficients as
+(L, A0 = -iH - L'L/2), which each ``SLHCoefficients`` derives once
+(from the co-simulation's ladder rows when built on the ladder basis).
 
 There is one trajectory loop, ``_integrate``: it records (t, <a>,
 <a'a>, <a^2>, Y, I) behind the truncation check, tags package errors
 with their step and builds the final ``TrajectoryState``; a ``step``
 closure says what one step does.  ``run_trajectory`` passes the dense
 kernels over ``SLHCoefficients``; the PID co-simulation in ``control``
-passes the feedback scalars, the banded truth step and the filter
-update.  The state-vector and Zakai steps are split into forming
-u = L psi (and w = A0 psi) and the update with its guard
-(``_sse_update``, ``_zakai_update``), so every caller shares one update.
+passes the feedback scalars, the truth step and the filter update.  The
+state-vector and Zakai steps are split into forming u = L psi (and
+w = A0 psi) and the update with its guard (``_sse_update``,
+``_zakai_update``), so every caller shares one update.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class SLHCoefficients:
 
     S is a unit-modulus scattering phase (fixed at 1 throughout this
     package), L the coupling operator into the monitored field, H the
-    Hamiltonian.  Equality is identity (the fields hold arrays).  L'L is
-    the product L'L, or the closed form for ``_ladder_slh`` instances.
+    Hamiltonian.  Equality is identity (the fields hold arrays).  Steppers
+    read only (L, A0), kept as ladder rows by ``_ladder_slh`` instances.
     """
 
     s: complex
@@ -115,20 +115,18 @@ class SLHCoefficients:
         return self.l.dim
 
     def _arrays(self, dim: int):
-        """(L, L', L'L, A0 = -iH - L'L/2, H) for a dim-dimensional state."""
+        """(L, A0 = -iH - L'L/2) for a dim-dimensional state."""
         if dim != self.dim:
             raise DimensionError(f"dim {dim} != SLH dim {self.dim}")
         return self._kernel
 
     @cached_property
     def _kernel(self):
-        if self._ladder is None:
-            l_mat, h_mat = self.l.entries, self.h.entries
-            ld = np.ascontiguousarray(l_mat.conj().T)
-            ll = ld @ l_mat
-        else:
-            l_mat, ld, ll, h_mat = _ladder_dense(self._ladder, self.dim)
-        return l_mat, ld, ll, -1j * h_mat - 0.5 * ll, h_mat
+        if self._ladder is not None:
+            return tuple(_ladder_dense(self._ladder, self.dim))
+        l_mat = self.l.entries
+        ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
+        return l_mat, -1j * self.h.entries - 0.5 * ll
 
 
 @dataclass(frozen=True)
@@ -217,32 +215,33 @@ class TrajectoryRecord:
 
 def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
                       omega: float):
-    """Ladder-basis coefficients of L, L', L'L and H, one row each.
+    """Ladder-basis rows of L, A0 = -iH - L'L/2 and H.
 
-    L'L is the closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
-    + conj(c1) c2 a'^2: truncated products of a and a' equal their
-    closed forms, so no matrix product is needed and H is Hermitian by
-    construction."""
+    A0 takes L'L in the closed form |c1|^2 a'a + |c2|^2 a a'
+    + conj(c2) c1 a^2 + conj(c1) c2 a'^2: truncated products of a and a'
+    equal their closed forms, so no matrix product is needed and H is
+    Hermitian by construction."""
     c1c, c2c, zc, wc = (complex(c1).conjugate(), complex(c2).conjugate(),
                         z.conjugate(), w.conjugate())
     # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
+    ll_row = [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real]
+    h_row = [wc, z, omega + 2.0 * w.real, zc, w, 0.0]
     return [
         [0.0, c2, 0.0, c1, 0.0, 0.0],
-        [0.0, c1c, 0.0, c2c, 0.0, 0.0],
-        [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real],
-        [wc, z, omega + 2.0 * w.real, zc, w, 0.0],
+        [-1j * h - 0.5 * q for h, q in zip(h_row, ll_row)],
+        h_row,
     ]
 
 
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
-    are kept, so the steppers' L' and L'L are closed forms too."""
+    of L and A0 are kept, so the steppers' A0 is the closed form too."""
     rows = _slh_coefficients(c1, c2, z, w, omega)
-    l_mat, h_mat = _ladder_dense([rows[0], rows[3]], dim)
+    l_mat, h_mat = _ladder_dense([rows[0], rows[2]], dim)
     slh = SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
                           CavityOperator(dim, h_mat))
-    object.__setattr__(slh, "_ladder", rows)
+    object.__setattr__(slh, "_ladder", rows[:2])
     return slh
 
 
@@ -288,24 +287,23 @@ def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
     return psi_new, lam
 
 
-def _sme_kernel(rho: np.ndarray, l_mat: np.ndarray, ld: np.ndarray,
-                ll: np.ndarray, h_mat: np.ndarray, cis: complex,
-                dI: float, dt: float):
+def _sme_kernel(rho: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
+                cis: complex, dI: float, dt: float):
     """One density-matrix step.  Returns (new rho, lambda).
 
     d rho = (L rho L' - {L'L, rho}/2 + i[rho, H]) dt
             + (L_th rho + rho L_th' - lam rho) dI,
 
-    followed by Hermitization, trace renormalization, and a positivity
-    check (entries finite and smallest eigenvalue above -1e-6, else the
-    step is too large).
+    with the drift as L (L rho)' + A0 rho + (A0 rho)' (exact for
+    Hermitian rho), then Hermitization, trace renormalization, and a
+    positivity check (entries finite and smallest eigenvalue above
+    -1e-6, else the step is too large).
     """
     lr = l_mat @ rho
     meas = lr if cis == 1.0 else cis * lr
     lam = 2.0 * np.trace(meas).real
-    drift = lr @ ld
-    drift -= 0.5 * (ll @ rho + rho @ ll)
-    drift += 1j * (rho @ h_mat - h_mat @ rho)
+    a0r = a0 @ rho
+    drift = l_mat @ lr.conj().T + a0r + a0r.conj().T
     rho_new = rho + dt * drift
     rho_new += dI * (meas + meas.conj().T)
     rho_new -= (dI * lam) * rho
@@ -366,9 +364,12 @@ def _check_normalized(psi: np.ndarray, what: str) -> None:
 def lindblad_apply(slh: SLHCoefficients, x: CavityOperator) -> CavityOperator:
     """Adjoint-generator action on an operator:
 
-        L(X) = L'[X, L]/2 + [L', X] L/2 - i [X, H].
+        L(X) = L'[X, L]/2 + [L', X] L/2 - i [X, H],
+
+    in commutator form, so L(I) = 0 exactly.
     """
-    l_mat, ld, _, _, h_mat = slh._arrays(x.dim)
+    l_mat, _ = slh._arrays(x.dim)
+    ld, h_mat = l_mat.conj().T, slh.h.entries
     xm = x.entries
     out = 0.5 * (ld @ (xm @ l_mat - l_mat @ xm))
     out += 0.5 * ((ld @ xm - xm @ ld) @ l_mat)
@@ -384,11 +385,11 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
         raise DomainError(f"dt must be positive, got {dt}")
     vec = state.psi if state.psi is not None else state.chi
     if vec is not None:
-        l_mat = slh._arrays(vec.dim)[0]
+        l_mat, _ = slh._arrays(vec.dim)
         x = vec.amplitudes
         val = np.vdot(x, l_mat @ x) / np.vdot(x, x).real
     else:
-        l_mat = slh._arrays(state.rho.dim)[0]
+        l_mat, _ = slh._arrays(state.rho.dim)
         val = np.sum(state.rho.entries.T * l_mat)
     lam = 2.0 * (complex(np.exp(1j * float(theta_t))) * val).real
     return lam * dt + dW
@@ -407,7 +408,7 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError("sse_step needs a state vector (psi)")
     psi = state.psi.amplitudes
     _check_normalized(psi, "sse_step")
-    l_mat, _, _, a0, _ = slh._arrays(state.psi.dim)
+    l_mat, a0 = slh._arrays(state.psi.dim)
     cis = complex(np.exp(1j * float(theta_t)))
     psi_new, lam = _sse_kernel(psi, l_mat, a0, cis, dI, dt)
     return TrajectoryState(
@@ -425,10 +426,9 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
-    l_mat, ld, ll, _, h_mat = slh._arrays(state.rho.dim)
+    l_mat, a0 = slh._arrays(state.rho.dim)
     cis = complex(np.exp(1j * float(theta_t)))
-    rho_new, lam = _sme_kernel(state.rho.entries, l_mat, ld, ll, h_mat,
-                               cis, dI, dt)
+    rho_new, lam = _sme_kernel(state.rho.entries, l_mat, a0, cis, dI, dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + lam * dt + dI,
@@ -449,7 +449,7 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    l_mat, _, _, a0, _ = slh._arrays(state.chi.dim)
+    l_mat, a0 = slh._arrays(state.chi.dim)
     chi_new, lam = _zakai_kernel(state.chi.amplitudes, l_mat, a0, dY, dt)
     return TrajectoryState(
         t=state.t + dt,
@@ -464,11 +464,14 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
 
 
 def _as_slh_provider(source) -> Callable[[float, object], SLHCoefficients]:
-    """Normalize an SLH source: constant, f(t), or f(t, state_array)."""
+    """Normalize an SLH source: constant, f(t), or f(t, state_array).
+
+    The form is the number of parameters without a default."""
     if isinstance(source, SLHCoefficients):
         return lambda _t, _state: source
     if callable(source):
-        n_par = len(inspect.signature(source).parameters)
+        n_par = sum(p.default is p.empty
+                    for p in inspect.signature(source).parameters.values())
         if n_par == 1:
             return lambda t, _state: source(t)
         if n_par == 2:
@@ -608,12 +611,12 @@ def run_trajectory(
         cis_at = lambda _t: const_cis
 
     def step(t, arr, dw):
-        l_mat, ld, ll, a0, h_mat = provider(t, arr)._arrays(arr.shape[0])
+        l_mat, a0 = provider(t, arr)._arrays(arr.shape[0])
         cis = cis_at(t)
         if mode == "sse":
             arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)
         elif mode == "sme":
-            arr, lam = _sme_kernel(arr, l_mat, ld, ll, h_mat, cis, dw, dt)
+            arr, lam = _sme_kernel(arr, l_mat, a0, cis, dw, dt)
         else:
             u = (l_mat if cis == 1.0 else cis * l_mat) @ arr
             lam = 2.0 * (np.vdot(arr, u) / np.vdot(arr, arr).real).real

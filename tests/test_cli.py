@@ -428,3 +428,23 @@ def test_classical_grid_errors_name_run_keys():
     with pytest.raises(ConfigError,
                        match=r"^run\.stride: 7 does not divide 1000 steps$"):
         run_subcommand("classical", cfg, out_dir=".")
+
+
+_GRID_BASE = (MINIMAL.replace("state = vacuum", "state = thermal\nnbar = 0.5")
+              + "\n[control]\nzeta = 1\nomega0 = 1\n")
+
+
+@pytest.mark.parametrize("fault,key", [
+    (("dt = 1e-3", "dt = 3e-4"), "run.dt: "),
+    (("dt = 1e-3", "dt = 1e-3\nstride = 7"), "run.stride: "),
+], ids=["dt", "stride"])
+@pytest.mark.parametrize("name", ["riccati", "filter", "closed-loop",
+                                  "ensemble", "tf", "classical"])
+def test_run_grid_fault_is_a_config_error(tmp_path, capsys, name, fault, key):
+    # every subcommand that integrates rejects the grid before any work
+    path = _config(tmp_path, _GRID_BASE.replace(*fault))
+    out = tmp_path / "out"
+    assert main([name, str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["tune", str(path), "--out", str(out)]) == 0

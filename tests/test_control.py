@@ -29,7 +29,6 @@ from cavityfilter.control import (
     PIDGains,
     ReferenceSignal,
     _feedback_scalars,
-    _sse_coefficients,
     closed_loop_cosim,
     controlled_slh,
     drift_estimate,
@@ -392,9 +391,9 @@ def _reference_slh(gains, a_hat, ie, v, w, t, params, ref, dim):
 @pytest.mark.parametrize("kp,ki,kd", [(2.0, 0.0, 0.0), (0.0, 1.5, 0.0),
                                       (0.0, 0.0, 0.7), (2.0, 1.5, 0.7)])
 def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
-    # the banded (L psi, A0 psi) of the SSE path and the dense (L, L',
-    # L'L, H) of the SME path both equal the term-by-term assembly, as
-    # does the public controlled_slh built from the same scalars
+    # the banded (L psi, A0 psi) of the SSE path and the dense (L, A0,
+    # H) rows both equal the term-by-term assembly, as does the public
+    # controlled_slh built from the same scalars
     rng = np.random.default_rng(dim)
     params = ModeParams(1.3, 0.4)
     ref = ReferenceSignal("ramp", 0.3, slope=0.7)
@@ -418,15 +417,14 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
 
         c1, c2, z, wz, *_ = _feedback_scalars(gains, a_hat, ie, v, w, t,
                                               params, ref)
-        dense = _ladder_dense(_slh_coefficients(c1, c2, z, wz, params.omega),
-                              dim)
-        for got, want in zip(dense, (l_ref, l_ref.conj().T, ll_ref, h_ref)):
+        rows = _slh_coefficients(c1, c2, z, wz, params.omega)
+        dense = _ladder_dense(rows, dim)
+        for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
             assert np.max(np.abs(got - want)) < 1e-12
 
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        bands = _ladder_banded(
-            _sse_coefficients(c1, c2, z, wz, params.omega), dim)
+        bands = _ladder_banded(rows[:2], dim)
         l_psi, a0_psi = _band_apply(bands, psi, buffers)
         assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
         assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
@@ -436,8 +434,8 @@ def test_band_apply_is_batch_invariant():
     # a column of a (dim, B) batch gets the bits of a lone state
     dim, batch = 12, 5
     rng = np.random.default_rng(3)
-    bands = _ladder_banded(_sse_coefficients(1.1 + 0.2j, -0.3j, 0.4 + 0.1j,
-                                             0.05j, 0.5), dim)
+    bands = _ladder_banded(_slh_coefficients(1.1 + 0.2j, -0.3j, 0.4 + 0.1j,
+                                             0.05j, 0.5)[:2], dim)
     psis = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
     pad = np.zeros((dim + 4, batch), dtype=np.complex128)
     pad[2:dim + 2] = psis

@@ -226,6 +226,35 @@ def test_sme_covariances_track_riccati():
     assert np.max(np.abs(w_sme - w_ric)) < 1e-2
 
 
+def test_sme_step_is_the_textbook_step():
+    # operator-built coefficients, a tilted quadrature and a full-rank
+    # state: the step equals the SME written term by term
+    dim, theta, dI, dt = 6, 0.7, 0.03, 1e-3
+    rng = np.random.default_rng(11)
+    l_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h_mat = h_mat + h_mat.conj().T
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T + np.eye(dim)
+    rho /= np.trace(rho).real
+    slh = SLHCoefficients(1.0, CavityOperator(dim, l_mat),
+                          CavityOperator(dim, h_mat))
+    got = sme_step(TrajectoryState(0.0, 0.0, 0.0,
+                                   rho=DensityOperator(dim, rho)),
+                   slh, theta, dI, dt).rho.entries
+
+    ld = l_mat.conj().T
+    ll = ld @ l_mat
+    l_th = np.exp(1j * theta) * l_mat
+    lam = np.trace(l_th @ rho + rho @ l_th.conj().T).real
+    want = rho + (l_mat @ rho @ ld - 0.5 * (ll @ rho + rho @ ll)
+                  - 1j * (h_mat @ rho - rho @ h_mat)) * dt
+    want = want + (l_th @ rho + rho @ l_th.conj().T - lam * rho) * dI
+    want = 0.5 * (want + want.conj().T)
+    want /= np.trace(want).real
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_sme_positivity_guard_fires_for_coarse_steps():
     dim = 15
     slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
@@ -328,6 +357,27 @@ def test_run_trajectory_time_dependent_sources():
     r_state_dep = run_trajectory(psi0, lambda t, s: slh, 0.3,
                                  NoiseStream(2, dt), T, dt)
     assert np.array_equal(r_const.mean_a, r_state_dep.mean_a)
+
+
+def test_source_form_counts_only_parameters_without_default():
+    # f(t, scale=1.0) is a function of t alone, and f(t, a=1, b=2) too
+    dim, dt, T = 12, 1e-3, 0.01
+    slh = damped_cavity_slh(ModeParams(1.0, 0.2), dim)
+    psi0 = coherent_state(0.4, dim)
+    seen = []
+
+    def scaled(t, scale=1.0):
+        seen.append(scale)
+        return slh
+
+    def two_defaults(t, a=1, b=2):
+        return slh
+
+    r_const = run_trajectory(psi0, slh, 0.3, NoiseStream(2, dt), T, dt)
+    for source in (scaled, two_defaults):
+        rec = run_trajectory(psi0, source, 0.3, NoiseStream(2, dt), T, dt)
+        assert np.array_equal(r_const.mean_a, rec.mean_a)
+    assert seen == [1.0] * 10
 
 
 def test_run_trajectory_grid_and_stride():
