@@ -375,8 +375,11 @@ def _cmd_closed_loop(cfg: ScenarioConfig, out: Path):
 
 def _cmd_ensemble(cfg: ScenarioConfig, out: Path):
     _require_untilted(cfg, "ensemble")
+    # a mixed prior with a P function runs as a coherent-state mixture;
+    # any other prior runs its truth as given (vector or density factor)
+    purify = cfg.cov.V > 0.0 and cfg.cov.V >= abs(cfg.cov.W)
     scenario = FilterScenario(params=cfg.params, dim=cfg.dim, alpha=cfg.alpha,
-                              cov=cfg.cov, purify=cfg.cov.V > 0.0,
+                              cov=cfg.cov, purify=purify,
                               gains=cfg.gains, reference=cfg.reference)
     config = EnsembleConfig(n_traj=cfg.n_traj, T=cfg.T, dt=cfg.dt,
                             base_seed=cfg.seed, scenario=cfg.state,

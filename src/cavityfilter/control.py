@@ -21,8 +21,8 @@ with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
 materializes them as SLH coefficients on the ladder basis, whose
 steppers read L and A0 = -iH - L'L/2 from the same ladder rows;
 ``closed_loop_cosim`` never does, and steps the truth from those rows
-alone (banded for a state vector, dense sums over the basis for a
-density matrix).
+alone (banded for a state vector, dense sums over the basis for the
+factor X of a density matrix rho = XX').
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
@@ -65,11 +65,12 @@ from .trajectory import (
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
+    _density_factor,
     _increments,
     _integrate,
     _ladder_slh,
     _slh_coefficients,
-    _sme_kernel,
+    _sse_kernel,
     _sse_update,
 )
 
@@ -434,8 +435,9 @@ def closed_loop_cosim(
 
     The truth never sees dense SLH coefficients.  It is stepped from the
     ladder rows of L and A0 = -iH - L'L/2: a state vector from their
-    bands, in O(dim) per step, a density matrix from the dense sums over
-    the same basis.  Without gains the coefficients are built once,
+    bands, in O(dim) per step, a density matrix as its factor X
+    (rho = XX') from the dense sums over the same basis, with the same
+    state-vector update.  Without gains the coefficients are built once,
     before the loop.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
@@ -451,7 +453,7 @@ def closed_loop_cosim(
         state_arr = _gaussian_vector(t_alpha, t_cov, dim).amplitudes
         buffers = _band_buffers(dim)
     else:
-        state_arr = gaussian_state(t_alpha, t_cov, dim).entries
+        state_arr = _density_factor(gaussian_state(t_alpha, t_cov, dim).entries)
 
     def truth_coefficients(c1, c2, z, w):
         rows = _slh_coefficients(c1, c2, z, w, params.omega)[:2]
@@ -481,7 +483,7 @@ def closed_loop_cosim(
             u, a0_psi = _band_apply(coef, arr, buffers)
             arr, lam = _sse_update(arr, u, a0_psi, 1.0 + 0.0j, dw, dt)
         else:
-            arr, lam = _sme_kernel(arr, coef[0], coef[1], 1.0 + 0.0j, dw, dt)
+            arr, lam = _sse_kernel(arr, coef[0], coef[1], 1.0 + 0.0j, dw, dt)
         dy = lam * dt + dw
         di_f = dy - (sg * 2.0 * a_hat.real) * dt
         a_hat, ie, v, w_cov = _filter_update(a_hat, ie, v, w_cov, r_t,

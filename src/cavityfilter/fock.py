@@ -134,9 +134,11 @@ class StateVector:
 class DensityOperator:
     """A density matrix: Hermitian within 1e-12, unit trace within 1e-10.
 
-    Positivity is checked where states are manufactured (constructors,
-    measurement-conditioned steppers), not on every wrap, because the
-    eigenvalue sweep is the only O(dim^3) part of validation.
+    Positivity is checked where states are manufactured from data
+    (``gaussian_state``), not on every wrap, because the eigenvalue sweep
+    is the only O(dim^3) part of validation.  The conditioned steppers
+    need no check: they carry rho as a factor XX' and step X, so the
+    states they return are positive by construction.
     """
 
     dim: int
@@ -146,6 +148,8 @@ class DensityOperator:
         if self.dim < 2:
             raise DimensionError(f"dim must be >= 2, got {self.dim}")
         mat = _frozen_complex_matrix(self.entries, self.dim)
+        if not np.isfinite(mat).all():
+            raise DomainError("density matrix entries must be finite")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > 1e-12:
             raise DomainError(
@@ -209,7 +213,7 @@ def _annihilation_matrix(dim: int) -> np.ndarray:
 def _mode_matrices(dim: int) -> dict:
     """Cached read-only products of a and a' used by hot assembly paths.
 
-    Keys: a, ad, n (a'a), aad (a a'), a2, ad2, eye.
+    Keys: a, ad, n (a'a), aad (a a'), a2, ad2.
     """
     a = _annihilation_matrix(dim)
     ad = np.ascontiguousarray(a.conj().T)
@@ -222,9 +226,7 @@ def _mode_matrices(dim: int) -> dict:
     for k in range(dim - 2):
         a2[k, k + 2] = math.sqrt((k + 1) * (k + 2))
     ad2 = np.ascontiguousarray(a2.conj().T)
-    eye = np.eye(dim, dtype=np.complex128)
-    out = {"a": a, "ad": ad, "n": n, "aad": aad, "a2": a2, "ad2": ad2,
-           "eye": eye}
+    out = {"a": a, "ad": ad, "n": n, "aad": aad, "a2": a2, "ad2": ad2}
     for v in out.values():
         v.setflags(write=False)
     return out

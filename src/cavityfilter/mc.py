@@ -127,9 +127,11 @@ class FilterScenario:
 
     With ``purify`` the truth of trajectory i is a pure coherent state
     displaced by a draw from the prior covariance (prior mean plus
-    Gaussian), while the filter always starts on (alpha, cov).  Without
-    it the truth simply shares the filter's initial data.  The record is
-    always the theta = 0 quadrature that ``closed_loop_cosim`` observes.
+    Gaussian), while the filter always starts on (alpha, cov).  That
+    mixture is the prior only when V >= |W| (a Gaussian P function), so
+    any other prior is rejected.  Without ``purify`` the truth simply
+    shares the filter's initial data.  The record is always the
+    theta = 0 quadrature that ``closed_loop_cosim`` observes.
     """
 
     params: ModeParams
@@ -139,6 +141,12 @@ class FilterScenario:
     purify: bool = False
     gains: PIDGains = PIDGains(0.0)
     reference: ReferenceSignal = ReferenceSignal("constant", amplitude=0.0)
+
+    def __post_init__(self) -> None:
+        if self.purify and self.cov.V < abs(self.cov.W):
+            raise DomainError(
+                f"purify needs V >= |W| (a coherent-state mixture), got "
+                f"V={self.cov.V}, |W|={abs(self.cov.W)}")
 
     def __call__(self, config: EnsembleConfig, index: int,
                  noise: NoiseStream) -> TrajectorySample:

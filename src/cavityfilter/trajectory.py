@@ -15,11 +15,27 @@ and the record is synthesized as dY = lambda dt + dI, where lambda is
 the conditional mean photocurrent.  This is statistically exact and
 avoids representing the field the mode radiates into.
 
-All steppers are fixed-step Euler-Maruyama with per-step
-renormalization (weak order 1); the per-step state objects are cheap
-wrappers over dense arrays.  Every stepper reads the coefficients as
-(L, A0 = -iH - L'L/2), which each ``SLHCoefficients`` derives once
-(from the co-simulation's ladder rows when built on the ladder basis).
+The state-vector and Zakai steppers are fixed-step Euler-Maruyama with
+per-step renormalization (weak order 1); the per-step state objects
+are cheap wrappers over dense arrays.  Every stepper reads the
+coefficients as (L, A0 = -iH - L'L/2), which each ``SLHCoefficients``
+derives once (from the co-simulation's ladder rows when built on the
+ladder basis).
+
+A density matrix is carried as a factor X (dim x r) with
+rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
+initial rho, and X is stepped by the state-vector update itself,
+X -> KX / ||KX||_F with
+
+    K = (1 - lam^2 dt/8 - lam dI/2) I + A0 dt + (lam dt/2 + dI) L_th,
+
+lam = 2 Re e^{i theta} tr(L rho).  So rho -> K rho K' / tr(K rho K') is
+a Kraus map (Rouchon & Ralph, PRA 91, 012118, 2015): positive and of
+unit trace by construction, whatever factor is chosen, and on a pure
+state it is the state-vector step.  At dI^2 = dt it differs from the
+Euler SME step by O(dt^{3/2}), and by O(dt^2) averaged over the sign of
+dI.  No per-step eigenvalue guard is needed; the norm guard of the
+update still rejects a non-finite or too coarse step.
 
 There is one trajectory loop, ``_integrate``: it records (t, <a>,
 <a'a>, <a^2>, Y, I) behind the truncation check, tags package errors
@@ -56,7 +72,6 @@ from .fock import (
     _annihilation_matrix,
     _check_truncation,
     _ladder_dense,
-    _moments_from_density,
     _moments_from_vector,
 )
 from .qkf import ModeParams, _step_count
@@ -263,7 +278,9 @@ def _sse_kernel(psi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
             + (L_th - lam/2) psi dI,      A0 = -iH - L'L/2,
 
     with L_th = e^{i theta} L and lam = 2 Re e^{i theta} <L>; explicit
-    renormalization closes the step.
+    renormalization closes the step.  A density factor X (dim, r) of unit
+    Frobenius norm steps the same way: lam is then 2 Re e^{i theta}
+    tr(L XX'), and XX' takes the Kraus step of the module docstring.
     """
     return _sse_update(psi, l_mat @ psi, a0 @ psi, cis, dI, dt)
 
@@ -287,37 +304,24 @@ def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
     return psi_new, lam
 
 
-def _sme_kernel(rho: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
-                cis: complex, dI: float, dt: float):
-    """One density-matrix step.  Returns (new rho, lambda).
+def _density_factor(rho: np.ndarray) -> np.ndarray:
+    """A factor X of unit Frobenius norm with rho = XX' / ||X||_F^2.
 
-    d rho = (L rho L' - {L'L, rho}/2 + i[rho, H]) dt
-            + (L_th rho + rho L_th' - lam rho) dI,
+    The columns are the eigenvectors of rho scaled by the square roots of
+    their weights; weights within roundoff of zero (relative to the
+    largest) carry no resolvable sign and are dropped, so a pure state
+    gives one column."""
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > vals[-1] * rho.shape[0] * np.finfo(float).eps
+    x = vecs[:, keep] * np.sqrt(vals[keep])
+    return x / np.linalg.norm(x)
 
-    with the drift as L (L rho)' + A0 rho + (A0 rho)' (exact for
-    Hermitian rho), then Hermitization, trace renormalization, and a
-    positivity check (entries finite and smallest eigenvalue above
-    -1e-6, else the step is too large).
-    """
-    lr = l_mat @ rho
-    meas = lr if cis == 1.0 else cis * lr
-    lam = 2.0 * np.trace(meas).real
-    a0r = a0 @ rho
-    drift = l_mat @ lr.conj().T + a0r + a0r.conj().T
-    rho_new = rho + dt * drift
-    rho_new += dI * (meas + meas.conj().T)
-    rho_new -= (dI * lam) * rho
-    rho_new = 0.5 * (rho_new + rho_new.conj().T)
-    tr = np.trace(rho_new).real
-    rho_new *= 1.0 / tr
-    if not np.isfinite(rho_new).all():
-        raise StepSizeError("density matrix is not finite; reduce dt")
-    low = float(np.linalg.eigvalsh(rho_new)[0])
-    if low < -1e-6:
-        raise StepSizeError(
-            f"density matrix eigenvalue dipped to {low:.3e}; reduce dt"
-        )
-    return rho_new, lam
+
+def _factor_density(x: np.ndarray) -> np.ndarray:
+    """The density matrix XX' of a factor, Hermitized and of unit trace."""
+    rho = x @ x.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def _zakai_kernel(chi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
@@ -421,19 +425,26 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
 
 def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
              dI: float, dt: float) -> TrajectoryState:
-    """One conditioned density-matrix step driven by innovations dI."""
+    """One conditioned density-matrix step driven by innovations dI.
+
+    rho is factored as XX' and X takes the state-vector step, so the new
+    state is the Kraus map K rho K' / tr(K rho K') of the module
+    docstring: positive and of unit trace for any dt the norm guard
+    accepts.
+    """
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
     l_mat, a0 = slh._arrays(state.rho.dim)
     cis = complex(np.exp(1j * float(theta_t)))
-    rho_new, lam = _sme_kernel(state.rho.entries, l_mat, a0, cis, dI, dt)
+    x, lam = _sse_kernel(_density_factor(state.rho.entries), l_mat, a0, cis,
+                         dI, dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + lam * dt + dI,
         I=state.I + dI,
-        rho=DensityOperator(state.rho.dim, rho_new),
+        rho=DensityOperator(state.rho.dim, _factor_density(x)),
     )
 
 
@@ -463,10 +474,13 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
 # trajectory runner
 
 
-def _as_slh_provider(source) -> Callable[[float, object], SLHCoefficients]:
+def _as_slh_provider(source, view=None) -> Callable[[float, object],
+                                                     SLHCoefficients]:
     """Normalize an SLH source: constant, f(t), or f(t, state_array).
 
-    The form is the number of parameters without a default."""
+    The form is the number of parameters without a default.  ``view``
+    maps the stepped array to the state array a state-dependent source
+    sees (the density matrix of a factor)."""
     if isinstance(source, SLHCoefficients):
         return lambda _t, _state: source
     if callable(source):
@@ -475,7 +489,9 @@ def _as_slh_provider(source) -> Callable[[float, object], SLHCoefficients]:
         if n_par == 1:
             return lambda t, _state: source(t)
         if n_par == 2:
-            return source
+            if view is None:
+                return source
+            return lambda t, arr: source(t, view(arr))
     raise DomainError(
         "slh source must be SLHCoefficients or a callable of (t) or (t, state)"
     )
@@ -496,7 +512,8 @@ def _integrate(arr: np.ndarray, kind: str, dws: np.ndarray, dt: float,
     """The trajectory loop: one ``step`` per increment of ``dws``.
 
     ``arr`` is the truth's raw array and ``kind`` its ``TrajectoryState``
-    field: a vector for "psi" and "chi", a matrix for "rho".
+    field: a vector for "psi" and "chi", a density factor X (dim, r) for
+    "rho" (``_density_factor``), whose final state is XX'.
     ``step(t, arr, dw)`` returns the next array and the record increment
     dY; package errors it raises are re-raised tagged with the step.
     (t, <a>, <a'a>, <a^2>, Y, I) are recorded at t = 0 and every
@@ -513,17 +530,13 @@ def _integrate(arr: np.ndarray, kind: str, dws: np.ndarray, dt: float,
     rec_a2 = np.empty(n_rec, dtype=np.complex128)
     rec_y = np.empty(n_rec)
     rec_i = np.empty(n_rec)
-    a_mat = None if kind == "rho" else _annihilation_matrix(dim)
+    a_mat = _annihilation_matrix(dim)
     y_acc = i_acc = 0.0
 
     def record(idx: int):
         t = idx * stride * dt
-        if kind == "rho":
-            ma, mn, ma2 = _moments_from_density(arr, dim)
-            pop = (arr[-1, -1] + arr[-2, -2]).real
-        else:
-            ma, mn, ma2 = _moments_from_vector(arr, a_mat)
-            pop = (abs(arr[-1]) ** 2 + abs(arr[-2]) ** 2) / np.vdot(arr, arr).real
+        ma, mn, ma2 = _moments_from_vector(arr, a_mat)
+        pop = np.vdot(arr[-2:], arr[-2:]).real / np.vdot(arr, arr).real
         _check_truncation(float(pop), f"{what} (t={t:.4g})")
         rec_t[idx] = t
         rec_a[idx] = ma
@@ -546,7 +559,8 @@ def _integrate(arr: np.ndarray, kind: str, dws: np.ndarray, dt: float,
         if (k + 1) % stride == 0:
             record((k + 1) // stride)
 
-    state = DensityOperator(dim, arr) if kind == "rho" else StateVector(dim, arr)
+    state = (DensityOperator(dim, _factor_density(arr)) if kind == "rho"
+             else StateVector(dim, arr))
     final = TrajectoryState(n * dt, y_acc, i_acc, **{kind: state})
     for col in (rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i):
         col.setflags(write=False)
@@ -571,7 +585,8 @@ def run_trajectory(
         StateVector ("sse": normalized; "zakai"), DensityOperator ("sme").
     slh_source : SLHCoefficients or callable
         Constant coefficients, or ``f(t)`` / ``f(t, state_array)`` for
-        time- or state-dependent coefficients.
+        time- or state-dependent coefficients; in mode "sme" the state
+        array is the density matrix.
     theta : float, callable or QuadraturePhase
         Measurement phase.  Mode "zakai" requires a constant phase (it
         is absorbed into L).
@@ -591,12 +606,13 @@ def run_trajectory(
     if mode == "zakai" and const_theta is None:
         raise DomainError("zakai mode needs a constant measurement phase")
 
-    provider = _as_slh_provider(slh_source)
+    provider = _as_slh_provider(slh_source,
+                                _factor_density if mode == "sme" else None)
 
     if mode == "sme":
         if not isinstance(initial, DensityOperator):
             raise DomainError("sme mode needs a DensityOperator initial state")
-        state_arr = initial.entries
+        state_arr = _density_factor(initial.entries)
     else:
         if not isinstance(initial, StateVector):
             raise DomainError(f"{mode} mode needs a StateVector initial state")
@@ -613,15 +629,12 @@ def run_trajectory(
     def step(t, arr, dw):
         l_mat, a0 = provider(t, arr)._arrays(arr.shape[0])
         cis = cis_at(t)
-        if mode == "sse":
-            arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)
-        elif mode == "sme":
-            arr, lam = _sme_kernel(arr, l_mat, a0, cis, dw, dt)
-        else:
+        if mode == "zakai":
             u = (l_mat if cis == 1.0 else cis * l_mat) @ arr
             lam = 2.0 * (np.vdot(arr, u) / np.vdot(arr, arr).real).real
             dy = lam * dt + dw
             return _zakai_update(arr, u, a0, dy, dt), dy
+        arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)
         return arr, lam * dt + dw
 
     kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]

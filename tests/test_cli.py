@@ -244,6 +244,39 @@ stride = 20
                 == (tmp_path / "b" / name).read_bytes())
 
 
+_SH, _CH = math.sinh(0.3), math.cosh(0.3)
+
+
+@pytest.mark.parametrize("v,w", [(0.2, -0.3), (_SH * _SH, -_SH * _CH)],
+                         ids=["mixed-squeezed", "pure-squeezed"])
+def test_ensemble_runs_a_squeezed_prior_as_given(tmp_path, v, w):
+    # V < |W| has no coherent-state mixture: every truth starts on the
+    # prior itself (a density factor, resp. a vector), so the t = 0
+    # error is the prior variance exactly, not that of clipped draws
+    cfg = parse_config(f"""\
+[mode]
+gamma = 1
+dim = 22
+
+[initial]
+state = gaussian
+V = {v!r}
+W = {w!r}
+
+[run]
+T = 0.02
+dt = 1e-3
+n_traj = 3
+seed = 8589934592
+""")
+    code, written = run_subcommand("ensemble", cfg, out_dir=tmp_path)
+    assert code == 0
+    header, data = _rows(written[0])
+    assert data[0, header.index("V")] == v
+    assert abs(data[0, header.index("mse")] - v) < 1e-9
+    assert abs(data[0, header.index("var_a")]) < 1e-12
+
+
 def test_ensemble_assert_mode_flags_failure(tmp_path):
     # 4 trajectories cannot satisfy the quadratic-variation band at this
     # coarse dt; --assert turns that into exit code 4

@@ -209,6 +209,8 @@ def test_density_operator_validation():
         from cavityfilter.fock import DensityOperator
 
         DensityOperator(4, bad / 4.0)
+    with pytest.raises(DomainError, match="finite"):
+        DensityOperator(4, np.full((4, 4), np.nan, dtype=complex))
 
 
 @settings(max_examples=50, deadline=None)

@@ -116,6 +116,19 @@ def test_draw_displacement_moments():
     assert abs(np.mean(draws)) < 0.02
 
 
+def test_purify_needs_a_p_function():
+    # r = 0.3 squeezed vacuum: V < |W|, so no coherent-state mixture has
+    # its moments (clipped draws gave E|d|^2 = 0.206 against V = 0.093)
+    sh, ch = math.sinh(0.3), math.cosh(0.3)
+    for cov in (CovariancePair(sh * sh, -sh * ch), CovariancePair(0.2, 0.3j)):
+        with pytest.raises(DomainError, match="V >= |W|"):
+            FilterScenario(params=PARAMS, dim=20, alpha=0.0, cov=cov,
+                           purify=True)
+        FilterScenario(params=PARAMS, dim=20, alpha=0.0, cov=cov)
+    for cov in (THERMAL, CovariancePair(0.3, -0.3), VACUUM):
+        FilterScenario(params=PARAMS, dim=20, alpha=0.0, cov=cov, purify=True)
+
+
 def test_ensemble_mean_follows_damped_decay():
     # purified prior: each truth is coherent, so the ensemble mean of
     # <a> must track alpha0 e^{-(gamma/2 + i omega) t} within 3 SE

@@ -178,9 +178,9 @@ def test_sse_record_and_innovations_consistent():
 
 
 def test_sme_matches_sse_for_pure_states():
-    # short window: the Euler density-matrix step from a pure state stays
-    # inside the positivity guard only briefly
-    dim, dt, T = 25, 2.5e-4, 0.02
+    # a pure state's density factor is its vector, so the density-matrix
+    # step is the state-vector step to roundoff
+    dim, dt, T = 25, 2.5e-4, 1.0
     slh = damped_cavity_slh(ModeParams(1.0, 0.3), dim)
     psi0 = coherent_state(0.5, dim)
     for seed in (3, 17):
@@ -188,20 +188,24 @@ def test_sme_matches_sse_for_pure_states():
                                mode="sse")
         r_sme = run_trajectory(pure_density(psi0), slh, 0.2,
                                NoiseStream(seed, dt), T, dt, mode="sme")
-        assert np.max(np.abs(r_sse.mean_a - r_sme.mean_a)) < 1e-5
-        assert np.max(np.abs(r_sse.Y - r_sme.Y)) < 1e-5
+        assert np.max(np.abs(r_sse.mean_a - r_sme.mean_a)) < 1e-12
+        assert np.max(np.abs(r_sse.Y - r_sme.Y)) < 1e-12
 
 
 def test_sme_unconditioned_is_lindblad():
-    # dI = 0 every step reduces the stepper to the master equation, whose
-    # photon number decays as nbar e^{-gamma t}
+    # averaging the step over dI = +-sqrt(dt) keeps the L rho L' term a
+    # dI = 0 path drops, and reduces the stepper to the master equation,
+    # whose photon number decays as nbar e^{-gamma t}
     gamma, nbar, dim, dt = 1.0, 0.5, 20, 1e-3
     slh = damped_cavity_slh(ModeParams(gamma, 0.3), dim)
-    state = TrajectoryState(0.0, 0.0, 0.0,
-                            rho=gaussian_state(0.0, CovariancePair(nbar, 0.0), dim))
+    rho = gaussian_state(0.0, CovariancePair(nbar, 0.0), dim)
     for k in range(1000):
-        state = sme_step(state, slh, 0.0, 0.0, dt)
-    n_mean = float(np.trace(number_op(dim).entries @ state.rho.entries).real)
+        state = TrajectoryState(0.0, 0.0, 0.0, rho=rho)
+        plus, minus = (sme_step(state, slh, 0.0, s * math.sqrt(dt), dt)
+                       for s in (1.0, -1.0))
+        rho = DensityOperator(dim, 0.5 * (plus.rho.entries
+                                          + minus.rho.entries))
+    n_mean = float(np.trace(number_op(dim).entries @ rho.entries).real)
     assert abs(n_mean - nbar * math.exp(-gamma)) < 5e-4
 
 
@@ -226,10 +230,9 @@ def test_sme_covariances_track_riccati():
     assert np.max(np.abs(w_sme - w_ric)) < 1e-2
 
 
-def test_sme_step_is_the_textbook_step():
-    # operator-built coefficients, a tilted quadrature and a full-rank
-    # state: the step equals the SME written term by term
-    dim, theta, dI, dt = 6, 0.7, 0.03, 1e-3
+def _tilted_operator_case():
+    # operator-built coefficients, a tilted quadrature and a full-rank state
+    dim, theta = 6, 0.7
     rng = np.random.default_rng(11)
     l_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -239,29 +242,140 @@ def test_sme_step_is_the_textbook_step():
     rho /= np.trace(rho).real
     slh = SLHCoefficients(1.0, CavityOperator(dim, l_mat),
                           CavityOperator(dim, h_mat))
-    got = sme_step(TrajectoryState(0.0, 0.0, 0.0,
-                                   rho=DensityOperator(dim, rho)),
-                   slh, theta, dI, dt).rho.entries
+    return slh, theta, rho
 
+
+def _sme_step_entries(slh, theta, rho, dI, dt):
+    state = TrajectoryState(0.0, 0.0, 0.0,
+                            rho=DensityOperator(rho.shape[0], rho))
+    return sme_step(state, slh, theta, dI, dt).rho.entries
+
+
+def _textbook_euler_step(slh, theta, rho, dI, dt):
+    # the SME written term by term, Hermitized and renormalized
+    l_mat, h_mat = slh.l.entries, slh.h.entries
     ld = l_mat.conj().T
     ll = ld @ l_mat
     l_th = np.exp(1j * theta) * l_mat
     lam = np.trace(l_th @ rho + rho @ l_th.conj().T).real
-    want = rho + (l_mat @ rho @ ld - 0.5 * (ll @ rho + rho @ ll)
-                  - 1j * (h_mat @ rho - rho @ h_mat)) * dt
-    want = want + (l_th @ rho + rho @ l_th.conj().T - lam * rho) * dI
-    want = 0.5 * (want + want.conj().T)
+    out = rho + (l_mat @ rho @ ld - 0.5 * (ll @ rho + rho @ ll)
+                 - 1j * (h_mat @ rho - rho @ h_mat)) * dt
+    out = out + (l_th @ rho + rho @ l_th.conj().T - lam * rho) * dI
+    out = 0.5 * (out + out.conj().T)
+    return out / np.trace(out).real
+
+
+def test_sme_step_is_the_kraus_map():
+    # the step is K rho K' / tr(K rho K') with the Kraus operator of the
+    # normalized state-vector step, formed densely here
+    slh, theta, rho = _tilted_operator_case()
+    dI, dt = 0.03, 1e-3
+    got = _sme_step_entries(slh, theta, rho, dI, dt)
+
+    dim = rho.shape[0]
+    l_mat, h_mat = slh.l.entries, slh.h.entries
+    l_th = np.exp(1j * theta) * l_mat
+    lam = 2.0 * np.trace(l_th @ rho).real
+    a0 = -1j * h_mat - 0.5 * (l_mat.conj().T @ l_mat)
+    kraus = ((1.0 - lam * lam * dt / 8.0 - lam * dI / 2.0) * np.eye(dim)
+             + dt * a0 + (lam * dt / 2.0 + dI) * l_th)
+    want = kraus @ rho @ kraus.conj().T
     want /= np.trace(want).real
     assert np.max(np.abs(got - want)) < 1e-13
 
 
-def test_sme_positivity_guard_fires_for_coarse_steps():
-    dim = 15
+def test_sme_step_converges_to_the_textbook_step():
+    # at dI = +-sqrt(dt) the Kraus step differs from the Euler step by
+    # O(dt^{3/2}), and their averages over the sign by O(dt^2)
+    slh, theta, rho = _tilted_operator_case()
+    dts = np.array([1e-3, 1e-4, 1e-5, 1e-6])
+    one, mean = [], []
+    for dt in dts:
+        diffs = [_sme_step_entries(slh, theta, rho, s * math.sqrt(dt), dt)
+                 - _textbook_euler_step(slh, theta, rho, s * math.sqrt(dt), dt)
+                 for s in (1.0, -1.0)]
+        one.append(max(np.max(np.abs(d)) for d in diffs))
+        mean.append(np.max(np.abs(0.5 * (diffs[0] + diffs[1]))))
+    slope_one = np.polyfit(np.log(dts), np.log(one), 1)[0]
+    slope_mean = np.polyfit(np.log(dts), np.log(mean), 1)[0]
+    assert slope_one >= 1.4
+    assert slope_mean >= 1.9
+
+
+def _assert_physical(rho: np.ndarray):
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+def test_sme_stays_physical_at_coarse_steps():
+    # the dt that tripped the Euler step's eigenvalue guard: every state of
+    # the Kraus step is a density matrix, with and without measurement noise
+    dim, dt = 15, 1e-2
     slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
-    state = TrajectoryState(0.0, 0.0, 0.0, rho=pure_density(coherent_state(0.5, dim)))
-    with pytest.raises(StepSizeError):
-        for _ in range(2000):
-            state = sme_step(state, slh, 0.0, 0.0, 1e-2)
+    for dis in (np.zeros(2000), NoiseStream(9, dt).increments(2000)):
+        state = TrajectoryState(0.0, 0.0, 0.0,
+                                rho=pure_density(coherent_state(0.5, dim)))
+        for dI in dis:
+            state = sme_step(state, slh, 0.0, dI, dt)
+            _assert_physical(state.rho.entries)
+
+
+def test_sme_run_from_a_pure_projector_stays_positive():
+    # the Euler step's guard stopped this run at step 6 with an eigenvalue
+    # of -1.0e-6: the zero eigenvalues of a rank-1 rho went negative
+    dim, dt = 16, 1e-3
+    slh = damped_cavity_slh(ModeParams(1.0, 0.4), dim)
+    rec = run_trajectory(pure_density(coherent_state(0.6, dim)), slh, 0.0,
+                         NoiseStream(4, dt), 0.1, dt, mode="sme")
+    assert len(rec.t) == 101
+    _assert_physical(rec.final.rho.entries)
+
+
+def test_sme_state_dependent_source_sees_the_density_matrix():
+    # the loop steps a factor X; a source of (t, state) still gets rho
+    dim, dt = 20, 1e-3
+    slh = damped_cavity_slh(ModeParams(1.0, 0.4), dim)
+    rho0 = gaussian_state(0.3, CovariancePair(0.4, 0.1), dim)
+    seen = []
+
+    def source(t, state):
+        seen.append(state)
+        return slh
+
+    run_trajectory(rho0, source, 0.0, NoiseStream(6, dt), 0.01, dt,
+                   mode="sme")
+    assert len(seen) == 10
+    assert np.max(np.abs(seen[0] - rho0.entries)) < 1e-14
+    for rho in seen:
+        _assert_physical(rho)
+    assert np.max(np.abs(seen[-1] - seen[0])) > 1e-6
+
+
+def test_no_sme_step_takes_an_eigendecomposition(monkeypatch):
+    # the factor is taken once per run; no step sweeps eigenvalues
+    dim, dt = 30, 1e-3
+    params = ModeParams(1.0, 0.4)
+    cov = CovariancePair(0.5, 0.0)
+    rho0 = gaussian_state(0.3, cov, dim)
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    run_trajectory(rho0, damped_cavity_slh(params, dim), 0.0,
+                   NoiseStream(1, dt), 0.1, dt, mode="sme")
+    assert calls == ["eigh"]
+    calls.clear()
+    closed_loop_cosim(0.3, cov, PIDGains(2.0, 1.0, 0.5),
+                      ReferenceSignal("step", 1.0), params, dim,
+                      NoiseStream(1, dt), 0.1, dt)
+    # gaussian_state's construction check, then the factor
+    assert calls == ["eigvalsh", "eigh"]
 
 
 def test_zakai_matches_sse_pathwise():
