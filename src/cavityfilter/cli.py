@@ -484,16 +484,33 @@ def _cmd_tune(cfg: ScenarioConfig, out: Path):
     return [path], True
 
 
+#: the fixed grid of the classical chain's Zakai filter
+_CLASSICAL_XS = np.linspace(-10.0, 10.0, 801)
+
+
+def _check_classical(cfg: ScenarioConfig) -> None:
+    """The classical chain's config faults, found before any work: a prior
+    without variance, and a run.dt above the explicit Zakai step's
+    diffusion bound sigma^2 dt / dx^2 <= 0.5 on the fixed grid (unit
+    sigma)."""
+    if cfg.cov.V <= 0.0:
+        raise ConfigError(
+            "initial.state: the classical comparison needs a positive prior "
+            "variance (use state=thermal or state=gaussian)")
+    dx = float(_CLASSICAL_XS[1] - _CLASSICAL_XS[0])
+    if cfg.dt / (dx * dx) > 0.5:
+        raise ConfigError(
+            f"run.dt: {cfg.dt} exceeds the classical grid filter's stability "
+            f"bound 0.5 dx^2 = {0.5 * dx * dx:.6g} (dx = {dx:.6g})")
+
+
 def _cmd_classical(cfg: ScenarioConfig, out: Path):
     """Kalman / Kalman-Bucy / grid-filter chain on the classical analog.
 
     The mode maps to the scalar model dX = -(gamma/2) X dt + dW observed
     through dY = X dt + dV; the discrete filter runs on the matched
-    per-step model (A_d = 1 + A dt, H_d = sqrt(dt), Q_d = dt)."""
-    if cfg.cov.V <= 0.0:
-        raise ConfigError(
-            "initial.state: the classical comparison needs a positive prior "
-            "variance (use state=thermal or state=gaussian)")
+    per-step model (A_d = 1 + A dt, H_d = sqrt(dt), Q_d = dt).  The config
+    is checked by ``_check_classical``."""
     a = -0.5 * cfg.params.gamma
     cont = ScalarLGModel(A=a, B=0.0, H=1.0, Q=1.0)
     disc = ScalarLGModel(A=1.0 + a * cfg.dt, B=0.0, H=math.sqrt(cfg.dt),
@@ -501,7 +518,7 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     model = DiffusionModel1D(v=lambda x: a * x,
                              sigma=lambda x: np.ones_like(x),
                              h=lambda x: x)
-    xs = np.linspace(-10.0, 10.0, 801)
+    xs = _CLASSICAL_XS
     p0, x0 = cfg.cov.V, cfg.alpha.real
     grid = GridDensity(xs, np.exp(-0.5 * (xs - x0) ** 2 / p0)
                        / math.sqrt(2.0 * math.pi * p0))
@@ -555,12 +572,15 @@ def run_subcommand(name: str, config: ScenarioConfig,
                    out_dir: Union[str, None] = None,
                    assert_stats: bool = False):
     """Execute one subcommand; returns (exit_code, written paths).  Every
-    subcommand but ``tune`` checks the run grid before any work."""
+    subcommand but ``tune`` checks the run grid before any work, and
+    ``classical`` its own config faults too."""
     if name not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {name!r}")
     if name != "tune":
         _step_count(config.T, config.dt, config.stride, error=ConfigError,
                     names=("run.dt: ", "run.stride: "))
+    if name == "classical":
+        _check_classical(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written, stats_ok = _DISPATCH[name](config, out)

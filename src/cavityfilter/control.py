@@ -32,6 +32,18 @@ runs on the one trajectory loop of ``trajectory._integrate``: its
 ``step`` closure computes the feedback scalars, steps the truth and
 updates the filter, and a ``sample`` hook adds the filter's columns to
 the loop's record of the truth.
+
+The loop steps a batch of truths in lockstep (``_cosim``), which is how
+an ensemble shard runs; a single co-simulation is the batch of one.
+Every filter of a batch starts from the same covariances, so the
+Riccati pair is advanced once per step for the batch, while each truth
+keeps its own filter mean, integral error and feedback scalars in
+Python scalars.  Pure truths are stepped as one (B, dim) stack: one band
+application over the (B, 5, dim) window with one band set per truth,
+then one ``_sse_update`` whose per-state scalars are row-wise
+``np.vdot``s, so every truth gets the bits of its own run.  Mixed
+truths form L X and A0 X by one stacked matrix product, a dense product
+per truth.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CavityFilterError, DomainError
 from .fock import (
     CovariancePair,
     _band_apply,
@@ -57,21 +69,22 @@ from .qkf import (
     ModeParams,
     QKFState,
     RiccatiState,
-    _advance_riccati,
     _mean_update,
+    _phases,
+    _rk4_step,
     _step_count,
 )
 from .trajectory import (
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
+    _at_column,
     _density_factor,
-    _increments,
     _integrate,
     _ladder_slh,
     _slh_coefficients,
-    _sse_kernel,
     _sse_update,
+    _step_total,
 )
 
 __all__ = [
@@ -315,22 +328,26 @@ def controlled_slh(
     return _ladder_slh(c1, c2, z, w, params.omega, dim)
 
 
-def _filter_update(a_hat: complex, integral_error: complex, V: float,
-                   W: complex, r_t: complex, drift: complex, xi: complex,
-                   dI: float, params: ModeParams, dt: float):
-    """(a_hat, integral_error, V, W) one closed-loop filter step later.
+def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
+                   drift: complex, xi: complex, dI: float, dt: float):
+    """(a_hat, integral_error) one closed-loop filter step later; the
+    covariance pair takes its own ``_advance_covariances`` step.
 
     The one copy of the update arithmetic, shared by ``pid_filter_step``
     and the co-simulation loop."""
     a_new = _mean_update(a_hat, drift, xi, dI, dt)
-    v_new, w_new = _advance_riccati(V, W, 0.0, dt, params.gamma, params.omega,
-                                    _untilted)
-    ie_new = integral_error + error_signal(r_t, a_hat) * dt
-    return a_new, ie_new, v_new, w_new
+    return a_new, integral_error + error_signal(r_t, a_hat) * dt
 
 
-def _untilted(_t: float) -> float:
-    return 0.0
+#: the ``_phases`` of the untilted quadrature theta = 0
+_UNTILTED = _phases(0.0)
+
+
+def _advance_covariances(V: float, W: complex, params: ModeParams,
+                         dt: float):
+    """(V, W) one RK4 step of the theta = 0 Riccati pair later."""
+    return _rk4_step(V, W, dt, params.gamma, params.omega, _UNTILTED,
+                     _UNTILTED, _UNTILTED)
 
 
 def pid_filter_step(
@@ -355,9 +372,9 @@ def pid_filter_step(
     ric = filt.riccati
     drift = _drift(gains, filt.a_hat, state.integral_error, state.t, params, ref)
     xi = _xi(ric.V, ric.W, gains.k_D, params.gamma)
-    a_new, ie_new, v_new, w_new = _filter_update(
-        filt.a_hat, state.integral_error, ric.V, ric.W, ref.value(state.t),
-        drift, xi, dI, params, dt)
+    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error,
+                                   ref.value(state.t), drift, xi, dI, dt)
+    v_new, w_new = _advance_covariances(ric.V, ric.W, params, dt)
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
         integral_error=ie_new,
@@ -446,68 +463,110 @@ def closed_loop_cosim(
     ``truth_cov`` override it, which is how an ensemble represents a
     mixed prior as a classical draw over pure preparations.
     """
-    t_alpha = alpha if truth_alpha is None else truth_alpha
-    t_cov = cov if truth_cov is None else truth_cov
-    pure = abs(t_cov.physicality_excess()) <= 1e-8
+    return _cosim(alpha, cov, gains, ref, params, dim, [noise], T, dt,
+                  record_stride, [alpha if truth_alpha is None else truth_alpha],
+                  cov if truth_cov is None else truth_cov)[0]
+
+
+def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
+           ref: ReferenceSignal, params: ModeParams, dim: int, noises,
+           T: float, dt: float, record_stride: int, truth_alphas,
+           truth_cov: CovariancePair) -> list:
+    """``closed_loop_cosim`` for a batch of truths stepped in lockstep:
+    truth b starts from (truth_alphas[b], truth_cov) and is driven by
+    ``noises[b]``, and its filter starts from (alpha, cov).  Returns one
+    ``ClosedLoopRecord`` per truth, each bit for bit that of its own
+    one-truth run.
+
+    Every filter starts from the same covariances, so the Riccati pair
+    is advanced once per step for the whole batch; the means, integral
+    errors and feedback scalars are kept per truth.  A pure batch is
+    stepped as one (B, dim) stack through one band application and one
+    ``_sse_update``; a mixed batch forms L X and A0 X by one stacked
+    matrix product, a dense product per truth, before the same update.
+    An error of truth b names it as the error's ``column``."""
+    batch = len(noises)
+    pure = abs(truth_cov.physicality_excess()) <= 1e-8
+    states = []
+    for b, t_alpha in enumerate(truth_alphas):
+        try:
+            if pure:
+                states.append(
+                    _gaussian_vector(t_alpha, truth_cov, dim).amplitudes)
+            else:
+                states.append(_density_factor(
+                    gaussian_state(t_alpha, truth_cov, dim).entries))
+        except CavityFilterError as exc:
+            raise _at_column(exc, b)
     if pure:
-        state_arr = _gaussian_vector(t_alpha, t_cov, dim).amplitudes
-        buffers = _band_buffers(dim)
-    else:
-        state_arr = _density_factor(gaussian_state(t_alpha, t_cov, dim).entries)
+        buffers = _band_buffers(dim, batch)
 
-    def truth_coefficients(c1, c2, z, w):
-        rows = _slh_coefficients(c1, c2, z, w, params.omega)[:2]
-        return (_ladder_banded if pure else _ladder_dense)(rows, dim)
+    def truth_coefficients(scalars):
+        rows = [_slh_coefficients(c1, c2, z, w, params.omega)[:2]
+                for c1, c2, z, w, *_ in scalars]
+        # (2, batch, 5, dim) bands or (2, batch, dim, dim) matrices of L
+        # and of A0, per truth
+        if pure:
+            return _ladder_banded(rows, dim).swapaxes(0, 1)
+        return np.array([_ladder_dense(r, dim) for r in rows]).swapaxes(0, 1)
 
-    a_hat, ie = complex(alpha), 0.0j
+    a_hat = [complex(alpha)] * batch
+    ie = [0.0j] * batch
+    i_filter = [0.0] * batch
+    qv = [0.0] * batch
     v, w_cov = cov.V, cov.W
-    i_filter = qv = 0.0
     sg = math.sqrt(params.gamma)
     fixed = None
     if gains.all_zero:
-        fixed = truth_coefficients(sg, 0.0j, 0.0j, 0.0j)
-    dws = _increments(noise, T, dt, record_stride)
+        fixed = truth_coefficients([(sg, 0.0j, 0.0j, 0.0j)] * batch)
+    n = _step_total(noises, T, dt, record_stride)
 
-    n_rec = len(dws) // record_stride + 1
-    rec_ah = np.empty(n_rec, dtype=np.complex128)
+    n_rec = n // record_stride + 1
+    rec_ah = np.empty((batch, n_rec), dtype=np.complex128)
     rec_v = np.empty(n_rec)
     rec_w = np.empty(n_rec, dtype=np.complex128)
-    rec_i = np.empty(n_rec)
+    rec_i = np.empty((batch, n_rec))
 
     def step(t, arr, dw):
-        nonlocal a_hat, ie, v, w_cov, i_filter, qv
-        c1, c2, z, w, drift, xi, r_t = _feedback_scalars(
-            gains, a_hat, ie, v, w_cov, t, params, ref)
-        coef = fixed if fixed is not None else truth_coefficients(c1, c2, z, w)
-        if pure:
-            u, a0_psi = _band_apply(coef, arr, buffers)
-            arr, lam = _sse_update(arr, u, a0_psi, 1.0 + 0.0j, dw, dt)
-        else:
-            arr, lam = _sse_kernel(arr, coef[0], coef[1], 1.0 + 0.0j, dw, dt)
-        dy = lam * dt + dw
-        di_f = dy - (sg * 2.0 * a_hat.real) * dt
-        a_hat, ie, v, w_cov = _filter_update(a_hat, ie, v, w_cov, r_t,
-                                             drift, xi, di_f, params, dt)
-        if not (v >= -1e-10 and cmath.isfinite(ie)):
-            raise DomainError(f"filter left its domain (V={v}, "
-                              f"integral_error={ie})")
-        i_filter += di_f
-        qv += di_f * di_f
+        nonlocal v, w_cov
+        scalars = [_feedback_scalars(gains, a_b, ie_b, v, w_cov, t, params,
+                                     ref) for a_b, ie_b in zip(a_hat, ie)]
+        coef = fixed if fixed is not None else truth_coefficients(scalars)
+        u, a0_x = _band_apply(coef, arr, buffers) if pure else coef @ arr
+        arr, lam = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
+        v, w_cov = _advance_covariances(v, w_cov, params, dt)
+        dy = []
+        for b, sc in enumerate(scalars):
+            dy_b = lam[b] * dt + dw[b]
+            dy.append(dy_b)
+            di_f = dy_b - (sg * 2.0 * a_hat[b].real) * dt
+            a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], sc[6], sc[4],
+                                             sc[5], di_f, dt)
+            if not (v >= -1e-10 and cmath.isfinite(ie[b])):
+                raise _at_column(DomainError(
+                    f"filter left its domain (V={v}, "
+                    f"integral_error={ie[b]})"), b)
+            i_filter[b] += di_f
+            qv[b] += di_f * di_f
         return arr, dy
 
     def sample(idx):
-        rec_ah[idx] = a_hat
+        rec_ah[:, idx] = a_hat
         rec_v[idx] = v
         rec_w[idx] = w_cov
-        rec_i[idx] = i_filter
+        rec_i[:, idx] = i_filter
 
-    truth = _integrate(state_arr, "psi" if pure else "rho", dws, dt,
-                       record_stride, step, "closed loop", sample)
-    t_end = truth.final.t
-    final = ClosedLoopState(
-        filter=QKFState(a_hat, RiccatiState(v, w_cov, t_end)),
-        integral_error=ie, truth=truth.final, t=t_end)
+    truths = _integrate(np.stack(states), "psi" if pure else "rho", noises, n,
+                        dt, record_stride, step, "closed loop", sample)
     for col in (rec_ah, rec_v, rec_w, rec_i):
         col.setflags(write=False)
-    return ClosedLoopRecord(truth.t, truth.mean_a, truth.mean_n, rec_ah, rec_v,
-                            rec_w, truth.Y, rec_i, final, qv)
+    out = []
+    for b, truth in enumerate(truths):
+        t_end = truth.final.t
+        final = ClosedLoopState(
+            filter=QKFState(a_hat[b], RiccatiState(v, w_cov, t_end)),
+            integral_error=ie[b], truth=truth.final, t=t_end)
+        out.append(ClosedLoopRecord(truth.t, truth.mean_a, truth.mean_n,
+                                    rec_ah[b], rec_v, rec_w, truth.Y,
+                                    rec_i[b], final, qv[b]))
+    return out

@@ -272,30 +272,36 @@ def _ladder_dense(coef, dim: int) -> np.ndarray:
 
 
 def _ladder_banded(coef, dim: int) -> np.ndarray:
-    """Banded form of the ladder combinations in the rows of ``coef``:
-    an (rows, 5, dim) array whose [i, o + 2, k] entry is X_i[k, k + o]."""
+    """Banded form of the ladder combinations in the rows of ``coef``
+    (..., rows, 6): a (..., rows, 5, dim) array whose [..., i, o + 2, k]
+    entry is X_i[k, k + o]."""
     coef = np.asarray(coef, dtype=np.complex128)
-    scaled = coef[:, :, None] * _ladder_bands(dim)
-    scaled[:, 2] += scaled[:, 5]
-    return scaled[:, :5]
+    scaled = coef[..., None] * _ladder_bands(dim)
+    scaled[..., 2, :] += scaled[..., 5, :]
+    return scaled[..., :5, :]
 
 
-def _band_buffers(dim: int):
-    """(pad, window) for ``_band_apply``: a zero buffer of length dim + 4
-    and its (5, dim) view whose row o + 2 is the buffer shifted by o."""
-    pad = np.zeros(dim + 4, dtype=np.complex128)
-    return pad, sliding_window_view(pad, dim)
+def _band_buffers(dim: int, batch: int = 1):
+    """(pad, window) for ``_band_apply`` on a (batch, dim) stack: a zero
+    buffer (batch, dim + 4) and its (batch, 5, dim) view whose [b, o + 2]
+    row is the buffer's row b shifted by o."""
+    pad = np.zeros((batch, dim + 4), dtype=np.complex128)
+    return pad, sliding_window_view(pad, dim, axis=1)
 
 
 def _band_apply(bands: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
-    """(X_i psi)_i for the banded operators of ``_ladder_banded``.
+    """(X_i psi[b])_{i, b} for the banded operators of ``_ladder_banded``:
+    ``bands`` (rows, 1, 5, dim) shared by the stack psi (batch, dim), or
+    (rows, batch, 5, dim) with one set per state.  Returns
+    (rows, batch, dim).
 
     The five bands are summed in offset order -2..2: a reduction over a
-    non-contiguous axis, which numpy accumulates in index order, so a
-    column of a batch of states gets the bits of a lone state."""
+    non-contiguous axis, which numpy accumulates in index order along
+    the contiguous Fock index, so every state of a stack gets the bits
+    of a lone state."""
     pad, window = buffers
-    pad[2:psi.shape[0] + 2] = psi
-    return np.add.reduce(bands * window, axis=1)
+    pad[:, 2:psi.shape[1] + 2] = psi
+    return np.add.reduce(bands * window, axis=2)
 
 
 def annihilation_op(dim: int) -> CavityOperator:

@@ -20,9 +20,16 @@ noise so that enabling it does not shift any dW sequence.
 
 Trajectory seeds are base_seed XOR index: counter-mode generators give
 uncorrelated streams for distinct keys and the ensemble stays exactly
-reproducible.  Reduction is sequential in index order no matter how
-many workers ran, so aggregate bytes never depend on scheduling.  The
-worker count is taken from QKF_THREADS (default: machine parallelism).
+reproducible.  The worker count is taken from QKF_THREADS (default: the
+CPUs this process may run on).  The indices are split into that many
+contiguous shards of ceil(n_traj / workers) trajectories, one task each,
+and a shard steps its trajectories in lockstep (``control._cosim``): one
+(B, dim) stack of pure truths, one Riccati step per step for the shard,
+the filter means kept per trajectory.  Every trajectory gets the bits
+of its own one-trajectory run, and the reduction is sequential in index
+order, so aggregate bytes depend neither on the worker count nor on the
+shard size.  When several trajectories fail, the lowest failing index is
+reported, with the error its own run raises.
 """
 
 from __future__ import annotations
@@ -31,14 +38,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CavityFilterError, ConfigError, DomainError
 from .fock import CovariancePair
 from .qkf import ModeParams, RiccatiState
-from .control import PIDGains, ReferenceSignal, closed_loop_cosim
+from .control import PIDGains, ReferenceSignal, _cosim
 from .trajectory import NoiseStream
 
 __all__ = [
@@ -131,7 +139,9 @@ class FilterScenario:
     mixture is the prior only when V >= |W| (a Gaussian P function), so
     any other prior is rejected.  Without ``purify`` the truth simply
     shares the filter's initial data.  The record is always the
-    theta = 0 quadrature that ``closed_loop_cosim`` observes.
+    theta = 0 quadrature that ``closed_loop_cosim`` observes.  Calling
+    the scenario runs one trajectory; ``shard`` runs several in
+    lockstep, which is how ``run_ensemble`` uses it.
     """
 
     params: ModeParams
@@ -150,24 +160,42 @@ class FilterScenario:
 
     def __call__(self, config: EnsembleConfig, index: int,
                  noise: NoiseStream) -> TrajectorySample:
-        truth_alpha = None
-        truth_cov = None
+        """Trajectory ``index`` on ``noise``: the one-trajectory shard."""
+        return self.shard(config, [index], [noise])[0]
+
+    def shard(self, config: EnsembleConfig, indices: Sequence[int],
+              noises: Sequence[NoiseStream]) -> list:
+        """Trajectories ``indices`` on their ``noises``, stepped in
+        lockstep (``control._cosim``); each sample has the bits of its
+        own one-trajectory run.  An error of the trajectory at position j
+        of ``indices`` names j as the error's ``column``."""
+        truth_alphas = [self.alpha] * len(indices)
+        truth_cov = self.cov
         if self.purify:
-            rng = np.random.Generator(
-                np.random.Philox(key=(config.base_seed ^ index) ^ _ALPHA_SALT))
-            truth_alpha = self.alpha + _draw_displacement(self.cov, rng)
+            truth_alphas = [
+                self.alpha + _draw_displacement(
+                    self.cov, _prior_rng(config.base_seed, i))
+                for i in indices]
             truth_cov = CovariancePair(0.0, 0.0j)
-        rec = closed_loop_cosim(
+        recs = _cosim(
             self.alpha, self.cov, self.gains, self.reference, self.params,
-            self.dim, noise, config.T, config.dt,
-            record_stride=config.record_stride,
-            truth_alpha=truth_alpha, truth_cov=truth_cov,
-        )
-        sq = (rec.truth_mean_n
-              - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
-              + np.abs(rec.a_hat) ** 2)
-        return TrajectorySample(rec.t, rec.truth_mean_a, rec.a_hat, sq,
-                                rec.V, float(rec.I[-1]), rec.qv)
+            self.dim, noises, config.T, config.dt, config.record_stride,
+            truth_alphas, truth_cov)
+        return [_sample(rec) for rec in recs]
+
+
+def _prior_rng(base_seed: int, index: int) -> np.random.Generator:
+    """The prior-draw stream of trajectory ``index``."""
+    return np.random.Generator(
+        np.random.Philox(key=(base_seed ^ index) ^ _ALPHA_SALT))
+
+
+def _sample(rec) -> TrajectorySample:
+    sq = (rec.truth_mean_n
+          - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
+          + np.abs(rec.a_hat) ** 2)
+    return TrajectorySample(rec.t, rec.truth_mean_a, rec.a_hat, sq, rec.V,
+                            float(rec.I[-1]), rec.qv)
 
 
 def _draw_displacement(cov: CovariancePair, rng: np.random.Generator) -> complex:
@@ -197,31 +225,44 @@ def _worker_count() -> int:
     return workers
 
 
-def _run_one(task) -> TrajectorySample:
-    build, config, index = task
-    noise = NoiseStream(seed=config.base_seed ^ index, dt=config.dt)
+def _run_shard(task) -> list:
+    """The samples of one contiguous shard of an ensemble, in index
+    order.  A failure is re-raised tagged with its trajectory index; when
+    several trajectories of the shard fail, the lowest index is reported
+    (the lower part of the shard is rerun first), as it is when every
+    trajectory runs alone."""
+    scenario, config, indices = task
+    noises = [NoiseStream(seed=config.base_seed ^ i, dt=config.dt)
+              for i in indices]
     try:
-        return build(config, index, noise)
+        return scenario.shard(config, indices, noises)
     except CavityFilterError as exc:
-        raise type(exc)(f"trajectory {index}: {exc}") from exc
+        column = getattr(exc, "column", 0)
+        if column:
+            _run_shard((scenario, config, indices[:column]))
+        raise type(exc)(f"trajectory {indices[column]}: {exc}") from exc
 
 
-def run_ensemble(config: EnsembleConfig, build) -> EnsembleResult:
+def run_ensemble(config: EnsembleConfig, scenario) -> EnsembleResult:
     """Run n_traj trajectories and reduce them in index order.
 
-    ``build(config, index, noise)`` must return a TrajectorySample; it
-    runs in worker processes when QKF_THREADS allows, so it has to be
-    picklable (module-level callable or frozen dataclass instance).
-    Any trajectory failure aborts the whole run, tagged with its index.
+    The indices are split into ``workers`` contiguous shards of
+    ceil(n_traj / workers) trajectories; each shard is stepped in
+    lockstep by ``scenario.shard(config, indices, noises)`` (see
+    ``FilterScenario``), in a worker process of its own when there is
+    more than one shard, so the scenario has to be picklable.  The
+    output bytes do not depend on the worker count.  Any trajectory
+    failure aborts the whole run, tagged with the lowest failing index.
     """
-    tasks = [(build, config, i) for i in range(config.n_traj)]
     workers = min(_worker_count(), config.n_traj)
-    if workers > 1:
-        chunk = max(1, config.n_traj // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = pool.map(_run_one, tasks, chunksize=chunk)
-            return _reduce(config, samples)
-    return _reduce(config, map(_run_one, tasks))
+    size = -(-config.n_traj // workers)
+    shards = [(scenario, config, range(lo, min(lo + size, config.n_traj)))
+              for lo in range(0, config.n_traj, size)]
+    if len(shards) > 1:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            return _reduce(config, chain.from_iterable(
+                pool.map(_run_shard, shards)))
+    return _reduce(config, _run_shard(shards[0]))
 
 
 def _reduce(config: EnsembleConfig, samples) -> EnsembleResult:

@@ -80,16 +80,22 @@ def _step_count(T: float, dt: float, stride: int = 1, *, min_steps: int = 1,
     return n
 
 
-def _rhs(v: float, w: complex, theta: float, gamma: float, omega: float,
+def _phases(theta: float) -> tuple[complex, complex, complex]:
+    """(e^{i theta}, e^{-i theta}, e^{i theta} e^{i theta}) for ``_rhs``."""
+    e_p = cmath.exp(1j * theta)
+    return e_p, cmath.exp(-1j * theta), e_p * e_p
+
+
+def _rhs(v: float, w: complex, phases, gamma: float, omega: float,
          w_form: str) -> tuple[float, complex]:
-    """Raw Riccati right-hand side, python scalars for speed.
+    """Raw Riccati right-hand side at the ``_phases`` of theta, python
+    scalars for speed.
 
     Squares are written as products so overflow yields inf (caught by the
     integrator as divergence) instead of an OverflowError mid-stage.
     """
-    e_p = cmath.exp(1j * theta)
-    e_m = cmath.exp(-1j * theta)
-    z = v + e_p * e_p * w
+    e_p, e_m, e_pp = phases
+    z = v + e_pp * w
     dv = -gamma * v - gamma * (z.real * z.real + z.imag * z.imag)
     lead = w if w_form == "w" else v
     y = e_m * v + e_p * w
@@ -115,7 +121,7 @@ def riccati_rhs(
     """
     if w_form not in ("w", "v"):
         raise DomainError(f"w_form must be 'w' or 'v', got {w_form!r}")
-    return _rhs(float(V), complex(W), float(theta), params.gamma,
+    return _rhs(float(V), complex(W), _phases(float(theta)), params.gamma,
                 params.omega, w_form)
 
 
@@ -130,13 +136,19 @@ def _advance_riccati(
     w_form: str = "w",
 ) -> tuple[float, complex]:
     """One classical RK4 step of the covariance pair."""
-    th1 = theta_of_t(t)
-    k1v, k1w = _rhs(v, w, th1, gamma, omega, w_form)
-    th2 = theta_of_t(t + 0.5 * dt)
-    k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, th2, gamma, omega, w_form)
-    k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, th2, gamma, omega, w_form)
-    th4 = theta_of_t(t + dt)
-    k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, th4, gamma, omega, w_form)
+    return _rk4_step(v, w, dt, gamma, omega, _phases(theta_of_t(t)),
+                     _phases(theta_of_t(t + 0.5 * dt)),
+                     _phases(theta_of_t(t + dt)), w_form)
+
+
+def _rk4_step(v: float, w: complex, dt: float, gamma: float, omega: float,
+              ph1, ph2, ph4, w_form: str = "w") -> tuple[float, complex]:
+    """``_advance_riccati`` with the ``_phases`` at the step start, middle
+    and end given."""
+    k1v, k1w = _rhs(v, w, ph1, gamma, omega, w_form)
+    k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, ph2, gamma, omega, w_form)
+    k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, ph2, gamma, omega, w_form)
+    k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, ph4, gamma, omega, w_form)
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     w_new = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     if -1e-12 < v_new < 0.0:

@@ -37,15 +37,19 @@ Euler SME step by O(dt^{3/2}), and by O(dt^2) averaged over the sign of
 dI.  No per-step eigenvalue guard is needed; the norm guard of the
 update still rejects a non-finite or too coarse step.
 
-There is one trajectory loop, ``_integrate``: it records (t, <a>,
-<a'a>, <a^2>, Y, I) behind the truncation check, tags package errors
-with their step and builds the final ``TrajectoryState``; a ``step``
-closure says what one step does.  ``run_trajectory`` passes the dense
-kernels over ``SLHCoefficients``; the PID co-simulation in ``control``
-passes the feedback scalars, the truth step and the filter update.  The
-state-vector and Zakai steps are split into forming u = L psi (and
-w = A0 psi) and the update with its guard (``_sse_update``,
-``_zakai_update``), so every caller shares one update.
+There is one trajectory loop, ``_integrate``: it steps a batch of B
+truths in lockstep (a (B, dim) stack of vectors or a (B, dim, r) stack
+of factors), draws their increments in blocks of 4096 steps, records
+(t, <a>, <a'a>, <a^2>, Y, I) behind the truncation check, tags package
+errors with their step and builds the final ``TrajectoryState``s; a
+``step`` closure says what one step does.  ``run_trajectory`` is the
+batch of one over the dense kernels of ``SLHCoefficients``; the PID
+co-simulation in ``control`` passes the feedback scalars, the truth step
+and the filter updates of an ensemble shard.  The state-vector and
+Zakai steps are split into forming u = L psi (and w = A0 psi) and the
+update with its guard (``_sse_update`` for a stack, ``_zakai_update``),
+so every caller shares one update, and every row of a stack gets the
+bits of a lone state.
 """
 
 from __future__ import annotations
@@ -282,26 +286,55 @@ def _sse_kernel(psi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
     Frobenius norm steps the same way: lam is then 2 Re e^{i theta}
     tr(L XX'), and XX' takes the Kraus step of the module docstring.
     """
-    return _sse_update(psi, l_mat @ psi, a0 @ psi, cis, dI, dt)
+    psi_new, lam = _sse_update(psi[None], (l_mat @ psi)[None],
+                               (a0 @ psi)[None], cis, [dI], dt)
+    return psi_new[0], lam[0]
 
 
 def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
-                cis: complex, dI: float, dt: float):
-    """The step of ``_sse_kernel`` from u = L psi and w = A0 psi, however
-    they were formed (dense matvecs here, bands in the co-simulation)."""
-    lam = 2.0 * (cis * np.vdot(psi, u)).real
-    cu = u if cis == 1.0 else cis * u
-    psi_new = (1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * dI) * psi
+                cis: complex, dI, dt: float):
+    """The step of ``_sse_kernel`` for a stack psi[b] of states (vectors
+    or density factors) on the increments dI[b], from u = L psi and
+    w = A0 psi, however they were formed (dense products, or bands in the
+    co-simulation).  Returns the stack and the list of lambdas.
+
+    The per-state scalars lam and the norm are row-wise ``np.vdot``s and
+    the rest is elementwise, so every row gets the bits of a lone state.
+    A row that fails the norm guard raises, naming the row as
+    ``column``."""
+    lam, keep, move = [], [], []
+    for b, di in enumerate(dI):
+        lam_b = 2.0 * (cis * complex(np.vdot(psi[b], u[b]))).real
+        lam.append(lam_b)
+        keep.append(1.0 - (0.125 * lam_b * lam_b) * dt - (0.5 * lam_b) * di)
+        move.append((0.5 * lam_b) * dt + di)
+    psi_new = _per_row(keep, psi.ndim) * psi
     psi_new += dt * w
-    psi_new += ((0.5 * lam) * dt + dI) * cu
-    n2 = np.vdot(psi_new, psi_new).real
-    nrm = math.sqrt(n2)
-    if not abs(nrm - 1.0) <= NORM_GUARD:
-        raise StepSizeError(
-            f"norm moved to {nrm:.6f} in one step; reduce dt"
-        )
-    psi_new *= 1.0 / nrm
+    psi_new += _per_row(move, psi.ndim) * (u if cis == 1.0 else cis * u)
+    scale = []
+    for b, row in enumerate(psi_new):
+        nrm = math.sqrt(np.vdot(row, row).real)
+        if not abs(nrm - 1.0) <= NORM_GUARD:
+            raise _at_column(StepSizeError(
+                f"norm moved to {nrm:.6f} in one step; reduce dt"), b)
+        scale.append(1.0 / nrm)
+    psi_new *= _per_row(scale, psi.ndim)
     return psi_new, lam
+
+
+def _per_row(values: list, ndim: int):
+    """Row scalars shaped to scale the rows of an ndim-dimensional stack:
+    a (B, 1, ...) column, or the plain scalar of a one-row stack (the
+    same products, without a broadcast)."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:
+    """``exc`` marked as the failure of column ``column`` of a batch."""
+    exc.column = column
+    return exc
 
 
 def _density_factor(rho: np.ndarray) -> np.ndarray:
@@ -497,74 +530,105 @@ def _as_slh_provider(source, view=None) -> Callable[[float, object],
     )
 
 
-def _increments(noise: NoiseStream, T: float, dt: float,
-                stride: int) -> np.ndarray:
-    """The increments of a run on [0, T], drawn after checking that dt and
-    the record stride divide the grid and that the stream's dt is dt."""
+#: steps of noise drawn at a time, so a batch of B trajectories holds
+#: B x 4096 increments whatever the run length
+_NOISE_BLOCK = 4096
+
+
+def _step_total(noises, T: float, dt: float, stride: int) -> int:
+    """The step count of a run on [0, T], after checking that dt and the
+    record stride divide the grid and that every stream's dt is dt."""
     n = _step_count(T, dt, stride)
-    if abs(noise.dt - dt) > 1e-15:
-        raise DomainError(f"noise stream dt {noise.dt} != integration dt {dt}")
-    return noise.increments(n)
+    for noise in noises:
+        if abs(noise.dt - dt) > 1e-15:
+            raise DomainError(
+                f"noise stream dt {noise.dt} != integration dt {dt}")
+    return n
 
 
-def _integrate(arr: np.ndarray, kind: str, dws: np.ndarray, dt: float,
-               stride: int, step, what: str, sample=None) -> TrajectoryRecord:
-    """The trajectory loop: one ``step`` per increment of ``dws``.
+def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
+               stride: int, step, what: str, sample=None) -> list:
+    """The trajectory loop: n lockstep ``step``s of a batch of B truths,
+    driven by the increments of ``noises`` (one stream per truth).
 
-    ``arr`` is the truth's raw array and ``kind`` its ``TrajectoryState``
-    field: a vector for "psi" and "chi", a density factor X (dim, r) for
-    "rho" (``_density_factor``), whose final state is XX'.
-    ``step(t, arr, dw)`` returns the next array and the record increment
-    dY; package errors it raises are re-raised tagged with the step.
-    (t, <a>, <a'a>, <a^2>, Y, I) are recorded at t = 0 and every
+    ``arr`` stacks the truths' raw arrays along its first axis and
+    ``kind`` is their ``TrajectoryState`` field: vectors (B, dim) for
+    "psi" and "chi", density factors X (B, dim, r) for "rho"
+    (``_density_factor``), whose final states are XX'.  The increments are
+    drawn in blocks of ``_NOISE_BLOCK`` steps, which continue each stream
+    bit for bit.  ``step(t, arr, dw)`` gets the B increments of one step
+    (a tuple of floats) and returns the next stack and the B record
+    increments dY; package errors it raises are re-raised tagged with the
+    step, and keep the batch column they name as ``column`` (0 if none).
+    (t, <a>,
+    <a'a>, <a^2>, Y, I) of every truth are recorded at t = 0 and every
     ``stride`` steps behind the truncation check labelled ``what``, and
-    ``sample(idx)`` then lets the caller record its own columns at
-    index idx.  Y accumulates dY and I the increments dw.
+    ``sample(idx)`` then lets the caller record its own columns at index
+    idx.  Y accumulates dY and I the increments dw.  Returns one
+    ``TrajectoryRecord`` per truth, in batch order.
     """
-    n = len(dws)
-    dim = arr.shape[0]
+    batch, dim = arr.shape[:2]
     n_rec = n // stride + 1
     rec_t = np.empty(n_rec)
-    rec_a = np.empty(n_rec, dtype=np.complex128)
-    rec_n = np.empty(n_rec)
-    rec_a2 = np.empty(n_rec, dtype=np.complex128)
-    rec_y = np.empty(n_rec)
-    rec_i = np.empty(n_rec)
+    rec_a = np.empty((batch, n_rec), dtype=np.complex128)
+    rec_n = np.empty((batch, n_rec))
+    rec_a2 = np.empty((batch, n_rec), dtype=np.complex128)
+    rec_y = np.empty((batch, n_rec))
+    rec_i = np.empty((batch, n_rec))
     a_mat = _annihilation_matrix(dim)
-    y_acc = i_acc = 0.0
+    y_acc = [0.0] * batch
+    # I of every truth after each step of the current noise block, which
+    # starts at step ``start``
+    i_acc = np.zeros((1, batch))
 
     def record(idx: int):
         t = idx * stride * dt
-        ma, mn, ma2 = _moments_from_vector(arr, a_mat)
-        pop = np.vdot(arr[-2:], arr[-2:]).real / np.vdot(arr, arr).real
-        _check_truncation(float(pop), f"{what} (t={t:.4g})")
+        for b, x in enumerate(arr):
+            ma, mn, ma2 = _moments_from_vector(x, a_mat)
+            pop = np.vdot(x[-2:], x[-2:]).real / np.vdot(x, x).real
+            try:
+                _check_truncation(float(pop), f"{what} (t={t:.4g})")
+            except CavityFilterError as exc:
+                raise _at_column(exc, b)
+            rec_a[b, idx] = ma
+            rec_n[b, idx] = mn
+            rec_a2[b, idx] = ma2
         rec_t[idx] = t
-        rec_a[idx] = ma
-        rec_n[idx] = mn
-        rec_a2[idx] = ma2
-        rec_y[idx] = y_acc
-        rec_i[idx] = i_acc
+        rec_y[:, idx] = y_acc
+        rec_i[:, idx] = i_acc[idx * stride - start]
         if sample is not None:
             sample(idx)
 
+    start = 0
     record(0)
-    for k, dw in enumerate(dws):
-        t = k * dt
-        try:
-            arr, dy = step(t, arr, dw)
-        except CavityFilterError as exc:
-            raise type(exc)(f"step {k} (t={t:.6g}): {exc}") from exc
-        y_acc += dy
-        i_acc += dw
-        if (k + 1) % stride == 0:
-            record((k + 1) // stride)
+    for start in range(0, n, _NOISE_BLOCK):
+        size = min(_NOISE_BLOCK, n - start)
+        block = np.stack([noise.increments(size) for noise in noises], axis=1)
+        # summed in step order, as a running total would be
+        i_acc = np.cumsum(np.concatenate([i_acc[-1:], block]), axis=0)
+        for k, dw in enumerate(zip(*block.T.tolist()), start):
+            t = k * dt
+            try:
+                arr, dy = step(t, arr, dw)
+            except CavityFilterError as exc:
+                raise _at_column(type(exc)(f"step {k} (t={t:.6g}): {exc}"),
+                                 getattr(exc, "column", 0)) from exc
+            for b in range(batch):
+                y_acc[b] += dy[b]
+            if (k + 1) % stride == 0:
+                record((k + 1) // stride)
 
-    state = (DensityOperator(dim, _factor_density(arr)) if kind == "rho"
-             else StateVector(dim, arr))
-    final = TrajectoryState(n * dt, y_acc, i_acc, **{kind: state})
     for col in (rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i):
         col.setflags(write=False)
-    return TrajectoryRecord(rec_t, rec_a, rec_n, rec_a2, rec_y, rec_i, final)
+    out = []
+    for b, x in enumerate(arr):
+        state = (DensityOperator(dim, _factor_density(x)) if kind == "rho"
+                 else StateVector(dim, x))
+        final = TrajectoryState(n * dt, y_acc[b], i_acc[-1, b],
+                                **{kind: state})
+        out.append(TrajectoryRecord(rec_t, rec_a[b], rec_n[b], rec_a2[b],
+                                    rec_y[b], rec_i[b], final))
+    return out
 
 
 def run_trajectory(
@@ -627,16 +691,19 @@ def run_trajectory(
         cis_at = lambda _t: const_cis
 
     def step(t, arr, dw):
-        l_mat, a0 = provider(t, arr)._arrays(arr.shape[0])
+        x = arr[0]
+        l_mat, a0 = provider(t, x)._arrays(x.shape[0])
         cis = cis_at(t)
         if mode == "zakai":
-            u = (l_mat if cis == 1.0 else cis * l_mat) @ arr
-            lam = 2.0 * (np.vdot(arr, u) / np.vdot(arr, arr).real).real
-            dy = lam * dt + dw
-            return _zakai_update(arr, u, a0, dy, dt), dy
-        arr, lam = _sse_kernel(arr, l_mat, a0, cis, dw, dt)
-        return arr, lam * dt + dw
+            u = (l_mat if cis == 1.0 else cis * l_mat) @ x
+            lam = 2.0 * (np.vdot(x, u) / np.vdot(x, x).real).real
+            dy = lam * dt + dw[0]
+            return _zakai_update(x, u, a0, dy, dt)[None], [dy]
+        arr, lam = _sse_update(arr, (l_mat @ x)[None], (a0 @ x)[None], cis,
+                               dw, dt)
+        return arr, [lam[0] * dt + dw[0]]
 
     kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]
-    return _integrate(state_arr, kind, _increments(noise, T, dt, record_stride),
-                      dt, record_stride, step, "trajectory")
+    n = _step_total([noise], T, dt, record_stride)
+    return _integrate(state_arr[None], kind, [noise], n, dt, record_stride,
+                      step, "trajectory")[0]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityfilter import cli
 from cavityfilter.cli import main, parse_config, run_subcommand
 from cavityfilter.errors import ConfigError
 
@@ -481,3 +482,26 @@ def test_run_grid_fault_is_a_config_error(tmp_path, capsys, name, fault, key):
     assert key in capsys.readouterr().err
     assert not out.exists()
     assert main(["tune", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("dt,code", [("1e-3", 2), ("2.5e-4", 0)])
+def test_classical_grid_stability_is_a_config_error(tmp_path, capsys, dt, code):
+    # the grid filter's diffusion bound dt <= 0.5 dx^2 = 3.125e-4 is fixed
+    # by the 801-point grid, so a coarser run.dt is a config fault found
+    # before any work; a run within the bound writes what the chain alone
+    # writes
+    text = (_GRID_BASE.replace("dt = 1e-3", f"dt = {dt}")
+            .replace("T = 1", "T = 0.05"))
+    out = tmp_path / "out"
+    assert main(["classical", str(_config(tmp_path, text)), "--out",
+                 str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "run.dt: " in err and "stability bound" in err
+        assert not out.exists()
+        return
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    cli._cmd_classical(parse_config(text), direct)
+    assert ((out / "classical.csv").read_bytes()
+            == (direct / "classical.csv").read_bytes())

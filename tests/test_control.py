@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -425,26 +426,34 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
         bands = _ladder_banded(rows[:2], dim)
-        l_psi, a0_psi = _band_apply(bands, psi, buffers)
+        l_psi, a0_psi = _band_apply(bands[:, None], psi[None], buffers)[:, 0]
         assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
         assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
 
 
 def test_band_apply_is_batch_invariant():
-    # a column of a (dim, B) batch gets the bits of a lone state
-    dim, batch = 12, 5
+    # every row of a (B, dim) stack gets the bits of a lone state, with
+    # bands shared by the stack or one set per row, in the (rows, B, 5,
+    # dim) layout the lockstep co-simulation applies
     rng = np.random.default_rng(3)
-    bands = _ladder_banded(_slh_coefficients(1.1 + 0.2j, -0.3j, 0.4 + 0.1j,
-                                             0.05j, 0.5)[:2], dim)
-    psis = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
-    pad = np.zeros((dim + 4, batch), dtype=np.complex128)
-    pad[2:dim + 2] = psis
-    window = np.stack([pad[o:o + dim] for o in range(5)])
-    together = np.add.reduce(bands[..., None] * window, axis=1)
-    buffers = _band_buffers(dim)
-    for b in range(batch):
-        alone = _band_apply(bands, psis[:, b], buffers)
-        assert np.array_equal(together[..., b], alone)
+    rows = [_slh_coefficients(*(complex(*rng.normal(size=2))
+                                for _ in range(4)), 0.5)[:2]
+            for _ in range(9)]
+    for dim, batch in itertools.product((7, 12, 30), (1, 2, 5, 9)):
+        psis = (rng.normal(size=(batch, dim))
+                + 1j * rng.normal(size=(batch, dim)))
+        shared = _band_apply(_ladder_banded(rows[0], dim)[:, None], psis,
+                             _band_buffers(dim, batch))
+        own = _band_apply(_ladder_banded([[r[i] for r in rows[:batch]]
+                                          for i in (0, 1)], dim), psis,
+                          _band_buffers(dim, batch))
+        for b in range(batch):
+            for got, row in ((shared, rows[0]), (own, rows[b])):
+                alone = _band_apply(_ladder_banded(row, dim)[:, None],
+                                    psis[b:b + 1], _band_buffers(dim))
+                assert np.array_equal(got[:, b], alone[:, 0])
+            for got, mat in zip(own[:, b], _ladder_dense(rows[b], dim)):
+                assert np.max(np.abs(got - mat @ psis[b])) < 1e-12
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),

@@ -12,8 +12,10 @@ import os
 import numpy as np
 import pytest
 
+from cavityfilter import mc
+from cavityfilter.cli import main as cli_main
 from cavityfilter.control import PIDGains, ReferenceSignal, closed_loop_cosim
-from cavityfilter.errors import DomainError, TruncationError
+from cavityfilter.errors import DomainError, StepSizeError, TruncationError
 from cavityfilter.fock import CovariancePair
 from cavityfilter.mc import (
     EnsembleConfig,
@@ -59,6 +61,36 @@ def test_single_trajectory_matches_direct_run_bitwise():
     assert res.terminal_I[0] == rec.I[-1]
     assert res.qv[0] == rec.qv
 
+    # a 5-trajectory purified PID shard: each column is its own
+    # closed_loop_cosim, and the ensemble reduces exactly those runs
+    gains, ref = PIDGains(2.0, 1.0, 0.5), ReferenceSignal("step", 1.0)
+    params = ModeParams(1.0, 0.5)
+    sc = FilterScenario(params=params, dim=20, alpha=0.3, cov=THERMAL,
+                        purify=True, gains=gains, reference=ref)
+    cfg = EnsembleConfig(5, 0.1, 1e-3, 11 << 40, "pid", record_stride=10)
+    noises = [NoiseStream(cfg.base_seed ^ i, cfg.dt) for i in range(5)]
+    samples = sc.shard(cfg, range(5), noises)
+    alone = []
+    for i, s in enumerate(samples):
+        draw = mc._draw_displacement(THERMAL, mc._prior_rng(cfg.base_seed, i))
+        rec = closed_loop_cosim(
+            0.3, THERMAL, gains, ref, params, 20,
+            NoiseStream(cfg.base_seed ^ i, cfg.dt), cfg.T, cfg.dt,
+            record_stride=10, truth_alpha=0.3 + draw, truth_cov=VACUUM)
+        for got, want in ((s.truth_mean_a, rec.truth_mean_a),
+                          (s.a_hat, rec.a_hat), (s.V, rec.V)):
+            assert got.tobytes() == want.tobytes()
+        assert s.terminal_I == rec.I[-1] and s.qv == rec.qv
+        alone.append(sc(cfg, i, NoiseStream(cfg.base_seed ^ i, cfg.dt)))
+    res = run_ensemble(cfg, sc)
+    _assert_same_bytes(res, mc._reduce(cfg, alone))
+
+
+def _assert_same_bytes(a, b):
+    for name in ("t", "mean_truth_a", "var_truth_a", "mean_a_hat", "mse", "V",
+                 "terminal_I", "qv"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
 
 def test_repeat_run_identical_bytes():
     sc = FilterScenario(params=PARAMS, dim=22, alpha=0.0, cov=THERMAL,
@@ -72,18 +104,29 @@ def test_repeat_run_identical_bytes():
     assert a.qv.tobytes() == b.qv.tobytes()
 
 
-def test_worker_count_does_not_change_bytes(monkeypatch):
-    sc = FilterScenario(params=PARAMS, dim=22, alpha=0.2, cov=THERMAL,
-                        purify=True)
+_SCENARIOS = {
+    "purified-zero-gain": FilterScenario(params=PARAMS, dim=22, alpha=0.2,
+                                         cov=THERMAL, purify=True),
+    "purified-pid": FilterScenario(params=ModeParams(1.0, 0.5), dim=22,
+                                   alpha=0.2, cov=THERMAL, purify=True,
+                                   gains=PIDGains(2.0, 1.0, 0.5),
+                                   reference=ReferenceSignal("step", 1.0)),
+    "mixed-prior": FilterScenario(params=PARAMS, dim=22, alpha=0.2,
+                                  cov=THERMAL),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_worker_count_does_not_change_bytes(monkeypatch, scenario, threads):
+    # 1, 2 and 3 workers step shards of 6, 3 and 2 trajectories; each
+    # reduces to the bytes of the trajectories run one by one
+    sc = _SCENARIOS[scenario]
     cfg = EnsembleConfig(6, 0.05, 1e-3, 3 << 40, "workers", record_stride=10)
-    monkeypatch.setenv("QKF_THREADS", "1")
-    a = run_ensemble(cfg, sc)
-    monkeypatch.setenv("QKF_THREADS", "3")
-    b = run_ensemble(cfg, sc)
-    assert a.mean_truth_a.tobytes() == b.mean_truth_a.tobytes()
-    assert a.mean_a_hat.tobytes() == b.mean_a_hat.tobytes()
-    assert a.mse.tobytes() == b.mse.tobytes()
-    assert a.terminal_I.tobytes() == b.terminal_I.tobytes()
+    alone = [sc(cfg, i, NoiseStream(cfg.base_seed ^ i, cfg.dt))
+             for i in range(6)]
+    monkeypatch.setenv("QKF_THREADS", threads)
+    _assert_same_bytes(run_ensemble(cfg, sc), mc._reduce(cfg, alone))
 
 
 def test_worker_count_defaults_to_cpu_affinity(monkeypatch):
@@ -105,6 +148,68 @@ def test_trajectory_failure_carries_index():
     cfg = EnsembleConfig(3, 0.05, 1e-3, 7, "fail")
     with pytest.raises(TruncationError, match="trajectory 0"):
         run_ensemble(cfg, sc)
+
+
+# trajectories 1, 3 and 4 of this ensemble fail the norm guard on their
+# own, at steps 1, 0 and 3; trajectories 0, 2 and 5 run through
+_FAILING = FilterScenario(params=PARAMS, dim=24, alpha=0.0,
+                          cov=CovariancePair(2.0, 0.0j), purify=True,
+                          gains=PIDGains(20.0),
+                          reference=ReferenceSignal("step", 1.0))
+_FAILING_CFG = EnsembleConfig(6, 0.1, 2e-3, 2 << 20, "fail", record_stride=10)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_shard_failure_reports_the_lowest_failing_index(monkeypatch, threads):
+    # the lockstep shard meets trajectory 3's failure first (step 0), but
+    # the run reports the lowest failing index with the error its own run
+    # raises, whatever the shard size
+    cfg = _FAILING_CFG
+    lone = {}
+    for i in range(cfg.n_traj):
+        try:
+            _FAILING(cfg, i, NoiseStream(cfg.base_seed ^ i, cfg.dt))
+        except StepSizeError as exc:
+            lone[i] = str(exc)
+    assert sorted(lone) == [1, 3, 4]
+    assert lone[1].startswith("step 1 (t=0.002): norm moved")
+    assert lone[3].startswith("step 0 (t=0): norm moved")
+    monkeypatch.setenv("QKF_THREADS", threads)
+    with pytest.raises(StepSizeError) as info:
+        run_ensemble(cfg, _FAILING)
+    assert str(info.value) == f"trajectory 1: {lone[1]}"
+
+
+def test_shard_failure_keeps_its_exit_code(tmp_path, capsys, monkeypatch):
+    # the same ensemble through the CLI: a numeric failure exits 3
+    monkeypatch.setenv("QKF_THREADS", "2")
+    path = tmp_path / "fail.ini"
+    path.write_text(f"""\
+[mode]
+gamma = 1
+dim = 24
+
+[initial]
+state = thermal
+nbar = 2
+
+[control]
+k_P = 20
+
+[reference]
+kind = step
+amplitude = 1
+
+[run]
+T = 0.1
+dt = 2e-3
+n_traj = 6
+seed = {_FAILING_CFG.base_seed}
+stride = 10
+""", encoding="utf-8")
+    assert cli_main(["ensemble", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "trajectory 1: step 1 (t=0.002): norm moved" in err
 
 
 def test_draw_displacement_moments():

@@ -74,6 +74,31 @@ def test_noise_stream_reproducible():
     assert abs(np.std(a) - math.sqrt(1e-3)) < 0.1 * math.sqrt(1e-3)
 
 
+def test_noise_stream_chunked_draws_equal_one_draw():
+    # the trajectory loop draws each stream in blocks of 4096 steps; the
+    # blocks continue the stream bit for bit, whatever their sizes
+    n = 3 * 4096 + 123
+    whole = NoiseStream(2 << 40, 1e-4).increments(n)
+    for sizes in ([4096] * 3 + [123], [1, 4095, 5000, 3315], [n]):
+        stream = NoiseStream(2 << 40, 1e-4)
+        chunked = np.concatenate([stream.increments(m) for m in sizes])
+        assert chunked.tobytes() == whole.tobytes()
+
+
+def test_run_longer_than_a_noise_block_matches_the_step_chain():
+    # a run across two noise blocks steps the increments of one draw
+    dim, dt, n = 8, 1e-4, 4096 + 10
+    slh = damped_cavity_slh(ModeParams(1.0, 0.3), dim)
+    psi0 = coherent_state(0.3, dim)
+    rec = run_trajectory(psi0, slh, 0.0, NoiseStream(9, dt), n * dt, dt,
+                         record_stride=n)
+    state = TrajectoryState(0.0, 0.0, 0.0, psi=psi0)
+    for dI in NoiseStream(9, dt).increments(n):
+        state = sse_step(state, slh, 0.0, dI, dt)
+    assert np.array_equal(rec.final.psi.amplitudes, state.psi.amplitudes)
+    assert rec.final.I == state.I
+
+
 def test_noise_stream_spawn():
     base = NoiseStream(7, 1e-2)
     assert base.spawn(0).seed == 7
