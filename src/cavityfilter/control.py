@@ -35,15 +35,20 @@ the loop's record of the truth.
 
 The loop steps a batch of truths in lockstep (``_cosim``), which is how
 an ensemble shard runs; a single co-simulation is the batch of one.
-Every filter of a batch starts from the same covariances, so the
-Riccati pair is advanced once per step for the batch, while each truth
-keeps its own filter mean, integral error and feedback scalars in
-Python scalars.  Pure truths are stepped as one (B, dim) stack: one band
-application over the (B, 5, dim) window with one band set per truth,
-then one ``_sse_update`` whose per-state scalars are row-wise
-``np.vdot``s, so every truth gets the bits of its own run.  Mixed
-truths form L X and A0 X by one stacked matrix product, a dense product
-per truth.
+Every filter of a batch starts from the same covariances, so each step
+evaluates what the filters share once: the Riccati step, and r(t),
+dr/dt and the Xi gain (``_shared_scalars``).  Each truth keeps its own
+filter mean, integral error, drift and displacement z in Python scalars;
+c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
+in z.  Pure truths are stepped as one (B, dim) stack.  Under feedback
+the (B, 2, 6) ladder rows of (L, A0) are built in one call
+(``_ladder_rows``) and contracted with the six ladder-basis products of
+every state by one batched matmul (``fock._ladder_apply``); without
+gains the constant coefficients are combined into bands once, before the
+loop (``fock._band_apply``).  One ``_sse_update`` then steps the stack.
+Mixed truths form L X and A0 X by one stacked matrix product, a dense
+product per truth, before the same update.  Every truth gets the bits of
+its own run.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from .fock import (
     _band_apply,
     _band_buffers,
     _gaussian_vector,
+    _ladder_apply,
     _ladder_banded,
     _ladder_dense,
     gaussian_state,
@@ -81,8 +87,8 @@ from .trajectory import (
     _at_column,
     _density_factor,
     _integrate,
+    _ladder_rows,
     _ladder_slh,
-    _slh_coefficients,
     _sse_update,
     _step_total,
 )
@@ -275,12 +281,21 @@ def _drift_at(gains: PIDGains, a_hat: complex, integral_error: complex,
     return num / (1.0 + gains.k_D)
 
 
+def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
+                    V: float, W: complex, params: ModeParams):
+    """(r(t), dr/dt, Xi): the feedback inputs that depend only on the
+    time and the covariances, so every filter of a batch shares them."""
+    return (ref.value(t), _d_reference(gains, ref, t),
+            _xi(V, W, gains.k_D, params.gamma))
+
+
 def _feedback_scalars(gains: PIDGains, a_hat: complex,
-                      integral_error: complex, V: float, W: complex,
-                      t: float, params: ModeParams, ref: ReferenceSignal):
-    """(c1, c2, z, w, drift, xi, r(t)): everything the PID loop feeds back
-    at one filter state, with the reference, the drift and the Xi gain
-    evaluated once for both the coefficients and the filter update.
+                      integral_error: complex, r_t: complex, dr_t: complex,
+                      xi: complex, params: ModeParams):
+    """(c1, c2, z, w, drift): everything the PID loop feeds back at one
+    filter state, from the ``_shared_scalars`` (r_t, dr_t, xi) of the
+    step, with the drift evaluated once for both the coefficients and the
+    filter update.
 
     S = 1 throughout.  P and I act purely through the displacement z of
     the error and its integral.  D modifies the coupling,
@@ -288,24 +303,23 @@ def _feedback_scalars(gains: PIDGains, a_hat: complex,
     c1 = sqrt(gamma) + k_D Xi* and c2 = -k_D Xi, and adds the
     derivative Hamiltonian to z plus the current-feedback correction
     (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
-    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.
+    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Only z and
+    the drift depend on the filter state; c1, c2 and w depend on Xi alone.
     """
     sg = math.sqrt(params.gamma)
-    r_t, dr_t = ref.value(t), _d_reference(gains, ref, t)
     drift = _drift_at(gains, a_hat, integral_error, r_t, dr_t, params)
-    xi = _xi(V, W, gains.k_D, params.gamma)
     z = 0.0j
     if gains.k_P != 0.0:
         z += 1j * gains.k_P * (gains.mu * r_t - a_hat)
     if gains.k_I != 0.0:
         z += 1j * gains.k_I * complex(integral_error)
     if gains.k_D == 0.0:
-        return sg, 0.0j, z, 0.0j, drift, xi, r_t
+        return sg, 0.0j, z, 0.0j, drift
     lam_hat = sg * 2.0 * a_hat.real
     z += 1j * gains.k_D * (gains.nu * dr_t - drift + lam_hat * xi)
     xi_c = xi.conjugate()
     return (sg + gains.k_D * xi_c, -gains.k_D * xi, z,
-            0.5j * sg * gains.k_D * xi_c, drift, xi, r_t)
+            0.5j * sg * gains.k_D * xi_c, drift)
 
 
 def controlled_slh(
@@ -323,8 +337,9 @@ def controlled_slh(
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
     ric = filt.riccati
-    c1, c2, z, w, *_ = _feedback_scalars(gains, filt.a_hat, integral_error,
-                                         ric.V, ric.W, t, params, ref)
+    c1, c2, z, w, _ = _feedback_scalars(
+        gains, filt.a_hat, integral_error,
+        *_shared_scalars(gains, ref, t, ric.V, ric.W, params), params)
     return _ladder_slh(c1, c2, z, w, params.omega, dim)
 
 
@@ -370,10 +385,11 @@ def pid_filter_step(
         raise DomainError(f"dt must be positive, got {dt}")
     filt = state.filter
     ric = filt.riccati
-    drift = _drift(gains, filt.a_hat, state.integral_error, state.t, params, ref)
-    xi = _xi(ric.V, ric.W, gains.k_D, params.gamma)
-    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error,
-                                   ref.value(state.t), drift, xi, dI, dt)
+    r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
+    drift = _drift_at(gains, filt.a_hat, state.integral_error, r_t, dr_t,
+                      params)
+    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error, r_t,
+                                   drift, xi, dI, dt)
     v_new, w_new = _advance_covariances(ric.V, ric.W, params, dt)
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
@@ -451,11 +467,11 @@ def closed_loop_cosim(
     at step start, so neither side anticipates.
 
     The truth never sees dense SLH coefficients.  It is stepped from the
-    ladder rows of L and A0 = -iH - L'L/2: a state vector from their
-    bands, in O(dim) per step, a density matrix as its factor X
-    (rho = XX') from the dense sums over the same basis, with the same
-    state-vector update.  Without gains the coefficients are built once,
-    before the loop.
+    ladder rows of L and A0 = -iH - L'L/2: a state vector by contracting
+    them with its ladder-basis products, in O(dim) per step, a density
+    matrix as its factor X (rho = XX') from the dense sums over the same
+    basis, with the same state-vector update.  Without gains the
+    coefficients are combined once, before the loop.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -478,13 +494,15 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``ClosedLoopRecord`` per truth, each bit for bit that of its own
     one-truth run.
 
-    Every filter starts from the same covariances, so the Riccati pair
-    is advanced once per step for the whole batch; the means, integral
-    errors and feedback scalars are kept per truth.  A pure batch is
-    stepped as one (B, dim) stack through one band application and one
-    ``_sse_update``; a mixed batch forms L X and A0 X by one stacked
-    matrix product, a dense product per truth, before the same update.
-    An error of truth b names it as the error's ``column``."""
+    Every filter starts from the same covariances, so the Riccati pair,
+    r(t), dr/dt and Xi are evaluated once per step for the whole batch;
+    the means, integral errors, drifts and displacements are kept per
+    truth.  A pure batch is stepped as one (B, dim) stack through one
+    contraction of its ladder-basis products (one band application
+    without gains) and one ``_sse_update``; a mixed batch forms L X and
+    A0 X by one stacked matrix product, a dense product per truth, before
+    the same update.  An error of truth b names it as the error's
+    ``column``."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -501,14 +519,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     if pure:
         buffers = _band_buffers(dim, batch)
 
-    def truth_coefficients(scalars):
-        rows = [_slh_coefficients(c1, c2, z, w, params.omega)[:2]
-                for c1, c2, z, w, *_ in scalars]
-        # (2, batch, 5, dim) bands or (2, batch, dim, dim) matrices of L
-        # and of A0, per truth
-        if pure:
-            return _ladder_banded(rows, dim).swapaxes(0, 1)
-        return np.array([_ladder_dense(r, dim) for r in rows]).swapaxes(0, 1)
+    def dense(coef):
+        """(2, B, dim, dim): L and A0 of every truth, as matrices."""
+        return np.array([_ladder_dense(c, dim) for c in coef]).swapaxes(0, 1)
 
     a_hat = [complex(alpha)] * batch
     ie = [0.0j] * batch
@@ -516,9 +529,21 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     qv = [0.0] * batch
     v, w_cov = cov.V, cov.W
     sg = math.sqrt(params.gamma)
-    fixed = None
     if gains.all_zero:
-        fixed = truth_coefficients([(sg, 0.0j, 0.0j, 0.0j)] * batch)
+        # constant coefficients, combined once: bands for a pure batch,
+        # dense matrices for a mixed one
+        rows = _ladder_rows(sg, 0.0j, [0.0j] * batch, 0.0j, params.omega)
+        fixed = _ladder_banded(rows, dim).swapaxes(0, 1) if pure else dense(rows)
+
+    def truth_products(scalars, arr):
+        """(L x, A0 x) of every truth x of ``arr``: c1, c2 and w depend on
+        Xi alone, so every truth shares those of the first."""
+        if gains.all_zero:
+            return _band_apply(fixed, arr, buffers) if pure else fixed @ arr
+        c1, c2, _, w, _ = scalars[0]
+        coef = _ladder_rows(c1, c2, [sc[2] for sc in scalars], w, params.omega)
+        return _ladder_apply(coef, arr, buffers) if pure else dense(coef) @ arr
+
     n = _step_total(noises, T, dt, record_stride)
 
     n_rec = n // record_stride + 1
@@ -529,10 +554,10 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
 
     def step(t, arr, dw):
         nonlocal v, w_cov
-        scalars = [_feedback_scalars(gains, a_b, ie_b, v, w_cov, t, params,
-                                     ref) for a_b, ie_b in zip(a_hat, ie)]
-        coef = fixed if fixed is not None else truth_coefficients(scalars)
-        u, a0_x = _band_apply(coef, arr, buffers) if pure else coef @ arr
+        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w_cov, params)
+        scalars = [_feedback_scalars(gains, a_b, ie_b, r_t, dr_t, xi, params)
+                   for a_b, ie_b in zip(a_hat, ie)]
+        u, a0_x = truth_products(scalars, arr)
         arr, lam = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
         v, w_cov = _advance_covariances(v, w_cov, params, dt)
         dy = []
@@ -540,8 +565,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
             dy_b = lam[b] * dt + dw[b]
             dy.append(dy_b)
             di_f = dy_b - (sg * 2.0 * a_hat[b].real) * dt
-            a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], sc[6], sc[4],
-                                             sc[5], di_f, dt)
+            a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], r_t, sc[4], xi,
+                                             di_f, dt)
             if not (v >= -1e-10 and cmath.isfinite(ie[b])):
                 raise _at_column(DomainError(
                     f"filter left its domain (V={v}, "

@@ -7,7 +7,10 @@ both faster and simpler than sparse structures.  The one exception is
 the ladder basis a, a', a'a, a a', a^2, a'^2, whose members each have a
 single nonzero diagonal: a combination of them is kept either dense or
 as its few bands, which act on a vector by elementwise products on
-shifted slices in O(dim).
+shifted slices in O(dim).  A combination whose coefficients change at
+every step is not combined at all: the six basis products of the vector
+are formed once and contracted with the coefficients
+(``_ladder_apply``).
 
 Truncation policy: constructors check the population of the top two
 Fock levels and warn above 1e-8 (``TruncationWarning``) or raise above
@@ -238,6 +241,9 @@ def _mode_matrices(dim: int) -> dict:
 #: offsets -2..2 in order; a a' shares the main diagonal with a'a.
 _LADDER_KEYS = ("ad2", "ad", "n", "a", "a2", "aad")
 _LADDER_OFFSETS = (-2, -1, 0, 1, 2, 0)
+#: the row of the shifted window of ``_band_buffers`` that each ladder
+#: basis member reads
+_LADDER_WINDOW = np.array(_LADDER_OFFSETS) + 2
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +308,23 @@ def _band_apply(bands: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
     pad, window = buffers
     pad[:, 2:psi.shape[1] + 2] = psi
     return np.add.reduce(bands * window, axis=2)
+
+
+def _ladder_apply(coef: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
+    """(sum_j coef[b, i, j] X_j psi[b])_{i, b} for per-state ladder rows
+    ``coef`` (batch, rows, 6) on the stack psi (batch, dim), with the
+    ``_band_buffers`` of the stack.  Returns (rows, batch, dim), as
+    ``_band_apply`` does.
+
+    The six basis products X_j psi[b] are one gather of the shifted
+    window times ``_ladder_bands``; one batched matmul contracts them
+    with the coefficients, state by state, so every state of a stack
+    gets the bits of a lone state."""
+    pad, window = buffers
+    pad[:, 2:psi.shape[1] + 2] = psi
+    prods = window[:, _LADDER_WINDOW]
+    prods *= _ladder_bands(psi.shape[1])
+    return np.matmul(coef, prods).swapaxes(0, 1)
 
 
 def annihilation_op(dim: int) -> CavityOperator:

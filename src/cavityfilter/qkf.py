@@ -86,10 +86,19 @@ def _phases(theta: float) -> tuple[complex, complex, complex]:
     return e_p, cmath.exp(-1j * theta), e_p * e_p
 
 
-def _rhs(v: float, w: complex, phases, gamma: float, omega: float,
-         w_form: str) -> tuple[float, complex]:
+def _lead_is_v(w_form: str) -> bool:
+    """``w_form`` resolved for ``_rhs``: True for the printed "v" variant.
+    Raises ``DomainError`` for any value other than "w" and "v"."""
+    if w_form not in ("w", "v"):
+        raise DomainError(f"w_form must be 'w' or 'v', got {w_form!r}")
+    return w_form == "v"
+
+
+def _rhs(v: float, w: complex, phases, gamma: float, decay: complex,
+         lead_v: bool) -> tuple[float, complex]:
     """Raw Riccati right-hand side at the ``_phases`` of theta, python
-    scalars for speed.
+    scalars for speed; ``decay`` is -(gamma + 2i omega) and ``lead_v`` the
+    resolved ``w_form``.
 
     Squares are written as products so overflow yields inf (caught by the
     integrator as divergence) instead of an OverflowError mid-stage.
@@ -97,9 +106,9 @@ def _rhs(v: float, w: complex, phases, gamma: float, omega: float,
     e_p, e_m, e_pp = phases
     z = v + e_pp * w
     dv = -gamma * v - gamma * (z.real * z.real + z.imag * z.imag)
-    lead = w if w_form == "w" else v
+    lead = v if lead_v else w
     y = e_m * v + e_p * w
-    dw = -(gamma + 2j * omega) * lead - gamma * (y * y)
+    dw = decay * lead - gamma * (y * y)
     return dv, dw
 
 
@@ -119,10 +128,8 @@ def riccati_rhs(
     uses W there; "v" is an alternate printed convention that puts V in
     that slot and is kept only for comparison runs.
     """
-    if w_form not in ("w", "v"):
-        raise DomainError(f"w_form must be 'w' or 'v', got {w_form!r}")
     return _rhs(float(V), complex(W), _phases(float(theta)), params.gamma,
-                params.omega, w_form)
+                -(params.gamma + 2j * params.omega), _lead_is_v(w_form))
 
 
 def _advance_riccati(
@@ -133,22 +140,23 @@ def _advance_riccati(
     gamma: float,
     omega: float,
     theta_of_t: Callable[[float], float],
-    w_form: str = "w",
+    lead_v: bool = False,
 ) -> tuple[float, complex]:
     """One classical RK4 step of the covariance pair."""
     return _rk4_step(v, w, dt, gamma, omega, _phases(theta_of_t(t)),
                      _phases(theta_of_t(t + 0.5 * dt)),
-                     _phases(theta_of_t(t + dt)), w_form)
+                     _phases(theta_of_t(t + dt)), lead_v)
 
 
 def _rk4_step(v: float, w: complex, dt: float, gamma: float, omega: float,
-              ph1, ph2, ph4, w_form: str = "w") -> tuple[float, complex]:
+              ph1, ph2, ph4, lead_v: bool = False) -> tuple[float, complex]:
     """``_advance_riccati`` with the ``_phases`` at the step start, middle
     and end given."""
-    k1v, k1w = _rhs(v, w, ph1, gamma, omega, w_form)
-    k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, ph2, gamma, omega, w_form)
-    k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, ph2, gamma, omega, w_form)
-    k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, ph4, gamma, omega, w_form)
+    decay = -(gamma + 2j * omega)
+    k1v, k1w = _rhs(v, w, ph1, gamma, decay, lead_v)
+    k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, ph2, gamma, decay, lead_v)
+    k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, ph2, gamma, decay, lead_v)
+    k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, ph4, gamma, decay, lead_v)
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     w_new = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     if -1e-12 < v_new < 0.0:
@@ -186,9 +194,12 @@ def riccati_integrate(
 
     ``theta`` may be a constant or a callable of time.  Returns the
     sampled states every ``record_stride`` steps, starting with the
-    initial state.  Raises ``DivergenceError`` if the state leaves the
-    finite range (the Riccati flow can blow up only for unphysical data).
+    initial state.  ``w_form`` is that of ``riccati_rhs``, checked once
+    (``DomainError``) and resolved before the first step.  Raises
+    ``DivergenceError`` if the state leaves the finite range (the Riccati
+    flow can blow up only for unphysical data).
     """
+    lead_v = _lead_is_v(w_form)
     n = _step_count(T, dt, min_steps=0)
     if record_stride < 1:
         raise DomainError(f"record_stride={record_stride} must be >= 1")
@@ -197,7 +208,7 @@ def riccati_integrate(
     out = [initial]
     for k in range(n):
         v, w = _advance_riccati(v, w, t, dt, params.gamma, params.omega,
-                                theta_fn, w_form)
+                                theta_fn, lead_v)
         t = initial.t + (k + 1) * dt
         if not (math.isfinite(v) and cmath.isfinite(w)):
             raise DivergenceError(

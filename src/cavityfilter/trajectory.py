@@ -48,8 +48,10 @@ co-simulation in ``control`` passes the feedback scalars, the truth step
 and the filter updates of an ensemble shard.  The state-vector and
 Zakai steps are split into forming u = L psi (and w = A0 psi) and the
 update with its guard (``_sse_update`` for a stack, ``_zakai_update``),
-so every caller shares one update, and every row of a stack gets the
-bits of a lone state.
+so every caller shares one update.  The update takes <psi, L psi> and
+the norms of a whole stack from one ``np.vecdot`` over its flattened rows
+each and scales the rows of a stack by one array of row scalars, and
+every row of a stack gets the bits of a lone state.
 """
 
 from __future__ import annotations
@@ -194,8 +196,10 @@ class NoiseStream:
 
     The same (seed, dt) always reproduces the same increments
     bit-exactly; per-trajectory streams are derived by XOR-ing the
-    trajectory index into the seed, which never collides across an
-    ensemble."""
+    trajectory index into the seed.  Within one ensemble the streams are
+    distinct, but base seeds that differ only in their low bits replay
+    each other's trajectory sets: trajectory i of base seed s ^ 1 gets
+    the stream of trajectory i ^ 1 of base seed s."""
 
     seed: int
     dt: float
@@ -252,6 +256,21 @@ def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
     ]
 
 
+def _ladder_rows(c1: complex, c2: complex, zs, w: complex,
+                 omega: float) -> np.ndarray:
+    """The rows of L and A0 of ``_slh_coefficients`` for a batch of
+    truths that share c1, c2 and w and each have their own displacement
+    zs[b], as one (B, 2, 6) array.  Only the a' and a entries of A0,
+    -i z and -i conj(z), differ between the truths."""
+    l_row, a0_row, _ = _slh_coefficients(c1, c2, 0.0j, w, omega)
+    rows = []
+    for z in zs:
+        a0_row[1], a0_row[3] = -1j * z, -1j * z.conjugate()
+        rows += l_row
+        rows += a0_row
+    return np.array(rows, dtype=np.complex128).reshape(-1, 2, 6)
+
+
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
@@ -295,40 +314,57 @@ def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
                 cis: complex, dI, dt: float):
     """The step of ``_sse_kernel`` for a stack psi[b] of states (vectors
     or density factors) on the increments dI[b], from u = L psi and
-    w = A0 psi, however they were formed (dense products, or bands in the
-    co-simulation).  Returns the stack and the list of lambdas.
+    w = A0 psi, however they were formed (dense products, or ladder
+    products in the co-simulation).  Returns the stack and the list of
+    lambdas.
 
-    The per-state scalars lam and the norm are row-wise ``np.vdot``s and
-    the rest is elementwise, so every row gets the bits of a lone state.
-    A row that fails the norm guard raises, naming the row as
-    ``column``."""
-    lam, keep, move = [], [], []
-    for b, di in enumerate(dI):
-        lam_b = 2.0 * (cis * complex(np.vdot(psi[b], u[b]))).real
+    <psi[b], u[b]> and the squared norms come from ``_row_dots``; the
+    row scalars keep and move are one array (``_row_scalars``) and the
+    rest is elementwise, so every row gets the bits of a lone state.  A
+    row that fails the norm guard raises, naming the row as ``column``."""
+    lam, rows = [], []
+    for d, di in zip(_row_dots(psi, u), dI):
+        lam_b = 2.0 * (cis * d).real
         lam.append(lam_b)
-        keep.append(1.0 - (0.125 * lam_b * lam_b) * dt - (0.5 * lam_b) * di)
-        move.append((0.5 * lam_b) * dt + di)
-    psi_new = _per_row(keep, psi.ndim) * psi
+        rows += (1.0 - (0.125 * lam_b * lam_b) * dt - (0.5 * lam_b) * di,
+                 (0.5 * lam_b) * dt + di)
+    keep, move = _row_scalars(rows, psi.shape)
+    psi_new = keep * psi
     psi_new += dt * w
-    psi_new += _per_row(move, psi.ndim) * (u if cis == 1.0 else cis * u)
+    psi_new += move * (u if cis == 1.0 else cis * u)
     scale = []
-    for b, row in enumerate(psi_new):
-        nrm = math.sqrt(np.vdot(row, row).real)
+    for b, sq in enumerate(_row_dots(psi_new, psi_new)):
+        nrm = math.sqrt(sq.real)
         if not abs(nrm - 1.0) <= NORM_GUARD:
             raise _at_column(StepSizeError(
                 f"norm moved to {nrm:.6f} in one step; reduce dt"), b)
         scale.append(1.0 / nrm)
-    psi_new *= _per_row(scale, psi.ndim)
+    (scale,) = _row_scalars(scale, psi.shape)
+    psi_new *= scale
     return psi_new, lam
 
 
-def _per_row(values: list, ndim: int):
-    """Row scalars shaped to scale the rows of an ndim-dimensional stack:
-    a (B, 1, ...) column, or the plain scalar of a one-row stack (the
-    same products, without a broadcast)."""
-    if len(values) == 1:
-        return values[0]
-    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+def _row_scalars(values: list, shape: tuple):
+    """The row scalars ``values`` of a stack of ``shape``, k per row and
+    row by row, as k columns (B, 1, ...) of one complex array that scale
+    the rows; for a one-row stack, as the k plain scalars.  A real scalar
+    multiplies a complex row as the complex k + 0i either way, so both
+    give the same bits, and the plain scalars spare a one-row stack the
+    cost of a broadcast operand."""
+    if shape[0] == 1:
+        return values
+    return np.array(values, dtype=np.complex128).reshape(
+        shape[:1] + (-1,) + (1,) * (len(shape) - 1)).swapaxes(0, 1)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> list:
+    """<x[b], y[b]> of two stacks, as a list of complex: one ``np.vecdot``
+    over the flattened rows, which gives the bits of a row-wise
+    ``np.vdot``, or the ``np.vdot`` itself for a one-row stack, where it
+    costs less."""
+    if len(x) == 1:
+        return [complex(np.vdot(x, y))]
+    return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1)).tolist()
 
 
 def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:

@@ -18,6 +18,7 @@ from cavityfilter.fock import (
     _band_apply,
     _band_buffers,
     _gaussian_vector,
+    _ladder_apply,
     _ladder_banded,
     _ladder_dense,
     annihilation_op,
@@ -30,6 +31,7 @@ from cavityfilter.control import (
     PIDGains,
     ReferenceSignal,
     _feedback_scalars,
+    _shared_scalars,
     closed_loop_cosim,
     controlled_slh,
     drift_estimate,
@@ -40,6 +42,7 @@ from cavityfilter.control import (
 )
 from cavityfilter.trajectory import (
     NoiseStream,
+    _ladder_rows,
     _slh_coefficients,
     damped_cavity_slh,
     run_trajectory,
@@ -392,9 +395,9 @@ def _reference_slh(gains, a_hat, ie, v, w, t, params, ref, dim):
 @pytest.mark.parametrize("kp,ki,kd", [(2.0, 0.0, 0.0), (0.0, 1.5, 0.0),
                                       (0.0, 0.0, 0.7), (2.0, 1.5, 0.7)])
 def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
-    # the banded (L psi, A0 psi) of the SSE path and the dense (L, A0,
-    # H) rows both equal the term-by-term assembly, as does the public
-    # controlled_slh built from the same scalars
+    # the banded and the contracted (L psi, A0 psi) of the SSE path and
+    # the dense (L, A0, H) rows all equal the term-by-term assembly, as
+    # does the public controlled_slh built from the same scalars
     rng = np.random.default_rng(dim)
     params = ModeParams(1.3, 0.4)
     ref = ReferenceSignal("ramp", 0.3, slope=0.7)
@@ -416,8 +419,9 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         assert np.max(np.abs(slh.l.entries - l_ref)) < 1e-12
         assert np.max(np.abs(slh.h.entries - h_ref)) < 1e-12
 
-        c1, c2, z, wz, *_ = _feedback_scalars(gains, a_hat, ie, v, w, t,
-                                              params, ref)
+        c1, c2, z, wz, _ = _feedback_scalars(
+            gains, a_hat, ie, *_shared_scalars(gains, ref, t, v, w, params),
+            params)
         rows = _slh_coefficients(c1, c2, z, wz, params.omega)
         dense = _ladder_dense(rows, dim)
         for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
@@ -430,11 +434,22 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
         assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
 
+        # the batch rows carry the bits of the scalar rows, also for the
+        # zero displacement of a zero-gain step
+        coef = _ladder_rows(c1, c2, [z, 0.0j], wz, params.omega)
+        zero = _slh_coefficients(c1, c2, 0.0j, wz, params.omega)
+        assert coef.tobytes() == np.array([rows[:2], zero[:2]]).tobytes()
+        coef = coef[:1]
+        l_psi, a0_psi = _ladder_apply(coef, psi[None], buffers)[:, 0]
+        assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
+        assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
+
 
 def test_band_apply_is_batch_invariant():
     # every row of a (B, dim) stack gets the bits of a lone state, with
     # bands shared by the stack or one set per row, in the (rows, B, 5,
-    # dim) layout the lockstep co-simulation applies
+    # dim) layout the lockstep co-simulation applies, and so does the
+    # contraction of per-row ladder rows that a step under feedback takes
     rng = np.random.default_rng(3)
     rows = [_slh_coefficients(*(complex(*rng.normal(size=2))
                                 for _ in range(4)), 0.5)[:2]
@@ -454,6 +469,40 @@ def test_band_apply_is_batch_invariant():
                 assert np.array_equal(got[:, b], alone[:, 0])
             for got, mat in zip(own[:, b], _ladder_dense(rows[b], dim)):
                 assert np.max(np.abs(got - mat @ psis[b])) < 1e-12
+        coef = np.array(rows[:batch])
+        contracted = _ladder_apply(coef, psis, _band_buffers(dim, batch))
+        for b in range(batch):
+            alone = _ladder_apply(coef[b:b + 1], psis[b:b + 1],
+                                  _band_buffers(dim))
+            assert contracted[:, b].tobytes() == alone[:, 0].tobytes()
+            for got, mat in zip(contracted[:, b], _ladder_dense(rows[b], dim)):
+                assert np.max(np.abs(got - mat @ psis[b])) < 1e-12
+
+
+def test_estimation_error_does_not_depend_on_the_gains():
+    # separation under feedback: the gains act through the record, so
+    # along one noise path the conditional squared error of the filter
+    # stays that of the zero-gain run while a_hat itself moves; the
+    # filter starts from a thermal prior, so Xi != 0 and the loop feeds
+    # back through all of c1, c2, z and w
+    params, dim, dt = ModeParams(1.0, 0.5), 30, 5e-4
+
+    def run(gains):
+        rec = closed_loop_cosim(0.0, CovariancePair(0.5, 0.0j), gains,
+                                ReferenceSignal("step", 1.0), params, dim,
+                                NoiseStream(3, dt), 1.0, dt, record_stride=10,
+                                truth_alpha=0.4 + 0.2j,
+                                truth_cov=CovariancePair(0.0, 0.0j))
+        sq = (rec.truth_mean_n
+              - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
+              + np.abs(rec.a_hat) ** 2)
+        return rec.a_hat, sq
+
+    a_free, sq_free = run(PIDGains(0.0))
+    for gains in (PIDGains(2.0, 1.0), PIDGains(2.0, 1.0, 0.5)):
+        a_hat, sq = run(gains)
+        assert np.max(np.abs(sq - sq_free)) < 1e-3
+        assert np.max(np.abs(a_hat - a_free)) >= 0.1
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),

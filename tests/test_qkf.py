@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from cavityfilter.control import PIDGains, ReferenceSignal, closed_loop_cosim
 from cavityfilter.errors import DivergenceError, DomainError
+from cavityfilter.fock import CovariancePair
 from cavityfilter.qkf import (
     ModeParams,
     QKFState,
@@ -15,6 +17,7 @@ from cavityfilter.qkf import (
     riccati_integrate,
     riccati_rhs,
 )
+from cavityfilter.trajectory import NoiseStream
 
 
 def test_vacuum_is_fixed_point_for_any_phase():
@@ -38,6 +41,21 @@ def test_printed_variant_first_term():
     dv_v, dw_v = riccati_rhs(1.0, 0.5 + 0.0j, 0.0, ModeParams(1.0, 0.0), w_form="v")
     assert dv_w == dv_v
     assert abs((dw_w - dw_v) - (-1.0) * (0.5 - 1.0)) < 1e-15
+
+
+def test_unknown_w_form_is_rejected():
+    # the integrator checks the convention itself, before the first step;
+    # an unknown value used to integrate the printed "v" variant silently
+    params = ModeParams(1.0, 0.0)
+    with pytest.raises(DomainError, match="w_form"):
+        riccati_rhs(1.0, 0.5, 0.0, params, w_form="bogus")
+    with pytest.raises(DomainError, match="w_form"):
+        riccati_integrate(RiccatiState(1.0, 0.5), 0.0, params, 1e-3, 0.01,
+                          w_form="bogus")
+    w_run, v_run = (riccati_integrate(RiccatiState(1.0, 0.5), 0.0, params,
+                                      1e-3, 0.01, w_form=form)[-1]
+                    for form in ("w", "v"))
+    assert w_run.W != v_run.W
 
 
 def test_dv_is_real_by_construction():
@@ -72,6 +90,36 @@ def test_integrate_keeps_v_nonnegative_for_physical_data():
                 RiccatiState(v0, w0), theta, params, 1e-3, 5.0
             )
             assert min(s.V for s in series) >= -1e-10
+
+
+def _untilted_closed_form(v0, w0, gamma, t):
+    """(V, W)(t) at omega = 0, theta = 0 and real W0: u = V + W obeys
+    du/dt = -gamma u - 2 gamma u^2, and V - W decays as e^{-gamma t}."""
+    decay = np.exp(-gamma * np.asarray(t))
+    u = (v0 + w0) * decay / (1.0 + 2.0 * (v0 + w0) * (1.0 - decay))
+    d = (v0 - w0) * decay
+    return 0.5 * (u + d), 0.5 * (u - d)
+
+
+@pytest.mark.parametrize("v0,w0,gamma", [(0.5, 0.0, 1.0), (1.2, 0.3, 2.5)])
+def test_untilted_riccati_matches_closed_form(v0, w0, gamma):
+    # RK4 at dt = 1e-3 reads 1e-14 and 2.4e-11 against the exact pair
+    params = ModeParams(gamma, 0.0)
+    series = riccati_integrate(RiccatiState(v0, w0), 0.0, params, 1e-3, 2.0)
+    v_ref, w_ref = _untilted_closed_form(v0, w0, gamma, [s.t for s in series])
+    assert np.max(np.abs(np.array([s.V for s in series]) - v_ref)) < 1e-9
+    assert np.max(np.abs(np.array([s.W for s in series]) - w_ref)) < 1e-9
+    # the co-simulation advances the same pair once per step under PID
+    # feedback, whose Xi gain reads it
+    rec = closed_loop_cosim(0.0, CovariancePair(v0, w0),
+                            PIDGains(2.0, 1.0, 0.5),
+                            ReferenceSignal("step", 0.3), params, 12,
+                            NoiseStream(11, 1e-3), 2.0, 1e-3,
+                            record_stride=50,
+                            truth_cov=CovariancePair(0.0, 0.0j))
+    v_ref, w_ref = _untilted_closed_form(v0, w0, gamma, rec.t)
+    assert np.max(np.abs(rec.V - v_ref)) < 1e-9
+    assert np.max(np.abs(rec.W - w_ref)) < 1e-9
 
 
 def test_integrate_divergence_detected():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -443,6 +444,35 @@ def test_sse_norm_guard_fires():
     with pytest.raises(StepSizeError):
         for _ in range(100):
             state = sse_step(state, slh, 0.0, 0.9, 0.5)
+
+
+@pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
+def test_sse_update_row_scalars_have_lone_row_bits(rank):
+    # lambda and the norms of a stack come from one np.vecdot over the
+    # flattened rows: each equals np.vdot on its row alone, bit for bit,
+    # and every row of the update is that of the row stepped alone
+    rng = np.random.default_rng(7)
+    for dim, batch in itertools.product((7, 12, 30), (1, 2, 5, 9)):
+        shape = (batch, dim) if rank is None else (batch, dim, rank)
+        col = (batch,) + (1,) * (len(shape) - 1)
+        psi, u, w = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                     for _ in range(3))
+        psi /= np.sqrt(np.vecdot(psi.reshape(batch, -1),
+                                 psi.reshape(batch, -1)).real).reshape(col)
+        u *= 0.1
+        dI = tuple(rng.normal(0.0, 1e-3, batch).tolist())
+        lone = [complex(np.vdot(psi[b], u[b])) for b in range(batch)]
+        assert (np.array(trajectory._row_dots(psi, u)).tobytes()
+                == np.array(lone).tobytes())
+        new, lam = trajectory._sse_update(psi, u, w, 1.0 + 0.0j, dI, 1e-4)
+        norms = trajectory._row_dots(new, new)
+        for b in range(batch):
+            alone, lam_b = trajectory._sse_update(
+                psi[b:b + 1], u[b:b + 1], w[b:b + 1], 1.0 + 0.0j,
+                dI[b:b + 1], 1e-4)
+            assert new[b].tobytes() == alone[0].tobytes()
+            assert lam[b] == lam_b[0] == 2.0 * lone[b].real
+            assert norms[b] == complex(np.vdot(new[b], new[b]))
 
 
 def test_step_validation():
