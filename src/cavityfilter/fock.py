@@ -16,6 +16,11 @@ Truncation policy: constructors check the population of the top two
 Fock levels and warn above 1e-8 (``TruncationWarning``) or raise above
 1e-4 (``TruncationError``).  Silent truncation bias is the dominant
 failure mode of Fock-space simulations, so it is never silent here.
+
+``scipy.linalg`` is imported on the first call of ``_expm``, which only
+squeezed or displaced Gaussian priors reach: importing it costs more than
+the rest of the package, and thermal, vacuum and coherent priors never
+need it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
 
 from .errors import (
     DimensionError,
@@ -354,6 +358,14 @@ def identity_op(dim: int) -> CavityOperator:
 # state constructors
 
 
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on first use (see the module
+    docstring)."""
+    from scipy.linalg import expm
+
+    return expm(mat)
+
+
 def _check_truncation(top_two_population: float, what: str) -> None:
     if top_two_population > LEAK_ERROR:
         raise TruncationError(
@@ -450,10 +462,10 @@ def gaussian_state(alpha: complex, cov: CovariancePair, dim: int) -> DensityOper
 
     rho = np.diag(_thermal_diag(nbar, dim)).astype(np.complex128)
     if r > 0.0:
-        squeeze = expm(0.5 * (np.conj(xi) * a2 - xi * ad2))
+        squeeze = _expm(0.5 * (np.conj(xi) * a2 - xi * ad2))
         rho = squeeze @ rho @ squeeze.conj().T
     if alpha != 0.0:
-        displace = expm(alpha * ad - np.conj(alpha) * a)
+        displace = _expm(alpha * ad - np.conj(alpha) * a)
         rho = displace @ rho @ displace.conj().T
 
     rho = 0.5 * (rho + rho.conj().T)
@@ -497,9 +509,9 @@ def _gaussian_vector(alpha: complex, cov: CovariancePair, dim: int) -> StateVect
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
     if r > 0.0:
-        psi = expm(0.5 * (np.conj(xi) * a2 - xi * ad2)) @ psi
+        psi = _expm(0.5 * (np.conj(xi) * a2 - xi * ad2)) @ psi
     if alpha != 0.0:
-        psi = expm(alpha * ad - np.conj(alpha) * a) @ psi
+        psi = _expm(alpha * ad - np.conj(alpha) * a) @ psi
     nrm2 = float(np.vdot(psi, psi).real)
     top_two = float((abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2) / nrm2)
     _check_truncation(top_two, f"gaussian_vector(V={cov.V}, W={cov.W})")
@@ -532,9 +544,9 @@ def expectation(op: CavityOperator, state) -> complex:
     raise DomainError(f"unsupported state type {type(state).__name__}")
 
 
-def _moments_from_vector(psi: np.ndarray, a: np.ndarray):
-    """(<a>, <a'a>, <a^2>) of a possibly unnormalized vector."""
-    n2 = np.vdot(psi, psi).real
+def _moments_from_vector(psi: np.ndarray, a: np.ndarray, n2: float):
+    """(<a>, <a'a>, <a^2>) of a possibly unnormalized vector whose
+    squared norm is ``n2``."""
     u = a @ psi
     mean_a = np.vdot(psi, u) / n2
     mean_n = np.vdot(u, u).real / n2
@@ -563,8 +575,9 @@ def conditional_covariances(state) -> CovariancePair:
     is discarded) and W = <a^2> - <a>^2.
     """
     if isinstance(state, StateVector):
-        a = _annihilation_matrix(state.dim)
-        mean_a, mean_n, mean_a2 = _moments_from_vector(state.amplitudes, a)
+        psi = state.amplitudes
+        mean_a, mean_n, mean_a2 = _moments_from_vector(
+            psi, _annihilation_matrix(state.dim), np.vdot(psi, psi).real)
     elif isinstance(state, DensityOperator):
         mean_a, mean_n, mean_a2 = _moments_from_density(state.entries, state.dim)
     else:

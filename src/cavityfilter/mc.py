@@ -30,13 +30,16 @@ of its own one-trajectory run, and the reduction is sequential in index
 order, so aggregate bytes depend neither on the worker count nor on the
 shard size.  When several trajectories fail, the lowest failing index is
 reported, with the error its own run raises.
+
+``concurrent.futures`` is imported only by a run with more than one
+shard, so a one-process CLI run does not load the process-pool machinery
+at start-up.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -259,6 +262,8 @@ def run_ensemble(config: EnsembleConfig, scenario) -> EnsembleResult:
     shards = [(scenario, config, range(lo, min(lo + size, config.n_traj)))
               for lo in range(0, config.n_traj, size)]
     if len(shards) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             return _reduce(config, chain.from_iterable(
                 pool.map(_run_shard, shards)))

@@ -72,6 +72,7 @@ from .errors import (
     CavityFilterError,
 )
 from .fock import (
+    LEAK_WARN,
     CavityOperator,
     DensityOperator,
     StateVector,
@@ -620,15 +621,17 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     def record(idx: int):
         t = idx * stride * dt
         for b, x in enumerate(arr):
-            ma, mn, ma2 = _moments_from_vector(x, a_mat)
-            pop = np.vdot(x[-2:], x[-2:]).real / np.vdot(x, x).real
-            try:
-                _check_truncation(float(pop), f"{what} (t={t:.4g})")
-            except CavityFilterError as exc:
-                raise _at_column(exc, b)
-            rec_a[b, idx] = ma
-            rec_n[b, idx] = mn
-            rec_a2[b, idx] = ma2
+            n2 = np.vdot(x, x).real
+            rec_a[b, idx], rec_n[b, idx], rec_a2[b, idx] = (
+                _moments_from_vector(x, a_mat, n2))
+            pop = np.vdot(x[-2:], x[-2:]).real / n2
+            # the check acts only above its warning level, so the label
+            # is formatted only then
+            if pop > LEAK_WARN:
+                try:
+                    _check_truncation(float(pop), f"{what} (t={t:.4g})")
+                except CavityFilterError as exc:
+                    raise _at_column(exc, b)
         rec_t[idx] = t
         rec_y[:, idx] = y_acc
         rec_i[:, idx] = i_acc[idx * stride - start]

@@ -118,6 +118,28 @@ def test_kalman_bucy_steady_state_variance():
     assert abs(state.P - (math.sqrt(3.0) - 1.0)) < 1e-6
 
 
+@pytest.mark.parametrize("a,h,q,p0", [(-1.0, 1.0, 0.5, 2.0),
+                                       (0.7, 2.0, 1.5, 0.05)],
+                         ids=["stable-from-above", "unstable-from-below"])
+def test_kalman_bucy_variance_matches_closed_form(a, h, q, p0):
+    # dP/dt = 2AP + Q - H^2 P^2 = -H^2 (P - P+)(P - P-) with
+    # P+- = (A +- s)/H^2, s = sqrt(A^2 + H^2 Q), so the ratio
+    # (P - P+)/(P - P-) decays exactly as e^{-2st}; RK4 errs by ~dt^4
+    model = ScalarLGModel(A=a, B=0.0, H=h, Q=q)
+    dt, n = 1e-3, 2000
+    s = math.sqrt(a * a + h * h * q)
+    p_plus, p_minus = (a + s) / (h * h), (a - s) / (h * h)
+    ratio0 = (p0 - p_plus) / (p0 - p_minus)
+    state = DiscreteKalmanState(0.0, p0)
+    worst = 0.0
+    for k in range(1, n + 1):
+        state = kalman_bucy_step(state, 0.0, 0.0, dt, model)
+        ratio = ratio0 * math.exp(-2.0 * s * k * dt)
+        exact = (p_plus - ratio * p_minus) / (1.0 - ratio)
+        worst = max(worst, abs(state.P - exact))
+    assert worst <= 1e-9
+
+
 def test_kalman_bucy_matches_discrete_filter_variance():
     # continuous model dX = A X dt + dW, dY = H X dt + dV discretized with
     # A_d = 1 + A dt, Q_d = Q dt, H_d = H sqrt(dt), unit discrete noise

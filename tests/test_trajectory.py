@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +14,7 @@ from cavityfilter.errors import (
     DomainError,
     NormBoundsError,
     StepSizeError,
+    TruncationWarning,
 )
 from cavityfilter.fock import (
     CavityOperator,
@@ -565,6 +568,30 @@ def test_stepper_errors_carry_step_index():
     with pytest.raises(StepSizeError, match=r"step \d+"):
         run_trajectory(coherent_state(1.5, dim), slh, 0.0,
                        NoiseStream(3, 0.5), 50.0, 0.5, mode="sse")
+
+
+@pytest.mark.filterwarnings("ignore::cavityfilter.errors.TruncationWarning")
+def test_record_truncation_warning_keeps_its_label_and_frame():
+    # a record formats its truncation label only when the check acts; the
+    # warning keeps its text, its category and the frame it names (the
+    # trajectory loop), for vectors and density factors alike
+    dim = 12
+    slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
+    psi = coherent_state(1.0, dim)  # top two levels hold ~1e-7
+    for initial, mode in ((psi, "sse"), (DensityOperator(
+            dim, np.outer(psi.amplitudes, psi.amplitudes.conj())), "sme")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_trajectory(initial, slh, 0.0, NoiseStream(5, 1e-3), 4e-3,
+                           1e-3, mode=mode, record_stride=2)
+        assert len(caught) == 3
+        for w, t in zip(caught, ("0", "0.002", "0.004")):
+            assert w.category is TruncationWarning
+            assert w.filename == trajectory.__file__
+            assert re.fullmatch(
+                rf"trajectory \(t={t}\): top two Fock levels hold "
+                r"\d\.\d{3}e-0[5-8] of the population; results may carry "
+                r"truncation bias", str(w.message))
 
 
 @pytest.mark.parametrize("mode,theta,error", [
