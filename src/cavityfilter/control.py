@@ -36,8 +36,9 @@ the loop's record of the truth.
 The loop steps a batch of truths in lockstep (``_cosim``), which is how
 an ensemble shard runs; a single co-simulation is the batch of one.
 Every filter of a batch starts from the same covariances, so each step
-evaluates what the filters share once: the Riccati step, and r(t),
-dr/dt and the Xi gain (``_shared_scalars``).  Each truth keeps its own
+evaluates what the filters share once: it draws the Riccati pair from
+the batch's one ``qkf._covariances`` generator, and computes r(t), dr/dt
+and the Xi gain (``_shared_scalars``).  Each truth keeps its own
 filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
 in z.  Pure truths are stepped as one (B, dim) stack.  Under feedback
@@ -75,9 +76,8 @@ from .qkf import (
     ModeParams,
     QKFState,
     RiccatiState,
+    _covariances,
     _mean_update,
-    _phases,
-    _rk4_step,
     _step_count,
 )
 from .trajectory import (
@@ -346,23 +346,12 @@ def controlled_slh(
 def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
                    drift: complex, xi: complex, dI: float, dt: float):
     """(a_hat, integral_error) one closed-loop filter step later; the
-    covariance pair takes its own ``_advance_covariances`` step.
+    covariance pair takes its own step of ``qkf._covariances``.
 
     The one copy of the update arithmetic, shared by ``pid_filter_step``
     and the co-simulation loop."""
     a_new = _mean_update(a_hat, drift, xi, dI, dt)
     return a_new, integral_error + error_signal(r_t, a_hat) * dt
-
-
-#: the ``_phases`` of the untilted quadrature theta = 0
-_UNTILTED = _phases(0.0)
-
-
-def _advance_covariances(V: float, W: complex, params: ModeParams,
-                         dt: float):
-    """(V, W) one RK4 step of the theta = 0 Riccati pair later."""
-    return _rk4_step(V, W, dt, params.gamma, params.omega, _UNTILTED,
-                     _UNTILTED, _UNTILTED)
 
 
 def pid_filter_step(
@@ -390,7 +379,7 @@ def pid_filter_step(
                       params)
     a_new, ie_new = _filter_update(filt.a_hat, state.integral_error, r_t,
                                    drift, xi, dI, dt)
-    v_new, w_new = _advance_covariances(ric.V, ric.W, params, dt)
+    v_new, w_new = next(_covariances(ric.V, ric.W, 0.0, params, dt))
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
         integral_error=ie_new,
@@ -494,8 +483,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``ClosedLoopRecord`` per truth, each bit for bit that of its own
     one-truth run.
 
-    Every filter starts from the same covariances, so the Riccati pair,
-    r(t), dr/dt and Xi are evaluated once per step for the whole batch;
+    Every filter starts from the same covariances, so the Riccati pair
+    (one draw from the batch's ``qkf._covariances`` generator), r(t),
+    dr/dt and Xi are evaluated once per step for the whole batch;
     the means, integral errors, drifts and displacements are kept per
     truth.  A pure batch is stepped as one (B, dim) stack through one
     contraction of its ladder-basis products (one band application
@@ -528,6 +518,7 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     i_filter = [0.0] * batch
     qv = [0.0] * batch
     v, w_cov = cov.V, cov.W
+    pairs = _covariances(v, w_cov, 0.0, params, dt)
     sg = math.sqrt(params.gamma)
     if gains.all_zero:
         # constant coefficients, combined once: bands for a pure batch,
@@ -559,7 +550,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
                    for a_b, ie_b in zip(a_hat, ie)]
         u, a0_x = truth_products(scalars, arr)
         arr, lam = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
-        v, w_cov = _advance_covariances(v, w_cov, params, dt)
+        v, w_cov = next(pairs)
+        v_ok = v >= -1e-10
         dy = []
         for b, sc in enumerate(scalars):
             dy_b = lam[b] * dt + dw[b]
@@ -567,7 +559,7 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
             di_f = dy_b - (sg * 2.0 * a_hat[b].real) * dt
             a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], r_t, sc[4], xi,
                                              di_f, dt)
-            if not (v >= -1e-10 and cmath.isfinite(ie[b])):
+            if not (v_ok and cmath.isfinite(ie[b])):
                 raise _at_column(DomainError(
                     f"filter left its domain (V={v}, "
                     f"integral_error={ie[b]})"), b)

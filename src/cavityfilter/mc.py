@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import CavityFilterError, ConfigError, DomainError
 from .fock import CovariancePair
-from .qkf import ModeParams, RiccatiState
+from .qkf import ModeParams, RiccatiState, _step_count
 from .control import PIDGains, ReferenceSignal, _cosim
 from .trajectory import NoiseStream
 
@@ -96,6 +96,7 @@ class EnsembleConfig:
         if self.record_stride < 1:
             raise DomainError(
                 f"record_stride must be >= 1, got {self.record_stride}")
+        _step_count(self.T, self.dt, self.record_stride)
 
 
 @dataclass(frozen=True)

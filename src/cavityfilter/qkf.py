@@ -5,8 +5,11 @@ at phase theta, the conditional mean a_hat and the conditional second
 moments (V, W) close on themselves: (V, W) obey a deterministic coupled
 Riccati pair and a_hat follows a linear recursion driven by the
 innovations.  The covariances are integrated with classical RK4 (they
-are smooth ODEs); the mean takes Euler-Maruyama steps with the gain
-frozen at the step start, as the stochastic calculus requires.
+are smooth ODEs) by one generator, ``_covariances``, which advances the
+pair for every consumer: ``riccati_integrate``, ``qkf_step``,
+``control.pid_filter_step`` and each co-simulation batch.  The mean
+takes Euler-Maruyama steps with the gain frozen at the step start, as the
+stochastic calculus requires.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DivergenceError, DomainError
 
@@ -132,36 +135,41 @@ def riccati_rhs(
                 -(params.gamma + 2j * params.omega), _lead_is_v(w_form))
 
 
-def _advance_riccati(
-    v: float,
-    w: complex,
-    t: float,
-    dt: float,
-    gamma: float,
-    omega: float,
-    theta_of_t: Callable[[float], float],
-    lead_v: bool = False,
-) -> tuple[float, complex]:
-    """One classical RK4 step of the covariance pair."""
-    return _rk4_step(v, w, dt, gamma, omega, _phases(theta_of_t(t)),
-                     _phases(theta_of_t(t + 0.5 * dt)),
-                     _phases(theta_of_t(t + dt)), lead_v)
+def _covariances(V: float, W: complex, theta, params: ModeParams, dt: float,
+                 t0: float = 0.0, lead_v: bool = False):
+    """Yield the covariance pair (V, W) after each classical RK4 step of
+    ``dt`` from (V, W) at ``t0``: the one recursion of the pair.
 
-
-def _rk4_step(v: float, w: complex, dt: float, gamma: float, omega: float,
-              ph1, ph2, ph4, lead_v: bool = False) -> tuple[float, complex]:
-    """``_advance_riccati`` with the ``_phases`` at the step start, middle
-    and end given."""
-    decay = -(gamma + 2j * omega)
-    k1v, k1w = _rhs(v, w, ph1, gamma, decay, lead_v)
-    k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, ph2, gamma, decay, lead_v)
-    k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, ph2, gamma, decay, lead_v)
-    k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, ph4, gamma, decay, lead_v)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    w_new = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    if -1e-12 < v_new < 0.0:
-        v_new = 0.0
-    return v_new, w_new
+    ``theta`` is a constant, whose ``_phases`` are resolved once, or a
+    callable of time, read at the start, middle and end of every step.
+    ``lead_v`` is the resolved ``w_form``.  Raises ``DivergenceError`` at
+    the first step that leaves the finite range.
+    """
+    gamma = params.gamma
+    decay = -(gamma + 2j * params.omega)
+    theta_of_t = theta if callable(theta) else None
+    if theta_of_t is None:
+        ph1 = ph2 = ph4 = _phases(float(theta))
+    v, w, t, k = V, W, t0, 0
+    while True:
+        if theta_of_t is not None:
+            ph1 = _phases(theta_of_t(t))
+            ph2 = _phases(theta_of_t(t + 0.5 * dt))
+            ph4 = _phases(theta_of_t(t + dt))
+        k1v, k1w = _rhs(v, w, ph1, gamma, decay, lead_v)
+        k2v, k2w = _rhs(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, ph2, gamma, decay, lead_v)
+        k3v, k3w = _rhs(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, ph2, gamma, decay, lead_v)
+        k4v, k4w = _rhs(v + dt * k3v, w + dt * k3w, ph4, gamma, decay, lead_v)
+        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        w = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if -1e-12 < v < 0.0:
+            v = 0.0
+        k += 1
+        t = t0 + k * dt
+        if not (math.isfinite(v) and cmath.isfinite(w)):
+            raise DivergenceError(
+                f"covariance integration diverged at step {k} (t={t})")
+        yield v, w
 
 
 def _mean_update(a_hat: complex, drift: complex, gain: complex,
@@ -172,13 +180,6 @@ def _mean_update(a_hat: complex, drift: complex, gain: complex,
     arithmetic when their coefficients coincide.
     """
     return a_hat + drift * dt + gain * dI
-
-
-def _as_theta_fn(theta) -> Callable[[float], float]:
-    if callable(theta):
-        return theta
-    val = float(theta)
-    return lambda _t: val
 
 
 def riccati_integrate(
@@ -203,19 +204,12 @@ def riccati_integrate(
     n = _step_count(T, dt, min_steps=0)
     if record_stride < 1:
         raise DomainError(f"record_stride={record_stride} must be >= 1")
-    theta_fn = _as_theta_fn(theta)
-    v, w, t = initial.V, initial.W, initial.t
+    pairs = _covariances(initial.V, initial.W, theta, params, dt, initial.t,
+                         lead_v)
     out = [initial]
-    for k in range(n):
-        v, w = _advance_riccati(v, w, t, dt, params.gamma, params.omega,
-                                theta_fn, lead_v)
-        t = initial.t + (k + 1) * dt
-        if not (math.isfinite(v) and cmath.isfinite(w)):
-            raise DivergenceError(
-                f"covariance integration diverged at step {k + 1} (t={t})"
-            )
-        if (k + 1) % record_stride == 0 or k == n - 1:
-            out.append(RiccatiState(v, w, t))
+    for k, (v, w) in zip(range(1, n + 1), pairs):
+        if k % record_stride == 0 or k == n:
+            out.append(RiccatiState(v, w, initial.t + k * dt))
     return out
 
 
@@ -249,7 +243,7 @@ def qkf_step(
         drift = drift + beta
     gain = math.sqrt(gamma) * (w * cmath.exp(1j * theta) + v * cmath.exp(-1j * theta))
     a_new = _mean_update(state.a_hat, drift, gain, dI, dt)
-    v_new, w_new = _advance_riccati(v, w, t, dt, gamma, omega, lambda _t: theta)
+    v_new, w_new = next(_covariances(v, w, theta, params, dt, t))
     return QKFState(a_new, RiccatiState(v_new, w_new, t + dt))
 
 

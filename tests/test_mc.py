@@ -49,6 +49,16 @@ def test_config_validation():
         EnsembleConfig(1, 1.0, 1e-3, 0, "x", record_stride=0)
 
 
+def test_config_rejects_a_grid_that_does_not_tile_the_run():
+    # checked where the config is built, not reported later as the
+    # failure of trajectory 0 of the first shard
+    with pytest.raises(DomainError, match=r"^dt=0\.3 does not divide T=1\.0$"):
+        EnsembleConfig(4, 1.0, 0.3, 1, "x")
+    with pytest.raises(DomainError,
+                       match=r"^record_stride=3 does not divide 10 steps$"):
+        EnsembleConfig(4, 1.0, 0.1, 1, "x", record_stride=3)
+
+
 def test_single_trajectory_matches_direct_run_bitwise():
     sc = FilterScenario(params=PARAMS, dim=14, alpha=0.5, cov=VACUUM)
     cfg = EnsembleConfig(1, 0.1, 1e-3, 42, "unit", record_stride=10)

@@ -4,9 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from cavityfilter.control import PIDGains, ReferenceSignal, closed_loop_cosim
+from cavityfilter import qkf
+from cavityfilter.control import (
+    ClosedLoopState,
+    PIDGains,
+    ReferenceSignal,
+    _cosim,
+    closed_loop_cosim,
+    pid_filter_step,
+)
 from cavityfilter.errors import DivergenceError, DomainError
 from cavityfilter.fock import CovariancePair
+from cavityfilter.mc import EnsembleConfig, FilterScenario
 from cavityfilter.qkf import (
     ModeParams,
     QKFState,
@@ -122,8 +131,109 @@ def test_untilted_riccati_matches_closed_form(v0, w0, gamma):
     assert np.max(np.abs(rec.W - w_ref)) < 1e-9
 
 
+def _linear_fractional_pair(v0, w0, gamma, omega, theta, t):
+    """Exact (V, W)(t) from the Hamiltonian-matrix exponential (Davison &
+    Maki, IEEE TAC 18, 1973).  In the quadratures of the measured phase,
+    N = [[V + Re W_th, Im W_th], [Im W_th, V - Re W_th]] with
+    W_th = e^{2i theta} W obeys dN/dt = A N + N A' - N S N, which is solved
+    by N = Y X^-1 with [X; Y](t) = expm(t [[-A', S], [0, A]]) [I; N0]."""
+    from scipy.linalg import expm  # on first use: start-up stays scipy-free
+
+    w_th = cmath.exp(2j * theta) * w0
+    n0 = np.array([[v0 + w_th.real, w_th.imag], [w_th.imag, v0 - w_th.real]])
+    a = np.array([[-0.5 * gamma, omega], [-omega, -0.5 * gamma]])
+    ham = np.block([[-a.T, np.diag([2.0 * gamma, 0.0])],
+                    [np.zeros((2, 2)), a]])
+    v, w = [], []
+    for tk in t:
+        xy = expm(tk * ham) @ np.vstack([np.eye(2), n0])
+        n = xy[2:] @ np.linalg.inv(xy[:2])
+        v.append(0.5 * (n[0, 0] + n[1, 1]))
+        w.append(cmath.exp(-2j * theta)
+                 * complex(0.5 * (n[0, 0] - n[1, 1]), n[0, 1]))
+    return np.array(v), np.array(w)
+
+
+@pytest.mark.parametrize("v0,w0,gamma,omega,theta", [
+    (0.5, 0.0, 1.0, 0.7, 0.0),
+    (1.2, 0.3 - 0.4j, 2.5, -1.3, 0.6),
+    (0.8, 0.2j, 1.0, 0.5, 1.1),
+])
+def test_tilted_riccati_matches_linear_fractional_solution(v0, w0, gamma,
+                                                           omega, theta):
+    # RK4 at dt = 1e-3 reads 2.5e-14, 2.9e-11 and 5.4e-14 against it
+    series = riccati_integrate(RiccatiState(v0, w0), theta,
+                               ModeParams(gamma, omega), 1e-3, 2.0,
+                               record_stride=100)
+    v_ref, w_ref = _linear_fractional_pair(v0, w0, gamma, omega, theta,
+                                           [s.t for s in series])
+    assert np.max(np.abs(np.array([s.V for s in series]) - v_ref)) < 1e-9
+    assert np.max(np.abs(np.array([s.W for s in series]) - w_ref)) < 1e-9
+
+
+def _pair_columns(series):
+    return np.array([s.V for s in series]), np.array([s.W for s in series])
+
+
+def test_every_filter_advances_the_pair_by_one_recursion():
+    # the co-simulation (one truth and a shard of three), the qkf_step and
+    # pid_filter_step chains and riccati_integrate draw the same bits
+    params, dt, cov = ModeParams(1.3, 0.7), 1e-3, CovariancePair(0.9, 0.2j)
+    gains, ref = PIDGains(2.0, 1.0, 0.5), ReferenceSignal("step", 0.3)
+    v_ref, w_ref = _pair_columns(riccati_integrate(
+        RiccatiState(cov.V, cov.W), 0.0, params, dt, 0.2, record_stride=10))
+    rec = closed_loop_cosim(0.2, cov, gains, ref, params, 12,
+                            NoiseStream(5, dt), 0.2, dt, record_stride=10,
+                            truth_cov=CovariancePair(0.0, 0.0j))
+    assert np.array_equal(rec.V, v_ref) and np.array_equal(rec.W, w_ref)
+    recs = _cosim(0.2, cov, gains, ref, params, 12,
+                  [NoiseStream(s, dt) for s in (1, 2, 3)], 0.2, dt, 10,
+                  [0.1, 0.2j, -0.3], CovariancePair(0.0, 0.0j))
+    cfg = EnsembleConfig(3, 0.2, dt, 7 << 40, "pair", record_stride=10)
+    scenario = FilterScenario(params=params, dim=20, alpha=0.2,
+                              cov=CovariancePair(0.3, 0.1), purify=True,
+                              gains=gains, reference=ref)
+    samples = scenario.shard(cfg, range(3), [NoiseStream(s, dt)
+                                            for s in (1, 2, 3)])
+    v_real, _ = _pair_columns(riccati_integrate(
+        RiccatiState(0.3, 0.1), 0.0, params, dt, 0.2, record_stride=10))
+    for r, s in zip(recs, samples):
+        assert np.array_equal(r.V, v_ref) and np.array_equal(r.W, w_ref)
+        assert np.array_equal(s.V, v_real)
+
+    rng = np.random.default_rng(8)
+    v_tilt, w_tilt = _pair_columns(riccati_integrate(
+        RiccatiState(cov.V, cov.W, 0.25), 0.4, params, dt, 0.2))
+    v_zero, w_zero = _pair_columns(riccati_integrate(
+        RiccatiState(cov.V, cov.W), 0.0, params, dt, 0.2))
+    state = QKFState(0.1, RiccatiState(cov.V, cov.W, 0.25))
+    loop = ClosedLoopState(QKFState(0.1, RiccatiState(cov.V, cov.W)))
+    for k in range(1, 201):
+        dI = float(rng.normal(0.0, math.sqrt(dt)))
+        state = qkf_step(state, dI, 0.0, 0.4, params, dt)
+        loop = pid_filter_step(loop, dI, gains, ref, params, dt)
+        assert (state.riccati.V, state.riccati.W) == (v_tilt[k], w_tilt[k])
+        ric = loop.filter.riccati
+        assert (ric.V, ric.W) == (v_zero[k], w_zero[k])
+
+
+def test_constant_phase_is_resolved_once(monkeypatch):
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return phases(theta)
+
+    phases = qkf._phases
+    monkeypatch.setattr(qkf, "_phases", counted)
+    riccati_integrate(RiccatiState(0.8, 0.1j), 0.3, ModeParams(1.0, 0.5),
+                      1e-3, 0.1)
+    assert calls == [0.3]
+
+
 def test_integrate_divergence_detected():
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=r"^covariance integration "
+                       r"diverged at step 1 \(t=0\.001\)$"):
         riccati_integrate(
             RiccatiState(0.0, 1e200 + 0j), 0.0, ModeParams(1.0, 0.0), 1e-3, 1.0
         )
