@@ -509,10 +509,6 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     if pure:
         buffers = _band_buffers(dim, batch)
 
-    def dense(coef):
-        """(2, B, dim, dim): L and A0 of every truth, as matrices."""
-        return np.array([_ladder_dense(c, dim) for c in coef]).swapaxes(0, 1)
-
     a_hat = [complex(alpha)] * batch
     ie = [0.0j] * batch
     i_filter = [0.0] * batch
@@ -524,7 +520,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         # constant coefficients, combined once: bands for a pure batch,
         # dense matrices for a mixed one
         rows = _ladder_rows(sg, 0.0j, [0.0j] * batch, 0.0j, params.omega)
-        fixed = _ladder_banded(rows, dim).swapaxes(0, 1) if pure else dense(rows)
+        fixed = (_ladder_banded(rows, dim) if pure
+                 else _ladder_dense(rows, dim)).swapaxes(0, 1)
 
     def truth_products(scalars, arr):
         """(L x, A0 x) of every truth x of ``arr``: c1, c2 and w depend on
@@ -533,7 +530,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
             return _band_apply(fixed, arr, buffers) if pure else fixed @ arr
         c1, c2, _, w, _ = scalars[0]
         coef = _ladder_rows(c1, c2, [sc[2] for sc in scalars], w, params.omega)
-        return _ladder_apply(coef, arr, buffers) if pure else dense(coef) @ arr
+        if pure:
+            return _ladder_apply(coef, arr, buffers)
+        return _ladder_dense(coef, dim).swapaxes(0, 1) @ arr
 
     n = _step_total(noises, T, dt, record_stride)
 
@@ -549,20 +548,15 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         scalars = [_feedback_scalars(gains, a_b, ie_b, r_t, dr_t, xi, params)
                    for a_b, ie_b in zip(a_hat, ie)]
         u, a0_x = truth_products(scalars, arr)
-        arr, lam = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
+        arr, dy = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
         v, w_cov = next(pairs)
-        v_ok = v >= -1e-10
-        dy = []
         for b, sc in enumerate(scalars):
-            dy_b = lam[b] * dt + dw[b]
-            dy.append(dy_b)
-            di_f = dy_b - (sg * 2.0 * a_hat[b].real) * dt
+            di_f = dy[b] - (sg * 2.0 * a_hat[b].real) * dt
             a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], r_t, sc[4], xi,
                                              di_f, dt)
-            if not (v_ok and cmath.isfinite(ie[b])):
+            if not cmath.isfinite(ie[b]):
                 raise _at_column(DomainError(
-                    f"filter left its domain (V={v}, "
-                    f"integral_error={ie[b]})"), b)
+                    f"filter left its domain (integral_error={ie[b]})"), b)
             i_filter[b] += di_f
             qv[b] += di_f * di_f
         return arr, dy

@@ -167,9 +167,6 @@ class DensityOperator:
             raise DomainError(f"density matrix trace {tr} is not 1")
         object.__setattr__(self, "entries", mat)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
 
 @dataclass(frozen=True)
 class CovariancePair:
@@ -414,6 +411,24 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _gaussian_unitaries(alpha: complex, cov: CovariancePair, dim: int) -> list:
+    """The unitaries that prepare the Gaussian data (alpha, V, W) from a
+    thermal (or vacuum) state, in the order they act: S(xi) if r > 0,
+    then D(alpha) if alpha != 0 (r and xi as in ``gaussian_state``)."""
+    half = max(cov.V, 0.0) + 0.5
+    w = cov.W
+    r = 0.5 * math.atanh(min(abs(w) / half, 1.0 - 1e-16))
+    phase = -w / abs(w) if abs(w) > 0.0 else 1.0 + 0.0j
+    xi = r * phase
+    mats = _mode_matrices(dim)
+    out = []
+    if r > 0.0:
+        out.append(_expm(0.5 * (np.conj(xi) * mats["a2"] - xi * mats["ad2"])))
+    if alpha != 0.0:
+        out.append(_expm(alpha * mats["ad"] - np.conj(alpha) * mats["a"]))
+    return out
+
+
 def gaussian_state(alpha: complex, cov: CovariancePair, dim: int) -> DensityOperator:
     """Displaced squeezed thermal state with moments (alpha, V, W).
 
@@ -453,20 +468,9 @@ def gaussian_state(alpha: complex, cov: CovariancePair, dim: int) -> DensityOper
 
     half = v + 0.5
     nbar = math.sqrt(max(half * half - abs(w) ** 2, 0.25)) - 0.5
-    r = 0.5 * math.atanh(min(abs(w) / half, 1.0 - 1e-16))
-    phase = -w / abs(w) if abs(w) > 0.0 else 1.0 + 0.0j
-    xi = r * phase
-
-    mats = _mode_matrices(dim)
-    a, ad, a2, ad2 = mats["a"], mats["ad"], mats["a2"], mats["ad2"]
-
     rho = np.diag(_thermal_diag(nbar, dim)).astype(np.complex128)
-    if r > 0.0:
-        squeeze = _expm(0.5 * (np.conj(xi) * a2 - xi * ad2))
-        rho = squeeze @ rho @ squeeze.conj().T
-    if alpha != 0.0:
-        displace = _expm(alpha * ad - np.conj(alpha) * a)
-        rho = displace @ rho @ displace.conj().T
+    for u in _gaussian_unitaries(alpha, cov, dim):
+        rho = u @ rho @ u.conj().T
 
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
@@ -495,23 +499,13 @@ def _gaussian_vector(alpha: complex, cov: CovariancePair, dim: int) -> StateVect
             f"{cov.physicality_excess():.3e}"
         )
     alpha = complex(alpha)
-    v = max(cov.V, 0.0)
-    if v <= 1e-14:
+    if max(cov.V, 0.0) <= 1e-14:
         return coherent_state(alpha, dim)
 
-    half = v + 0.5
-    r = 0.5 * math.atanh(min(abs(cov.W) / half, 1.0 - 1e-16))
-    phase = -cov.W / abs(cov.W) if abs(cov.W) > 0.0 else 1.0 + 0.0j
-    xi = r * phase
-
-    mats = _mode_matrices(dim)
-    a, ad, a2, ad2 = mats["a"], mats["ad"], mats["a2"], mats["ad2"]
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
-    if r > 0.0:
-        psi = _expm(0.5 * (np.conj(xi) * a2 - xi * ad2)) @ psi
-    if alpha != 0.0:
-        psi = _expm(alpha * ad - np.conj(alpha) * a) @ psi
+    for u in _gaussian_unitaries(alpha, cov, dim):
+        psi = u @ psi
     nrm2 = float(np.vdot(psi, psi).real)
     top_two = float((abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2) / nrm2)
     _check_truncation(top_two, f"gaussian_vector(V={cov.V}, W={cov.W})")

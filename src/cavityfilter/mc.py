@@ -288,10 +288,10 @@ def _reduce(config: EnsembleConfig, samples) -> EnsembleResult:
             v_path = s.V
         elif s.t.shape != t.shape:
             raise DomainError(f"trajectory {i}: record grid mismatch")
-        sum_a = sum_a + s.truth_mean_a
-        sum_abs2 = sum_abs2 + np.abs(s.truth_mean_a) ** 2
-        sum_hat = sum_hat + s.a_hat
-        sum_sq = sum_sq + s.sq_error
+        sum_a += s.truth_mean_a
+        sum_abs2 += np.abs(s.truth_mean_a) ** 2
+        sum_hat += s.a_hat
+        sum_sq += s.sq_error
         terminal[i] = s.terminal_I
         qv[i] = s.qv
         count += 1

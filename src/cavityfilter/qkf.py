@@ -143,7 +143,9 @@ def _covariances(V: float, W: complex, theta, params: ModeParams, dt: float,
     ``theta`` is a constant, whose ``_phases`` are resolved once, or a
     callable of time, read at the start, middle and end of every step.
     ``lead_v`` is the resolved ``w_form``.  Raises ``DivergenceError`` at
-    the first step that leaves the finite range.
+    the first step that leaves the finite range, and ``DomainError`` at
+    the first whose V is below -1e-10 (the "v" form can leave the
+    nonnegative range).
     """
     gamma = params.gamma
     decay = -(gamma + 2j * params.omega)
@@ -169,6 +171,9 @@ def _covariances(V: float, W: complex, theta, params: ModeParams, dt: float,
         if not (math.isfinite(v) and cmath.isfinite(w)):
             raise DivergenceError(
                 f"covariance integration diverged at step {k} (t={t})")
+        if v < -1e-10:
+            raise DomainError(
+                f"V must be nonnegative, got {v} at step {k} (t={t})")
         yield v, w
 
 

@@ -43,15 +43,16 @@ of factors), draws their increments in blocks of 4096 steps, records
 (t, <a>, <a'a>, <a^2>, Y, I) behind the truncation check, tags package
 errors with their step and builds the final ``TrajectoryState``s; a
 ``step`` closure says what one step does.  ``run_trajectory`` is the
-batch of one over the dense kernels of ``SLHCoefficients``; the PID
-co-simulation in ``control`` passes the feedback scalars, the truth step
-and the filter updates of an ensemble shard.  The state-vector and
-Zakai steps are split into forming u = L psi (and w = A0 psi) and the
-update with its guard (``_sse_update`` for a stack, ``_zakai_update``),
-so every caller shares one update.  The update takes <psi, L psi> and
-the norms of a whole stack from one ``np.vecdot`` over its flattened rows
-each and scales the rows of a stack by one array of row scalars, and
-every row of a stack gets the bits of a lone state.
+batch of one over ``_step``, the one dense SSE, SME or Zakai step,
+which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
+``control`` passes the feedback scalars, the truth step and the filter
+updates of an ensemble shard.  The state-vector and Zakai steps are
+split into forming u = L psi (and w = A0 psi) and the update with its
+guard (``_sse_update`` for a stack, ``_zakai_update``), so every caller
+shares one update.  The update takes <psi, L psi> and the norms of a
+whole stack from one ``np.vecdot`` over its flattened rows each and
+scales the rows of a stack by one array of row scalars, and every row
+of a stack gets the bits of a lone state.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ __all__ = [
 
 #: ``_sse_update`` rejects a step (``StepSizeError``) whose unnormalized
 #: norm is more than this far from 1, or not finite.  It is not a bound on
-#: healthy steps: on a coherent state one Euler step moves the norm by
-#: about Im(alpha)^2 (dI^2 - dt), which passes 1e-2 at |Im alpha| = 1.8,
-#: dt = 5e-4 and a 2.8-sigma increment
+#: healthy steps: on a coherent state one Euler step moves the squared
+#: norm by about Im(alpha)^2 (dI^2 - dt), and so the norm by half that.
+#: At |Im alpha| = 1.8 and dt = 5e-4 the norm moves 5.5e-3 on a
+#: 2.8-sigma increment and passes 1e-2 at about 3.7 sigma
 NORM_GUARD = 1e-2
 
 _RESCALE_LO, _RESCALE_HI = 1e-50, 1e50
@@ -296,9 +298,10 @@ def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
 # kernels on raw arrays
 
 
-def _sse_kernel(psi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
-                cis: complex, dI: float, dt: float):
-    """One normalized-vector step.  Returns (new psi, lambda).
+def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
+                cis: complex, dI, dt: float):
+    """One normalized step of a stack psi[b] of states on the innovations
+    increments dI[b]:
 
     d psi = A0 psi dt + (lam/2) L_th psi dt - (lam^2/8) psi dt
             + (L_th - lam/2) psi dI,      A0 = -iH - L'L/2,
@@ -307,28 +310,18 @@ def _sse_kernel(psi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
     renormalization closes the step.  A density factor X (dim, r) of unit
     Frobenius norm steps the same way: lam is then 2 Re e^{i theta}
     tr(L XX'), and XX' takes the Kraus step of the module docstring.
-    """
-    psi_new, lam = _sse_update(psi[None], (l_mat @ psi)[None],
-                               (a0 @ psi)[None], cis, [dI], dt)
-    return psi_new[0], lam[0]
-
-
-def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
-                cis: complex, dI, dt: float):
-    """The step of ``_sse_kernel`` for a stack psi[b] of states (vectors
-    or density factors) on the increments dI[b], from u = L psi and
-    w = A0 psi, however they were formed (dense products, or ladder
-    products in the co-simulation).  Returns the stack and the list of
-    lambdas.
+    u = L psi and w = A0 psi come however they were formed (dense
+    products, or ladder products in the co-simulation).  Returns the
+    stack and the list of record increments dY[b] = lam[b] dt + dI[b].
 
     <psi[b], u[b]> and the squared norms come from ``_row_dots``; the
     row scalars keep and move are one array (``_row_scalars``) and the
     rest is elementwise, so every row gets the bits of a lone state.  A
     row that fails the norm guard raises, naming the row as ``column``."""
-    lam, rows = [], []
+    dy, rows = [], []
     for d, di in zip(_row_dots(psi, u), dI):
         lam_b = 2.0 * (cis * d).real
-        lam.append(lam_b)
+        dy.append(lam_b * dt + di)
         rows += (1.0 - (0.125 * lam_b * lam_b) * dt - (0.5 * lam_b) * di,
                  (0.5 * lam_b) * dt + di)
     keep, move = _row_scalars(rows, psi.shape)
@@ -344,7 +337,7 @@ def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
         scale.append(1.0 / nrm)
     (scale,) = _row_scalars(scale, psi.shape)
     psi_new *= scale
-    return psi_new, lam
+    return psi_new, dy
 
 
 def _row_scalars(values: list, shape: tuple):
@@ -396,25 +389,16 @@ def _factor_density(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _zakai_kernel(chi: np.ndarray, l_mat: np.ndarray, a0: np.ndarray,
-                  dY: float, dt: float):
-    """One linear (unnormalized) step driven by the raw record:
-
-        d chi = L chi dY - (L'L/2 + iH) chi dt.
-
-    Returns (new chi, lambda of the normalized state).
-    """
-    u = l_mat @ chi
-    lam = 2.0 * np.vdot(chi, u).real / np.vdot(chi, chi).real
-    return _zakai_update(chi, u, a0, dY, dt), lam
-
-
 def _zakai_update(chi: np.ndarray, u: np.ndarray, a0: np.ndarray,
                   dY: float, dt: float) -> np.ndarray:
-    """The step of ``_zakai_kernel`` from u = L chi.  The vector is
-    rescaled by a power of two when its norm leaves [1e-50, 1e50]
-    (mantissas, and hence all normalized quantities, are unchanged);
-    beyond 1e+-100 the caller gets a NormBoundsError.
+    """One linear (unnormalized) step driven by the raw record:
+
+        d chi = L chi dY - (L'L/2 + iH) chi dt,
+
+    from u = L chi and a0 = A0 = -iH - L'L/2.  The vector is rescaled by
+    a power of two when its norm leaves [1e-50, 1e50] (mantissas, and
+    hence all normalized quantities, are unchanged); beyond 1e+-100 the
+    caller gets a NormBoundsError.
     """
     chi_new = chi + dt * (a0 @ chi)
     chi_new += dY * u
@@ -426,6 +410,24 @@ def _zakai_update(chi: np.ndarray, u: np.ndarray, a0: np.ndarray,
             )
         chi_new *= 2.0 ** (-math.frexp(nrm)[1])
     return chi_new
+
+
+def _step(mode: str, slh: SLHCoefficients, cis: complex, x: np.ndarray,
+          dw: float, dt: float):
+    """One step of a single vector or density factor x (mode "sse", "sme"
+    or "zakai") on the innovations increment dw at the measurement phase
+    e^{i theta} = cis, over the dense (L, A0) of ``slh``.  Returns (new x,
+    dY).  The Zakai step absorbs the phase into L and is driven by the
+    record dY = lam dt + dw of the normalized state."""
+    l_mat, a0 = slh._arrays(x.shape[0])
+    if mode == "zakai":
+        u = (l_mat if cis == 1.0 else cis * l_mat) @ x
+        lam = 2.0 * (np.vdot(x, u) / np.vdot(x, x).real).real
+        dy = lam * dt + dw
+        return _zakai_update(x, u, a0, dy, dt), dy
+    x_new, dy = _sse_update(x[None], (l_mat @ x)[None], (a0 @ x)[None], cis,
+                            (dw,), dt)
+    return x_new[0], dy[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +486,11 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError("sse_step needs a state vector (psi)")
     psi = state.psi.amplitudes
     _check_normalized(psi, "sse_step")
-    l_mat, a0 = slh._arrays(state.psi.dim)
-    cis = complex(np.exp(1j * float(theta_t)))
-    psi_new, lam = _sse_kernel(psi, l_mat, a0, cis, dI, dt)
+    psi_new, dy = _step("sse", slh, complex(np.exp(1j * float(theta_t))), psi,
+                        dI, dt)
     return TrajectoryState(
         t=state.t + dt,
-        Y=state.Y + lam * dt + dI,
+        Y=state.Y + dy,
         I=state.I + dI,
         psi=StateVector(state.psi.dim, psi_new),
     )
@@ -508,13 +509,11 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
-    l_mat, a0 = slh._arrays(state.rho.dim)
-    cis = complex(np.exp(1j * float(theta_t)))
-    x, lam = _sse_kernel(_density_factor(state.rho.entries), l_mat, a0, cis,
-                         dI, dt)
+    x, dy = _step("sme", slh, complex(np.exp(1j * float(theta_t))),
+                  _density_factor(state.rho.entries), dI, dt)
     return TrajectoryState(
         t=state.t + dt,
-        Y=state.Y + lam * dt + dI,
+        Y=state.Y + dy,
         I=state.I + dI,
         rho=DensityOperator(state.rho.dim, _factor_density(x)),
     )
@@ -532,13 +531,15 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
         raise DomainError(f"dt must be positive, got {dt}")
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
+    chi = state.chi.amplitudes
     l_mat, a0 = slh._arrays(state.chi.dim)
-    chi_new, lam = _zakai_kernel(state.chi.amplitudes, l_mat, a0, dY, dt)
+    u = l_mat @ chi
+    lam = 2.0 * np.vdot(chi, u).real / np.vdot(chi, chi).real
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dY,
         I=state.I + dY - lam * dt,
-        chi=StateVector(state.chi.dim, chi_new),
+        chi=StateVector(state.chi.dim, _zakai_update(chi, u, a0, dY, dt)),
     )
 
 
@@ -732,17 +733,8 @@ def run_trajectory(
         cis_at = lambda _t: const_cis
 
     def step(t, arr, dw):
-        x = arr[0]
-        l_mat, a0 = provider(t, x)._arrays(x.shape[0])
-        cis = cis_at(t)
-        if mode == "zakai":
-            u = (l_mat if cis == 1.0 else cis * l_mat) @ x
-            lam = 2.0 * (np.vdot(x, u) / np.vdot(x, x).real).real
-            dy = lam * dt + dw[0]
-            return _zakai_update(x, u, a0, dy, dt)[None], [dy]
-        arr, lam = _sse_update(arr, (l_mat @ x)[None], (a0 @ x)[None], cis,
-                               dw, dt)
-        return arr, [lam[0] * dt + dw[0]]
+        x, dy = _step(mode, provider(t, arr[0]), cis_at(t), arr[0], dw[0], dt)
+        return x[None], [dy]
 
     kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]
     n = _step_total([noise], T, dt, record_stride)

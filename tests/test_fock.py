@@ -13,6 +13,7 @@ from cavityfilter.errors import (
 )
 from cavityfilter.fock import (
     CavityOperator,
+    _gaussian_vector,
     CovariancePair,
     StateVector,
     annihilation_op,
@@ -172,6 +173,17 @@ def test_gaussian_state_purity_iff_saturation():
     rho_mixed = gaussian_state(0.0, CovariancePair(v, 0.5 * w), 50)
     purity_mixed = np.sum(rho_mixed.entries.T * rho_mixed.entries).real
     assert purity_mixed < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("alpha, v", [(0.0, 0.3), (0.4 - 0.7j, 0.3),
+                                      (0.5j, 0.05), (0.4 - 0.7j, 0.0)])
+def test_gaussian_vector_is_the_pure_gaussian_state(alpha, v):
+    # squeezed, squeezed and displaced, coherent: the vector and the
+    # density matrix come from the same unitaries
+    cov = CovariancePair(v, -1j * math.sqrt(v * (v + 1.0)))
+    psi = _gaussian_vector(alpha, cov, 40).amplitudes
+    rho = gaussian_state(alpha, cov, 40).entries
+    assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-12
 
 
 def test_gaussian_state_unphysical_rejected():

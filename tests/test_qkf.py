@@ -239,6 +239,17 @@ def test_integrate_divergence_detected():
         )
 
 
+@pytest.mark.parametrize("stride", [1, 2100])
+def test_v_form_leaving_the_nonnegative_range_names_its_step(stride):
+    # the printed "v" variant drives V below the -1e-10 floor on physical
+    # data; the recursion names the step whatever the record stride
+    with pytest.raises(DomainError, match=r"^V must be nonnegative, got "
+                       r"-0\.000117\d* at step 1137 \(t=1\.137\)$"):
+        riccati_integrate(RiccatiState(0.8, 0.2 - 0.1j), 0.0,
+                          ModeParams(1.3, 0.7), 1e-3, 2.1, w_form="v",
+                          record_stride=stride)
+
+
 def test_integrate_callable_theta_matches_constant():
     params = ModeParams(1.2, 0.4)
     a = riccati_integrate(RiccatiState(0.8, 0.1j), 0.3, params, 1e-3, 2.0)

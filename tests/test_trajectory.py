@@ -101,6 +101,7 @@ def test_run_longer_than_a_noise_block_matches_the_step_chain():
         state = sse_step(state, slh, 0.0, dI, dt)
     assert np.array_equal(rec.final.psi.amplitudes, state.psi.amplitudes)
     assert rec.final.I == state.I
+    assert rec.final.Y == state.Y
 
 
 def test_noise_stream_spawn():
@@ -453,7 +454,8 @@ def test_sse_norm_guard_fires():
 def test_sse_update_row_scalars_have_lone_row_bits(rank):
     # lambda and the norms of a stack come from one np.vecdot over the
     # flattened rows: each equals np.vdot on its row alone, bit for bit,
-    # and every row of the update is that of the row stepped alone
+    # and every row of the update, and its record increment
+    # dY = lambda dt + dI, is that of the row stepped alone
     rng = np.random.default_rng(7)
     for dim, batch in itertools.product((7, 12, 30), (1, 2, 5, 9)):
         shape = (batch, dim) if rank is None else (batch, dim, rank)
@@ -467,14 +469,14 @@ def test_sse_update_row_scalars_have_lone_row_bits(rank):
         lone = [complex(np.vdot(psi[b], u[b])) for b in range(batch)]
         assert (np.array(trajectory._row_dots(psi, u)).tobytes()
                 == np.array(lone).tobytes())
-        new, lam = trajectory._sse_update(psi, u, w, 1.0 + 0.0j, dI, 1e-4)
+        new, dy = trajectory._sse_update(psi, u, w, 1.0 + 0.0j, dI, 1e-4)
         norms = trajectory._row_dots(new, new)
         for b in range(batch):
-            alone, lam_b = trajectory._sse_update(
+            alone, dy_alone = trajectory._sse_update(
                 psi[b:b + 1], u[b:b + 1], w[b:b + 1], 1.0 + 0.0j,
                 dI[b:b + 1], 1e-4)
             assert new[b].tobytes() == alone[0].tobytes()
-            assert lam[b] == lam_b[0] == 2.0 * lone[b].real
+            assert dy[b] == dy_alone[0] == 2.0 * lone[b].real * 1e-4 + dI[b]
             assert norms[b] == complex(np.vdot(new[b], new[b]))
 
 
@@ -644,6 +646,30 @@ def test_each_mode_runs_one_trajectory_loop(monkeypatch):
         run_trajectory(initial, slh, 0.0, NoiseStream(2, 1e-3), 0.01, 1e-3,
                        mode=mode)
     assert calls == ["psi", "rho", "chi"]
+
+
+def test_every_dense_step_goes_through_one_step(monkeypatch):
+    calls = []
+    one_step = trajectory._step
+
+    def counted(mode, *args):
+        calls.append(mode)
+        return one_step(mode, *args)
+
+    monkeypatch.setattr(trajectory, "_step", counted)
+    dim, dt = 8, 1e-3
+    slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
+    psi0 = coherent_state(0.3, dim)
+    for mode, initial in (("sse", psi0), ("sme", pure_density(psi0)),
+                          ("zakai", psi0)):
+        run_trajectory(initial, slh, 0.0, NoiseStream(2, dt), 2 * dt, dt,
+                       mode=mode)
+    assert calls == ["sse"] * 2 + ["sme"] * 2 + ["zakai"] * 2
+    calls.clear()
+    sse_step(TrajectoryState(0.0, 0.0, 0.0, psi=psi0), slh, 0.0, 0.01, dt)
+    sme_step(TrajectoryState(0.0, 0.0, 0.0, rho=pure_density(psi0)), slh, 0.0,
+             0.01, dt)
+    assert calls == ["sse", "sme"]
 
 
 @pytest.mark.parametrize("stride", [0, -1])
