@@ -4,7 +4,11 @@ Three filters for one-dimensional diffusions observed in additive white
 noise: the discrete Kalman recursion, the continuous Kalman-Bucy filter,
 and a finite-difference solver for the unnormalized (Zakai) density,
 whose normalization gives the nonlinear filter.  The grid solver is the
-oracle the linear filters are checked against.
+oracle the linear filters are checked against.  Its explicit step is a
+tridiagonal operator fixed by the model, the grid and dt; a run builds
+it once (``_zakai_operator``) and applies it every step
+(``_zakai_apply``), and the public ``zakai_grid_step`` is the two in
+one call.
 """
 
 from __future__ import annotations
@@ -203,25 +207,24 @@ def kalman_bucy_step(
 # Zakai grid solver
 
 
-def zakai_grid_step(
-    grid: GridDensity, dY: float, dt: float, model: DiffusionModel1D
-) -> GridDensity:
-    """One Euler step of the unnormalized filtering density:
+def _zakai_operator(grid: GridDensity, dt: float, model: DiffusionModel1D):
+    """The step operator of ``zakai_grid_step`` on ``grid``'s points, built
+    once: the bands (diag, up, lo) of the tridiagonal I + dt L* and the
+    observation function h on the grid.
 
-        xi <- xi + L*xi dt + h xi dY,
+    With the face rates a_i = dt/dx (v_i/2 + sigma_i^2/(2 dx)) out of
+    cell i through its right face and b_i = dt/dx (v_i/2 - sigma_i^2/(2 dx))
+    through its left, diag = 1 - a_i + b_i (no face beyond either end),
+    up_i = -b_{i+1} and lo_i = a_{i-1}: the flux form of
+    ``zakai_grid_step``, term by term.
 
-    where L* g = -(v g)' + (sigma^2 g / 2)'' is discretized in flux form
-    with central differences and zero-flux boundaries, so the Riemann
-    mass is conserved exactly by the L* part.
-
-    Raises ``StabilityError`` if max(sigma^2) dt / dx^2 > 0.5.
+    Raises ``DomainError`` for dt <= 0 and ``StabilityError`` if
+    max(sigma^2) dt / dx^2 > 0.5.
     """
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
     xs = grid.xs
-    g = grid.values
     dx = grid.dx
-
     v = np.asarray(model.v(xs), dtype=np.float64)
     s2 = np.asarray(model.sigma(xs), dtype=np.float64) ** 2
     h = np.asarray(model.h(xs), dtype=np.float64)
@@ -232,24 +235,52 @@ def zakai_grid_step(
             f"diffusion number max(sigma^2) dt / dx^2 = {cfl:.3f} > 0.5; "
             "reduce dt or coarsen the grid"
         )
+    c = dt / dx
+    adv = (0.5 * c) * v
+    dif = (0.5 * c / dx) * s2
+    right = adv + dif
+    left = adv - dif
+    diag = np.ones_like(xs)
+    diag[:-1] -= right[:-1]
+    diag[1:] += left[1:]
+    return diag, -left[1:], right[:-1], h
 
-    vg = v * g
-    dhalf = 0.5 * s2 * g
-    # fluxes at interior faces i+1/2: advective average minus diffusive gradient
-    flux = 0.5 * (vg[:-1] + vg[1:]) - (dhalf[1:] - dhalf[:-1]) / dx
-    div = np.empty_like(g)
-    div[0] = flux[0] / dx            # left boundary face carries zero flux
-    div[1:-1] = (flux[1:] - flux[:-1]) / dx
-    div[-1] = -flux[-1] / dx         # right boundary face carries zero flux
 
-    new = g + dt * (-div) + (h * g) * dY
+def _zakai_apply(op, g: np.ndarray, dY: float, dx: float) -> np.ndarray:
+    """One step of the ``_zakai_operator`` ``op`` on the values g:
+    (I + dt L* + dY diag(h)) g, rescaled by a power of two when its mass
+    leaves the comfortable float range."""
+    diag, up, lo, h = op
+    new = (diag + dY * h) * g
+    new[:-1] += up * g[1:]
+    new[1:] += lo * g[:-1]
 
     # keep the unnormalized density inside the comfortable float range;
     # powers of two leave every normalized quantity bit-identical
-    total = float(np.sum(np.abs(new))) * dx
+    total = float(np.abs(new).sum()) * dx
     if total != 0.0 and not (1e-50 < total < 1e50):
         new = new * 2.0 ** (-math.frexp(total)[1])
-    return GridDensity(xs, new)
+    return new
+
+
+def zakai_grid_step(
+    grid: GridDensity, dY: float, dt: float, model: DiffusionModel1D
+) -> GridDensity:
+    """One Euler step of the unnormalized filtering density:
+
+        xi <- xi + L*xi dt + h xi dY,
+
+    where L* g = -(v g)' + (sigma^2 g / 2)'' is discretized in flux form
+    with central differences and zero-flux boundaries, so the Riemann
+    mass is conserved exactly by the L* part.  The step builds its
+    operator, a tridiagonal matrix, on every call; a run on a fixed grid
+    builds it once with ``_zakai_operator`` and steps with
+    ``_zakai_apply``, the same arithmetic.
+
+    Raises ``StabilityError`` if max(sigma^2) dt / dx^2 > 0.5.
+    """
+    op = _zakai_operator(grid, dt, model)
+    return GridDensity(grid.xs, _zakai_apply(op, grid.values, dY, grid.dx))
 
 
 def ks_normalize(grid: GridDensity) -> tuple[GridDensity, float, float]:

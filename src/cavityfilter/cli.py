@@ -42,11 +42,12 @@ from .classical import (
     DiscreteKalmanState,
     GridDensity,
     ScalarLGModel,
+    _zakai_apply,
+    _zakai_operator,
     kalman_bucy_step,
     kalman_predict,
     kalman_update,
     ks_normalize,
-    zakai_grid_step,
 )
 from . import lti
 from .mc import (
@@ -533,17 +534,19 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     truth = x0 + math.sqrt(p0) * rng.standard_normal()
     sq = math.sqrt(cfg.dt)
 
+    zakai = _zakai_operator(grid, cfg.dt, model)
+    g, dx = grid.values, grid.dx
     rows = []
 
     def record(t):
-        _, zm, zv = ks_normalize(grid)
+        _, zm, zv = ks_normalize(GridDensity(xs, g))
         rows.append((t, truth, dk.x_hat, dk.P, kb.x_hat, kb.P, zm, zv))
 
     record(0.0)
     for i in range(n):
         dy = truth * cfg.dt + dvs[i]
         truth += a * truth * cfg.dt + dws[i]
-        grid = zakai_grid_step(grid, dy, cfg.dt, model)
+        g = _zakai_apply(zakai, g, dy, dx)
         kb = kalman_bucy_step(kb, dy, 0.0, cfg.dt, cont)
         dk = kalman_update(kalman_predict(dk, 0.0, disc), dy / sq, disc,
                            k=i + 1)

@@ -78,6 +78,7 @@ from .qkf import (
     RiccatiState,
     _covariances,
     _mean_update,
+    _rk4_linear,
     _step_count,
 )
 from .trajectory import (
@@ -388,6 +389,13 @@ def pid_filter_step(
     )
 
 
+def _reference_at(ref: ReferenceSignal, times: np.ndarray) -> np.ndarray:
+    """(r, dr/dt) at each of ``times``, as the rows of a (len, 2) array."""
+    return np.fromiter(((ref.value(t), ref.derivative(t))
+                        for t in map(float, times)),
+                       dtype=np.dtype((np.complex128, 2)), count=len(times))
+
+
 def noise_free_response(
     gains: PIDGains,
     ref: ReferenceSignal,
@@ -397,35 +405,34 @@ def noise_free_response(
     a0: complex = 0.0j,
     ie0: complex = 0.0j,
 ):
-    """Deterministic skeleton of the closed-loop filter: RK4 on
+    """Deterministic skeleton of the closed-loop filter: classical RK4 on
 
         da/dt  = drift_estimate(a, ie, t),
         die/dt = r(t) - a,
 
-    i.e. the filter recursion with the innovations switched off.
+    i.e. the filter recursion with the innovations switched off.  The
+    pair is linear in (a, ie), x' = A x + B (r, dr/dt) with
+
+        A = [[-(gamma/2 + i omega + k_P) / (1 + k_D), k_I / (1 + k_D)],
+             [-1, 0]],
+        B = [[k_P mu / (1 + k_D), k_D nu / (1 + k_D)], [1, 0]],
+
+    so every step is the one affine map of ``qkf._rk4_linear`` and
+    the reference is read once at each grid time and step midpoint.
     Returns (t, a_hat, integral_error) arrays on the full step grid.
     """
     n = _step_count(T, dt)
-
-    def rhs(t, a, ie):
-        return (_drift(gains, a, ie, t, params, ref), ref.value(t) - a)
-
-    ts = np.empty(n + 1)
-    a_arr = np.empty(n + 1, dtype=np.complex128)
-    ie_arr = np.empty(n + 1, dtype=np.complex128)
-    a, ie = complex(a0), complex(ie0)
-    ts[0], a_arr[0], ie_arr[0] = 0.0, a, ie
-    for k in range(n):
-        t = k * dt
-        k1a, k1e = rhs(t, a, ie)
-        k2a, k2e = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, ie + 0.5 * dt * k1e)
-        k3a, k3e = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, ie + 0.5 * dt * k2e)
-        k4a, k4e = rhs(t + dt, a + dt * k3a, ie + dt * k3e)
-        a = a + (dt / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        ie = ie + (dt / 6.0) * (k1e + 2.0 * (k2e + k3e) + k4e)
-        ts[k + 1] = (k + 1) * dt
-        a_arr[k + 1] = a
-        ie_arr[k + 1] = ie
+    s = 1.0 + gains.k_D
+    a = np.array([[-(complex(0.5 * params.gamma, params.omega) + gains.k_P) / s,
+                   gains.k_I / s],
+                  [-1.0, 0.0]], dtype=np.complex128)
+    b = np.array([[gains.k_P * gains.mu / s, gains.k_D * gains.nu / s],
+                  [1.0, 0.0]], dtype=np.complex128)
+    ts = np.arange(n + 1) * dt
+    x = _rk4_linear(a, b, dt, (complex(a0), complex(ie0)),
+                    _reference_at(ref, ts), _reference_at(ref, ts[:-1] + 0.5 * dt))
+    a_arr = np.ascontiguousarray(x[:, 0])
+    ie_arr = np.ascontiguousarray(x[:, 1])
     for arr in (ts, a_arr, ie_arr):
         arr.setflags(write=False)
     return ts, a_arr, ie_arr

@@ -24,6 +24,11 @@ with the filter's own ODE:
   an ideal step.  Both forms have the same Laplace transform; only
   this one also matches the time-domain filter on the built-in
   reference signals.
+
+The realized system is linear and time-invariant, so ``step_response``
+takes classical RK4 steps as one affine map built once
+(``qkf._rk4_linear``): the reference enters only through its
+values at the grid times and step midpoints, read once each.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .errors import (
     InfeasibleGainError,
     PoleEvaluationError,
 )
-from .control import PIDGains, ReferenceSignal
-from .qkf import ModeParams, _step_count
+from .control import PIDGains, ReferenceSignal, _reference_at
+from .qkf import ModeParams, _rk4_linear, _step_count
 
 __all__ = [
     "RationalTF",
@@ -382,36 +387,22 @@ def realize(tf: RationalTF) -> StateSpaceRealization:
 def step_response(tf: RationalTF, ref: ReferenceSignal, T: float, dt: float):
     """Time response of the realized system to a built-in reference.
 
-    RK4 from zero initial state; returns (t, y) on the full step grid.
-    The derivative channel sees ref.derivative, so an ideal step excites
-    only the r channel, matching the filter's own convention.
+    Classical RK4 from zero initial state; returns (t, y) on the full step
+    grid.  The system is linear and time-invariant, so every step is the
+    one affine map of ``qkf._rk4_linear``; r and dr/dt are read once
+    at each grid time and step midpoint.  The derivative channel sees
+    ref.derivative, so an ideal step excites only the r channel, matching
+    the filter's own convention.
     """
     n = _step_count(T, dt)
     sys = realize(tf)
-    a, b_r, b_dr, c = sys.a, sys.b_r, sys.b_dr, sys.c
-    x = np.zeros(sys.order, dtype=np.complex128)
-
-    def rhs(t, xv):
-        return a @ xv + b_r * ref.value(t) + b_dr * ref.derivative(t)
-
-    def out(t, xv):
-        y = sys.d_r * ref.value(t) + sys.d_dr * ref.derivative(t)
-        if sys.order:
-            y = y + c @ xv
-        return complex(y)
-
-    ts = np.empty(n + 1)
-    ys = np.empty(n + 1, dtype=np.complex128)
-    ts[0], ys[0] = 0.0, out(0.0, x)
-    for kk in range(n):
-        t = kk * dt
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        ts[kk + 1] = (kk + 1) * dt
-        ys[kk + 1] = out((kk + 1) * dt, x)
+    ts = np.arange(n + 1) * dt
+    rdr = _reference_at(ref, ts)
+    ys = sys.d_r * rdr[:, 0] + sys.d_dr * rdr[:, 1]
+    if sys.order:
+        x = _rk4_linear(sys.a, np.stack([sys.b_r, sys.b_dr], axis=1), dt, 0.0,
+                        rdr, _reference_at(ref, ts[:-1] + 0.5 * dt))
+        ys = ys + x @ sys.c
     ts.setflags(write=False)
     ys.setflags(write=False)
     return ts, ys

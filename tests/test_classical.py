@@ -10,6 +10,8 @@ from cavityfilter.classical import (
     DiscreteKalmanState,
     GridDensity,
     ScalarLGModel,
+    _zakai_apply,
+    _zakai_operator,
     kalman_bucy_step,
     kalman_predict,
     kalman_update,
@@ -19,6 +21,7 @@ from cavityfilter.classical import (
 from cavityfilter.errors import (
     DegenerateDensityError,
     DegenerateVarianceWarning,
+    DomainError,
     StabilityError,
 )
 
@@ -304,3 +307,74 @@ def test_zakai_mean_over_noise_recovers_fokker_planck():
     se = np.std(np.asarray(runs), axis=0, ddof=1) / math.sqrt(n_runs)
     # pointwise agreement within Monte Carlo error (plus a tiny floor)
     assert np.all(np.abs(mean_grid - det.values) <= 4.0 * se + 1e-12)
+
+
+def _zakai_flux_step(g, dY, dt, dx, v, s2, h):
+    """The flux form of the Zakai step, written out as the oracle."""
+    vg = v * g
+    dhalf = 0.5 * s2 * g
+    flux = 0.5 * (vg[:-1] + vg[1:]) - (dhalf[1:] - dhalf[:-1]) / dx
+    div = np.empty_like(g)
+    div[0] = flux[0] / dx
+    div[1:-1] = (flux[1:] - flux[:-1]) / dx
+    div[-1] = -flux[-1] / dx
+    return g - dt * div + h * g * dY
+
+
+_CURVED = DiffusionModel1D(
+    v=lambda x: -x + 0.3 * np.sin(2.0 * x),
+    sigma=lambda x: 0.8 + 0.2 * np.cos(x),
+    h=lambda x: x + 0.1 * x**2,
+)
+
+
+def test_zakai_operator_matches_flux_form():
+    xs = _uniform_grid(-6.0, 6.0, 241)
+    dx = xs[1] - xs[0]
+    dt = 1.0e-3
+    grid = GridDensity(xs, np.exp(-0.5 * (xs - 0.7) ** 2 / 0.4))
+    op = _zakai_operator(grid, dt, _CURVED)
+    v, s2, h = _CURVED.v(xs), _CURVED.sigma(xs) ** 2, _CURVED.h(xs)
+    dys = np.random.default_rng(4).normal(0.0, math.sqrt(dt), 200)
+    g = want = grid.values
+    for dy in dys:
+        g = _zakai_apply(op, g, float(dy), dx)
+        want = _zakai_flux_step(want, float(dy), dt, dx, v, s2, h)
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_zakai_grid_step_is_operator_then_apply():
+    xs = _uniform_grid(-6.0, 6.0, 241)
+    grid = GridDensity(xs, np.exp(-0.5 * xs**2))
+    step = zakai_grid_step(grid, 0.01, 1.0e-3, _CURVED)
+    op = _zakai_operator(grid, 1.0e-3, _CURVED)
+    assert np.array_equal(step.values,
+                          _zakai_apply(op, grid.values, 0.01, grid.dx))
+
+
+def test_zakai_operator_rejects_unstable_step_before_any_step():
+    xs = _uniform_grid(-1.0, 1.0, 401)
+    grid = GridDensity(xs, np.ones_like(xs))
+    with pytest.raises(StabilityError, match="diffusion number"):
+        _zakai_operator(grid, 1e-2, _CURVED)
+    with pytest.raises(DomainError, match="dt must be positive"):
+        _zakai_operator(grid, 0.0, _CURVED)
+
+
+def test_cli_classical_builds_the_zakai_operator_once(tmp_path, monkeypatch):
+    from cavityfilter import cli
+
+    calls = []
+
+    def counting_model(v, sigma, h):
+        def counted_v(x):
+            calls.append(1)
+            return v(x)
+        return DiffusionModel1D(counted_v, sigma, h)
+
+    monkeypatch.setattr(cli, "DiffusionModel1D", counting_model)
+    cfg = cli.parse_config(
+        "[mode]\ngamma = 1\ndim = 20\n[initial]\nstate = gaussian\nV = 0.5\n"
+        "[run]\nT = 0.01\ndt = 2e-4\nseed = 3\n")
+    assert cli.run_subcommand("classical", cfg, out_dir=tmp_path)[0] == 0
+    assert len(calls) == 1

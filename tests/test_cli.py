@@ -173,6 +173,23 @@ def test_rerun_is_byte_identical(tmp_path):
             == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
 
+def test_tf_and_classical_reruns_are_byte_identical(tmp_path):
+    cfg = parse_config(MINIMAL.replace("state = vacuum",
+                                       "state = thermal\nnbar = 0.5")
+                       .replace("T = 1", "T = 0.1")
+                       .replace("dt = 1e-3", "dt = 2e-4\nstride = 10")
+                       + "\n[control]\nk_P = 2\nk_I = 1\nk_D = 0.5\n"
+                       + "\n[reference]\nkind = sinusoid\nfrequency = 3\n")
+    files = {}
+    for name in ("a", "b"):
+        for sub in ("tf", "classical"):
+            assert run_subcommand(sub, cfg, out_dir=tmp_path / name)[0] == 0
+        files[name] = {p.name: p.read_bytes()
+                       for p in sorted((tmp_path / name).iterdir())}
+    assert set(files["a"]) == {"tf_freq.csv", "tf_step.csv", "classical.csv"}
+    assert files["b"] == files["a"]
+
+
 def test_closed_loop_emits_series_and_summary(tmp_path):
     cfg = parse_config("""\
 [mode]

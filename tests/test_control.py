@@ -259,6 +259,35 @@ def test_noise_free_response_matches_euler_steps():
     assert np.max(np.abs(np.asarray(euler) - aa)) < 1e-3
 
 
+def test_noise_free_response_matches_rk4_stage_loop():
+    # oracle: the written-out RK4 of the drift, four calls per step
+    params = ModeParams(1.0, 0.5)
+    gains = PIDGains(2.0, 1.0, 0.5, mu=0.8, nu=1.2)
+    ref = ReferenceSignal("sinusoid", 1.0, onset=0.0123, frequency=3.0)
+    dt, n = 1e-2, 200
+    a0, ie0 = 0.3 - 0.2j, 0.1j
+
+    def rhs(t, a, ie):
+        return (control._drift(gains, a, ie, t, params, ref), ref.value(t) - a)
+
+    a, ie = a0, ie0
+    want = [(a, ie)]
+    for k in range(n):
+        t = k * dt
+        k1a, k1e = rhs(t, a, ie)
+        k2a, k2e = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, ie + 0.5 * dt * k1e)
+        k3a, k3e = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, ie + 0.5 * dt * k2e)
+        k4a, k4e = rhs(t + dt, a + dt * k3a, ie + dt * k3e)
+        a = a + (dt / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
+        ie = ie + (dt / 6.0) * (k1e + 2.0 * (k2e + k3e) + k4e)
+        want.append((a, ie))
+    want = np.array(want)
+    ts, aa, ie_arr = noise_free_response(gains, ref, params, n * dt, dt, a0, ie0)
+    assert np.array_equal(ts, np.arange(n + 1) * dt)
+    got = np.stack([aa, ie_arr], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_noise_free_response_validation():
     with pytest.raises(DomainError):
         noise_free_response(PIDGains(1.0), ReferenceSignal("step", 1.0),

@@ -5,7 +5,12 @@ import cmath
 import numpy as np
 import pytest
 
-from cavityfilter.control import PIDGains, ReferenceSignal, noise_free_response
+from cavityfilter.control import (
+    PIDGains,
+    ReferenceSignal,
+    _reference_at,
+    noise_free_response,
+)
 from cavityfilter.errors import (
     AlgebraError,
     DomainError,
@@ -23,7 +28,7 @@ from cavityfilter.lti import (
     setpoint_tf,
     step_response,
 )
-from cavityfilter.qkf import ModeParams
+from cavityfilter.qkf import ModeParams, _rk4_linear
 
 
 def test_rational_tf_eval_matches_polyval():
@@ -317,3 +322,72 @@ def test_step_response_grid_validation():
         step_response(one, ref, 1.0, -1e-3)
     with pytest.raises(DomainError):
         step_response(one, ref, 1.0, 0.3)
+
+
+_REFERENCES = {
+    "constant": ReferenceSignal("constant", amplitude=0.7 - 0.2j),
+    # onsets fall inside a step of the dt = 1e-2 and 2e-2 grids below
+    "step": ReferenceSignal("step", amplitude=1.0 + 0.5j, onset=0.0237),
+    "ramp": ReferenceSignal("ramp", amplitude=0.1, slope=-0.8, onset=0.0411),
+    "sinusoid": ReferenceSignal("sinusoid", amplitude=0.5j, frequency=7.0,
+                                onset=0.013),
+}
+
+
+def _rk4_stage_loop(a, b_r, b_dr, ref, x0, n, dt):
+    """Classical RK4 with four right-hand-side calls per step: the oracle."""
+    def rhs(t, x):
+        return a @ x + b_r * ref.value(t) + b_dr * ref.derivative(t)
+
+    x = x0
+    out = [x]
+    for k in range(n):
+        t = k * dt
+        k1 = rhs(t, x)
+        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", sorted(_REFERENCES))
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_rk4_propagator_matches_stage_loop(order, kind):
+    rng = np.random.default_rng(100 + order)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b_r, b_dr, x0 = cnormal(order, order), cnormal(order), cnormal(order), cnormal(order)
+    ref = _REFERENCES[kind]
+    dt, n = 2e-2, 100
+    ts = np.arange(n + 1) * dt
+    got = _rk4_linear(a, np.stack([b_r, b_dr], axis=1), dt, x0,
+                      _reference_at(ref, ts),
+                      _reference_at(ref, ts[:-1] + 0.5 * dt))
+    want = _rk4_stage_loop(a, b_r, b_dr, ref, x0, n, dt)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_step_response_reads_the_reference_on_grid_and_midpoints_only():
+    seen = {"value": [], "derivative": []}
+
+    class Recorded(ReferenceSignal):
+        def value(self, t):
+            seen["value"].append(t)
+            return ReferenceSignal.value(self, t)
+
+        def derivative(self, t):
+            seen["derivative"].append(t)
+            return ReferenceSignal.derivative(self, t)
+
+    h = closed_loop(plant_tf(ModeParams(1.0, 0.5)),
+                    pid_tf(PIDGains(2.0, 1.0, 0.5)))
+    dt, n = 1e-2, 50
+    step_response(h, Recorded("ramp", slope=0.5, onset=0.013), n * dt, dt)
+    times = sorted([k * dt for k in range(n + 1)]
+                   + [k * dt + 0.5 * dt for k in range(n)])
+    assert sorted(seen["value"]) == times
+    assert sorted(seen["derivative"]) == times
