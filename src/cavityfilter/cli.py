@@ -33,6 +33,7 @@ from .qkf import ModeParams, RiccatiState, _step_count, riccati_integrate
 from .control import (
     PIDGains,
     ReferenceSignal,
+    _sq_error,
     closed_loop_cosim,
     error_signal,
 )
@@ -354,9 +355,7 @@ def _cmd_closed_loop(cfg: ScenarioConfig, out: Path):
         record_stride=cfg.stride)
     csv_path = out / "closed_loop.csv"
     _write_csv(csv_path, _TRAJ_HEADER, _traj_rows(rec))
-    sq = (rec.truth_mean_n
-          - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
-          + np.abs(rec.a_hat) ** 2)
+    sq = _sq_error(rec)
     terminal = error_signal(cfg.reference.value(float(rec.t[-1])),
                             complex(rec.a_hat[-1]))
     summary = {

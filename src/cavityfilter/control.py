@@ -224,6 +224,14 @@ class ClosedLoopRecord:
     qv: float
 
 
+def _sq_error(rec: ClosedLoopRecord) -> np.ndarray:
+    """|<a> - a_hat|^2 conditioned on the truth, at each record point:
+    <a'a> - 2 Re(a_hat* <a>) + |a_hat|^2."""
+    return (rec.truth_mean_n
+            - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
+            + np.abs(rec.a_hat) ** 2)
+
+
 def error_signal(r_t: complex, a_hat: complex) -> complex:
     """Tracking error e = r(t) - a_hat."""
     return complex(r_t) - complex(a_hat)
@@ -256,12 +264,7 @@ def drift_estimate(
     skipped outright so that gain-by-gain reductions agree at the bit
     level, not merely numerically.
     """
-    return _drift(gains, filt.a_hat, integral_error, t, params, ref)
-
-
-def _drift(gains: PIDGains, a_hat: complex, integral_error: complex,
-           t: float, params: ModeParams, ref: ReferenceSignal) -> complex:
-    return _drift_at(gains, a_hat, integral_error, ref.value(t),
+    return _drift_at(gains, filt.a_hat, integral_error, ref.value(t),
                      _d_reference(gains, ref, t), params)
 
 

@@ -10,15 +10,17 @@ tiny (the loop algebra never exceeds quadratics), so evaluation and
 root finding use closed forms where accuracy matters.
 
 ``realize``/``step_response`` turn a transfer function into an
-integrable state-space system.  Two conventions matter for agreement
+integrable state-space system: one observable companion block of order
+den_degree, which the r and dr/dt channels share (so the realization
+is minimal), plus direct taps.  Two conventions matter for agreement
 with the filter's own ODE:
 
 * an improper quotient (numerator degree above denominator degree)
   becomes direct taps on r and its analytic derivative, never a
   numerical difference of r;
 * a biproper part (equal degrees) is NOT split off as a feedthrough
-  d*r; its top coefficient is realized as a companion channel driven
-  by dr/dt.  The filter state responds to a reference step with a
+  d*r; its top coefficient enters the block through the dr/dt
+  channel.  The filter state responds to a reference step with a
   continuous trajectory from 0, and a feedthrough term would jump at
   t=0 while the derivative channel correctly contributes nothing for
   an ideal step.  Both forms have the same Laplace transform; only
@@ -165,7 +167,8 @@ class RationalTF:
 
 @dataclass(frozen=True)
 class StateSpaceRealization:
-    """Companion-form system plus direct taps.
+    """Observable companion block, shared by both input channels, plus
+    direct taps.
 
         dx/dt = a x + b_r r(t) + b_dr dr/dt(t)
         y     = c x + d_r r(t) + d_dr dr/dt(t)
@@ -189,8 +192,7 @@ class StateSpaceRealization:
         out = self.d_r + self.d_dr * s
         if self.order:
             m = s * np.eye(self.order, dtype=np.complex128) - self.a
-            out += self.c @ np.linalg.solve(m, self.b_r)
-            out += s * (self.c @ np.linalg.solve(m, self.b_dr))
+            out += self.c @ np.linalg.solve(m, self.b_r + s * self.b_dr)
         return complex(out)
 
 
@@ -281,107 +283,51 @@ def freq_response(tf: RationalTF, omega_grid) -> list:
     return out
 
 
-def _companion(num: Sequence[complex], den: Sequence[complex]):
-    """Controllable companion block for num/den, den degree >= 1."""
-    k = len(den) - 1
-    lead = den[-1]
-    a = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k - 1):
-        a[i, i + 1] = 1.0
-    a[k - 1, :] = [-c / lead for c in den[:-1]]
-    b = np.zeros(k, dtype=np.complex128)
-    b[k - 1] = 1.0
-    c = np.zeros(k, dtype=np.complex128)
-    for i, ci in enumerate(num):
-        c[i] = ci / lead
-    return a, b, c
-
-
 def realize(tf: RationalTF) -> StateSpaceRealization:
-    """Split a transfer function into integrable channels.
+    """Minimal realization of a transfer function: one observable
+    companion block of order den_degree plus direct taps.
 
-    Improper excess of degree at most one becomes direct taps (d_r,
-    d_dr); a biproper top coefficient becomes a companion channel
-    driven by dr/dt; the strictly proper rest is a companion channel
-    driven by r.  Degree excess beyond one is rejected: it would need
-    second derivatives of the reference.
+    With lead the top coefficient of den, a is the companion matrix of
+    den / lead (ones on the subdiagonal, -den[:k] / lead in the last
+    column) and c = e_k, so c (sI - a)^{-1} b is the polynomial with
+    coefficients b over den / lead: the r and dr/dt channels share the
+    block and differ only in b_r and b_dr.  Excess of degree one, or a
+    constant den, is divided out into the taps (d_r, d_dr) and the
+    remainder drives r.  A biproper top coefficient num_k s^k =
+    s num_k s^(k-1) drives the dr/dt channel, never a feedthrough.
+    Excess beyond one is rejected: it would need second derivatives of
+    the reference.
     """
-    num = list(tf.num)
-    den = list(tf.den)
+    num = np.array(tf.num)
+    den = np.array(tf.den)
     k = len(den) - 1
-    d_r = 0.0 + 0.0j
-    d_dr = 0.0 + 0.0j
-
-    if k == 0:
-        q = [c / den[0] for c in num]
-        if len(q) > 2:
-            raise DomainError(
-                "numerator degree exceeds denominator degree by more than "
-                "one; realization would need higher reference derivatives"
-            )
-        d_r = q[0]
-        if len(q) == 2:
-            d_dr = q[1]
-        num_r = []
-        num_dr = []
-    elif len(num) - 1 > k:
-        if len(num) - 1 - k > 1:
-            raise DomainError(
-                "numerator degree exceeds denominator degree by more than "
-                "one; realization would need higher reference derivatives"
-            )
-        q, rem = np.polydiv(list(reversed(num)), list(reversed(den)))
-        q = list(reversed([complex(x) for x in q]))
-        d_r = q[0]
-        d_dr = q[1]
-        num_r = _trim(list(reversed([complex(x) for x in rem])))
-        num_r = [] if num_r == (0.0 + 0.0j,) else list(num_r)
-        num_dr = []
-    elif len(num) - 1 == k:
-        num_dr = [0.0 + 0.0j] * (k - 1) + [num[k]]
-        num_r = list(_trim(num[:k]))
-        if num_r == [0.0 + 0.0j]:
-            num_r = []
+    excess = len(num) - 1 - k
+    if excess > 1:
+        raise DomainError(
+            "numerator degree exceeds denominator degree by more than "
+            "one; realization would need higher reference derivatives"
+        )
+    lead = den[-1]
+    taps = np.zeros(2, dtype=np.complex128)
+    b_r = np.zeros(k, dtype=np.complex128)
+    b_dr = np.zeros(k, dtype=np.complex128)
+    if excess == 1 or k == 0:
+        q, rem = np.polydiv(num[::-1], den[::-1])
+        taps[:len(q)] = q[::-1]
+        rem = rem[::-1][:k]
+        b_r[:len(rem)] = rem / lead
     else:
-        num_r = num if num != [0.0 + 0.0j] else []
-        num_dr = []
-
-    blocks = []
-    b_r_parts = []
-    b_dr_parts = []
-    c_parts = []
-    if num_r:
-        a, b, c = _companion(num_r, den)
-        blocks.append(a)
-        b_r_parts.append(b)
-        b_dr_parts.append(np.zeros_like(b))
-        c_parts.append(c)
-    if num_dr:
-        a, b, c = _companion(num_dr, den)
-        blocks.append(a)
-        b_r_parts.append(np.zeros_like(b))
-        b_dr_parts.append(b)
-        c_parts.append(c)
-
-    if blocks:
-        n_tot = sum(b.shape[0] for b in blocks)
-        a_full = np.zeros((n_tot, n_tot), dtype=np.complex128)
-        pos = 0
-        for b in blocks:
-            w = b.shape[0]
-            a_full[pos:pos + w, pos:pos + w] = b
-            pos += w
-        b_r = np.concatenate(b_r_parts)
-        b_dr = np.concatenate(b_dr_parts)
-        c_full = np.concatenate(c_parts)
-    else:
-        a_full = np.zeros((0, 0), dtype=np.complex128)
-        b_r = np.zeros(0, dtype=np.complex128)
-        b_dr = np.zeros(0, dtype=np.complex128)
-        c_full = np.zeros(0, dtype=np.complex128)
-    for arr in (a_full, b_r, b_dr, c_full):
+        b_r[:len(num)] = num[:k] / lead
+        if excess == 0:
+            b_dr[-1] = num[k] / lead
+    a = np.eye(k, k=-1, dtype=np.complex128)
+    a[:, -1:] = -den[:k, None] / lead
+    c = np.zeros(k, dtype=np.complex128)
+    c[-1:] = 1.0
+    for arr in (a, b_r, b_dr, c):
         arr.setflags(write=False)
-    return StateSpaceRealization(a_full, b_r, b_dr, c_full, d_r, d_dr)
+    return StateSpaceRealization(a, b_r, b_dr, c, complex(taps[0]),
+                                 complex(taps[1]))
 
 
 def step_response(tf: RationalTF, ref: ReferenceSignal, T: float, dt: float):

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import CavityFilterError, ConfigError, DomainError
 from .fock import CovariancePair
 from .qkf import ModeParams, RiccatiState, _step_count
-from .control import PIDGains, ReferenceSignal, _cosim
+from .control import PIDGains, ReferenceSignal, _cosim, _sq_error
 from .trajectory import NoiseStream
 
 __all__ = [
@@ -86,10 +86,6 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_traj < 1:
             raise DomainError(f"n_traj must be >= 1, got {self.n_traj}")
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.dt > self.T:
-            raise DomainError(f"dt={self.dt} exceeds T={self.T}")
         if not 0 <= self.base_seed < 2**64:
             raise DomainError(f"base_seed must be a 64-bit integer, "
                               f"got {self.base_seed}")
@@ -195,11 +191,8 @@ def _prior_rng(base_seed: int, index: int) -> np.random.Generator:
 
 
 def _sample(rec) -> TrajectorySample:
-    sq = (rec.truth_mean_n
-          - 2.0 * (np.conj(rec.a_hat) * rec.truth_mean_a).real
-          + np.abs(rec.a_hat) ** 2)
-    return TrajectorySample(rec.t, rec.truth_mean_a, rec.a_hat, sq, rec.V,
-                            float(rec.I[-1]), rec.qv)
+    return TrajectorySample(rec.t, rec.truth_mean_a, rec.a_hat,
+                            _sq_error(rec), rec.V, float(rec.I[-1]), rec.qv)
 
 
 def _draw_displacement(cov: CovariancePair, rng: np.random.Generator) -> complex:

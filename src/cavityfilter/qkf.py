@@ -42,8 +42,11 @@ class ModeParams:
     omega: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
+        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
+            raise DomainError(
+                f"gamma must be finite and >= 0, got {self.gamma}")
+        if not math.isfinite(self.omega):
+            raise DomainError(f"omega must be finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class RiccatiState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.V) and cmath.isfinite(self.W)):
+            raise DomainError("covariances must be finite")
         if self.V < -1e-10:
             raise DomainError(f"V must be nonnegative, got {self.V}")
 
@@ -73,6 +78,8 @@ def _step_count(T: float, dt: float, stride: int = 1, *, min_steps: int = 1,
     """Number n >= min_steps of dt steps that tile [0, T], with ``stride``
     >= 1 dividing n.  Otherwise raises ``error``, naming dt and the stride by
     ``names``; the tiling tolerance is 1e-12 relative to max(1, |T|)."""
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise error(f"T={T} and dt={dt} must be finite")
     if dt <= 0.0:
         raise error(f"dt must be positive, got {dt}")
     if stride < 1:

@@ -268,7 +268,9 @@ def test_noise_free_response_matches_rk4_stage_loop():
     a0, ie0 = 0.3 - 0.2j, 0.1j
 
     def rhs(t, a, ie):
-        return (control._drift(gains, a, ie, t, params, ref), ref.value(t) - a)
+        return (control._drift_at(gains, a, ie, ref.value(t),
+                                  ref.derivative(t), params),
+                ref.value(t) - a)
 
     a, ie = a0, ie0
     want = [(a, ie)]

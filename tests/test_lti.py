@@ -232,9 +232,20 @@ def test_realize_reconstructs_transfer_function():
     rng = np.random.default_rng(17)
     for tf in cases:
         sys = realize(tf)
+        # minimal: the r and dr/dt channels share one block of den's order
+        assert sys.order == tf.den_degree
         for _ in range(16):
             s = 2.0 * complex(rng.normal(), rng.normal())
             assert abs(sys.transfer_at(s) - tf(s)) < 1e-10
+
+
+def test_realize_pid_closed_loop_is_minimal():
+    h = closed_loop(plant_tf(ModeParams(1.0, 0.5)),
+                    pid_tf(PIDGains(2.0, 1.0, 0.5)))
+    assert h.num_degree == h.den_degree == 2
+    assert realize(h).order == 2
+    _, ys = step_response(h, ReferenceSignal("step"), 0.5, 1e-3)
+    assert ys[0] == 0.0
 
 
 def test_realize_pid_structure():

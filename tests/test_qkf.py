@@ -11,10 +11,12 @@ from cavityfilter.control import (
     ReferenceSignal,
     _cosim,
     closed_loop_cosim,
+    noise_free_response,
     pid_filter_step,
 )
-from cavityfilter.errors import DivergenceError, DomainError
-from cavityfilter.fock import CovariancePair
+from cavityfilter.errors import ConfigError, DivergenceError, DomainError
+from cavityfilter.fock import CovariancePair, coherent_state
+from cavityfilter.lti import plant_tf, step_response
 from cavityfilter.mc import EnsembleConfig, FilterScenario
 from cavityfilter.qkf import (
     ModeParams,
@@ -26,7 +28,11 @@ from cavityfilter.qkf import (
     riccati_integrate,
     riccati_rhs,
 )
-from cavityfilter.trajectory import NoiseStream
+from cavityfilter.trajectory import (
+    NoiseStream,
+    damped_cavity_slh,
+    run_trajectory,
+)
 
 
 def test_vacuum_is_fixed_point_for_any_phase():
@@ -337,3 +343,49 @@ def test_step_grid_messages_and_zero_horizon():
     series = riccati_integrate(RiccatiState(0.5, 0.0), 0.0, ModeParams(1.0),
                                1e-3, 0.0)
     assert series == [RiccatiState(0.5, 0.0)]
+
+
+_CONSUMERS = {
+    "riccati_integrate": lambda T, dt: riccati_integrate(
+        RiccatiState(0.5, 0.0), 0.0, ModeParams(1.0), dt, T),
+    "run_trajectory": lambda T, dt: run_trajectory(
+        coherent_state(0.1, 6), damped_cavity_slh(ModeParams(1.0), 6), 0.0,
+        NoiseStream(0, dt), T, dt),
+    "closed_loop_cosim": lambda T, dt: closed_loop_cosim(
+        0.1, CovariancePair(0.0, 0.0), PIDGains(1.0), ReferenceSignal("step"),
+        ModeParams(1.0), 6, NoiseStream(0, dt), T, dt),
+    "EnsembleConfig": lambda T, dt: EnsembleConfig(4, T, dt, 1, "x"),
+    "step_response": lambda T, dt: step_response(
+        plant_tf(ModeParams(1.0)), ReferenceSignal("step"), T, dt),
+    "noise_free_response": lambda T, dt: noise_free_response(
+        PIDGains(1.0), ReferenceSignal("step"), ModeParams(1.0), T, dt),
+}
+
+
+@pytest.mark.parametrize("T, dt", [(math.inf, 1e-3), (math.nan, 1e-3),
+                                   (1.0, math.nan), (1.0, math.inf)])
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_non_finite_grid_is_a_domain_error(consumer, T, dt):
+    # int(round(T / dt)) would raise OverflowError or ValueError instead
+    with pytest.raises(DomainError, match="must be finite$"):
+        _CONSUMERS[consumer](T, dt)
+
+
+def test_non_finite_grid_takes_the_callers_error_type():
+    with pytest.raises(ConfigError,
+                       match=r"^T=inf and dt=0\.001 must be finite$"):
+        _step_count(math.inf, 1e-3, error=ConfigError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModeParams(math.nan),
+    lambda: ModeParams(math.inf),
+    lambda: ModeParams(1.0, omega=math.inf),
+    lambda: ModeParams(1.0, omega=math.nan),
+    lambda: RiccatiState(math.nan, 0.0),
+    lambda: RiccatiState(math.inf, 0.0),
+    lambda: RiccatiState(0.5, complex(0.0, math.nan)),
+])
+def test_non_finite_parameters_are_rejected_at_construction(build):
+    with pytest.raises(DomainError, match="must be finite"):
+        build()
