@@ -209,8 +209,10 @@ def kalman_bucy_step(
 
 def _zakai_operator(grid: GridDensity, dt: float, model: DiffusionModel1D):
     """The step operator of ``zakai_grid_step`` on ``grid``'s points, built
-    once: the bands (diag, up, lo) of the tridiagonal I + dt L* and the
-    observation function h on the grid.
+    once: the bands (diag, up, lo) of the tridiagonal I + dt L*, the
+    observation function h on the grid, max |h| and the largest
+    x = |dY| max |h| at which a step has no negative entry (-1 if the
+    bands have one), for the mass bound of ``_zakai_apply``.
 
     With the face rates a_i = dt/dx (v_i/2 + sigma_i^2/(2 dx)) out of
     cell i through its right face and b_i = dt/dx (v_i/2 - sigma_i^2/(2 dx))
@@ -243,24 +245,44 @@ def _zakai_operator(grid: GridDensity, dt: float, model: DiffusionModel1D):
     diag = np.ones_like(xs)
     diag[:-1] -= right[:-1]
     diag[1:] += left[1:]
-    return diag, -left[1:], right[:-1], h
+    up, lo = -left[1:], right[:-1]
+    floor = min(float(diag.min()), 0.5)
+    if min(floor, float(up.min()), float(lo.min())) < 0.0:
+        floor = -1.0
+    return diag, up, lo, h, float(np.max(np.abs(h))), floor
 
 
-def _zakai_apply(op, g: np.ndarray, dY: float, dx: float) -> np.ndarray:
+def _zakai_apply(op, g: np.ndarray, dY: float, dx: float, room: float = 0.0):
     """One step of the ``_zakai_operator`` ``op`` on the values g:
     (I + dt L* + dY diag(h)) g, rescaled by a power of two when its mass
-    leaves the comfortable float range."""
-    diag, up, lo, h = op
+    leaves [1e-50, 1e50].  Returns the new values and the room left.
+
+    The mass is summed only when it could have left that window.  A step
+    without negative entries (x = |dY| max |h| up to the operator's
+    floor) maps g >= 0 to values >= 0, and its columns sum to 1 + dY h_i,
+    so it moves the mass by a factor in [1 - x, 1 + x].  ``room`` is the
+    distance to the window in e-folds, less one, at the last sum, less
+    -ln(1 - x) per step since; the step sums the mass when the room is
+    spent (a room of 0 sums at once), and a sum that finds a negative
+    value leaves no room."""
+    diag, up, lo, h, h_max, floor = op
     new = (diag + dY * h) * g
     new[:-1] += up * g[1:]
     new[1:] += lo * g[:-1]
-
-    # keep the unnormalized density inside the comfortable float range;
+    x = abs(dY) * h_max
+    if x <= floor:
+        room += math.log1p(-x)
+        if room > 0.0:
+            return new, room
     # powers of two leave every normalized quantity bit-identical
     total = float(np.abs(new).sum()) * dx
     if total != 0.0 and not (1e-50 < total < 1e50):
-        new = new * 2.0 ** (-math.frexp(total)[1])
-    return new
+        scale = 2.0 ** (-math.frexp(total)[1])
+        new = new * scale
+        total *= scale
+    if total == 0.0 or new.min() < 0.0:
+        return new, 0.0
+    return new, math.log(min(total / 1e-50, 1e50 / total)) - 1.0
 
 
 def zakai_grid_step(
@@ -280,7 +302,7 @@ def zakai_grid_step(
     Raises ``StabilityError`` if max(sigma^2) dt / dx^2 > 0.5.
     """
     op = _zakai_operator(grid, dt, model)
-    return GridDensity(grid.xs, _zakai_apply(op, grid.values, dY, grid.dx))
+    return GridDensity(grid.xs, _zakai_apply(op, grid.values, dY, grid.dx)[0])
 
 
 def ks_normalize(grid: GridDensity) -> tuple[GridDensity, float, float]:

@@ -534,7 +534,7 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     sq = math.sqrt(cfg.dt)
 
     zakai = _zakai_operator(grid, cfg.dt, model)
-    g, dx = grid.values, grid.dx
+    g, dx, room = grid.values, grid.dx, 0.0
     rows = []
 
     def record(t):
@@ -545,7 +545,7 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
     for i in range(n):
         dy = truth * cfg.dt + dvs[i]
         truth += a * truth * cfg.dt + dws[i]
-        g = _zakai_apply(zakai, g, dy, dx)
+        g, room = _zakai_apply(zakai, g, dy, dx, room)
         kb = kalman_bucy_step(kb, dy, 0.0, cfg.dt, cont)
         dk = kalman_update(kalman_predict(dk, 0.0, disc), dy / sq, disc,
                            k=i + 1)

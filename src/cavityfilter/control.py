@@ -21,8 +21,8 @@ with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
 materializes them as SLH coefficients on the ladder basis, whose
 steppers read L and A0 = -iH - L'L/2 from the same ladder rows;
 ``closed_loop_cosim`` never does, and steps the truth from those rows
-alone (banded for a state vector, dense sums over the basis for the
-factor X of a density matrix rho = XX').
+alone, a state vector and the factor X of a density matrix rho = XX'
+alike.
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
@@ -41,15 +41,11 @@ the batch's one ``qkf._covariances`` generator, and computes r(t), dr/dt
 and the Xi gain (``_shared_scalars``).  Each truth keeps its own
 filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
-in z.  Pure truths are stepped as one (B, dim) stack.  Under feedback
-the (B, 2, 6) ladder rows of (L, A0) are built in one call
-(``_ladder_rows``) and contracted with the six ladder-basis products of
-every state by one batched matmul (``fock._ladder_apply``); without
-gains the constant coefficients are combined into bands once, before the
-loop (``fock._band_apply``).  One ``_sse_update`` then steps the stack.
-Mixed truths form L X and A0 X by one stacked matrix product, a dense
-product per truth, before the same update.  Every truth gets the bits of
-its own run.
+in z.  The truths are stepped as one (B, dim) stack of vectors, or one
+(B, dim, r) stack of factors, by one ``trajectory._kraus_update`` on the
+ladder basis: each step forms the ladder rows of dt A0 once (once per
+run without gains) and patches the z entries per truth.  Every truth
+gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -64,12 +60,8 @@ import numpy as np
 from .errors import CavityFilterError, DomainError
 from .fock import (
     CovariancePair,
-    _band_apply,
-    _band_buffers,
     _gaussian_vector,
-    _ladder_apply,
-    _ladder_banded,
-    _ladder_dense,
+    _ladder_basis,
     gaussian_state,
 )
 from .qkf import (
@@ -88,9 +80,9 @@ from .trajectory import (
     _at_column,
     _density_factor,
     _integrate,
-    _ladder_rows,
+    _kraus_update,
     _ladder_slh,
-    _sse_update,
+    _slh_coefficients,
     _step_total,
 )
 
@@ -466,11 +458,10 @@ def closed_loop_cosim(
     at step start, so neither side anticipates.
 
     The truth never sees dense SLH coefficients.  It is stepped from the
-    ladder rows of L and A0 = -iH - L'L/2: a state vector by contracting
-    them with its ladder-basis products, in O(dim) per step, a density
-    matrix as its factor X (rho = XX') from the dense sums over the same
-    basis, with the same state-vector update.  Without gains the
-    coefficients are combined once, before the loop.
+    ladder rows of L and A0 = -iH - L'L/2 by the Kraus update of
+    ``trajectory``: a state vector, or a density matrix as its factor X
+    (rho = XX'), by its exact ladder-basis products and one row of
+    coefficients.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -497,11 +488,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     (one draw from the batch's ``qkf._covariances`` generator), r(t),
     dr/dt and Xi are evaluated once per step for the whole batch;
     the means, integral errors, drifts and displacements are kept per
-    truth.  A pure batch is stepped as one (B, dim) stack through one
-    contraction of its ladder-basis products (one band application
-    without gains) and one ``_sse_update``; a mixed batch forms L X and
-    A0 X by one stacked matrix product, a dense product per truth, before
-    the same update.  An error of truth b names it as the error's
+    truth.  A pure batch is stepped as one (B, dim) stack, a mixed one as
+    a (B, dim, r) stack of factors, by one ``_kraus_update`` on the ladder
+    basis.  An error of truth b names it as the error's
     ``column``."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
@@ -516,8 +505,6 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
                     gaussian_state(t_alpha, truth_cov, dim).entries))
         except CavityFilterError as exc:
             raise _at_column(exc, b)
-    if pure:
-        buffers = _band_buffers(dim, batch)
 
     a_hat = [complex(alpha)] * batch
     ie = [0.0j] * batch
@@ -526,23 +513,22 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     v, w_cov = cov.V, cov.W
     pairs = _covariances(v, w_cov, 0.0, params, dt)
     sg = math.sqrt(params.gamma)
-    if gains.all_zero:
-        # constant coefficients, combined once: bands for a pure batch,
-        # dense matrices for a mixed one
-        rows = _ladder_rows(sg, 0.0j, [0.0j] * batch, 0.0j, params.omega)
-        fixed = (_ladder_banded(rows, dim) if pure
-                 else _ladder_dense(rows, dim)).swapaxes(0, 1)
+    basis = _ladder_basis(dim)
+    a0 = _slh_coefficients(sg, 0.0j, 0.0j, 0.0j, params.omega)[1]
+    fixed = (sg, 0.0j), [[dt * a for a in a0]] * batch
 
-    def truth_products(scalars, arr):
-        """(L x, A0 x) of every truth x of ``arr``: c1, c2 and w depend on
-        Xi alone, so every truth shares those of the first."""
+    def truth_rows(scalars):
+        """(c1, c2) of L = c1 a + c2 a' and the ladder row of dt A0 of
+        every truth: c1, c2 and w depend on Xi alone, so only the a' and
+        a entries of A0, -i z and -i conj(z), differ between the truths."""
         if gains.all_zero:
-            return _band_apply(fixed, arr, buffers) if pure else fixed @ arr
+            return fixed
         c1, c2, _, w, _ = scalars[0]
-        coef = _ladder_rows(c1, c2, [sc[2] for sc in scalars], w, params.omega)
-        if pure:
-            return _ladder_apply(coef, arr, buffers)
-        return _ladder_dense(coef, dim).swapaxes(0, 1) @ arr
+        da = [dt * a for a in _slh_coefficients(c1, c2, 0.0j, w,
+                                                params.omega)[1]]
+        return (c1, c2), [[da[0], dt * (-1j * sc[2]), da[2],
+                           dt * (-1j * sc[2].conjugate()), da[4], da[5]]
+                          for sc in scalars]
 
     n = _step_total(noises, T, dt, record_stride)
 
@@ -557,8 +543,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w_cov, params)
         scalars = [_feedback_scalars(gains, a_b, ie_b, r_t, dr_t, xi, params)
                    for a_b, ie_b in zip(a_hat, ie)]
-        u, a0_x = truth_products(scalars, arr)
-        arr, dy = _sse_update(arr, u, a0_x, 1.0 + 0.0j, dw, dt)
+        arr, dy = _kraus_update(arr, basis, *truth_rows(scalars), 1.0 + 0.0j,
+                                dw, dt)
         v, w_cov = next(pairs)
         for b, sc in enumerate(scalars):
             di_f = dy[b] - (sg * 2.0 * a_hat[b].real) * dt

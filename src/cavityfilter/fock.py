@@ -5,12 +5,12 @@ Operators and states live on the span of the photon-number states
 interest stay well below a few hundred, where dense linear algebra is
 both faster and simpler than sparse structures.  The one exception is
 the ladder basis a, a', a'a, a a', a^2, a'^2, whose members each have a
-single nonzero diagonal: a combination of them is kept either dense or
-as its few bands, which act on a vector by elementwise products on
-shifted slices in O(dim).  A combination whose coefficients change at
-every step is not combined at all: the six basis products of the vector
-are formed once and contracted with the coefficients
-(``_ladder_apply``).
+single nonzero diagonal: a combination of them is kept as its row of
+coefficients and made dense only where an operator is materialized.  A
+truth step never combines it: the basis products of a whole stack of
+states are one product with the real stack of ``_ladder_basis``, exact
+because each row of a member has one nonzero entry, and each state's
+row of coefficients is contracted with its own products.
 
 Truncation policy: constructors check the population of the top two
 Fock levels and warn above 1e-8 (``TruncationWarning``) or raise above
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionError,
@@ -237,14 +236,8 @@ def _mode_matrices(dim: int) -> dict:
 
 
 #: the ladder basis a'^2, a', a'a, a, a^2, a a' of the structured
-#: coefficients and the Fock-index offset o_j of each: X_j[k, k + o_j] is
-#: the only nonzero entry of row k.  The first five run through the
-#: offsets -2..2 in order; a a' shares the main diagonal with a'a.
+#: coefficients; each member has one nonzero entry per row at most
 _LADDER_KEYS = ("ad2", "ad", "n", "a", "a2", "aad")
-_LADDER_OFFSETS = (-2, -1, 0, 1, 2, 0)
-#: the row of the shifted window of ``_band_buffers`` that each ladder
-#: basis member reads
-_LADDER_WINDOW = np.array(_LADDER_OFFSETS) + 2
 
 
 @lru_cache(maxsize=None)
@@ -257,75 +250,23 @@ def _ladder_stack(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ladder_bands(dim: int) -> np.ndarray:
-    """Read-only (6, dim) bands of the ladder basis: row j holds
-    X_j[k, k + o_j], zero where k + o_j leaves the space.  Read off the
-    closed forms of ``_mode_matrices``, so the banded and the dense forms
-    of a ladder combination share every entry."""
-    stack = _ladder_stack(dim)
-    k = np.arange(dim)
-    bands = np.zeros((len(_LADDER_KEYS), dim), dtype=np.complex128)
-    for j, off in enumerate(_LADDER_OFFSETS):
-        rows = k[(k + off >= 0) & (k + off < dim)]
-        bands[j, rows] = stack[j, rows, rows + off]
-    bands.setflags(write=False)
-    return bands
+def _ladder_basis(dim: int) -> tuple:
+    """(stack, index of a, index of a'): the read-only real (7 dim, dim)
+    stack of the ladder basis followed by the identity, rows j dim ..
+    (j + 1) dim - 1 holding member j.  Every row has at most one nonzero
+    entry, so its product with any vector, or with the float64 view of a
+    complex one, is exact: one rounded multiplication per entry, whatever
+    the BLAS kernel or batch shape."""
+    stack = np.concatenate([_ladder_stack(dim).real,
+                            np.eye(dim)[None]]).reshape(-1, dim)
+    stack.setflags(write=False)
+    return stack, _LADDER_KEYS.index("a"), _LADDER_KEYS.index("ad")
 
 
 def _ladder_dense(coef, dim: int) -> np.ndarray:
     """Dense matrices sum_j coef[i, j] X_j, one per row of ``coef``."""
     return np.tensordot(np.asarray(coef, dtype=np.complex128),
                         _ladder_stack(dim), axes=1)
-
-
-def _ladder_banded(coef, dim: int) -> np.ndarray:
-    """Banded form of the ladder combinations in the rows of ``coef``
-    (..., rows, 6): a (..., rows, 5, dim) array whose [..., i, o + 2, k]
-    entry is X_i[k, k + o]."""
-    coef = np.asarray(coef, dtype=np.complex128)
-    scaled = coef[..., None] * _ladder_bands(dim)
-    scaled[..., 2, :] += scaled[..., 5, :]
-    return scaled[..., :5, :]
-
-
-def _band_buffers(dim: int, batch: int = 1):
-    """(pad, window) for ``_band_apply`` on a (batch, dim) stack: a zero
-    buffer (batch, dim + 4) and its (batch, 5, dim) view whose [b, o + 2]
-    row is the buffer's row b shifted by o."""
-    pad = np.zeros((batch, dim + 4), dtype=np.complex128)
-    return pad, sliding_window_view(pad, dim, axis=1)
-
-
-def _band_apply(bands: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
-    """(X_i psi[b])_{i, b} for the banded operators of ``_ladder_banded``:
-    ``bands`` (rows, 1, 5, dim) shared by the stack psi (batch, dim), or
-    (rows, batch, 5, dim) with one set per state.  Returns
-    (rows, batch, dim).
-
-    The five bands are summed in offset order -2..2: a reduction over a
-    non-contiguous axis, which numpy accumulates in index order along
-    the contiguous Fock index, so every state of a stack gets the bits
-    of a lone state."""
-    pad, window = buffers
-    pad[:, 2:psi.shape[1] + 2] = psi
-    return np.add.reduce(bands * window, axis=2)
-
-
-def _ladder_apply(coef: np.ndarray, psi: np.ndarray, buffers) -> np.ndarray:
-    """(sum_j coef[b, i, j] X_j psi[b])_{i, b} for per-state ladder rows
-    ``coef`` (batch, rows, 6) on the stack psi (batch, dim), with the
-    ``_band_buffers`` of the stack.  Returns (rows, batch, dim), as
-    ``_band_apply`` does.
-
-    The six basis products X_j psi[b] are one gather of the shifted
-    window times ``_ladder_bands``; one batched matmul contracts them
-    with the coefficients, state by state, so every state of a stack
-    gets the bits of a lone state."""
-    pad, window = buffers
-    pad[:, 2:psi.shape[1] + 2] = psi
-    prods = window[:, _LADDER_WINDOW]
-    prods *= _ladder_bands(psi.shape[1])
-    return np.matmul(coef, prods).swapaxes(0, 1)
 
 
 def annihilation_op(dim: int) -> CavityOperator:

@@ -106,15 +106,17 @@ def _rk4_linear(a: np.ndarray, b: np.ndarray, dt: float, x0,
 
     with Z = dt a, M = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
     N0 = dt/6 (I + Z + Z^2/2 + Z^3/4) and Nh = dt/6 (4I + 2Z + Z^2/2),
-    so the input terms are summed up front and each step is one product
-    with M and one addition.
+    so the input terms u are summed up front.  Each step adds the
+    increment, x <- x + ((M - I) x + u), with M - I formed without the
+    identity: M itself would keep only the digits of Z that survive
+    being added to 1, and the dropped ones would accumulate over the run.
     """
     eye = np.eye(a.shape[0], dtype=np.complex128)
     z = dt * np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     z2 = z @ z
     z3 = z2 @ z
-    m = eye + z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0
+    m1 = z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0
     x = np.empty((len(s), a.shape[0]), dtype=np.complex128)
     x[0] = x0
     g = x[1:]  # the input terms, summed in place, then stepped over
@@ -123,7 +125,8 @@ def _rk4_linear(a: np.ndarray, b: np.ndarray, dt: float, x0,
     g += s[1:] @ b.T
     g *= dt / 6.0
     for k in range(len(g)):
-        x[k + 1] += m @ x[k]
+        x[k + 1] += m1 @ x[k]
+        x[k + 1] += x[k]
     return x
 
 

@@ -19,8 +19,7 @@ The state-vector and Zakai steppers are fixed-step Euler-Maruyama with
 per-step renormalization (weak order 1); the per-step state objects
 are cheap wrappers over dense arrays.  Every stepper reads the
 coefficients as (L, A0 = -iH - L'L/2), which each ``SLHCoefficients``
-derives once (from the co-simulation's ladder rows when built on the
-ladder basis).
+derives once: as rows on the ladder basis when built on it, else dense.
 
 A density matrix is carried as a factor X (dim x r) with
 rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
@@ -43,16 +42,18 @@ of factors), draws their increments in blocks of 4096 steps, records
 (t, <a>, <a'a>, <a^2>, Y, I) behind the truncation check, tags package
 errors with their step and builds the final ``TrajectoryState``s; a
 ``step`` closure says what one step does.  ``run_trajectory`` is the
-batch of one over ``_step``, the one dense SSE, SME or Zakai step,
+batch of one over ``_step``, the one SSE, SME or Zakai step,
 which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
 ``control`` passes the feedback scalars, the truth step and the filter
-updates of an ensemble shard.  The state-vector and Zakai steps are
-split into forming u = L psi (and w = A0 psi) and the update with its
-guard (``_sse_update`` for a stack, ``_zakai_update``), so every caller
-shares one update.  The update takes <psi, L psi> and the norms of a
-whole stack from one ``np.vecdot`` over its flattened rows each and
-scales the rows of a stack by one array of row scalars, and every row
-of a stack gets the bits of a lone state.
+updates of an ensemble shard.  Every state-vector and density-factor
+step is one ``_kraus_update``: the basis products of the whole stack
+by one product, each truth's K as one row of coefficients on that
+basis, one stacked matmul and the norm guard.  A ladder-built SLH (and
+the co-simulation) uses the ladder basis a'^2, a', a'a, a, a^2, a a', I,
+whose products are exact; any other SLH uses the dense basis (L, A0,
+I).  Every row of a stack gets the bits of a lone state.  The Zakai
+step is driven by a given dY and keeps its own update
+(``_zakai_update``).
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .fock import (
     StateVector,
     _annihilation_matrix,
     _check_truncation,
+    _ladder_basis,
     _ladder_dense,
     _moments_from_vector,
 )
@@ -99,7 +101,7 @@ __all__ = [
     "run_trajectory",
 ]
 
-#: ``_sse_update`` rejects a step (``StepSizeError``) whose unnormalized
+#: ``_kraus_update`` rejects a step (``StepSizeError``) whose unnormalized
 #: norm is more than this far from 1, or not finite.  It is not a bound on
 #: healthy steps: on a coherent state one Euler step moves the squared
 #: norm by about Im(alpha)^2 (dI^2 - dt), and so the norm by half that.
@@ -140,11 +142,12 @@ class SLHCoefficients:
     def dim(self) -> int:
         return self.l.dim
 
-    def _arrays(self, dim: int):
-        """(L, A0 = -iH - L'L/2) for a dim-dimensional state."""
+    def _arrays(self, dim: int, kraus: bool = False):
+        """(L, A0 = -iH - L'L/2) for a dim-dimensional state, or with
+        ``kraus`` the basis, L and A0 of ``_kraus_update``."""
         if dim != self.dim:
             raise DimensionError(f"dim {dim} != SLH dim {self.dim}")
-        return self._kernel
+        return self._kraus if kraus else self._kernel
 
     @cached_property
     def _kernel(self):
@@ -153,6 +156,18 @@ class SLHCoefficients:
         l_mat = self.l.entries
         ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
         return l_mat, -1j * self.h.entries - 0.5 * ll
+
+    @cached_property
+    def _kraus(self):
+        # (basis, L's coefficients, A0's row) for ``_kraus_update``: the
+        # ladder basis when built on it (L = c1 a + c2 a'), else the dense
+        # basis (L, A0, I)
+        if self._ladder is not None:
+            basis = _ladder_basis(self.dim)
+            l_row, a0_row = self._ladder
+            return basis, (l_row[basis[1]], l_row[basis[2]]), a0_row
+        stack = np.concatenate([*self._kernel, np.eye(self.dim)])
+        return (stack, 0, None), (1.0, 0.0), [0.0, 1.0]
 
 
 @dataclass(frozen=True)
@@ -213,6 +228,8 @@ class NoiseStream:
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
             raise DomainError(f"seed must be a 64-bit value, got {self.seed}")
+        if not math.isfinite(self.dt):
+            raise DomainError(f"dt={self.dt} must be finite")
         if self.dt <= 0.0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         object.__setattr__(
@@ -261,21 +278,6 @@ def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
     ]
 
 
-def _ladder_rows(c1: complex, c2: complex, zs, w: complex,
-                 omega: float) -> np.ndarray:
-    """The rows of L and A0 of ``_slh_coefficients`` for a batch of
-    truths that share c1, c2 and w and each have their own displacement
-    zs[b], as one (B, 2, 6) array.  Only the a' and a entries of A0,
-    -i z and -i conj(z), differ between the truths."""
-    l_row, a0_row, _ = _slh_coefficients(c1, c2, 0.0j, w, omega)
-    rows = []
-    for z in zs:
-        a0_row[1], a0_row[3] = -1j * z, -1j * z.conjugate()
-        rows += l_row
-        rows += a0_row
-    return np.array(rows, dtype=np.complex128).reshape(-1, 2, 6)
-
-
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
@@ -298,59 +300,65 @@ def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
 # kernels on raw arrays
 
 
-def _sse_update(psi: np.ndarray, u: np.ndarray, w: np.ndarray,
-                cis: complex, dI, dt: float):
-    """One normalized step of a stack psi[b] of states on the innovations
-    increments dI[b]:
+def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
+                  dt: float):
+    """One normalized step x[b] -> K_b x[b] / ||K_b x[b]|| of a stack x of
+    states (B, dim) or density factors (B, dim, r) on the innovations
+    increments dI[b], with the Kraus operator of the module docstring
 
-    d psi = A0 psi dt + (lam/2) L_th psi dt - (lam^2/8) psi dt
-            + (L_th - lam/2) psi dI,      A0 = -iH - L'L/2,
+        K_b = keep_b I + dt A0_b + move_b e^{i theta} L,
+        keep = 1 - lam^2 dt/8 - lam dI/2,   move = lam dt/2 + dI,
 
-    with L_th = e^{i theta} L and lam = 2 Re e^{i theta} <L>; explicit
-    renormalization closes the step.  A density factor X (dim, r) of unit
-    Frobenius norm steps the same way: lam is then 2 Re e^{i theta}
-    tr(L XX'), and XX' takes the Kraus step of the module docstring.
-    u = L psi and w = A0 psi come however they were formed (dense
-    products, or ladder products in the co-simulation).  Returns the
-    stack and the list of record increments dY[b] = lam[b] dt + dI[b].
+    lam = 2 Re e^{i theta} <L>, e^{i theta} = cis.  ``basis`` is
+    (stack, k, k'): the (n dim, dim) stack of the basis members X_0 ..
+    X_{n-1}, the last of them I.  ``da_rows[b]`` is the row of dt A0_b on
+    X_0 .. X_{n-2}, and L = c X_k + c' X_k' with (c, c') = ``c``, where
+    X_k' is the adjoint of X_k (and no term if k' is None), so
+    <L> = c m + c' conj(m) with m = <x, X_k x>.  Returns the stack and the
+    list of record increments dY[b] = lam[b] dt + dI[b].
 
-    <psi[b], u[b]> and the squared norms come from ``_row_dots``; the
-    row scalars keep and move are one array (``_row_scalars``) and the
-    rest is elementwise, so every row gets the bits of a lone state.  A
-    row that fails the norm guard raises, naming the row as ``column``."""
+    The n basis products of the whole stack are one product with
+    ``stack`` (a real stack multiplies the float64 view of x, which is
+    exact for the ladder basis, ``fock._ladder_basis``); each K_b is one
+    row of n Python scalars, and one stacked matmul applies the rows.
+    m and the squared norms come from ``_row_dots``, so every row of a
+    stack gets the bits of a lone state.  A row that fails the norm guard
+    raises, naming the row as ``column``."""
+    stack, k, k_adj = basis
+    c, c_adj = c
+    batch, dim = x.shape[:2]
+    cols = np.ascontiguousarray(x)
+    if stack.dtype == np.float64:
+        prods = np.matmul(stack, cols.view(np.float64).reshape(batch, dim, -1))
+        prods = prods.view(np.complex128)
+    else:
+        prods = np.matmul(stack, cols.reshape(batch, dim, -1))
+    prods = prods.reshape(batch, len(da_rows[0]) + 1, -1)
     dy, rows = [], []
-    for d, di in zip(_row_dots(psi, u), dI):
-        lam_b = 2.0 * (cis * d).real
-        dy.append(lam_b * dt + di)
-        rows += (1.0 - (0.125 * lam_b * lam_b) * dt - (0.5 * lam_b) * di,
-                 (0.5 * lam_b) * dt + di)
-    keep, move = _row_scalars(rows, psi.shape)
-    psi_new = keep * psi
-    psi_new += dt * w
-    psi_new += move * (u if cis == 1.0 else cis * u)
+    for m, di, da in zip(_row_dots(x, prods[:, k]), dI, da_rows):
+        lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
+        dy.append(lam * dt + di)
+        move = ((0.5 * lam) * dt + di) * cis
+        row = len(rows)
+        rows += da
+        rows[row + k] += move * c
+        if k_adj is not None:
+            rows[row + k_adj] += move * c_adj
+        rows.append(1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * di)
+    new = np.matmul(np.array(rows, dtype=np.complex128).reshape(batch, 1, -1),
+                    prods)
     scale = []
-    for b, sq in enumerate(_row_dots(psi_new, psi_new)):
+    for b, sq in enumerate(_row_dots(new, new)):
         nrm = math.sqrt(sq.real)
         if not abs(nrm - 1.0) <= NORM_GUARD:
             raise _at_column(StepSizeError(
                 f"norm moved to {nrm:.6f} in one step; reduce dt"), b)
         scale.append(1.0 / nrm)
-    (scale,) = _row_scalars(scale, psi.shape)
-    psi_new *= scale
-    return psi_new, dy
-
-
-def _row_scalars(values: list, shape: tuple):
-    """The row scalars ``values`` of a stack of ``shape``, k per row and
-    row by row, as k columns (B, 1, ...) of one complex array that scale
-    the rows; for a one-row stack, as the k plain scalars.  A real scalar
-    multiplies a complex row as the complex k + 0i either way, so both
-    give the same bits, and the plain scalars spare a one-row stack the
-    cost of a broadcast operand."""
-    if shape[0] == 1:
-        return values
-    return np.array(values, dtype=np.complex128).reshape(
-        shape[:1] + (-1,) + (1,) * (len(shape) - 1)).swapaxes(0, 1)
+    # a real scale on the float64 view: the same bits for a scalar and
+    # for a column of scalars
+    flat = new.view(np.float64)
+    flat *= scale[0] if batch == 1 else np.array(scale)[:, None, None]
+    return new.reshape(x.shape), dy
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> list:
@@ -416,17 +424,19 @@ def _step(mode: str, slh: SLHCoefficients, cis: complex, x: np.ndarray,
           dw: float, dt: float):
     """One step of a single vector or density factor x (mode "sse", "sme"
     or "zakai") on the innovations increment dw at the measurement phase
-    e^{i theta} = cis, over the dense (L, A0) of ``slh``.  Returns (new x,
-    dY).  The Zakai step absorbs the phase into L and is driven by the
+    e^{i theta} = cis, over the (L, A0) of ``slh``.  Returns (new x, dY).
+    The SSE and SME steps are ``_kraus_update`` on the SLH's basis; the
+    Zakai step absorbs the phase into the dense L and is driven by the
     record dY = lam dt + dw of the normalized state."""
-    l_mat, a0 = slh._arrays(x.shape[0])
     if mode == "zakai":
+        l_mat, a0 = slh._arrays(x.shape[0])
         u = (l_mat if cis == 1.0 else cis * l_mat) @ x
         lam = 2.0 * (np.vdot(x, u) / np.vdot(x, x).real).real
         dy = lam * dt + dw
         return _zakai_update(x, u, a0, dy, dt), dy
-    x_new, dy = _sse_update(x[None], (l_mat @ x)[None], (a0 @ x)[None], cis,
-                            (dw,), dt)
+    basis, c, a0_row = slh._arrays(x.shape[0], kraus=True)
+    x_new, dy = _kraus_update(x[None], basis, c, ([dt * a for a in a0_row],),
+                              cis, (dw,), dt)
     return x_new[0], dy[0]
 
 

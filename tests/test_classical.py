@@ -338,9 +338,33 @@ def test_zakai_operator_matches_flux_form():
     dys = np.random.default_rng(4).normal(0.0, math.sqrt(dt), 200)
     g = want = grid.values
     for dy in dys:
-        g = _zakai_apply(op, g, float(dy), dx)
+        g = _zakai_apply(op, g, float(dy), dx)[0]
         want = _zakai_flux_step(want, float(dy), dt, dx, v, s2, h)
     assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dy", [0.05, -0.05], ids=["overflow", "underflow"])
+def test_zakai_rescales_before_the_mass_leaves_its_window(dy):
+    # h = 10 moves the mass by a factor 1 +- 0.5 per step, to 1e+-70 over
+    # 400 steps unrescaled; carrying the room of the mass bound, the run
+    # sums the mass only when it may leave [1e-50, 1e50], and so rescales
+    # at the same steps, bit for bit, as a run that sums it every step
+    model = DiffusionModel1D(v=lambda x: 0.0 * x,
+                             sigma=lambda x: 0.5 + 0.0 * x,
+                             h=lambda x: 10.0 + 0.0 * x)
+    grid = GridDensity(_uniform_grid(-5.0, 5.0, 101),
+                       np.exp(-0.5 * _uniform_grid(-5.0, 5.0, 101) ** 2))
+    op = _zakai_operator(grid, 1e-3, model)
+    g = every = grid.values
+    room, skipped = 0.0, 0
+    for _ in range(400):
+        before = room
+        g, room = _zakai_apply(op, g, dy, grid.dx, room)
+        every = _zakai_apply(op, every, dy, grid.dx)[0]
+        skipped += room == before + math.log1p(-0.5)
+        assert 1e-50 <= float(np.abs(g).sum()) * grid.dx <= 1e50
+        assert np.array_equal(g, every)
+    assert skipped > 350
 
 
 def test_zakai_grid_step_is_operator_then_apply():
@@ -349,7 +373,7 @@ def test_zakai_grid_step_is_operator_then_apply():
     step = zakai_grid_step(grid, 0.01, 1.0e-3, _CURVED)
     op = _zakai_operator(grid, 1.0e-3, _CURVED)
     assert np.array_equal(step.values,
-                          _zakai_apply(op, grid.values, 0.01, grid.dx))
+                          _zakai_apply(op, grid.values, 0.01, grid.dx)[0])
 
 
 def test_zakai_operator_rejects_unstable_step_before_any_step():

@@ -15,12 +15,10 @@ from cavityfilter.errors import (
 from cavityfilter.fock import (
     CavityOperator,
     CovariancePair,
-    _band_apply,
-    _band_buffers,
     _gaussian_vector,
-    _ladder_apply,
-    _ladder_banded,
+    _ladder_basis,
     _ladder_dense,
+    _ladder_stack,
     annihilation_op,
     gaussian_state,
     number_op,
@@ -42,7 +40,7 @@ from cavityfilter.control import (
 )
 from cavityfilter.trajectory import (
     NoiseStream,
-    _ladder_rows,
+    _kraus_update,
     _slh_coefficients,
     damped_cavity_slh,
     run_trajectory,
@@ -426,13 +424,13 @@ def _reference_slh(gains, a_hat, ie, v, w, t, params, ref, dim):
 @pytest.mark.parametrize("kp,ki,kd", [(2.0, 0.0, 0.0), (0.0, 1.5, 0.0),
                                       (0.0, 0.0, 0.7), (2.0, 1.5, 0.7)])
 def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
-    # the banded and the contracted (L psi, A0 psi) of the SSE path and
-    # the dense (L, A0, H) rows all equal the term-by-term assembly, as
-    # does the public controlled_slh built from the same scalars
+    # the dense (L, A0, H) rows and one Kraus step on the ladder basis all
+    # equal the term-by-term assembly, as does the public controlled_slh
+    # built from the same scalars
     rng = np.random.default_rng(dim)
     params = ModeParams(1.3, 0.4)
     ref = ReferenceSignal("ramp", 0.3, slope=0.7)
-    buffers = _band_buffers(dim)
+    dt, di = 1e-5, 3e-3
     for _ in range(10):
         gains = PIDGains(kp, ki, kd, mu=rng.uniform(0.0, 2.0),
                          nu=rng.uniform(0.0, 2.0))
@@ -454,60 +452,72 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
             gains, a_hat, ie, *_shared_scalars(gains, ref, t, v, w, params),
             params)
         rows = _slh_coefficients(c1, c2, z, wz, params.omega)
+        assert rows[0] == [0.0, c2, 0.0, c1, 0.0, 0.0]
         dense = _ladder_dense(rows, dim)
         for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
             assert np.max(np.abs(got - want)) < 1e-12
 
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        bands = _ladder_banded(rows[:2], dim)
-        l_psi, a0_psi = _band_apply(bands[:, None], psi[None], buffers)[:, 0]
-        assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
-        assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
-
-        # the batch rows carry the bits of the scalar rows, also for the
-        # zero displacement of a zero-gain step
-        coef = _ladder_rows(c1, c2, [z, 0.0j], wz, params.omega)
-        zero = _slh_coefficients(c1, c2, 0.0j, wz, params.omega)
-        assert coef.tobytes() == np.array([rows[:2], zero[:2]]).tobytes()
-        coef = coef[:1]
-        l_psi, a0_psi = _ladder_apply(coef, psi[None], buffers)[:, 0]
-        assert np.max(np.abs(l_psi - l_ref @ psi)) < 1e-12
-        assert np.max(np.abs(a0_psi - a0_ref @ psi)) < 1e-12
+        new, dy = _kraus_update(psi[None], _ladder_basis(dim),
+                                (c1, c2), [[dt * a for a in rows[1]]],
+                                1.0 + 0.0j, (di,), dt)
+        lam = 2.0 * np.vdot(psi, l_ref @ psi).real
+        kraus = ((1.0 - lam * lam * dt / 8.0 - lam * di / 2.0) * np.eye(dim)
+                 + dt * a0_ref + (lam * dt / 2.0 + di) * l_ref)
+        want = kraus @ psi
+        assert np.max(np.abs(new[0] - want / np.linalg.norm(want))) < 1e-12
+        assert abs(dy[0] - (lam * dt + di)) < 1e-14
 
 
-def test_band_apply_is_batch_invariant():
-    # every row of a (B, dim) stack gets the bits of a lone state, with
-    # bands shared by the stack or one set per row, in the (rows, B, 5,
-    # dim) layout the lockstep co-simulation applies, and so does the
-    # contraction of per-row ladder rows that a step under feedback takes
+@pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
+def test_kraus_update_is_batch_invariant(rank):
+    # the ladder-basis products of a (B, dim) or (B, dim, r) stack equal
+    # the dense matrix products exactly (a zero may differ in sign), and
+    # every row of the Kraus
+    # update gets the bits of a lone state, with the rows shared by the
+    # stack (zero gain) or one set per row (feedback), and stays within
+    # roundoff of the dense Kraus step
     rng = np.random.default_rng(3)
-    rows = [_slh_coefficients(*(complex(*rng.normal(size=2))
-                                for _ in range(4)), 0.5)[:2]
-            for _ in range(9)]
-    for dim, batch in itertools.product((7, 12, 30), (1, 2, 5, 9)):
-        psis = (rng.normal(size=(batch, dim))
-                + 1j * rng.normal(size=(batch, dim)))
-        shared = _band_apply(_ladder_banded(rows[0], dim)[:, None], psis,
-                             _band_buffers(dim, batch))
-        own = _band_apply(_ladder_banded([[r[i] for r in rows[:batch]]
-                                          for i in (0, 1)], dim), psis,
-                          _band_buffers(dim, batch))
+    scalars = [[complex(*rng.normal(size=2)) for _ in range(4)]
+               for _ in range(8)]
+    dt = 1e-5
+    for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
+        shape = (batch, dim) if rank is None else (batch, dim, rank)
+        psis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psis /= np.linalg.norm(psis.reshape(batch, -1), axis=1).reshape(
+            (batch,) + (1,) * (len(shape) - 1))
+        basis = _ladder_basis(dim)
+        prods = np.matmul(basis[0],
+                          psis.view(np.float64).reshape(batch, dim, -1))
+        dense = np.concatenate([_ladder_stack(dim), np.eye(dim)[None]])
         for b in range(batch):
-            for got, row in ((shared, rows[0]), (own, rows[b])):
-                alone = _band_apply(_ladder_banded(row, dim)[:, None],
-                                    psis[b:b + 1], _band_buffers(dim))
-                assert np.array_equal(got[:, b], alone[:, 0])
-            for got, mat in zip(own[:, b], _ladder_dense(rows[b], dim)):
-                assert np.max(np.abs(got - mat @ psis[b])) < 1e-12
-        coef = np.array(rows[:batch])
-        contracted = _ladder_apply(coef, psis, _band_buffers(dim, batch))
-        for b in range(batch):
-            alone = _ladder_apply(coef[b:b + 1], psis[b:b + 1],
-                                  _band_buffers(dim))
-            assert contracted[:, b].tobytes() == alone[:, 0].tobytes()
-            for got, mat in zip(contracted[:, b], _ladder_dense(rows[b], dim)):
-                assert np.max(np.abs(got - mat @ psis[b])) < 1e-12
+            want = np.matmul(dense, psis[b].reshape(dim, -1))
+            assert np.array_equal(prods[b].view(np.complex128),
+                                  want.reshape(7 * dim, -1))
+        dI = tuple(rng.normal(0.0, math.sqrt(dt), batch).tolist())
+        c1, c2, _, w = scalars[0]
+        own = [_slh_coefficients(c1, c2, sc[2], w, 0.5) for sc in scalars]
+        cases = [(_slh_coefficients(1.0, 0.0j, 0.0j, 0.0j, 0.5), [None] * 8),
+                 (own[0], own)]
+        for shared, per_row in cases:
+            rows = [(shared if r is None else r) for r in per_row[:batch]]
+            da = [[dt * a for a in r[1]] for r in rows]
+            c = (shared[0][3], shared[0][1])
+            new, dy = _kraus_update(psis, basis, c, da, 1.0 + 0.0j, dI, dt)
+            for b in range(batch):
+                alone, dy_alone = _kraus_update(
+                    psis[b:b + 1], basis, c, da[b:b + 1],
+                    1.0 + 0.0j, dI[b:b + 1], dt)
+                assert new[b].tobytes() == alone[0].tobytes()
+                assert dy[b] == dy_alone[0]
+                l_mat, a0 = _ladder_dense(rows[b][:2], dim)
+                x = psis[b].reshape(dim, -1)
+                lam = 2.0 * np.vdot(x, l_mat @ x).real
+                want = ((1.0 - lam * lam * dt / 8.0 - lam * dI[b] / 2.0) * x
+                        + dt * (a0 @ x) + (lam * dt / 2.0 + dI[b]) * (l_mat @ x))
+                want /= np.linalg.norm(want)
+                assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
 
 
 def test_estimation_error_does_not_depend_on_the_gains():
@@ -624,11 +634,11 @@ def test_cosim_runs_the_one_trajectory_loop(monkeypatch, cov):
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
                                  CovariancePair(0.5, 0.0)],
-                         ids=["pure-bands-vs-dense", "mixed"])
+                         ids=["pure", "mixed"])
 def test_cosim_zero_gain_truth_matches_open_loop_trajectory(cov):
     # without gains the co-simulation's truth is the open-loop trajectory
-    # of the damped mode on the same noise; a mixed truth steps from the
-    # same closed-form L'L as the damped mode's SLH, so bit for bit
+    # of the damped mode on the same noise, bit for bit: both take the
+    # Kraus update on the ladder basis with the damped mode's rows
     params, dim, dt, T = ModeParams(1.0, 0.5), 24, 1e-3, 0.2
     alpha = 0.4
     rec = closed_loop_cosim(alpha, cov, PIDGains(0.0),
@@ -644,7 +654,4 @@ def test_cosim_zero_gain_truth_matches_open_loop_trajectory(cov):
     assert np.array_equal(rec.t, ref.t)
     for got, want in ((rec.truth_mean_a, ref.mean_a),
                       (rec.truth_mean_n, ref.mean_n), (rec.Y, ref.Y)):
-        if cov.V == 0.0:
-            assert np.max(np.abs(got - want)) < 1e-12
-        else:
-            assert np.array_equal(got, want)
+        assert np.array_equal(got, want)

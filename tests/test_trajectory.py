@@ -119,6 +119,13 @@ def test_noise_stream_validation():
         NoiseStream(0, 0.0)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_noise_stream_rejects_non_finite_dt(dt):
+    with pytest.raises(DomainError, match=r"^dt=-?(nan|inf) must be finite$"):
+        NoiseStream(0, dt)
+
+
 def test_trajectory_state_exactly_one_kind():
     psi = coherent_state(0.0, 4)
     TrajectoryState(0.0, 0.0, 0.0, psi=psi)
@@ -451,33 +458,46 @@ def test_sse_norm_guard_fires():
 
 
 @pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
-def test_sse_update_row_scalars_have_lone_row_bits(rank):
-    # lambda and the norms of a stack come from one np.vecdot over the
-    # flattened rows: each equals np.vdot on its row alone, bit for bit,
-    # and every row of the update, and its record increment
-    # dY = lambda dt + dI, is that of the row stepped alone
+def test_kraus_update_rows_have_lone_row_bits(rank):
+    # m = <x, a x> and the norms of a stack come from one np.vecdot over
+    # the flattened rows: each equals np.vdot on its row alone, bit for
+    # bit, and every row of the update, and its record increment
+    # dY = lambda dt + dI, is that of the row stepped alone, with shared
+    # or per-row A0 rows, on the ladder basis and on a dense one
     rng = np.random.default_rng(7)
-    for dim, batch in itertools.product((7, 12, 30), (1, 2, 5, 9)):
+    for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
         shape = (batch, dim) if rank is None else (batch, dim, rank)
         col = (batch,) + (1,) * (len(shape) - 1)
-        psi, u, w = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                     for _ in range(3))
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         psi /= np.sqrt(np.vecdot(psi.reshape(batch, -1),
                                  psi.reshape(batch, -1)).real).reshape(col)
-        u *= 0.1
         dI = tuple(rng.normal(0.0, 1e-3, batch).tolist())
-        lone = [complex(np.vdot(psi[b], u[b])) for b in range(batch)]
-        assert (np.array(trajectory._row_dots(psi, u)).tobytes()
+        a_psi = np.stack([annihilation_op(dim).entries @ p for p in psi])
+        lone = [complex(np.vdot(psi[b], a_psi[b])) for b in range(batch)]
+        assert (np.array(trajectory._row_dots(psi, a_psi)).tobytes()
                 == np.array(lone).tobytes())
-        new, dy = trajectory._sse_update(psi, u, w, 1.0 + 0.0j, dI, 1e-4)
-        norms = trajectory._row_dots(new, new)
-        for b in range(batch):
-            alone, dy_alone = trajectory._sse_update(
-                psi[b:b + 1], u[b:b + 1], w[b:b + 1], 1.0 + 0.0j,
-                dI[b:b + 1], 1e-4)
-            assert new[b].tobytes() == alone[0].tobytes()
-            assert dy[b] == dy_alone[0] == 2.0 * lone[b].real * 1e-4 + dI[b]
-            assert norms[b] == complex(np.vdot(new[b], new[b]))
+        c1, c2 = complex(*rng.normal(0.0, 0.3, 2)), 0.0j
+        rows = (1e-4 * (rng.normal(0.0, 0.1, (batch, 6))
+                        + 1j * rng.normal(0.0, 0.1, (batch, 6)))).tolist()
+        dense = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
+        cases = [(trajectory._ladder_basis(dim), (c1, c2), rows),
+                 (trajectory._ladder_basis(dim), (c1, c2), rows[:1] * batch),
+                 (SLHCoefficients(1.0, dense.l, dense.h)._kraus[0],
+                  (1.0, 0.0), [[0.0, 1e-4]] * batch)]
+        for basis, c, da in cases:
+            new, dy = trajectory._kraus_update(psi, basis, c, da, 1.0 + 0.0j,
+                                               dI, 1e-4)
+            norms = trajectory._row_dots(new, new)
+            for b in range(batch):
+                alone, dy_alone = trajectory._kraus_update(
+                    psi[b:b + 1], basis, c, da[b:b + 1], 1.0 + 0.0j,
+                    dI[b:b + 1], 1e-4)
+                assert new[b].tobytes() == alone[0].tobytes()
+                assert dy[b] == dy_alone[0]
+                assert norms[b] == complex(np.vdot(new[b], new[b]))
+            if basis[1] == 3:
+                assert dy == [2.0 * (c1 * m).real * 1e-4 + di
+                              for m, di in zip(lone, dI)]
 
 
 def test_step_validation():
