@@ -266,16 +266,14 @@ def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
     + conj(c2) c1 a^2 + conj(c1) c2 a'^2: truncated products of a and a'
     equal their closed forms, so no matrix product is needed and H is
     Hermitian by construction."""
-    c1c, c2c, zc, wc = (complex(c1).conjugate(), complex(c2).conjugate(),
-                        z.conjugate(), w.conjugate())
-    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
-    ll_row = [c1c * c2, 0.0, (c1c * c1).real, 0.0, c2c * c1, (c2c * c2).real]
-    h_row = [wc, z, omega + 2.0 * w.real, zc, w, 0.0]
-    return [
-        [0.0, c2, 0.0, c1, 0.0, 0.0],
-        [-1j * h - 0.5 * q for h, q in zip(h_row, ll_row)],
-        h_row,
-    ]
+    c1c, c2c = complex(c1).conjugate(), complex(c2).conjugate()
+    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS); A0 entry by
+    # entry, where L'L has no a' or a entry
+    h = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
+    a0 = [-1j * h[0] - 0.5 * (c1c * c2), -1j * h[1],
+          -1j * h[2] - 0.5 * (c1c * c1).real, -1j * h[3],
+          -1j * h[4] - 0.5 * (c2c * c1), -1j * h[5] - 0.5 * (c2c * c2).real]
+    return [[0.0, c2, 0.0, c1, 0.0, 0.0], a0, h]
 
 
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
