@@ -479,10 +479,11 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
         c1, c2 = complex(*rng.normal(0.0, 0.3, 2)), 0.0j
         rows = (1e-4 * (rng.normal(0.0, 0.1, (batch, 6))
                         + 1j * rng.normal(0.0, 0.1, (batch, 6)))).tolist()
-        dense = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
+        # the same L and H as dense operators, so on the dense basis
+        ladder = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
         cases = [(trajectory._ladder_basis(dim), (c1, c2), rows),
                  (trajectory._ladder_basis(dim), (c1, c2), rows[:1] * batch),
-                 (SLHCoefficients(1.0, dense.l, dense.h)._kraus[0],
+                 (SLHCoefficients(1.0, ladder.l, ladder.h)._kraus[0],
                   (1.0, 0.0), [[0.0, 1e-4]] * batch)]
         for basis, c, da in cases:
             new, dy = trajectory._kraus_update(psi, basis, c, da, 1.0 + 0.0j,
