@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     StabilityError,
 )
+from .qkf import _check_dt
 
 __all__ = [
     "ScalarLGModel",
@@ -189,8 +190,7 @@ def kalman_bucy_step(
     while the deterministic variance equation dP/dt = 2AP + Q - H^2 P^2
     takes a classical RK4 step.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     x, p = state.x_hat, state.P
     x_new = x + model.A * x * dt + model.B * u * dt + model.H * p * (
         dY - model.H * x * dt
@@ -220,11 +220,10 @@ def _zakai_operator(grid: GridDensity, dt: float, model: DiffusionModel1D):
     up_i = -b_{i+1} and lo_i = a_{i-1}: the flux form of
     ``zakai_grid_step``, term by term.
 
-    Raises ``DomainError`` for dt <= 0 and ``StabilityError`` if
-    max(sigma^2) dt / dx^2 > 0.5.
+    Raises ``DomainError`` unless dt is positive and finite, and
+    ``StabilityError`` if max(sigma^2) dt / dx^2 > 0.5.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     xs = grid.xs
     dx = grid.dx
     v = np.asarray(model.v(xs), dtype=np.float64)

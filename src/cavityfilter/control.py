@@ -43,9 +43,9 @@ filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
 in z.  The truths are stepped as one (B, dim) stack of vectors, or one
 (B, dim, r) stack of factors, by one ``trajectory._kraus_update`` on the
-ladder basis: each step forms the ladder rows of dt A0 once (once per
-run without gains) and patches the z entries per truth.  Every truth
-gets the bits of its own run.
+ladder basis: each step forms every truth's ladder row of dt A0 from its
+scalars by ``trajectory._slh_coefficients`` (once per run without
+gains).  Every truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .qkf import (
     ModeParams,
     QKFState,
     RiccatiState,
+    _check_dt,
     _covariances,
     _mean_update,
     _rk4_linear,
@@ -366,8 +367,7 @@ def pid_filter_step(
     one RK4 step of the theta=0 Riccati pair.  With all gains zero this
     reproduces the uncontrolled filter step bit for bit.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     filt = state.filter
     ric = filt.riccati
     r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
@@ -519,16 +519,13 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
 
     def truth_rows(scalars):
         """(c1, c2) of L = c1 a + c2 a' and the ladder row of dt A0 of
-        every truth: c1, c2 and w depend on Xi alone, so only the a' and
-        a entries of A0, -i z and -i conj(z), differ between the truths."""
+        every truth; c1, c2 and w depend on Xi alone, so the rows differ
+        only in the displacement z of each truth."""
         if gains.all_zero:
             return fixed
         c1, c2, _, w, _ = scalars[0]
-        da = [dt * a for a in _slh_coefficients(c1, c2, 0.0j, w,
-                                                params.omega)[1]]
-        return (c1, c2), [[da[0], dt * (-1j * sc[2]), da[2],
-                           dt * (-1j * sc[2].conjugate()), da[4], da[5]]
-                          for sc in scalars]
+        return (c1, c2), [[dt * a for a in _slh_coefficients(
+            c1, c2, sc[2], w, params.omega)[1]] for sc in scalars]
 
     n = _step_total(noises, T, dt, record_stride)
 

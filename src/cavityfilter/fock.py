@@ -4,13 +4,19 @@ Operators and states live on the span of the photon-number states
 |0>, ..., |dim-1>.  Storage is dense complex128: the dimensions of
 interest stay well below a few hundred, where dense linear algebra is
 both faster and simpler than sparse structures.  The one exception is
-the ladder basis a, a', a'a, a a', a^2, a'^2, whose members each have a
-single nonzero diagonal: a combination of them is kept as its row of
-coefficients and made dense only where an operator is materialized.  A
-truth step never combines it: the basis products of a whole stack of
-states are one product with the real stack of ``_ladder_basis``, exact
-because each row of a member has one nonzero entry, and each state's
-row of coefficients is contracted with its own products.
+the ladder basis a'^2, a', a'a, a, a^2, a a', whose members each have a
+single nonzero diagonal.  Its real matrices and the identity are kept
+once per dim, in one read-only table (``_ladder_table``) that every
+reader takes: the operator constructors, the Gaussian unitaries, the
+moments and the steppers' basis (``_ladder_basis``, a view of the
+table).  A combination of the members is kept as its row of
+coefficients and made dense only where an operator is materialized
+(``_ladder_dense``).  A truth step never combines them: the basis
+products of a whole stack of states are one product with the real
+basis (on the float64 view of the states, so numpy casts no complex
+copy of it), exact because each row of a member has one nonzero entry,
+and each state's row of coefficients is contracted with its own
+products.
 
 Truncation policy: constructors check the population of the top two
 Fock levels and warn above 1e-8 (``TruncationWarning``) or raise above
@@ -200,73 +206,49 @@ class CovariancePair:
 # operator constructors
 
 
-@lru_cache(maxsize=None)
-def _annihilation_matrix(dim: int) -> np.ndarray:
-    """Read-only raw matrix of the annihilation operator (cached)."""
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        mat[n - 1, n] = math.sqrt(n)
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=None)
-def _mode_matrices(dim: int) -> dict:
-    """Cached read-only products of a and a' used by hot assembly paths.
-
-    Keys: a, ad, n (a'a), aad (a a'), a2, ad2.
-    """
-    a = _annihilation_matrix(dim)
-    ad = np.ascontiguousarray(a.conj().T)
-    # closed forms, not matmuls: sqrt(k) sqrt(k) rounds away from k
-    n = np.diag(np.arange(dim, dtype=np.complex128))
-    aad_diag = np.arange(1, dim + 1, dtype=np.complex128)
-    aad_diag[-1] = 0.0  # truncated top level
-    aad = np.diag(aad_diag)
-    a2 = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(dim - 2):
-        a2[k, k + 2] = math.sqrt((k + 1) * (k + 2))
-    ad2 = np.ascontiguousarray(a2.conj().T)
-    out = {"a": a, "ad": ad, "n": n, "aad": aad, "a2": a2, "ad2": ad2}
-    for v in out.values():
-        v.setflags(write=False)
-    return out
-
-
 #: the ladder basis a'^2, a', a'a, a, a^2, a a' of the structured
 #: coefficients; each member has one nonzero entry per row at most
 _LADDER_KEYS = ("ad2", "ad", "n", "a", "a2", "aad")
 
 
 @lru_cache(maxsize=None)
-def _ladder_stack(dim: int) -> np.ndarray:
-    """Read-only (6, dim, dim) stack of the ladder basis matrices."""
-    mats = _mode_matrices(dim)
-    stack = np.stack([mats[key] for key in _LADDER_KEYS])
-    stack.setflags(write=False)
-    return stack
+def _ladder_table(dim: int) -> np.ndarray:
+    """The one copy of the ladder matrices: the read-only real
+    (7, dim, dim) table of the ladder basis (``_LADDER_KEYS``) followed by
+    the identity.  Every entry is a closed form, not a matrix product
+    (sqrt(k) sqrt(k) rounds away from k); the top level of a a' is
+    truncated to 0."""
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
+    k = np.arange(1.0, dim)
+    a, a2 = np.diag(np.sqrt(k), 1), np.diag(np.sqrt(k[:-1] * k[1:]), 2)
+    table = np.stack([a2.T, a.T, np.diag(np.arange(dim)), a, a2,
+                      np.diag(np.append(k, 0.0)), np.eye(dim)], dtype=float)
+    table.setflags(write=False)
+    return table
 
 
-@lru_cache(maxsize=None)
+def _ladder(key: str, dim: int) -> np.ndarray:
+    """The read-only real matrix ``key`` (of ``_LADDER_KEYS``) of the
+    ladder table."""
+    return _ladder_table(dim)[_LADDER_KEYS.index(key)]
+
+
 def _ladder_basis(dim: int) -> tuple:
-    """(stack, index of a, index of a'): the read-only real (7 dim, dim)
-    stack of the ladder basis followed by the identity, rows j dim ..
-    (j + 1) dim - 1 holding member j.  Every row has at most one nonzero
-    entry, so its product with any vector, or with the float64 view of a
-    complex one, is exact: one rounded multiplication per entry, whatever
-    the BLAS kernel or batch shape."""
-    stack = np.concatenate([_ladder_stack(dim).real,
-                            np.eye(dim)[None]]).reshape(-1, dim)
-    stack.setflags(write=False)
-    return stack, _LADDER_KEYS.index("a"), _LADDER_KEYS.index("ad")
+    """(stack, index of a, index of a'): the ladder table as a (7 dim, dim)
+    stack, a view of it, rows j dim .. (j + 1) dim - 1 holding member j.
+    Every row has at most one nonzero entry, so its product with any
+    vector, or with the float64 view of a complex one, is exact: one
+    rounded multiplication per entry, whatever the BLAS kernel or batch
+    shape."""
+    return (_ladder_table(dim).reshape(-1, dim), _LADDER_KEYS.index("a"),
+            _LADDER_KEYS.index("ad"))
 
 
 def _ladder_dense(coef, dim: int) -> np.ndarray:
     """Dense matrices sum_j coef[i, j] X_j, one per row of ``coef``."""
     return np.tensordot(np.asarray(coef, dtype=np.complex128),
-                        _ladder_stack(dim), axes=1)
+                        _ladder_table(dim)[:len(_LADDER_KEYS)], axes=1)
 
 
 def annihilation_op(dim: int) -> CavityOperator:
@@ -275,12 +257,12 @@ def annihilation_op(dim: int) -> CavityOperator:
     The top row of a' is truncated away, so [a, a'] equals the identity
     except for the (dim-1, dim-1) entry, which equals -(dim-1).
     """
-    return CavityOperator(dim, _annihilation_matrix(dim))
+    return CavityOperator(dim, _ladder("a", dim))
 
 
 def creation_op(dim: int) -> CavityOperator:
     """The mode creation operator, adjoint of ``annihilation_op``."""
-    return CavityOperator(dim, _annihilation_matrix(dim).conj().T)
+    return CavityOperator(dim, _ladder("ad", dim))
 
 
 def number_op(dim: int) -> CavityOperator:
@@ -361,12 +343,12 @@ def _gaussian_unitaries(alpha: complex, cov: CovariancePair, dim: int) -> list:
     r = 0.5 * math.atanh(min(abs(w) / half, 1.0 - 1e-16))
     phase = -w / abs(w) if abs(w) > 0.0 else 1.0 + 0.0j
     xi = r * phase
-    mats = _mode_matrices(dim)
+    ad2, ad, _, a, a2 = _ladder_table(dim)[:5]
     out = []
     if r > 0.0:
-        out.append(_expm(0.5 * (np.conj(xi) * mats["a2"] - xi * mats["ad2"])))
+        out.append(_expm(0.5 * (np.conj(xi) * a2 - xi * ad2)))
     if alpha != 0.0:
-        out.append(_expm(alpha * mats["ad"] - np.conj(alpha) * mats["a"]))
+        out.append(_expm(alpha * ad - np.conj(alpha) * a))
     return out
 
 
@@ -491,11 +473,11 @@ def _moments_from_vector(psi: np.ndarray, a: np.ndarray, n2: float):
 
 def _moments_from_density(rho: np.ndarray, dim: int):
     """(<a>, <a'a>, <a^2>) of a density matrix via tr(rho X) = sum(rho.T * X)."""
-    mats = _mode_matrices(dim)
+    _, _, n, a, a2 = _ladder_table(dim)[:5]
     rt = rho.T
-    mean_a = complex(np.sum(rt * mats["a"]))
-    mean_n_c = complex(np.sum(rt * mats["n"]))
-    mean_a2 = complex(np.sum(rt * mats["a2"]))
+    mean_a = complex(np.sum(rt * a))
+    mean_n_c = complex(np.sum(rt * n))
+    mean_a2 = complex(np.sum(rt * a2))
     if abs(mean_n_c.imag) > 1e-10:
         raise DomainError(
             f"<a'a> has imaginary part {mean_n_c.imag:.3e}; state is corrupted"
@@ -512,7 +494,7 @@ def conditional_covariances(state) -> CovariancePair:
     if isinstance(state, StateVector):
         psi = state.amplitudes
         mean_a, mean_n, mean_a2 = _moments_from_vector(
-            psi, _annihilation_matrix(state.dim), np.vdot(psi, psi).real)
+            psi, _ladder("a", state.dim), np.vdot(psi, psi).real)
     elif isinstance(state, DensityOperator):
         mean_a, mean_n, mean_a2 = _moments_from_density(state.entries, state.dim)
     else:

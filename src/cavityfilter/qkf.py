@@ -72,6 +72,13 @@ class QKFState:
     riccati: RiccatiState
 
 
+def _check_dt(dt: float) -> None:
+    """The step-size check of every public single-step function: dt must
+    be positive and finite, else ``DomainError``."""
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
+
+
 def _step_count(T: float, dt: float, stride: int = 1, *, min_steps: int = 1,
                 error=DomainError,
                 names: tuple[str, str] = ("dt=", "record_stride=")) -> int:
@@ -283,8 +290,7 @@ def qkf_step(
     uses the covariances at the step start; the covariance pair then
     advances by one RK4 step.  ``beta`` is a deterministic drive.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     ric = state.riccati
     v, w, t = ric.V, ric.W, ric.t
     gamma, omega = params.gamma, params.omega

@@ -15,11 +15,16 @@ and the record is synthesized as dY = lambda dt + dI, where lambda is
 the conditional mean photocurrent.  This is statistically exact and
 avoids representing the field the mode radiates into.
 
-The state-vector and Zakai steppers are fixed-step Euler-Maruyama with
-per-step renormalization (weak order 1); the per-step state objects
-are cheap wrappers over dense arrays.  Every stepper reads the
-coefficients as (L, A0 = -iH - L'L/2), which each ``SLHCoefficients``
-derives once: as rows on the ladder basis when built on it, else dense.
+The steppers are fixed-step Euler-Maruyama (weak order 1).  Each
+``SLHCoefficients`` derives its coefficients once, in one form
+(``_kraus``): a basis, the coefficients of L on it and the row of
+A0 = -iH - L'L/2.  The basis is the ladder basis a'^2, a', a'a, a, a^2,
+a a', I for an SLH built on it (its products are exact), else the dense
+basis (L, A0, I), and every step reads the products of the state with
+it.  The state-vector step renormalizes; the Zakai step applies the row
+I + dt A0 + dY e^{i theta} L and keeps the unnormalized state, rescaled
+only by powers of two.  ``lindblad_apply`` and the record increment of
+a density matrix read the public L and H.
 
 A density matrix is carried as a factor X (dim x r) with
 rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
@@ -48,12 +53,8 @@ which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
 updates of an ensemble shard.  Every state-vector and density-factor
 step is one ``_kraus_update``: the basis products of the whole stack
 by one product, each truth's K as one row of coefficients on that
-basis, one stacked matmul and the norm guard.  A ladder-built SLH (and
-the co-simulation) uses the ladder basis a'^2, a', a'a, a, a^2, a a', I,
-whose products are exact; any other SLH uses the dense basis (L, A0,
-I).  Every row of a stack gets the bits of a lone state.  The Zakai
-step is driven by a given dY and keeps its own update
-(``_zakai_update``).
+basis, one stacked matmul and the norm guard; the co-simulation uses
+the ladder basis.  Every row of a stack gets the bits of a lone state.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ from .fock import (
     CavityOperator,
     DensityOperator,
     StateVector,
-    _annihilation_matrix,
     _check_truncation,
+    _ladder,
     _ladder_basis,
     _ladder_dense,
     _moments_from_vector,
 )
-from .qkf import ModeParams, _step_count
+from .qkf import ModeParams, _check_dt, _step_count
 
 __all__ = [
     "SLHCoefficients",
@@ -120,7 +121,8 @@ class SLHCoefficients:
     S is a unit-modulus scattering phase (fixed at 1 throughout this
     package), L the coupling operator into the monitored field, H the
     Hamiltonian.  Equality is identity (the fields hold arrays).  Steppers
-    read only (L, A0), kept as ladder rows by ``_ladder_slh`` instances.
+    read only (L, A0), in the one form ``_kraus``: the ladder rows that
+    ``_ladder_slh`` instances keep, else a dense basis built once.
     """
 
     s: complex
@@ -142,31 +144,24 @@ class SLHCoefficients:
     def dim(self) -> int:
         return self.l.dim
 
-    def _arrays(self, dim: int, kraus: bool = False):
-        """(L, A0 = -iH - L'L/2) for a dim-dimensional state, or with
-        ``kraus`` the basis, L and A0 of ``_kraus_update``."""
+    def _check_dim(self, dim: int) -> None:
+        """DimensionError unless a dim-dimensional state fits the SLH."""
         if dim != self.dim:
             raise DimensionError(f"dim {dim} != SLH dim {self.dim}")
-        return self._kraus if kraus else self._kernel
-
-    @cached_property
-    def _kernel(self):
-        if self._ladder is not None:
-            return tuple(_ladder_dense(self._ladder, self.dim))
-        l_mat = self.l.entries
-        ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
-        return l_mat, -1j * self.h.entries - 0.5 * ll
 
     @cached_property
     def _kraus(self):
-        # (basis, L's coefficients, A0's row) for ``_kraus_update``: the
-        # ladder basis when built on it (L = c1 a + c2 a'), else the dense
-        # basis (L, A0, I)
+        # (basis, L's coefficients, A0's row), the one form every stepper
+        # reads: the ladder basis when built on it (L = c1 a + c2 a'),
+        # else the dense basis (L, A0 = -iH - L'L/2, I), built once here
         if self._ladder is not None:
             basis = _ladder_basis(self.dim)
             l_row, a0_row = self._ladder
             return basis, (l_row[basis[1]], l_row[basis[2]]), a0_row
-        stack = np.concatenate([*self._kernel, np.eye(self.dim)])
+        l_mat = self.l.entries
+        ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
+        stack = np.concatenate([l_mat, -1j * self.h.entries - 0.5 * ll,
+                                np.eye(self.dim)])
         return (stack, 0, None), (1.0, 0.0), [0.0, 1.0]
 
 
@@ -316,22 +311,15 @@ def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
     list of record increments dY[b] = lam[b] dt + dI[b].
 
     The n basis products of the whole stack are one product with
-    ``stack`` (a real stack multiplies the float64 view of x, which is
-    exact for the ladder basis, ``fock._ladder_basis``); each K_b is one
-    row of n Python scalars, and one stacked matmul applies the rows.
+    ``stack`` (``_basis_products``); each K_b is one row of n Python
+    scalars, and one stacked matmul applies the rows.
     m and the squared norms come from ``_row_dots``, so every row of a
     stack gets the bits of a lone state.  A row that fails the norm guard
     raises, naming the row as ``column``."""
     stack, k, k_adj = basis
     c, c_adj = c
-    batch, dim = x.shape[:2]
-    cols = np.ascontiguousarray(x)
-    if stack.dtype == np.float64:
-        prods = np.matmul(stack, cols.view(np.float64).reshape(batch, dim, -1))
-        prods = prods.view(np.complex128)
-    else:
-        prods = np.matmul(stack, cols.reshape(batch, dim, -1))
-    prods = prods.reshape(batch, len(da_rows[0]) + 1, -1)
+    batch = len(x)
+    prods = _basis_products(x, stack)
     dy, rows = [], []
     for m, di, da in zip(_row_dots(x, prods[:, k]), dI, da_rows):
         lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
@@ -357,6 +345,21 @@ def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
     flat = new.view(np.float64)
     flat *= scale[0] if batch == 1 else np.array(scale)[:, None, None]
     return new.reshape(x.shape), dy
+
+
+def _basis_products(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The (B, n, dim r) products X_j x[b] of a stack x of vectors
+    (B, dim) or factors (B, dim, r) with the n members of ``stack``
+    (n dim, dim), by one matmul; a real stack multiplies the float64 view
+    of x, which is exact for the ladder basis (``fock._ladder_basis``)."""
+    batch, dim = x.shape[:2]
+    cols = np.ascontiguousarray(x)
+    if stack.dtype == np.float64:
+        prods = np.matmul(stack, cols.view(np.float64).reshape(batch, dim, -1))
+        prods = prods.view(np.complex128)
+    else:
+        prods = np.matmul(stack, cols.reshape(batch, dim, -1))
+    return prods.reshape(batch, len(stack) // dim, -1)
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> list:
@@ -395,19 +398,33 @@ def _factor_density(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _zakai_update(chi: np.ndarray, u: np.ndarray, a0: np.ndarray,
-                  dY: float, dt: float) -> np.ndarray:
-    """One linear (unnormalized) step driven by the raw record:
+def _linear_parts(slh: SLHCoefficients, chi: np.ndarray, cis: complex):
+    """(the ``_kraus`` form of ``slh``, the basis products of the vector
+    chi, lam = 2 Re e^{i theta} <chi, L chi> / <chi, chi>): what the Zakai
+    step and the record increment read."""
+    slh._check_dim(chi.shape[0])
+    form = slh._kraus
+    (stack, k, _), (c, c_adj), _ = form
+    prods = _basis_products(chi[None], stack)[0]
+    m = complex(np.vdot(chi, prods[k]))
+    lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
+    return form, prods, lam / np.vdot(chi, chi).real
 
-        d chi = L chi dY - (L'L/2 + iH) chi dt,
 
-    from u = L chi and a0 = A0 = -iH - L'L/2.  The vector is rescaled by
-    a power of two when its norm leaves [1e-50, 1e50] (mantissas, and
-    hence all normalized quantities, are unchanged); beyond 1e+-100 the
-    caller gets a NormBoundsError.
-    """
-    chi_new = chi + dt * (a0 @ chi)
-    chi_new += dY * u
+def _zakai_update(prods: np.ndarray, form, cis: complex, dY: float,
+                  dt: float) -> np.ndarray:
+    """One linear (unnormalized) step driven by the raw record,
+    d chi = e^{i theta} L chi dY + A0 chi dt, as the row
+    I + dt A0 + dY e^{i theta} L on the basis products ``prods`` of chi
+    (``_linear_parts``).  A norm outside [1e-50, 1e50] is rescaled by a
+    power of two (normalized quantities keep their bits); beyond 1e+-100
+    the caller gets a NormBoundsError."""
+    (_, k, k_adj), (c, c_adj), a0_row = form
+    row = [dt * a for a in a0_row] + [1.0]
+    row[k] += dY * cis * c
+    if k_adj is not None:
+        row[k_adj] += dY * cis * c_adj
+    chi_new = np.array(row, dtype=np.complex128) @ prods
     nrm = math.sqrt(np.vdot(chi_new, chi_new).real)
     if not (_RESCALE_LO < nrm < _RESCALE_HI):
         if not (_HARD_LO < nrm < _HARD_HI):
@@ -423,16 +440,16 @@ def _step(mode: str, slh: SLHCoefficients, cis: complex, x: np.ndarray,
     """One step of a single vector or density factor x (mode "sse", "sme"
     or "zakai") on the innovations increment dw at the measurement phase
     e^{i theta} = cis, over the (L, A0) of ``slh``.  Returns (new x, dY).
-    The SSE and SME steps are ``_kraus_update`` on the SLH's basis; the
-    Zakai step absorbs the phase into the dense L and is driven by the
-    record dY = lam dt + dw of the normalized state."""
+    Every mode reads the products of x with the SLH's basis: the SSE and
+    SME steps are ``_kraus_update``, and the Zakai step is one row on the
+    same products (``_zakai_update``), driven by the record
+    dY = lam dt + dw of the normalized state."""
     if mode == "zakai":
-        l_mat, a0 = slh._arrays(x.shape[0])
-        u = (l_mat if cis == 1.0 else cis * l_mat) @ x
-        lam = 2.0 * (np.vdot(x, u) / np.vdot(x, x).real).real
+        form, prods, lam = _linear_parts(slh, x, cis)
         dy = lam * dt + dw
-        return _zakai_update(x, u, a0, dy, dt), dy
-    basis, c, a0_row = slh._arrays(x.shape[0], kraus=True)
+        return _zakai_update(prods, form, cis, dy, dt), dy
+    slh._check_dim(x.shape[0])
+    basis, c, a0_row = slh._kraus
     x_new, dy = _kraus_update(x[None], basis, c, ([dt * a for a in a0_row],),
                               cis, (dw,), dt)
     return x_new[0], dy[0]
@@ -454,8 +471,9 @@ def lindblad_apply(slh: SLHCoefficients, x: CavityOperator) -> CavityOperator:
 
     in commutator form, so L(I) = 0 exactly.
     """
-    l_mat, _ = slh._arrays(x.dim)
-    ld, h_mat = l_mat.conj().T, slh.h.entries
+    slh._check_dim(x.dim)
+    l_mat, h_mat = slh.l.entries, slh.h.entries
+    ld = l_mat.conj().T
     xm = x.entries
     out = 0.5 * (ld @ (xm @ l_mat - l_mat @ xm))
     out += 0.5 * ((ld @ xm - xm @ ld) @ l_mat)
@@ -467,17 +485,14 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
                           theta_t: float, dW: float, dt: float) -> float:
     """Synthesized record increment dY = lambda dt + dW, where
     lambda = <e^{i theta} L + e^{-i theta} L'> on the conditional state."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
+    cis = complex(np.exp(1j * float(theta_t)))
     vec = state.psi if state.psi is not None else state.chi
     if vec is not None:
-        l_mat, _ = slh._arrays(vec.dim)
-        x = vec.amplitudes
-        val = np.vdot(x, l_mat @ x) / np.vdot(x, x).real
+        lam = _linear_parts(slh, vec.amplitudes, cis)[2]
     else:
-        l_mat, _ = slh._arrays(state.rho.dim)
-        val = np.sum(state.rho.entries.T * l_mat)
-    lam = 2.0 * (complex(np.exp(1j * float(theta_t))) * val).real
+        slh._check_dim(state.rho.dim)
+        lam = 2.0 * (cis * np.sum(state.rho.entries.T * slh.l.entries)).real
     return lam * dt + dW
 
 
@@ -488,8 +503,7 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     The record and innovations accumulators advance consistently:
     Y += lambda dt + dI and I += dI.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if state.psi is None:
         raise DomainError("sse_step needs a state vector (psi)")
     psi = state.psi.amplitudes
@@ -513,8 +527,7 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     docstring: positive and of unit trace for any dt the norm guard
     accepts.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
     x, dy = _step("sme", slh, complex(np.exp(1j * float(theta_t))),
@@ -535,19 +548,16 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
     innovations accumulator uses the normalized state's lambda:
     I += dY - lambda dt.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    chi = state.chi.amplitudes
-    l_mat, a0 = slh._arrays(state.chi.dim)
-    u = l_mat @ chi
-    lam = 2.0 * np.vdot(chi, u).real / np.vdot(chi, chi).real
+    form, prods, lam = _linear_parts(slh, state.chi.amplitudes, 1.0 + 0.0j)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dY,
         I=state.I + dY - lam * dt,
-        chi=StateVector(state.chi.dim, _zakai_update(chi, u, a0, dY, dt)),
+        chi=StateVector(state.chi.dim,
+                        _zakai_update(prods, form, 1.0 + 0.0j, dY, dt)),
     )
 
 
@@ -623,7 +633,9 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     rec_a2 = np.empty((batch, n_rec), dtype=np.complex128)
     rec_y = np.empty((batch, n_rec))
     rec_i = np.empty((batch, n_rec))
-    a_mat = _annihilation_matrix(dim)
+    # one complex copy per run: numpy would cast the real matrix on every
+    # product with a complex state
+    a_mat = _ladder("a", dim).astype(np.complex128)
     y_acc = [0.0] * batch
     # I of every truth after each step of the current noise block, which
     # starts at step ``start``

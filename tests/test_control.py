@@ -18,7 +18,7 @@ from cavityfilter.fock import (
     _gaussian_vector,
     _ladder_basis,
     _ladder_dense,
-    _ladder_stack,
+    _ladder_table,
     annihilation_op,
     gaussian_state,
     number_op,
@@ -490,7 +490,7 @@ def test_kraus_update_is_batch_invariant(rank):
         basis = _ladder_basis(dim)
         prods = np.matmul(basis[0],
                           psis.view(np.float64).reshape(batch, dim, -1))
-        dense = np.concatenate([_ladder_stack(dim), np.eye(dim)[None]])
+        dense = _ladder_table(dim).astype(np.complex128)
         for b in range(batch):
             want = np.matmul(dense, psis[b].reshape(dim, -1))
             assert np.array_equal(prods[b].view(np.complex128),
@@ -557,7 +557,7 @@ def test_cosim_step_builds_no_dense_coefficients(monkeypatch, cov):
         raise AssertionError("called inside the co-simulation step")
 
     monkeypatch.setattr(control, "controlled_slh", forbidden)
-    monkeypatch.setattr(trajectory.SLHCoefficients, "_kernel",
+    monkeypatch.setattr(trajectory.SLHCoefficients, "_kraus",
                         property(forbidden))
     monkeypatch.setattr(trajectory.SLHCoefficients, "__post_init__", forbidden)
     monkeypatch.setattr(CavityOperator, "__post_init__", forbidden)

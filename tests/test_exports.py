@@ -61,10 +61,10 @@ from scipy.linalg import expm
 half = cov.V + 0.5
 nbar = math.sqrt(half * half - abs(cov.W) ** 2) - 0.5
 xi = 0.5 * math.atanh(abs(cov.W) / half) * (-cov.W / abs(cov.W))
-m = fock._mode_matrices(dim)
+ad2, ad, _, a, a2 = fock._ladder_table(dim)[:5]
 want = np.diag(fock._thermal_diag(nbar, dim)).astype(np.complex128)
-for gen in (0.5 * (np.conj(xi) * m["a2"] - xi * m["ad2"]),
-            alpha * m["ad"] - np.conj(alpha) * m["a"]):
+for gen in (0.5 * (np.conj(xi) * a2 - xi * ad2),
+            alpha * ad - np.conj(alpha) * a):
     u = expm(gen)
     want = u @ want @ u.conj().T
 want = 0.5 * (want + want.conj().T)

@@ -14,7 +14,12 @@ import pytest
 
 from cavityfilter import cli, mc
 from cavityfilter.cli import main as cli_main
-from cavityfilter.control import PIDGains, ReferenceSignal, closed_loop_cosim
+from cavityfilter.control import (
+    PIDGains,
+    ReferenceSignal,
+    _cosim,
+    closed_loop_cosim,
+)
 from cavityfilter.errors import DomainError, StepSizeError, TruncationError
 from cavityfilter.fock import CovariancePair
 from cavityfilter.mc import (
@@ -22,6 +27,7 @@ from cavityfilter.mc import (
     FilterScenario,
     MSEReport,
     _draw_displacement,
+    _prior_rng,
     _worker_count,
     innovations_test,
     mse_vs_V,
@@ -371,28 +377,33 @@ def test_closed_loop_ensemble_mse_matches_the_filter_variance():
 def test_closed_loop_mean_follows_the_transfer_function(gains):
     # the filter mean's drift is affine in (a_hat, integral error) and its
     # gain is deterministic, so E[a_hat] is the noise-free response of the
-    # loop, which is the step response of GK / (1 + GK); by the tower
-    # property E<a>_truth = E[a_hat].  Gate: 4 sample standard errors at
-    # every record point, Re and Im apart (max z 1.77 for a_hat, 0.76 for
-    # <a> on this seed).  PID is left out: at this dt the SSE norm guard
-    # fires on truth 135 of this seed
+    # loop, which is the step response ys of GK / (1 + GK); by the tower
+    # property E<a>_truth = E[a_hat], and on the output side, where
+    # lambda = 2 sqrt(gamma) Re<a> at theta = 0 and the innovations have
+    # mean 0, E[Y](t_k) = 2 sqrt(gamma) dt sum_{j<k} Re ys_j.  Gate: 4
+    # sample standard errors at every record point, Re and Im apart (max z
+    # 1.77 for a_hat, 0.76 for <a> and 1.74 for Y on this seed).  One
+    # shard of the ensemble's prior draws per gain set.  PID is left out:
+    # at this dt the SSE norm guard fires on truth 135 of this seed
     params, ref = ModeParams(1.0, 0.5), ReferenceSignal("step", 1.0)
-    dt, T, stride = 2.5e-4, 0.5, 40
-    cfg = EnsembleConfig(256, T, dt, 7 << 40, "mean", record_stride=stride)
-    sc = FilterScenario(params=params, dim=30, alpha=0.0, cov=THERMAL,
-                        purify=True, gains=gains, reference=ref)
-    samples = sc.shard(cfg, range(cfg.n_traj),
-                       [NoiseStream(cfg.base_seed ^ i, dt)
-                        for i in range(cfg.n_traj)])
+    dt, T, stride, n_traj, base = 2.5e-4, 0.5, 40, 256, 7 << 40
+    draws = [0.0 + _draw_displacement(THERMAL, _prior_rng(base, i))
+             for i in range(n_traj)]
+    recs = _cosim(0.0, THERMAL, gains, ref, params, 30,
+                  [NoiseStream(base ^ i, dt) for i in range(n_traj)], T, dt,
+                  stride, draws, VACUUM)
     ts, ys = step_response(closed_loop(plant_tf(params), pid_tf(gains)),
                            ref, T, dt)
-    assert np.allclose(samples[0].t, ts[::stride], rtol=0.0, atol=1e-12)
-    for series in ([s.a_hat for s in samples],
-                   [s.truth_mean_a for s in samples]):
+    assert np.allclose(recs[0].t, ts[::stride], rtol=0.0, atol=1e-12)
+    mean_y = 2.0 * math.sqrt(params.gamma) * dt * np.concatenate(
+        [[0.0], np.cumsum(ys[:-1].real)])
+    for series, want in (([r.a_hat for r in recs], ys),
+                         ([r.truth_mean_a for r in recs], ys),
+                         ([r.Y for r in recs], mean_y)):
         x = np.array(series)
         for part in (np.real, np.imag):
-            dev = part(x).mean(axis=0) - part(ys[::stride])
-            se = part(x).std(axis=0, ddof=1) / math.sqrt(cfg.n_traj)
+            dev = part(x).mean(axis=0) - part(want[::stride])
+            se = part(x).std(axis=0, ddof=1) / math.sqrt(n_traj)
             assert np.all(np.abs(dev) <= 4.0 * se)
 
 

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from cavityfilter import qkf
+from cavityfilter.classical import (
+    DiffusionModel1D,
+    DiscreteKalmanState,
+    GridDensity,
+    ScalarLGModel,
+    kalman_bucy_step,
+    zakai_grid_step,
+)
 from cavityfilter.control import (
     ClosedLoopState,
     PIDGains,
@@ -15,7 +23,7 @@ from cavityfilter.control import (
     pid_filter_step,
 )
 from cavityfilter.errors import ConfigError, DivergenceError, DomainError
-from cavityfilter.fock import CovariancePair, coherent_state
+from cavityfilter.fock import CovariancePair, DensityOperator, coherent_state
 from cavityfilter.lti import plant_tf, step_response
 from cavityfilter.mc import EnsembleConfig, FilterScenario
 from cavityfilter.qkf import (
@@ -30,8 +38,13 @@ from cavityfilter.qkf import (
 )
 from cavityfilter.trajectory import (
     NoiseStream,
+    TrajectoryState,
+    belavkin_zakai_step,
     damped_cavity_slh,
+    measurement_increment,
     run_trajectory,
+    sme_step,
+    sse_step,
 )
 
 
@@ -389,3 +402,45 @@ def test_non_finite_grid_takes_the_callers_error_type():
 def test_non_finite_parameters_are_rejected_at_construction(build):
     with pytest.raises(DomainError, match="must be finite"):
         build()
+
+
+_PSI = coherent_state(0.2, 8)
+_SLH = damped_cavity_slh(ModeParams(1.0, 0.3), 8)
+_GRID = np.linspace(-1.0, 1.0, 41)
+_SINGLE_STEPS = {
+    "sse_step": lambda dt: sse_step(
+        TrajectoryState(0.0, 0.0, 0.0, psi=_PSI), _SLH, 0.0, 0.0, dt),
+    "sme_step": lambda dt: sme_step(
+        TrajectoryState(0.0, 0.0, 0.0, rho=DensityOperator(
+            8, np.outer(_PSI.amplitudes, _PSI.amplitudes.conj()))),
+        _SLH, 0.0, 0.0, dt),
+    "belavkin_zakai_step": lambda dt: belavkin_zakai_step(
+        TrajectoryState(0.0, 0.0, 0.0, chi=_PSI), _SLH, 0.0, dt),
+    "measurement_increment": lambda dt: measurement_increment(
+        TrajectoryState(0.0, 0.0, 0.0, psi=_PSI), _SLH, 0.0, 0.0, dt),
+    "qkf_step": lambda dt: qkf_step(
+        QKFState(0.1, RiccatiState(0.5, 0.0)), 0.0, 0.0, 0.0,
+        ModeParams(1.0), dt),
+    "pid_filter_step": lambda dt: pid_filter_step(
+        ClosedLoopState(QKFState(0.1, RiccatiState(0.5, 0.0))), 0.0,
+        PIDGains(1.0), ReferenceSignal("step"), ModeParams(1.0), dt),
+    "kalman_bucy_step": lambda dt: kalman_bucy_step(
+        DiscreteKalmanState(0.1, 0.5), 0.0, 0.0, dt,
+        ScalarLGModel(A=-1.0, B=0.0, H=1.0, Q=0.5)),
+    "zakai_grid_step": lambda dt: zakai_grid_step(
+        GridDensity(_GRID, np.exp(-_GRID ** 2)), 0.0, dt,
+        DiffusionModel1D(lambda x: -x, lambda x: 0.1 + 0.0 * x,
+                         lambda x: x)),
+}
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("step", sorted(_SINGLE_STEPS))
+def test_single_steps_share_one_dt_check(step, dt):
+    # one check, the same error and message for every public single step;
+    # a non-finite dt once returned NaN silently or failed in a later guard
+    _SINGLE_STEPS[step](1e-3)
+    with pytest.raises(DomainError,
+                       match=r"^dt must be positive and finite, got "):
+        _SINGLE_STEPS[step](dt)

@@ -27,7 +27,7 @@ from cavityfilter.fock import (
     identity_op,
     number_op,
 )
-from cavityfilter import trajectory
+from cavityfilter import fock, trajectory
 from cavityfilter.qkf import ModeParams, RiccatiState, riccati_integrate
 from cavityfilter.trajectory import (
     NoiseStream,
@@ -786,3 +786,28 @@ def test_ladder_and_operator_slh_step_alike():
                            mode=mode, record_stride=10)
         assert np.max(np.abs(a.mean_a - b.mean_a)) < 1e-13
         assert np.max(np.abs(a.mean_n - b.mean_n)) < 1e-13
+
+
+def test_ladder_slh_readers_build_no_dense_coefficients(monkeypatch):
+    # once built, a ladder SLH is read through its one Kraus form (the
+    # ladder rows and the basis products) or its public L and H: the Zakai
+    # run and step, the record increment and the adjoint generator build
+    # no dense combination of the ladder basis
+    dim, dt = 12, 1e-3
+    slh = trajectory._ladder_slh(0.9 + 0.2j, -0.1j, 0.3 - 0.1j, 0.05j, 0.4,
+                                 dim)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a dense ladder combination was built")
+
+    monkeypatch.setattr(fock, "_ladder_dense", forbidden)
+    monkeypatch.setattr(trajectory, "_ladder_dense", forbidden)
+    psi0 = coherent_state(0.5, dim)
+    rec = run_trajectory(psi0, slh, 0.3, NoiseStream(1, dt), 0.01, dt,
+                         mode="zakai")
+    assert np.all(np.isfinite(rec.mean_a))
+    chi = TrajectoryState(0.0, 0.0, 0.0, chi=psi0)
+    assert belavkin_zakai_step(chi, slh, 0.01, dt).chi.dim == dim
+    for state in (chi, TrajectoryState(0.0, 0.0, 0.0, rho=pure_density(psi0))):
+        assert math.isfinite(measurement_increment(state, slh, 0.3, 0.01, dt))
+    assert lindblad_apply(slh, number_op(dim)).is_hermitian(1e-12)
