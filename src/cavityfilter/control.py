@@ -43,9 +43,11 @@ filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
 in z.  The truths are stepped as one (B, dim) stack of vectors, or one
 (B, dim, r) stack of factors, by one ``trajectory._kraus_update`` on the
-ladder basis: each step forms every truth's ladder row of dt A0 from its
-scalars by ``trajectory._slh_coefficients`` (once per run without
-gains).  Every truth gets the bits of its own run.
+ladder members the gains can make nonzero, and I: a'a and a at zero
+gain, a' too under P or I (z), all six under D (c2 and w).  Each step
+forms every truth's row of dt A0 on those members from its scalars by
+``trajectory._slh_coefficients`` (once per run without gains).  Every
+truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
 
 from .errors import CavityFilterError, DomainError
 from .fock import (
+    _LADDER_KEYS,
     CovariancePair,
     _gaussian_vector,
     _ladder_basis,
@@ -490,8 +494,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     the means, integral errors, drifts and displacements are kept per
     truth.  A pure batch is stepped as one (B, dim) stack, a mixed one as
     a (B, dim, r) stack of factors, by one ``_kraus_update`` on the ladder
-    basis.  An error of truth b names it as the error's
-    ``column``."""
+    members the gains can make nonzero (a'a and a at zero gain, a' too
+    under P or I, all six under D) and I.  An error of truth b names it
+    as the error's ``column``."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -513,19 +518,27 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     v, w_cov = cov.V, cov.W
     pairs = _covariances(v, w_cov, 0.0, params, dt)
     sg = math.sqrt(params.gamma)
-    basis = _ladder_basis(dim)
+    # the members the gains can make nonzero: without D, c2 and w are
+    # exact zeros, and without P or I so is z
+    members = (_LADDER_KEYS if gains.k_D != 0.0
+               else ("n", "a") if gains.all_zero else ("ad", "n", "a"))
+    basis = _ladder_basis(dim, members)
+    cols = itemgetter(*map(_LADDER_KEYS.index, members))
     a0 = _slh_coefficients(sg, 0.0j, 0.0j, 0.0j, params.omega)[1]
-    fixed = (sg, 0.0j), [[dt * a for a in a0]] * batch
+    fixed = (sg, 0.0j), [[dt * a for a in cols(a0)]] * batch
 
     def truth_rows(scalars):
-        """(c1, c2) of L = c1 a + c2 a' and the ladder row of dt A0 of
-        every truth; c1, c2 and w depend on Xi alone, so the rows differ
-        only in the displacement z of each truth."""
+        """(c1, c2) of L = c1 a + c2 a' and the row of dt A0 on the
+        basis members of every truth; c1, c2 and w depend on Xi alone, so
+        the rows differ only in the displacement z of each truth."""
         if gains.all_zero:
             return fixed
         c1, c2, _, w, _ = scalars[0]
-        return (c1, c2), [[dt * a for a in _slh_coefficients(
-            c1, c2, sc[2], w, params.omega)[1]] for sc in scalars]
+        a0s = [_slh_coefficients(c1, c2, sc[2], w, params.omega)[1]
+               for sc in scalars]
+        if members != _LADDER_KEYS:
+            a0s = map(cols, a0s)
+        return (c1, c2), [[dt * a for a in a0] for a0 in a0s]
 
     n = _step_total(noises, T, dt, record_stride)
 

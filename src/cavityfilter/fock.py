@@ -8,14 +8,14 @@ the ladder basis a'^2, a', a'a, a, a^2, a a', whose members each have a
 single nonzero diagonal.  Its real matrices and the identity are kept
 once per dim, in one read-only table (``_ladder_table``) that every
 reader takes: the operator constructors, the Gaussian unitaries, the
-moments and the steppers' basis (``_ladder_basis``, a view of the
-table).  A combination of the members is kept as its row of
-coefficients and made dense only where an operator is materialized
-(``_ladder_dense``).  A truth step never combines them: the basis
-products of a whole stack of states are one product with the real
-basis (on the float64 view of the states, so numpy casts no complex
-copy of it), exact because each row of a member has one nonzero entry,
-and each state's row of coefficients is contracted with its own
+moments and the steppers' bases (``_ladder_basis``: the members a
+step's coefficients use, and I).  A combination of the members is kept
+as its row of coefficients and made dense only where an operator is
+materialized (``_ladder_dense``).  A truth step never combines them:
+the basis products of a whole stack of states are one product with the
+real basis (on the float64 view of the states, so numpy casts no
+complex copy of it), exact because each row of a member has one nonzero
+entry, and each state's row of coefficients is contracted with its own
 products.
 
 Truncation policy: constructors check the population of the top two
@@ -234,15 +234,22 @@ def _ladder(key: str, dim: int) -> np.ndarray:
     return _ladder_table(dim)[_LADDER_KEYS.index(key)]
 
 
-def _ladder_basis(dim: int) -> tuple:
-    """(stack, index of a, index of a'): the ladder table as a (7 dim, dim)
-    stack, a view of it, rows j dim .. (j + 1) dim - 1 holding member j.
-    Every row has at most one nonzero entry, so its product with any
-    vector, or with the float64 view of a complex one, is exact: one
-    rounded multiplication per entry, whatever the BLAS kernel or batch
-    shape."""
-    return (_ladder_table(dim).reshape(-1, dim), _LADDER_KEYS.index("a"),
-            _LADDER_KEYS.index("ad"))
+@lru_cache(maxsize=None)
+def _ladder_basis(dim: int, members: tuple) -> tuple:
+    """(stack, index of a, index of a'): the ``members`` (keys of
+    ``_LADDER_KEYS``, in table order, a among them) of the ladder table
+    followed by I, as one read-only ((len(members) + 1) dim, dim) stack,
+    rows j dim .. (j + 1) dim - 1 holding member j; the index of a' is
+    None if a' is not a member.  Every row has at most one nonzero entry,
+    so its product with any vector, or with the float64 view of a complex
+    one, is exact: one rounded multiplication per entry, whatever the
+    BLAS kernel or batch shape."""
+    stack = _ladder_table(dim)[
+        [_LADDER_KEYS.index(key) for key in members] + [len(_LADDER_KEYS)]
+    ].reshape(-1, dim)
+    stack.setflags(write=False)
+    return (stack, members.index("a"),
+            members.index("ad") if "ad" in members else None)
 
 
 def _ladder_dense(coef, dim: int) -> np.ndarray:

@@ -18,12 +18,13 @@ avoids representing the field the mode radiates into.
 The steppers are fixed-step Euler-Maruyama (weak order 1).  Each
 ``SLHCoefficients`` derives its coefficients once, in one form
 (``_kraus``): a basis, the coefficients of L on it and the row of
-A0 = -iH - L'L/2.  The basis is the ladder basis a'^2, a', a'a, a, a^2,
-a a', I for an SLH built on it (its products are exact), else the dense
-basis (L, A0, I), and every step reads the products of the state with
-it.  The state-vector step renormalizes; the Zakai step applies the row
-I + dt A0 + dY e^{i theta} L and keeps the unnormalized state, rescaled
-only by powers of two.  ``lindblad_apply`` and the record increment of
+A0 = -iH - L'L/2.  For an SLH built on the ladder basis a'^2, a', a'a,
+a, a^2, a a' the basis holds the members its coefficients use, and I
+(their products are exact), else it is the dense basis (L, A0, I), and
+every step reads the products of the state with it.  The state-vector
+step renormalizes; the Zakai step applies the row I + dt A0
++ dY e^{i theta} L and keeps the unnormalized state, rescaled only by
+powers of two.  ``lindblad_apply`` and the record increment of
 a density matrix read the public L and H.
 
 A density matrix is carried as a factor X (dim x r) with
@@ -54,7 +55,8 @@ updates of an ensemble shard.  Every state-vector and density-factor
 step is one ``_kraus_update``: the basis products of the whole stack
 by one product, each truth's K as one row of coefficients on that
 basis, one stacked matmul and the norm guard; the co-simulation uses
-the ladder basis.  Every row of a stack gets the bits of a lone state.
+the ladder members its gains can make nonzero.  Every row of a stack
+gets the bits of a lone state.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .errors import (
 )
 from .fock import (
     LEAK_WARN,
+    _LADDER_KEYS,
     CavityOperator,
     DensityOperator,
     StateVector,
@@ -122,7 +125,8 @@ class SLHCoefficients:
     package), L the coupling operator into the monitored field, H the
     Hamiltonian.  Equality is identity (the fields hold arrays).  Steppers
     read only (L, A0), in the one form ``_kraus``: the ladder rows that
-    ``_ladder_slh`` instances keep, else a dense basis built once.
+    ``_ladder_slh`` instances keep, on the members where L or A0 has a
+    nonzero entry, else a dense basis built once.
     """
 
     s: complex
@@ -152,12 +156,19 @@ class SLHCoefficients:
     @cached_property
     def _kraus(self):
         # (basis, L's coefficients, A0's row), the one form every stepper
-        # reads: the ladder basis when built on it (L = c1 a + c2 a'),
-        # else the dense basis (L, A0 = -iH - L'L/2, I), built once here
+        # reads: when built on the ladder basis (L = c1 a + c2 a'), its
+        # members where L or A0 has a nonzero entry, and a, which
+        # m = <x, a x> needs; else the dense basis (L, A0 = -iH - L'L/2, I),
+        # built once here
         if self._ladder is not None:
-            basis = _ladder_basis(self.dim)
             l_row, a0_row = self._ladder
-            return basis, (l_row[basis[1]], l_row[basis[2]]), a0_row
+            cols = [j for j, key in enumerate(_LADDER_KEYS)
+                    if key == "a" or l_row[j] != 0 or a0_row[j] != 0]
+            basis = _ladder_basis(self.dim,
+                                  tuple(_LADDER_KEYS[j] for j in cols))
+            return (basis, (l_row[_LADDER_KEYS.index("a")],
+                            l_row[_LADDER_KEYS.index("ad")]),
+                    [a0_row[j] for j in cols])
         l_mat = self.l.entries
         ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
         stack = np.concatenate([l_mat, -1j * self.h.entries - 0.5 * ll,
@@ -304,11 +315,13 @@ def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
 
     lam = 2 Re e^{i theta} <L>, e^{i theta} = cis.  ``basis`` is
     (stack, k, k'): the (n dim, dim) stack of the basis members X_0 ..
-    X_{n-1}, the last of them I.  ``da_rows[b]`` is the row of dt A0_b on
-    X_0 .. X_{n-2}, and L = c X_k + c' X_k' with (c, c') = ``c``, where
-    X_k' is the adjoint of X_k (and no term if k' is None), so
-    <L> = c m + c' conj(m) with m = <x, X_k x>.  Returns the stack and the
-    list of record increments dY[b] = lam[b] dt + dI[b].
+    X_{n-1}, the last of them I; a ladder basis holds only the members
+    the rows can make nonzero (``fock._ladder_basis``), so a step forms
+    no product whose coefficient is always zero.  ``da_rows[b]`` is the
+    row of dt A0_b on X_0 .. X_{n-2}, and L = c X_k + c' X_k' with
+    (c, c') = ``c``, where X_k' is the adjoint of X_k (and no term if k'
+    is None), so <L> = c m + c' conj(m) with m = <x, X_k x>.  Returns the
+    stack and the list of record increments dY[b] = lam[b] dt + dI[b].
 
     The n basis products of the whole stack are one product with
     ``stack`` (``_basis_products``); each K_b is one row of n Python
@@ -350,8 +363,9 @@ def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
 def _basis_products(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The (B, n, dim r) products X_j x[b] of a stack x of vectors
     (B, dim) or factors (B, dim, r) with the n members of ``stack``
-    (n dim, dim), by one matmul; a real stack multiplies the float64 view
-    of x, which is exact for the ladder basis (``fock._ladder_basis``)."""
+    (n dim, dim), by one matmul, so their cost scales with n; a real stack
+    multiplies the float64 view of x, which is exact for a ladder basis
+    (``fock._ladder_basis``)."""
     batch, dim = x.shape[:2]
     cols = np.ascontiguousarray(x)
     if stack.dtype == np.float64:

@@ -13,6 +13,7 @@ from cavityfilter.errors import (
     TruncationWarning,
 )
 from cavityfilter.fock import (
+    _LADDER_KEYS,
     CavityOperator,
     CovariancePair,
     _gaussian_vector,
@@ -459,9 +460,10 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
 
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        new, dy = _kraus_update(psi[None], _ladder_basis(dim),
-                                (c1, c2), [[dt * a for a in rows[1]]],
-                                1.0 + 0.0j, (di,), dt)
+        new, dy = _kraus_update(psi[None],
+                                _ladder_basis(dim, _LADDER_KEYS), (c1, c2),
+                                [[dt * a for a in rows[1]]], 1.0 + 0.0j,
+                                (di,), dt)
         lam = 2.0 * np.vdot(psi, l_ref @ psi).real
         kraus = ((1.0 - lam * lam * dt / 8.0 - lam * di / 2.0) * np.eye(dim)
                  + dt * a0_ref + (lam * dt / 2.0 + di) * l_ref)
@@ -476,8 +478,9 @@ def test_kraus_update_is_batch_invariant(rank):
     # the dense matrix products exactly (a zero may differ in sign), and
     # every row of the Kraus
     # update gets the bits of a lone state, with the rows shared by the
-    # stack (zero gain) or one set per row (feedback), and stays within
-    # roundoff of the dense Kraus step
+    # stack (zero gain) or one set per row (feedback), on all seven members
+    # or on those the rows use, and stays within roundoff of the dense
+    # Kraus step
     rng = np.random.default_rng(3)
     scalars = [[complex(*rng.normal(size=2)) for _ in range(4)]
                for _ in range(8)]
@@ -487,7 +490,7 @@ def test_kraus_update_is_batch_invariant(rank):
         psis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         psis /= np.linalg.norm(psis.reshape(batch, -1), axis=1).reshape(
             (batch,) + (1,) * (len(shape) - 1))
-        basis = _ladder_basis(dim)
+        basis = _ladder_basis(dim, _LADDER_KEYS)
         prods = np.matmul(basis[0],
                           psis.view(np.float64).reshape(batch, dim, -1))
         dense = _ladder_table(dim).astype(np.complex128)
@@ -495,15 +498,27 @@ def test_kraus_update_is_batch_invariant(rank):
             want = np.matmul(dense, psis[b].reshape(dim, -1))
             assert np.array_equal(prods[b].view(np.complex128),
                                   want.reshape(7 * dim, -1))
+        # a trimmed basis (the members a zero-gain or P/I row uses, and I)
+        # gives the same products of its members
+        for cols in ((2, 3), (1, 2, 3)):
+            members = tuple(_LADDER_KEYS[j] for j in cols)
+            got = np.matmul(_ladder_basis(dim, members)[0],
+                            psis.view(np.float64).reshape(batch, dim, -1))
+            want = prods.reshape(batch, 7, dim, -1)[:, list(cols) + [6]]
+            assert np.array_equal(got, want.reshape(got.shape))
         dI = tuple(rng.normal(0.0, math.sqrt(dt), batch).tolist())
         c1, c2, _, w = scalars[0]
         own = [_slh_coefficients(c1, c2, sc[2], w, 0.5) for sc in scalars]
-        cases = [(_slh_coefficients(1.0, 0.0j, 0.0j, 0.0j, 0.5), [None] * 8),
-                 (own[0], own)]
-        for shared, per_row in cases:
+        p_i = [_slh_coefficients(1.0, 0.0j, sc[2], 0.0j, 0.5)
+               for sc in scalars]
+        zero = _slh_coefficients(1.0, 0.0j, 0.0j, 0.0j, 0.5)
+        cases = [(zero, [None] * 8, range(6)), (own[0], own, range(6)),
+                 (zero, [None] * 8, (2, 3)), (p_i[0], p_i, (1, 2, 3))]
+        for shared, per_row, cols in cases:
             rows = [(shared if r is None else r) for r in per_row[:batch]]
-            da = [[dt * a for a in r[1]] for r in rows]
+            da = [[dt * r[1][j] for j in cols] for r in rows]
             c = (shared[0][3], shared[0][1])
+            basis = _ladder_basis(dim, tuple(_LADDER_KEYS[j] for j in cols))
             new, dy = _kraus_update(psis, basis, c, da, 1.0 + 0.0j, dI, dt)
             for b in range(batch):
                 alone, dy_alone = _kraus_update(
@@ -518,6 +533,125 @@ def test_kraus_update_is_batch_invariant(rank):
                         + dt * (a0 @ x) + (lam * dt / 2.0 + dI[b]) * (l_mat @ x))
                 want /= np.linalg.norm(want)
                 assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
+
+
+def _cosim_bases(monkeypatch, gains, cov, dim):
+    """The basis stacks of the ``_kraus_update`` calls of a short
+    co-simulation under ``gains``."""
+    seen = []
+
+    def spy(x, basis, *args):
+        seen.append(basis[0])
+        return _kraus_update(x, basis, *args)
+
+    monkeypatch.setattr(control, "_kraus_update", spy)
+    closed_loop_cosim(0.3, cov, gains, ReferenceSignal("step", 1.0),
+                      ModeParams(1.0, 0.5), dim, NoiseStream(4, 1e-3), 0.01,
+                      1e-3)
+    return seen
+
+
+@pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
+                                 CovariancePair(0.5, 0.0)],
+                         ids=["pure", "mixed"])
+def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
+    # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
+    # a' (their z), and D keeps all six members and I
+    dim = 24
+    table = _ladder_table(dim)
+
+    def stack(members):
+        return np.concatenate([table[_LADDER_KEYS.index(k)] for k in members]
+                              + [np.eye(dim)])
+
+    want = {"zero": ("n", "a"), "P": ("ad", "n", "a"), "PI": ("ad", "n", "a"),
+            "PID": _LADDER_KEYS}
+    assert np.array_equal(
+        damped_cavity_slh(ModeParams(1.0, 0.5), dim)._kraus[0][0],
+        stack(want["zero"]))
+    gains = {"zero": PIDGains(0.0), "P": PIDGains(2.0),
+             "PI": PIDGains(2.0, 1.0), "PID": PIDGains(2.0, 1.0, 0.5)}
+    for name, members in want.items():
+        seen = _cosim_bases(monkeypatch, gains[name], cov, dim)
+        assert len(seen) == 10
+        for basis in seen:
+            assert basis.shape == ((len(members) + 1) * dim, dim)
+            assert np.array_equal(basis, stack(members))
+
+
+@pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
+def test_trimmed_kraus_step_is_the_full_step(rank):
+    # a step on the members the rows use equals the step on all seven with
+    # the zero columns put back: bit for bit (a zero may differ in sign)
+    # at zero gain and under PID, whose sums OpenBLAS groups alike; the
+    # P/I row has four columns, which OpenBLAS's zgemv sums as one block
+    # (sum of re re less sum of im im), so I's term is grouped with the
+    # others and the step agrees to rounding
+    rng = np.random.default_rng(16)
+    dt = 1e-5
+    for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
+        shape = (batch, dim) if rank is None else (batch, dim, rank)
+        psis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psis /= np.linalg.norm(psis.reshape(batch, -1), axis=1).reshape(
+            (batch,) + (1,) * (len(shape) - 1))
+        dI = tuple(rng.normal(0.0, math.sqrt(dt), batch).tolist())
+        zs = [complex(*rng.normal(size=2)) for _ in range(batch)]
+        c1, c2, w = complex(*rng.normal(size=2)), 0.3 - 0.2j, 0.1j
+        cases = [(("n", "a"), (1.0, 0.0j), [_slh_coefficients(
+                     1.0, 0.0j, 0.0j, 0.0j, 0.5)] * batch, True),
+                 (("ad", "n", "a"), (1.0, 0.0j), [_slh_coefficients(
+                     1.0, 0.0j, z, 0.0j, 0.5) for z in zs], False),
+                 (_LADDER_KEYS, (c1, c2), [_slh_coefficients(
+                     c1, c2, z, w, 0.5) for z in zs], True)]
+        for members, c, rows, exact in cases:
+            cols = [_LADDER_KEYS.index(k) for k in members]
+            assert all(r[1][j] == 0 for r in rows for j in range(6)
+                       if j not in cols)
+            full, dy_full = _kraus_update(
+                psis, _ladder_basis(dim, _LADDER_KEYS), c,
+                [[dt * a for a in r[1]] for r in rows], 1.0 + 0.0j, dI, dt)
+            new, dy = _kraus_update(
+                psis, _ladder_basis(dim, members), c,
+                [[dt * r[1][j] for j in cols] for r in rows], 1.0 + 0.0j,
+                dI, dt)
+            assert dy == dy_full
+            if exact:
+                assert np.array_equal(new, full)
+            else:
+                assert np.max(np.abs(new - full)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-4])
+@pytest.mark.parametrize("alpha0", [0.5, -0.3 + 0.6j, 1j])
+def test_coherent_truths_stay_coherent(monkeypatch, alpha0, dt):
+    # with L = sqrt(gamma) a and H = omega a'a a coherent state stays
+    # coherent on every record (a|alpha> = alpha|alpha>), its amplitude
+    # alpha0 e^{-kappa t} with kappa = gamma/2 + i omega; the Euler row
+    # errs by O(dt |alpha|^2) (measured: at most 1.09 dt |alpha0|^2), and
+    # the variance <a'a> - |<a>|^2 stays at rounding level (measured: at
+    # most 2.3e-8); both gates were fixed before the first run
+    params, dim, T, batch = ModeParams(1.0, 0.5), 30, 0.5, 8
+    seen = []
+
+    def spy(x, basis, *args):
+        seen.append(basis[0].shape)
+        return _kraus_update(x, basis, *args)
+
+    monkeypatch.setattr(control, "_kraus_update", spy)
+    noises = [NoiseStream((7 << 40) ^ i, dt) for i in range(batch)]
+    recs = control._cosim(alpha0, CovariancePair(0.0, 0.0), PIDGains(0.0),
+                          ReferenceSignal("constant", 0.0), params, dim,
+                          noises, T, dt, 1, [alpha0] * batch,
+                          CovariancePair(0.0, 0.0))
+    # the zero-gain path: a'a, a and I
+    assert set(seen) == {(3 * dim, dim)}
+    kappa = complex(0.5 * params.gamma, params.omega)
+    for rec in recs:
+        want = alpha0 * np.exp(-kappa * rec.t)
+        assert (np.max(np.abs(rec.truth_mean_a - want))
+                <= 4 * dt * abs(alpha0) ** 2)
+        assert np.max(np.abs(rec.truth_mean_n
+                             - np.abs(rec.truth_mean_a) ** 2)) <= 1e-7
 
 
 def test_estimation_error_does_not_depend_on_the_gains():

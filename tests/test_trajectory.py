@@ -463,7 +463,8 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
     # the flattened rows: each equals np.vdot on its row alone, bit for
     # bit, and every row of the update, and its record increment
     # dY = lambda dt + dI, is that of the row stepped alone, with shared
-    # or per-row A0 rows, on the ladder basis and on a dense one
+    # or per-row A0 rows, on the ladder basis (all seven members or those
+    # a row uses) and on a dense one
     rng = np.random.default_rng(7)
     for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
         shape = (batch, dim) if rank is None else (batch, dim, rank)
@@ -481,10 +482,16 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
                         + 1j * rng.normal(0.0, 0.1, (batch, 6)))).tolist()
         # the same L and H as dense operators, so on the dense basis
         ladder = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
-        cases = [(trajectory._ladder_basis(dim), (c1, c2), rows),
-                 (trajectory._ladder_basis(dim), (c1, c2), rows[:1] * batch),
+        full = trajectory._ladder_basis(dim, trajectory._LADDER_KEYS)
+        cases = [(full, (c1, c2), rows),
+                 (full, (c1, c2), rows[:1] * batch),
                  (SLHCoefficients(1.0, ladder.l, ladder.h)._kraus[0],
-                  (1.0, 0.0), [[0.0, 1e-4]] * batch)]
+                  (1.0, 0.0), [[0.0, 1e-4]] * batch),
+                 # trimmed bases: the members of a zero-gain and a P/I row
+                 (trajectory._ladder_basis(dim, ("n", "a")), (c1, c2),
+                  [r[2:4] for r in rows]),
+                 (trajectory._ladder_basis(dim, ("ad", "n", "a")), (c1, c2),
+                  [r[1:4] for r in rows])]
         for basis, c, da in cases:
             new, dy = trajectory._kraus_update(psi, basis, c, da, 1.0 + 0.0j,
                                                dI, 1e-4)
@@ -496,7 +503,7 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
                 assert new[b].tobytes() == alone[0].tobytes()
                 assert dy[b] == dy_alone[0]
                 assert norms[b] == complex(np.vdot(new[b], new[b]))
-            if basis[1] == 3:
+            if basis[0].dtype == np.float64:
                 assert dy == [2.0 * (c1 * m).real * 1e-4 + di
                               for m, di in zip(lone, dI)]
 
