@@ -43,11 +43,12 @@ filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
 in z.  The truths are stepped as one (B, dim) stack of vectors, or one
 (B, dim, r) stack of factors, by one ``trajectory._kraus_update`` on the
-ladder members the gains can make nonzero, and I: a'a and a at zero
-gain, a' too under P or I (z), all six under D (c2 and w).  Each step
-forms every truth's row of dt A0 on those members from its scalars by
-``trajectory._slh_coefficients`` (once per run without gains).  Every
-truth gets the bits of its own run.
+ladder members the gains can make nonzero, and I, which
+``trajectory._ladder_form`` reads off one probe row at Xi = 1: a'a and
+a at zero gain, a' too under P or I (z), all six under D (c2 and w).
+Each step forms every truth's row of dt A0 on those members from its
+scalars by ``trajectory._slh_coefficients`` (once per run without
+gains).  Every truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -55,17 +56,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Union
 
 import numpy as np
 
 from .errors import CavityFilterError, DomainError
 from .fock import (
-    _LADDER_KEYS,
     CovariancePair,
     _gaussian_vector,
-    _ladder_basis,
     gaussian_state,
 )
 from .qkf import (
@@ -86,6 +84,7 @@ from .trajectory import (
     _density_factor,
     _integrate,
     _kraus_update,
+    _ladder_form,
     _ladder_slh,
     _slh_coefficients,
     _step_total,
@@ -494,9 +493,9 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     the means, integral errors, drifts and displacements are kept per
     truth.  A pure batch is stepped as one (B, dim) stack, a mixed one as
     a (B, dim, r) stack of factors, by one ``_kraus_update`` on the ladder
-    members the gains can make nonzero (a'a and a at zero gain, a' too
-    under P or I, all six under D) and I.  An error of truth b names it
-    as the error's ``column``."""
+    members the gains can make nonzero (``_ladder_form`` of a probe row:
+    a'a and a at zero gain, a' too under P or I, all six under D) and I.
+    An error of truth b names it as the error's ``column``."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -518,14 +517,15 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     v, w_cov = cov.V, cov.W
     pairs = _covariances(v, w_cov, 0.0, params, dt)
     sg = math.sqrt(params.gamma)
-    # the members the gains can make nonzero: without D, c2 and w are
-    # exact zeros, and without P or I so is z
-    members = (_LADDER_KEYS if gains.k_D != 0.0
-               else ("n", "a") if gains.all_zero else ("ad", "n", "a"))
-    basis = _ladder_basis(dim, members)
-    cols = itemgetter(*map(_LADDER_KEYS.index, members))
-    a0 = _slh_coefficients(sg, 0.0j, 0.0j, 0.0j, params.omega)[1]
-    fixed = (sg, 0.0j), [[dt * a for a in cols(a0)]] * batch
+    # the members: c1, c2 and w depend on Xi alone, so their row at
+    # Xi = 1 with z = i under any gain has every entry the gains can make
+    # nonzero; at zero gain it is every step's row
+    c1, c2, _, w, _ = _feedback_scalars(gains, 0.0j, 0.0j, 0.0j, 0.0j, 1.0,
+                                        params)
+    probe = _slh_coefficients(c1, c2, 0.0j if gains.all_zero else 1.0j, w,
+                              params.omega)
+    basis, cols = _ladder_form(dim, *probe[:2])
+    fixed = (sg, 0.0j), [[dt * probe[1][j] for j in cols]] * batch
 
     def truth_rows(scalars):
         """(c1, c2) of L = c1 a + c2 a' and the row of dt A0 on the
@@ -534,11 +534,10 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         if gains.all_zero:
             return fixed
         c1, c2, _, w, _ = scalars[0]
-        a0s = [_slh_coefficients(c1, c2, sc[2], w, params.omega)[1]
-               for sc in scalars]
-        if members != _LADDER_KEYS:
-            a0s = map(cols, a0s)
-        return (c1, c2), [[dt * a for a in a0] for a0 in a0s]
+        return (c1, c2), [
+            [dt * a0[j] for j in cols]
+            for a0 in (_slh_coefficients(c1, c2, sc[2], w, params.omega)[1]
+                       for sc in scalars)]
 
     n = _step_total(noises, T, dt, record_stride)
 

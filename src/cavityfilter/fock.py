@@ -209,6 +209,8 @@ class CovariancePair:
 #: the ladder basis a'^2, a', a'a, a, a^2, a a' of the structured
 #: coefficients; each member has one nonzero entry per row at most
 _LADDER_KEYS = ("ad2", "ad", "n", "a", "a2", "aad")
+#: the columns of a and a' in a ladder row
+_LADDER_A, _LADDER_AD = _LADDER_KEYS.index("a"), _LADDER_KEYS.index("ad")
 
 
 @lru_cache(maxsize=None)
@@ -235,21 +237,20 @@ def _ladder(key: str, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ladder_basis(dim: int, members: tuple) -> tuple:
-    """(stack, index of a, index of a'): the ``members`` (keys of
-    ``_LADDER_KEYS``, in table order, a among them) of the ladder table
-    followed by I, as one read-only ((len(members) + 1) dim, dim) stack,
+def _ladder_basis(dim: int, cols: tuple) -> tuple:
+    """(stack, index of a, index of a'): the members ``cols`` (increasing
+    indices into ``_LADDER_KEYS``, a among them) of the ladder table
+    followed by I, as one read-only ((len(cols) + 1) dim, dim) stack,
     rows j dim .. (j + 1) dim - 1 holding member j; the index of a' is
     None if a' is not a member.  Every row has at most one nonzero entry,
     so its product with any vector, or with the float64 view of a complex
     one, is exact: one rounded multiplication per entry, whatever the
     BLAS kernel or batch shape."""
-    stack = _ladder_table(dim)[
-        [_LADDER_KEYS.index(key) for key in members] + [len(_LADDER_KEYS)]
-    ].reshape(-1, dim)
+    stack = _ladder_table(dim)[list(cols) + [len(_LADDER_KEYS)]].reshape(
+        -1, dim)
     stack.setflags(write=False)
-    return (stack, members.index("a"),
-            members.index("ad") if "ad" in members else None)
+    return (stack, cols.index(_LADDER_A),
+            cols.index(_LADDER_AD) if _LADDER_AD in cols else None)
 
 
 def _ladder_dense(coef, dim: int) -> np.ndarray:

@@ -78,7 +78,8 @@ from .errors import (
 )
 from .fock import (
     LEAK_WARN,
-    _LADDER_KEYS,
+    _LADDER_A,
+    _LADDER_AD,
     CavityOperator,
     DensityOperator,
     StateVector,
@@ -156,18 +157,13 @@ class SLHCoefficients:
     @cached_property
     def _kraus(self):
         # (basis, L's coefficients, A0's row), the one form every stepper
-        # reads: when built on the ladder basis (L = c1 a + c2 a'), its
-        # members where L or A0 has a nonzero entry, and a, which
-        # m = <x, a x> needs; else the dense basis (L, A0 = -iH - L'L/2, I),
-        # built once here
+        # reads: when built on the ladder basis (L = c1 a + c2 a'), the
+        # members its rows use (``_ladder_form``); else the dense basis
+        # (L, A0 = -iH - L'L/2, I), built once here
         if self._ladder is not None:
             l_row, a0_row = self._ladder
-            cols = [j for j, key in enumerate(_LADDER_KEYS)
-                    if key == "a" or l_row[j] != 0 or a0_row[j] != 0]
-            basis = _ladder_basis(self.dim,
-                                  tuple(_LADDER_KEYS[j] for j in cols))
-            return (basis, (l_row[_LADDER_KEYS.index("a")],
-                            l_row[_LADDER_KEYS.index("ad")]),
+            basis, cols = _ladder_form(self.dim, l_row, a0_row)
+            return (basis, (l_row[_LADDER_A], l_row[_LADDER_AD]),
                     [a0_row[j] for j in cols])
         l_mat = self.l.entries
         ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
@@ -280,6 +276,18 @@ def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
           -1j * h[2] - 0.5 * (c1c * c1).real, -1j * h[3],
           -1j * h[4] - 0.5 * (c2c * c1), -1j * h[5] - 0.5 * (c2c * c2).real]
     return [[0.0, c2, 0.0, c1, 0.0, 0.0], a0, h]
+
+
+def _ladder_form(dim: int, l_row, a0_row) -> tuple:
+    """(basis, cols): the ladder basis (``fock._ladder_basis``) on the
+    columns ``cols`` where the ladder row of L or of A0 has a nonzero
+    entry, and on a, which m = <x, a x> needs, so a step forms no product
+    whose coefficient is zero.  Every ladder stepper takes its members
+    here: an SLH from its own rows, a co-simulation from one row that has
+    every entry its gains can make nonzero."""
+    cols = tuple(j for j, (l, a0) in enumerate(zip(l_row, a0_row))
+                 if j == _LADDER_A or l != 0 or a0 != 0)
+    return _ladder_basis(dim, cols), cols
 
 
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,

@@ -47,6 +47,9 @@ from cavityfilter.trajectory import (
     run_trajectory,
 )
 
+#: every member of the ladder basis, as ``fock._ladder_basis`` columns
+ALL = tuple(range(len(_LADDER_KEYS)))
+
 
 def make_state(a_hat=0.0j, v=0.0, w=0.0j, ie=0.0j, t=0.0):
     return ClosedLoopState(filter=QKFState(a_hat, RiccatiState(v, w, t)),
@@ -460,10 +463,9 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
 
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        new, dy = _kraus_update(psi[None],
-                                _ladder_basis(dim, _LADDER_KEYS), (c1, c2),
-                                [[dt * a for a in rows[1]]], 1.0 + 0.0j,
-                                (di,), dt)
+        new, dy = _kraus_update(psi[None], _ladder_basis(dim, ALL),
+                                (c1, c2), [[dt * a for a in rows[1]]],
+                                1.0 + 0.0j, (di,), dt)
         lam = 2.0 * np.vdot(psi, l_ref @ psi).real
         kraus = ((1.0 - lam * lam * dt / 8.0 - lam * di / 2.0) * np.eye(dim)
                  + dt * a0_ref + (lam * dt / 2.0 + di) * l_ref)
@@ -490,7 +492,7 @@ def test_kraus_update_is_batch_invariant(rank):
         psis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         psis /= np.linalg.norm(psis.reshape(batch, -1), axis=1).reshape(
             (batch,) + (1,) * (len(shape) - 1))
-        basis = _ladder_basis(dim, _LADDER_KEYS)
+        basis = _ladder_basis(dim, ALL)
         prods = np.matmul(basis[0],
                           psis.view(np.float64).reshape(batch, dim, -1))
         dense = _ladder_table(dim).astype(np.complex128)
@@ -501,8 +503,7 @@ def test_kraus_update_is_batch_invariant(rank):
         # a trimmed basis (the members a zero-gain or P/I row uses, and I)
         # gives the same products of its members
         for cols in ((2, 3), (1, 2, 3)):
-            members = tuple(_LADDER_KEYS[j] for j in cols)
-            got = np.matmul(_ladder_basis(dim, members)[0],
+            got = np.matmul(_ladder_basis(dim, cols)[0],
                             psis.view(np.float64).reshape(batch, dim, -1))
             want = prods.reshape(batch, 7, dim, -1)[:, list(cols) + [6]]
             assert np.array_equal(got, want.reshape(got.shape))
@@ -512,13 +513,13 @@ def test_kraus_update_is_batch_invariant(rank):
         p_i = [_slh_coefficients(1.0, 0.0j, sc[2], 0.0j, 0.5)
                for sc in scalars]
         zero = _slh_coefficients(1.0, 0.0j, 0.0j, 0.0j, 0.5)
-        cases = [(zero, [None] * 8, range(6)), (own[0], own, range(6)),
+        cases = [(zero, [None] * 8, ALL), (own[0], own, ALL),
                  (zero, [None] * 8, (2, 3)), (p_i[0], p_i, (1, 2, 3))]
         for shared, per_row, cols in cases:
             rows = [(shared if r is None else r) for r in per_row[:batch]]
             da = [[dt * r[1][j] for j in cols] for r in rows]
             c = (shared[0][3], shared[0][1])
-            basis = _ladder_basis(dim, tuple(_LADDER_KEYS[j] for j in cols))
+            basis = _ladder_basis(dim, cols)
             new, dy = _kraus_update(psis, basis, c, da, 1.0 + 0.0j, dI, dt)
             for b in range(batch):
                 alone, dy_alone = _kraus_update(
@@ -535,20 +536,26 @@ def test_kraus_update_is_batch_invariant(rank):
                 assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
 
 
-def _cosim_bases(monkeypatch, gains, cov, dim):
+def _cosim_steps(monkeypatch, gains, cov, dim, params):
     """The basis stacks of the ``_kraus_update`` calls of a short
-    co-simulation under ``gains``."""
-    seen = []
+    co-simulation under ``gains``, and every (L, A0) ladder row formed
+    for it."""
+    seen, rows = [], []
 
     def spy(x, basis, *args):
         seen.append(basis[0])
         return _kraus_update(x, basis, *args)
 
+    def coefficients(*args):
+        out = _slh_coefficients(*args)
+        rows.append(out[:2])
+        return out
+
     monkeypatch.setattr(control, "_kraus_update", spy)
-    closed_loop_cosim(0.3, cov, gains, ReferenceSignal("step", 1.0),
-                      ModeParams(1.0, 0.5), dim, NoiseStream(4, 1e-3), 0.01,
-                      1e-3)
-    return seen
+    monkeypatch.setattr(control, "_slh_coefficients", coefficients)
+    closed_loop_cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
+                      dim, NoiseStream(4, 1e-3), 0.01, 1e-3)
+    return seen, rows
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
@@ -556,7 +563,9 @@ def _cosim_bases(monkeypatch, gains, cov, dim):
                          ids=["pure", "mixed"])
 def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
-    # a' (their z), and D keeps all six members and I
+    # a' (their z), and D keeps all six members and I; without damping or
+    # detuning a'a drops out unless D is on.  Every row a run forms is
+    # zero off its members
     dim = 24
     table = _ladder_table(dim)
 
@@ -564,29 +573,38 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
         return np.concatenate([table[_LADDER_KEYS.index(k)] for k in members]
                               + [np.eye(dim)])
 
-    want = {"zero": ("n", "a"), "P": ("ad", "n", "a"), "PI": ("ad", "n", "a"),
-            "PID": _LADDER_KEYS}
-    assert np.array_equal(
-        damped_cavity_slh(ModeParams(1.0, 0.5), dim)._kraus[0][0],
-        stack(want["zero"]))
+    want = {(1.0, 0.5): {"zero": ("n", "a"), "P": ("ad", "n", "a"),
+                         "PI": ("ad", "n", "a"), "PID": _LADDER_KEYS},
+            (0.0, 0.0): {"zero": ("a",), "P": ("ad", "a"),
+                         "PI": ("ad", "a"), "PID": _LADDER_KEYS}}
     gains = {"zero": PIDGains(0.0), "P": PIDGains(2.0),
              "PI": PIDGains(2.0, 1.0), "PID": PIDGains(2.0, 1.0, 0.5)}
-    for name, members in want.items():
-        seen = _cosim_bases(monkeypatch, gains[name], cov, dim)
-        assert len(seen) == 10
-        for basis in seen:
-            assert basis.shape == ((len(members) + 1) * dim, dim)
-            assert np.array_equal(basis, stack(members))
+    for (gamma, omega), sets in want.items():
+        params = ModeParams(gamma, omega)
+        assert np.array_equal(damped_cavity_slh(params, dim)._kraus[0][0],
+                              stack(sets["zero"]))
+        for name, members in sets.items():
+            seen, rows = _cosim_steps(monkeypatch, gains[name], cov, dim,
+                                      params)
+            assert len(seen) == 10 and rows
+            for basis in seen:
+                assert basis.shape == ((len(members) + 1) * dim, dim)
+                assert np.array_equal(basis, stack(members))
+            off = [j for j, key in enumerate(_LADDER_KEYS)
+                   if key not in members]
+            assert all(row[j] == 0 for pair in rows for row in pair
+                       for j in off)
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
 def test_trimmed_kraus_step_is_the_full_step(rank):
     # a step on the members the rows use equals the step on all seven with
-    # the zero columns put back: bit for bit (a zero may differ in sign)
-    # at zero gain and under PID, whose sums OpenBLAS groups alike; the
-    # P/I row has four columns, which OpenBLAS's zgemv sums as one block
-    # (sum of re re less sum of im im), so I's term is grouped with the
-    # others and the step agrees to rounding
+    # the zero columns put back, to a few eps: the two row contractions
+    # differ in length, so their rounding depends on how the BLAS kernel
+    # groups the sum (OpenBLAS's zgemv sums blocks of four columns, so
+    # the four-column P/I row moves at rounding level); under PID every
+    # member is kept, the two steps are one call and agree bit for bit.
+    # The record increments come from the exact products alone
     rng = np.random.default_rng(16)
     dt = 1e-5
     for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
@@ -597,28 +615,26 @@ def test_trimmed_kraus_step_is_the_full_step(rank):
         dI = tuple(rng.normal(0.0, math.sqrt(dt), batch).tolist())
         zs = [complex(*rng.normal(size=2)) for _ in range(batch)]
         c1, c2, w = complex(*rng.normal(size=2)), 0.3 - 0.2j, 0.1j
-        cases = [(("n", "a"), (1.0, 0.0j), [_slh_coefficients(
-                     1.0, 0.0j, 0.0j, 0.0j, 0.5)] * batch, True),
-                 (("ad", "n", "a"), (1.0, 0.0j), [_slh_coefficients(
-                     1.0, 0.0j, z, 0.0j, 0.5) for z in zs], False),
-                 (_LADDER_KEYS, (c1, c2), [_slh_coefficients(
-                     c1, c2, z, w, 0.5) for z in zs], True)]
-        for members, c, rows, exact in cases:
-            cols = [_LADDER_KEYS.index(k) for k in members]
-            assert all(r[1][j] == 0 for r in rows for j in range(6)
+        cases = [((2, 3), (1.0, 0.0j), [_slh_coefficients(
+                     1.0, 0.0j, 0.0j, 0.0j, 0.5)] * batch),
+                 ((1, 2, 3), (1.0, 0.0j), [_slh_coefficients(
+                     1.0, 0.0j, z, 0.0j, 0.5) for z in zs]),
+                 (ALL, (c1, c2), [_slh_coefficients(
+                     c1, c2, z, w, 0.5) for z in zs])]
+        for cols, c, rows in cases:
+            assert all(r[1][j] == 0 for r in rows for j in ALL
                        if j not in cols)
             full, dy_full = _kraus_update(
-                psis, _ladder_basis(dim, _LADDER_KEYS), c,
+                psis, _ladder_basis(dim, ALL), c,
                 [[dt * a for a in r[1]] for r in rows], 1.0 + 0.0j, dI, dt)
             new, dy = _kraus_update(
-                psis, _ladder_basis(dim, members), c,
+                psis, _ladder_basis(dim, cols), c,
                 [[dt * r[1][j] for j in cols] for r in rows], 1.0 + 0.0j,
                 dI, dt)
             assert dy == dy_full
-            if exact:
+            assert np.max(np.abs(new - full)) <= 4 * np.finfo(float).eps
+            if cols == ALL:
                 assert np.array_equal(new, full)
-            else:
-                assert np.max(np.abs(new - full)) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("dt", [1e-3, 5e-4])

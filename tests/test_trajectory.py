@@ -482,15 +482,15 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
                         + 1j * rng.normal(0.0, 0.1, (batch, 6)))).tolist()
         # the same L and H as dense operators, so on the dense basis
         ladder = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
-        full = trajectory._ladder_basis(dim, trajectory._LADDER_KEYS)
+        full = trajectory._ladder_basis(dim, tuple(range(6)))
         cases = [(full, (c1, c2), rows),
                  (full, (c1, c2), rows[:1] * batch),
                  (SLHCoefficients(1.0, ladder.l, ladder.h)._kraus[0],
                   (1.0, 0.0), [[0.0, 1e-4]] * batch),
                  # trimmed bases: the members of a zero-gain and a P/I row
-                 (trajectory._ladder_basis(dim, ("n", "a")), (c1, c2),
+                 (trajectory._ladder_basis(dim, (2, 3)), (c1, c2),
                   [r[2:4] for r in rows]),
-                 (trajectory._ladder_basis(dim, ("ad", "n", "a")), (c1, c2),
+                 (trajectory._ladder_basis(dim, (1, 2, 3)), (c1, c2),
                   [r[1:4] for r in rows])]
         for basis, c, da in cases:
             new, dy = trajectory._kraus_update(psi, basis, c, da, 1.0 + 0.0j,
