@@ -33,6 +33,7 @@ from .qkf import ModeParams, RiccatiState, _step_count, riccati_integrate
 from .control import (
     PIDGains,
     ReferenceSignal,
+    _reference_at,
     _sq_error,
     closed_loop_cosim,
     error_signal,
@@ -446,11 +447,12 @@ def _cmd_tf(cfg: ScenarioConfig, out: Path):
                 for om, a, b, c in zip(omegas, gv, kv, hv)))
 
     ts, ys = lti.step_response(h, cfg.reference, cfg.T, cfg.dt)
+    ts, ys = ts[::cfg.stride], ys[::cfg.stride]
+    rs = _reference_at(cfg.reference, ts)[:, 0]
     step_path = out / "tf_step.csv"
-    rows = ((ts[j], cfg.reference.value(float(ts[j])).real,
-             cfg.reference.value(float(ts[j])).imag, ys[j].real, ys[j].imag)
-            for j in range(0, len(ts), cfg.stride))
-    _write_csv(step_path, "t,re_r,im_r,re_y,im_y", rows)
+    _write_csv(step_path, "t,re_r,im_r,re_y,im_y",
+               ((t, r.real, r.imag, y.real, y.imag)
+                for t, r, y in zip(ts, rs, ys)))
     return [freq_path, step_path], True
 
 

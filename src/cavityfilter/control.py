@@ -388,10 +388,29 @@ def pid_filter_step(
 
 
 def _reference_at(ref: ReferenceSignal, times: np.ndarray) -> np.ndarray:
-    """(r, dr/dt) at each of ``times``, as the rows of a (len, 2) array."""
-    return np.fromiter(((ref.value(t), ref.derivative(t))
-                        for t in map(float, times)),
-                       dtype=np.dtype((np.complex128, 2)), count=len(times))
+    """(r, dr/dt) at each of ``times``, as the rows of a (len, 2) array.
+
+    Built per kind by array expressions, zero before ``onset``: the same
+    arithmetic as ``ref.value`` and ``ref.derivative``, so constant, step
+    and ramp rows equal theirs bit for bit; the sinusoid's rows take
+    numpy's complex exponential and agree to rounding."""
+    t = np.asarray(times, dtype=np.float64)
+    out = np.zeros((len(t), 2), dtype=np.complex128)
+    amp = complex(ref.amplitude)
+    if ref.kind == "constant":
+        out[:, 0] = amp
+        return out
+    onset = t >= ref.onset
+    if ref.kind == "step":
+        out[onset, 0] = amp
+    elif ref.kind == "ramp":
+        out[onset, 0] = amp + ref.slope * (t[onset] - ref.onset)
+        out[onset, 1] = complex(ref.slope)
+    else:
+        r = amp * np.exp(1j * ref.frequency * (t[onset] - ref.onset))
+        out[onset, 0] = r
+        out[onset, 1] = 1j * ref.frequency * r
+    return out
 
 
 def noise_free_response(
@@ -415,9 +434,11 @@ def noise_free_response(
              [-1, 0]],
         B = [[k_P mu / (1 + k_D), k_D nu / (1 + k_D)], [1, 0]],
 
-    so every step is the one affine map of ``qkf._rk4_linear`` and
-    the reference is read once at each grid time and step midpoint.
-    Returns (t, a_hat, integral_error) arrays on the full step grid.
+    so the system is linear and time-invariant: ``qkf._rk4_linear``
+    takes its classical RK4 steps as one prefix scan over the grid, and
+    the reference enters as the arrays of ``_reference_at`` at the grid
+    times and step midpoints.  Returns (t, a_hat, integral_error) arrays
+    on the full step grid.
     """
     n = _step_count(T, dt)
     s = 1.0 + gains.k_D

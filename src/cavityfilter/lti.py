@@ -28,9 +28,11 @@ with the filter's own ODE:
   reference signals.
 
 The realized system is linear and time-invariant, so ``step_response``
-takes classical RK4 steps as one affine map built once
-(``qkf._rk4_linear``): the reference enters only through its
-values at the grid times and step midpoints, read once each.
+takes its classical RK4 steps as one prefix scan over the grid
+(``qkf._rk4_linear``): the reference enters only through its values at
+the grid times and step midpoints, built as arrays by
+``control._reference_at``.  ``freq_response`` likewise evaluates a
+transfer function on a whole frequency grid at once.
 """
 
 from __future__ import annotations
@@ -269,18 +271,21 @@ def pole_place_pi(zeta: float, omega0: float, params: ModeParams) -> PIDGains:
 
 
 def freq_response(tf: RationalTF, omega_grid) -> list:
-    """Evaluate tf on the imaginary axis, s = i Omega."""
-    out = []
-    for om in omega_grid:
-        s = 1j * float(om)
-        dval = _polyval(tf.den, s)
-        scale = sum(abs(c) * abs(s) ** k for k, c in enumerate(tf.den))
-        if abs(dval) <= 1e-12 * max(scale, 1e-300):
-            raise PoleEvaluationError(
-                f"pole on the evaluation grid at Omega={float(om)!r}"
-            )
-        out.append(_polyval(tf.num, s) / dval)
-    return out
+    """Evaluate tf on the imaginary axis, s = i Omega, as a list of complex.
+
+    Numerator and denominator are evaluated by Horner over the whole grid.
+    Raises ``PoleEvaluationError`` at the first Omega, in grid order, where
+    the denominator vanishes relative to the size of its terms."""
+    om = np.asarray(omega_grid, dtype=np.float64)
+    s = 1j * om
+    dval = _polyval(tf.den, s)
+    scale = sum(abs(c) * np.abs(s) ** k for k, c in enumerate(tf.den))
+    poles = np.flatnonzero(np.abs(dval) <= 1e-12 * np.maximum(scale, 1e-300))
+    if len(poles):
+        raise PoleEvaluationError(
+            f"pole on the evaluation grid at Omega={float(om[poles[0]])!r}"
+        )
+    return (_polyval(tf.num, s) / dval).tolist()
 
 
 def realize(tf: RationalTF) -> StateSpaceRealization:
@@ -334,11 +339,11 @@ def step_response(tf: RationalTF, ref: ReferenceSignal, T: float, dt: float):
     """Time response of the realized system to a built-in reference.
 
     Classical RK4 from zero initial state; returns (t, y) on the full step
-    grid.  The system is linear and time-invariant, so every step is the
-    one affine map of ``qkf._rk4_linear``; r and dr/dt are read once
-    at each grid time and step midpoint.  The derivative channel sees
-    ref.derivative, so an ideal step excites only the r channel, matching
-    the filter's own convention.
+    grid.  The system is linear and time-invariant, so ``qkf._rk4_linear``
+    takes the steps as one prefix scan; r and dr/dt enter as the arrays of
+    ``_reference_at`` at the grid times and step midpoints.  The derivative
+    channel sees ref.derivative, so an ideal step excites only the r
+    channel, matching the filter's own convention.
     """
     n = _step_count(T, dt)
     sys = realize(tf)

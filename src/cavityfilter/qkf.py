@@ -113,27 +113,35 @@ def _rk4_linear(a: np.ndarray, b: np.ndarray, dt: float, x0,
 
     with Z = dt a, M = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
     N0 = dt/6 (I + Z + Z^2/2 + Z^3/4) and Nh = dt/6 (4I + 2Z + Z^2/2),
-    so the input terms u are summed up front.  Each step adds the
-    increment, x <- x + ((M - I) x + u), with M - I formed without the
-    identity: M itself would keep only the digits of Z that survive
-    being added to 1, and the dropped ones would accumulate over the run.
+    so the input terms u_k are summed up front as arrays.  The map is
+    constant, so the states are the prefix scan x_k = sum_j M^(k-j) c_j of
+    c_0 = x0, c_(k+1) = u_k (Hillis & Steele's doubling): for
+    d = 1, 2, 4, ... < n + 1, every row adds M^d times the row d above it,
+    all rows at once, and after log2(n + 1) rounds each row holds its full
+    sum.  The rounds add the increment, x_k += x_(k-d) + P_d x_(k-d), with
+    P_d = M^d - I formed without the identity (P_1 = M - I, then
+    P_2d = P_d (P_d + 2I)): M^d itself would keep only the digits of its
+    small part that survive being added to 1, and the dropped ones would
+    accumulate over the run.
     """
     eye = np.eye(a.shape[0], dtype=np.complex128)
     z = dt * np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     z2 = z @ z
     z3 = z2 @ z
-    m1 = z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0
+    p = z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0
     x = np.empty((len(s), a.shape[0]), dtype=np.complex128)
     x[0] = x0
-    g = x[1:]  # the input terms, summed in place, then stepped over
+    g = x[1:]  # the input terms, summed in place, then scanned over
     np.matmul(s[:-1], ((eye + z + z2 / 2.0 + z3 / 4.0) @ b).T, out=g)
     g += s_half @ ((4.0 * eye + 2.0 * z + z2 / 2.0) @ b).T
     g += s[1:] @ b.T
     g *= dt / 6.0
-    for k in range(len(g)):
-        x[k + 1] += m1 @ x[k]
-        x[k + 1] += x[k]
+    d = 1
+    while d < len(x):
+        x[d:] += x[:-d] + x[:-d] @ p.T
+        p = p @ (p + 2.0 * eye)
+        d *= 2
     return x
 
 

@@ -217,6 +217,44 @@ def test_freq_response_pole_on_grid():
         freq_response(k, [1.0, 0.0])
 
 
+def _tf_grid():
+    """The frequency grid of ``cli tf``."""
+    return sorted(float(np.copysign(0.05 + 0.1 * j, side))
+                  for side in (-1.0, 1.0) for j in range(320))
+
+
+@pytest.mark.parametrize("k_p, k_i, k_d, omega", [
+    (2.0, 1.0, 0.5, 0.5), (50.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.5),
+    (1000.0, 0.0, 0.0, 0.0), (2.0, 1.0, 0.0, -0.3), (0.5, 3.0, 2.0, 1.0),
+    (10.0, 100.0, 0.0, 0.0), (0.0, 0.0, 100.0, 0.5)])
+def test_freq_response_is_the_pointwise_evaluation(k_p, k_i, k_d, omega):
+    # plant, controller and loop on the cli tf grid, each value within
+    # 2 eps (relative) of RationalTF.__call__ at s = i Omega
+    g = plant_tf(ModeParams(1.0, omega))
+    k = pid_tf(PIDGains(k_p, k_i, k_d))
+    grid = _tf_grid()
+    for tf in (g, k, closed_loop(g, k)):
+        got = freq_response(tf, grid)
+        assert all(type(v) is complex for v in got)
+        want = np.array([tf(1j * om) for om in grid])
+        assert np.all(np.abs(np.array(got) - want)
+                      <= 2.0 * np.finfo(float).eps * np.abs(want))
+
+
+def test_freq_response_raises_at_the_first_pole_in_grid_order():
+    two_poles = RationalTF((1.0,), (4.0, 0.0, 1.0))  # s = +-2i
+    for grid, first in (([3.0, 2.0, 1.0, -2.0], 2.0),
+                        ([-2.0, 0.5, 2.0], -2.0)):
+        with pytest.raises(PoleEvaluationError) as info:
+            freq_response(two_poles, grid)
+        assert str(info.value) == (
+            f"pole on the evaluation grid at Omega={first!r}")
+
+
+def test_freq_response_of_an_empty_grid_is_empty():
+    assert freq_response(plant_tf(ModeParams(1.0, 0.5)), []) == []
+
+
 def test_realize_reconstructs_transfer_function():
     p = ModeParams(gamma=1.0, omega=0.5)
     cases = [
@@ -400,23 +438,96 @@ def test_rk4_propagator_matches_stage_loop(order, kind):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_step_response_reads_the_reference_on_grid_and_midpoints_only():
-    seen = {"value": [], "derivative": []}
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1025])
+def test_rk4_scan_matches_stage_loop_at_every_length(n, order):
+    # one step, the first non-powers of two, and one past a power of two:
+    # every round count of the doubling scan against the stage loop
+    rng = np.random.default_rng(200 + n)
 
-    class Recorded(ReferenceSignal):
-        def value(self, t):
-            seen["value"].append(t)
-            return ReferenceSignal.value(self, t)
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        def derivative(self, t):
-            seen["derivative"].append(t)
-            return ReferenceSignal.derivative(self, t)
+    a, b_r, b_dr, x0 = cnormal(order, order), cnormal(order), cnormal(order), cnormal(order)
+    ref = _REFERENCES["ramp"]
+    dt = 2e-2
+    ts = np.arange(n + 1) * dt
+    got = _rk4_linear(a, np.stack([b_r, b_dr], axis=1), dt, x0,
+                      _reference_at(ref, ts),
+                      _reference_at(ref, ts[:-1] + 0.5 * dt))
+    want = _rk4_stage_loop(a, b_r, b_dr, ref, x0, n, dt)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+
+def _scalar_reference(ref, times):
+    return np.array([[ref.value(float(t)), ref.derivative(float(t))]
+                     for t in times], dtype=np.complex128)
+
+
+_SINUSOID_COMPLEX = ReferenceSignal("sinusoid", amplitude=0.3 - 0.4j,
+                                    frequency=-2.5, onset=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_REFERENCES) + ["sinusoid-complex"])
+def test_reference_at_is_value_and_derivative(kind):
+    ref = _REFERENCES.get(kind, _SINUSOID_COMPLEX)
+    dt, n = 1e-2, 100
+    ts = np.arange(n + 1) * dt
+    for times in (ts, ts[:-1] + 0.5 * dt):
+        got = _reference_at(ref, times)
+        want = _scalar_reference(ref, times)
+        assert got.shape == (len(times), 2) and got.dtype == np.complex128
+        if ref.kind == "sinusoid":
+            # numpy's complex exponential against cmath.exp
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want))
+        else:
+            # the scalar arithmetic, word for word
+            assert np.count_nonzero(got.view(np.uint64)
+                                    != want.view(np.uint64)) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(_REFERENCES))
+def test_step_response_is_the_scan_on_the_reference_at_grid_and_midpoints(kind):
+    # the response reads the reference at the grid times and the step
+    # midpoints only: it equals the scan fed with inputs built there by
+    # ReferenceSignal.value and .derivative
+    ref = _REFERENCES[kind]
     h = closed_loop(plant_tf(ModeParams(1.0, 0.5)),
                     pid_tf(PIDGains(2.0, 1.0, 0.5)))
+    sys = realize(h)
     dt, n = 1e-2, 50
-    step_response(h, Recorded("ramp", slope=0.5, onset=0.013), n * dt, dt)
-    times = sorted([k * dt for k in range(n + 1)]
-                   + [k * dt + 0.5 * dt for k in range(n)])
-    assert sorted(seen["value"]) == times
-    assert sorted(seen["derivative"]) == times
+    ts, ys = step_response(h, ref, n * dt, dt)
+    rdr = _scalar_reference(ref, ts)
+    x = _rk4_linear(sys.a, np.stack([sys.b_r, sys.b_dr], axis=1), dt, 0.0,
+                    rdr, _scalar_reference(ref, ts[:-1] + 0.5 * dt))
+    want = sys.d_r * rdr[:, 0] + sys.d_dr * rdr[:, 1] + x @ sys.c
+    if kind == "sinusoid":
+        assert np.max(np.abs(ys - want)) <= 1e-15 * np.max(np.abs(want))
+    else:
+        assert np.array_equal(ys, want)
+
+
+def test_noise_free_response_at_criterion_7_size_is_the_exact_response():
+    # k_P = 1000 on a unit step, dt = 1e-5, T = 2 (2e5 steps) against the
+    # exact (a, ie) from the matrix exponential of the system augmented by
+    # its input.  In the transient the RK4 truncation x* (lambda dt)^4 / 120e
+    # ~ 3.1e-11 (lambda = -1000.5) dominates; past t = 0.02 it is below
+    # 1e-17 and what is left is rounding, which the scan keeps at
+    # 4.4e-16 in a and 8.4e-16 in ie (a step loop reached 5.9e-15 and
+    # 9.1e-15).  Gates fixed from those measurements: 4e-11 and 4e-15.
+    from scipy.linalg import expm  # on first use: start-up stays scipy-free
+
+    k_p, dt = 1000.0, 1e-5
+    ts, a, ie = noise_free_response(PIDGains(k_p), ReferenceSignal("step"),
+                                    ModeParams(1.0, 0.0), 2.0, dt)
+    aug = np.zeros((3, 3), dtype=np.complex128)
+    aug[:2, :2] = [[-(0.5 + k_p), 0.0], [-1.0, 0.0]]
+    aug[:2, 2] = [k_p, 1.0]
+    transient = np.arange(0, 400, 10)
+    late = np.arange(2000, len(ts), 1000)
+    for idx, gate in ((transient, 4e-11), (late, 4e-15)):
+        want = np.array([expm(aug * ts[j])[:2, 2] for j in idx])
+        assert np.max(np.abs(a[idx] - want[:, 0])) <= gate
+        assert np.max(np.abs(ie[idx] - want[:, 1])) <= gate
