@@ -293,15 +293,18 @@ def _offending_gain(kwargs: dict) -> str:
 # emission helpers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``header`` and one line per row of floats, each cell as
+    ``format(x, ".17g")`` writes it (``"%.17g" % x`` is the same text),
+    streamed row by row so the file is never held in memory."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        line = None
+        for row in rows:
+            row = tuple(row)
+            if line is None:
+                line = ",".join(["%.17g"] * len(row)) + "\n"
+            fh.write(line % row)
 
 
 def _write_json(path: Path, obj: dict) -> None:

@@ -35,10 +35,11 @@ the loop's record of the truth.
 
 The loop steps a batch of truths in lockstep (``_cosim``), which is how
 an ensemble shard runs; a single co-simulation is the batch of one.
-Every filter of a batch starts from the same covariances, so each step
-evaluates what the filters share once: it draws the Riccati pair from
-the batch's one ``qkf._covariances`` generator, and computes r(t), dr/dt
-and the Xi gain (``_shared_scalars``).  Each truth keeps its own
+Every filter of a batch starts from the same covariances, and none of
+r(t), dr/dt, the Riccati pair and the Xi gain depends on the record, so
+the batch reads them from one per-run schedule (``_schedule``): the exact
+pair of ``qkf._covariance_path`` and the reference of ``_reference_at``,
+evaluated as arrays one block of steps at a time.  Each truth keeps its own
 filter mean, integral error, drift and displacement z in Python scalars;
 c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
 in z.  The truths are stepped as one (B, dim) stack of vectors, or one
@@ -71,9 +72,11 @@ from .qkf import (
     QKFState,
     RiccatiState,
     _check_dt,
+    _covariance_path,
     _covariances,
     _mean_update,
     _rk4_linear,
+    _step_blocks,
     _step_count,
 )
 from .trajectory import (
@@ -289,6 +292,31 @@ def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
             _xi(V, W, gains.k_D, params.gamma))
 
 
+def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
+              cov: CovariancePair, dt: float, n: int):
+    """Yield (r, dr/dt, Xi, V, W) at steps 0, ..., n of a run from ``cov``:
+    the ``_shared_scalars`` of every step, with the exact covariance pair
+    of ``qkf._covariance_path``, evaluated in its blocks of steps, so the
+    schedule holds one block at a time whatever n.  An error of the path
+    is raised when the row of its step is asked for.
+
+    (r, dr/dt) are ``_reference_at``'s rows, dr/dt zero unless the
+    derivative channel reads it; Xi takes its real and imaginary parts
+    apart, the arithmetic of ``_xi`` up to the sign of a zero."""
+    sg = math.sqrt(params.gamma)
+    scale = 1.0 + gains.k_D
+    for ks, v, w in _covariance_path(cov.V, cov.W, 0.0, params, dt,
+                                     _step_blocks(0, n + 1)):
+        refs = _reference_at(ref, ks * dt)
+        if gains.k_D == 0.0:
+            refs[:, 1] = 0.0
+        xi = np.empty(len(ks), dtype=np.complex128)
+        xi.real = sg * (v + w.real) / scale
+        xi.imag = sg * w.imag / scale
+        yield from zip(refs[:, 0].tolist(), refs[:, 1].tolist(), xi.tolist(),
+                       v.tolist(), w.tolist())
+
+
 def _feedback_scalars(gains: PIDGains, a_hat: complex,
                       integral_error: complex, r_t: complex, dr_t: complex,
                       xi: complex, params: ModeParams):
@@ -346,7 +374,8 @@ def controlled_slh(
 def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
                    drift: complex, xi: complex, dI: float, dt: float):
     """(a_hat, integral_error) one closed-loop filter step later; the
-    covariance pair takes its own step of ``qkf._covariances``.
+    covariance pair advances on its own (``qkf._covariances`` in
+    ``pid_filter_step``, the ``_schedule`` in the co-simulation).
 
     The one copy of the update arithmetic, shared by ``pid_filter_step``
     and the co-simulation loop."""
@@ -508,10 +537,11 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``ClosedLoopRecord`` per truth, each bit for bit that of its own
     one-truth run.
 
-    Every filter starts from the same covariances, so the Riccati pair
-    (one draw from the batch's ``qkf._covariances`` generator), r(t),
-    dr/dt and Xi are evaluated once per step for the whole batch;
-    the means, integral errors, drifts and displacements are kept per
+    Every filter starts from the same covariances, so r(t), dr/dt, Xi
+    and the Riccati pair are one row of the run's ``_schedule`` per step
+    for the whole batch; the row of step k + 1 is read after the truths'
+    step k, where an error of the pair is raised.  The means, integral
+    errors, drifts and displacements are kept per
     truth.  A pure batch is stepped as one (B, dim) stack, a mixed one as
     a (B, dim, r) stack of factors, by one ``_kraus_update`` on the ladder
     members the gains can make nonzero (``_ladder_form`` of a probe row:
@@ -535,8 +565,6 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ie = [0.0j] * batch
     i_filter = [0.0] * batch
     qv = [0.0] * batch
-    v, w_cov = cov.V, cov.W
-    pairs = _covariances(v, w_cov, 0.0, params, dt)
     sg = math.sqrt(params.gamma)
     # the members: c1, c2 and w depend on Xi alone, so their row at
     # Xi = 1 with z = i under any gain has every entry the gains can make
@@ -567,15 +595,18 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     rec_v = np.empty(n_rec)
     rec_w = np.empty(n_rec, dtype=np.complex128)
     rec_i = np.empty((batch, n_rec))
+    # the row of the step about to be taken, (r, dr/dt, Xi, V, W)
+    rows = _schedule(gains, ref, params, cov, dt, n)
+    row = next(rows)
 
     def step(t, arr, dw):
-        nonlocal v, w_cov
-        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w_cov, params)
+        nonlocal row
+        r_t, dr_t, xi = row[:3]
         scalars = [_feedback_scalars(gains, a_b, ie_b, r_t, dr_t, xi, params)
                    for a_b, ie_b in zip(a_hat, ie)]
         arr, dy = _kraus_update(arr, basis, *truth_rows(scalars), 1.0 + 0.0j,
                                 dw, dt)
-        v, w_cov = next(pairs)
+        row = next(rows)
         for b, sc in enumerate(scalars):
             di_f = dy[b] - (sg * 2.0 * a_hat[b].real) * dt
             a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], r_t, sc[4], xi,
@@ -589,14 +620,14 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
 
     def sample(idx):
         rec_ah[:, idx] = a_hat
-        rec_v[idx] = v
-        rec_w[idx] = w_cov
+        rec_v[idx], rec_w[idx] = row[3:]
         rec_i[:, idx] = i_filter
 
     truths = _integrate(np.stack(states), "psi" if pure else "rho", noises, n,
                         dt, record_stride, step, "closed loop", sample)
     for col in (rec_ah, rec_v, rec_w, rec_i):
         col.setflags(write=False)
+    v, w_cov = row[3:]
     out = []
     for b, truth in enumerate(truths):
         t_end = truth.final.t

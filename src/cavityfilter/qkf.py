@@ -4,10 +4,13 @@ For mode damping gamma and detuning omega under quadrature measurement
 at phase theta, the conditional mean a_hat and the conditional second
 moments (V, W) close on themselves: (V, W) obey a deterministic coupled
 Riccati pair and a_hat follows a linear recursion driven by the
-innovations.  The covariances are integrated with classical RK4 (they
-are smooth ODEs) by one generator, ``_covariances``, which advances the
-pair for every consumer: ``riccati_integrate``, ``qkf_step``,
-``control.pid_filter_step`` and each co-simulation batch.  The mean
+innovations.  At a constant phase the pair has an exact
+linear-fractional solution, ``_covariance_path``, which every whole-run
+consumer reads in blocks of steps: ``riccati_integrate`` and each
+co-simulation batch.  Where no closed form exists (a time-dependent
+phase, the printed "v" variant) or the caller owns the state
+(``qkf_step``, ``control.pid_filter_step``), one generator,
+``_covariances``, advances the pair by classical RK4 steps.  The mean
 takes Euler-Maruyama steps with the gain frozen at the step start, as the
 stochastic calculus requires.
 """
@@ -239,6 +242,101 @@ def _covariances(V: float, W: complex, theta, params: ModeParams, dt: float,
         yield v, w
 
 
+#: steps of the exact covariance path evaluated at a time, so a run holds
+#: a few hundred entries of it whatever its length
+_PATH_BLOCK = 512
+
+
+def _step_blocks(first: int, stop: int):
+    """Step indices first, ..., stop - 1 as arrays of ``_PATH_BLOCK``."""
+    return (np.arange(k, min(k + _PATH_BLOCK, stop))
+            for k in range(first, stop, _PATH_BLOCK))
+
+
+def _covariance_path(V0: float, W0: complex, theta: float, params: ModeParams,
+                     dt: float, ks, t0: float = 0.0):
+    """Yield (k, v, w) for each array k of step indices in ``ks`` (an
+    iterable of integer arrays): v and w hold the exact covariance pair at
+    those steps, for the constant phase ``theta`` and the "w" form, from
+    (V0, W0) at step 0.
+
+    In the quadratures of the measured phase, N = [[V + Re W_th, Im W_th],
+    [Im W_th, V - Re W_th]] with W_th = e^{2i theta} W obeys
+    dN/dt = A N + N A' - N S N, A = -gamma/2 + omega [[0, 1], [-1, 0]],
+    S = diag(2 gamma, 0), whose solution is linear-fractional (Davison &
+    Maki, IEEE TAC 18, 1973):
+
+        N(t) = Phi N0 (I + G N0)^-1 Phi',   Phi = e^{-gamma t/2} R(omega t),
+        G = int_0^t Phi' S Phi = gamma [[I0 + Ic, Is], [Is, I0 - Ic]],
+
+    with I0 = -expm1(-gamma t)/gamma and Ic + i Is = expm1(z t)/z,
+    z = -gamma + 2i omega; G = 0 at gamma = 0.  For 2x2 symmetric
+    matrices N0 (I + G N0)^-1 = (N0 + det(N0) adj(G)) / det(I + G N0), so
+    every entry is a few real array expressions of its own k alone: its
+    bits do not depend on the block, the run length or the other indices
+    asked for.  Phi decays and G is bounded, so no horizon overflows.
+    Step 0 is (V0, W0) as given.
+
+    The checks are those of ``_covariances``, at the first bad step k of
+    a block, whose entries before k are yielded first: ``DivergenceError``
+    for a nonfinite pair or det(I + G N0) <= 0 (the exact flow's blow-up,
+    past which the formula takes a finite but wrong branch), then
+    ``DomainError`` for V below -1e-10; V in (-1e-12, 0) reads 0.
+    """
+    gamma, omega = params.gamma, params.omega
+    _, e_m, e_pp = _phases(float(theta))
+    u0 = e_pp * complex(W0)
+    p0, q0, r0 = float(V0), u0.real, u0.imag
+    det0 = p0 * p0 - q0 * q0 - r0 * r0
+    back = e_m * e_m
+    zz = gamma * gamma + 4.0 * omega * omega
+    for k in ks:
+        k = np.asarray(k)
+        with np.errstate(all="ignore"):
+            t = k * dt
+            em = np.expm1(-gamma * t)
+            decay = np.exp(-gamma * t)
+            c2, s2 = np.cos(2.0 * omega * t), np.sin(2.0 * omega * t)
+            if gamma == 0.0:
+                g0 = gc = gs = np.zeros(len(k))
+            else:
+                sh = np.sin(omega * t)
+                e_re = em * c2 - 2.0 * sh * sh  # expm1(z t)
+                e_im = decay * s2
+                g0 = -em
+                gc = gamma * (2.0 * omega * e_im - gamma * e_re) / zz
+                gs = gamma * (-gamma * e_im - 2.0 * omega * e_re) / zz
+            d = (1.0 + 2.0 * (g0 * p0 + gc * q0 + gs * r0)
+                 + (g0 * g0 - gc * gc - gs * gs) * det0)
+            v = decay * (p0 + det0 * g0) / d
+            pq = decay * (q0 - det0 * gc) / d
+            pr = decay * (r0 - det0 * gs) / d
+            x = c2 * pq + s2 * pr  # W_th(t) = e^{-2i omega t} (pq + i pr)
+            y = c2 * pr - s2 * pq
+            w = np.empty(len(k), dtype=np.complex128)
+            w.real = back.real * x - back.imag * y
+            w.imag = back.real * y + back.imag * x
+        v[(v > -1e-12) & (v < 0.0)] = 0.0
+        at0 = k == 0
+        v[at0], w[at0] = V0, W0
+        diverged = ~(np.isfinite(v) & np.isfinite(w)) | (d <= 0.0)
+        negative = v < -1e-10
+        bad = np.flatnonzero((diverged | negative) & ~at0)
+        if len(bad) == 0:
+            yield k, v, w
+            continue
+        j = bad[0]
+        yield k[:j], v[:j], w[:j]
+        step = int(k[j])
+        t_j = t0 + step * dt
+        if diverged[j]:
+            raise DivergenceError(
+                f"covariance integration diverged at step {step} (t={t_j})")
+        raise DomainError(
+            f"V must be nonnegative, got {float(v[j])} at step {step} "
+            f"(t={t_j})")
+
+
 def _mean_update(a_hat: complex, drift: complex, gain: complex,
                  dI: float, dt: float) -> complex:
     """Shared Euler-Maruyama expression for the filtered mean.
@@ -263,20 +361,34 @@ def riccati_integrate(
     ``theta`` may be a constant or a callable of time.  Returns the
     sampled states every ``record_stride`` steps, starting with the
     initial state.  ``w_form`` is that of ``riccati_rhs``, checked once
-    (``DomainError``) and resolved before the first step.  Raises
-    ``DivergenceError`` if the state leaves the finite range (the Riccati
-    flow can blow up only for unphysical data).
+    (``DomainError``) and resolved before the first step.
+
+    A constant theta in the "w" form reads the exact pair of
+    ``_covariance_path`` in blocks of steps: every step is checked, and
+    only the record points are kept.  A callable theta or the "v" form
+    takes the RK4 steps of ``_covariances``.  Either way the run raises
+    at its first bad step, whatever the stride: ``DivergenceError`` if
+    the state leaves the finite range (the Riccati flow can blow up only
+    for unphysical data), ``DomainError`` if V falls below -1e-10.
     """
     lead_v = _lead_is_v(w_form)
     n = _step_count(T, dt, min_steps=0)
     if record_stride < 1:
         raise DomainError(f"record_stride={record_stride} must be >= 1")
-    pairs = _covariances(initial.V, initial.W, theta, params, dt, initial.t,
-                         lead_v)
     out = [initial]
-    for k, (v, w) in zip(range(1, n + 1), pairs):
-        if k % record_stride == 0 or k == n:
-            out.append(RiccatiState(v, w, initial.t + k * dt))
+    if callable(theta) or lead_v:
+        pairs = _covariances(initial.V, initial.W, theta, params, dt,
+                             initial.t, lead_v)
+        for k, (v, w) in zip(range(1, n + 1), pairs):
+            if k % record_stride == 0 or k == n:
+                out.append(RiccatiState(v, w, initial.t + k * dt))
+        return out
+    for ks, v, w in _covariance_path(initial.V, initial.W, theta, params,
+                                     dt, _step_blocks(1, n + 1), initial.t):
+        keep = (ks % record_stride == 0) | (ks == n)
+        for k, v_k, w_k in zip(ks[keep].tolist(), v[keep].tolist(),
+                               w[keep].tolist()):
+            out.append(RiccatiState(v_k, w_k, initial.t + k * dt))
     return out
 
 

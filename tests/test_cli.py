@@ -173,6 +173,24 @@ def test_rerun_is_byte_identical(tmp_path):
             == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
 
+def test_csv_cells_are_the_17g_format_of_each_value(tmp_path):
+    # each cell is format(x, ".17g") of its value: signed zeros,
+    # infinities, nan, subnormals, the extremes and random magnitudes,
+    # as Python floats and as numpy float64
+    edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, 1e16, 123456789012345678.0, 0.1, 1 / 3]
+    rng = np.random.default_rng(18)
+    values = rng.standard_normal(210) * 10.0 ** rng.integers(-300, 300, 210)
+    rows = [tuple(edge[:7]), tuple(edge[7:])] + [
+        tuple(r) for r in values.reshape(-1, 7)]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, "a,b,c,d,e,f,g", iter(rows))
+    want = "".join(",".join(format(float(x), ".17g") for x in row) + "\n"
+                   for row in rows)
+    assert path.read_bytes() == ("a,b,c,d,e,f,g\n" + want).encode()
+
+
 def test_tf_and_classical_reruns_are_byte_identical(tmp_path):
     cfg = parse_config(MINIMAL.replace("state = vacuum",
                                        "state = thermal\nnbar = 0.5")

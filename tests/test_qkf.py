@@ -190,13 +190,95 @@ def test_tilted_riccati_matches_linear_fractional_solution(v0, w0, gamma,
     assert np.max(np.abs(np.array([s.W for s in series]) - w_ref)) < 1e-9
 
 
+@pytest.mark.parametrize("v0,w0,gamma,omega,theta,dt,T", [
+    (0.5, 0.0, 1.0, 0.7, 0.0, 1e-3, 2.0),
+    (1.2, 0.3 - 0.4j, 2.5, -1.3, 0.6, 1e-3, 2.0),
+    (0.8, 0.2j, 1.0, 0.5, 1.1, 1e-3, 2.0),
+    (0.8, 0.2j, 0.0, 0.5, 1.1, 1e-3, 2.0),  # gamma = 0: G = 0, a rotation
+    (0.8, 0.2j, 0.0, 0.0, 0.3, 1e-3, 2.0),  # gamma = omega = 0: at rest
+    (0.9, 0.3 + 0.2j, 1.5, 0.4, 0.2, 1e-2, 40.0),  # gamma T = 60
+])
+def test_covariance_path_is_the_linear_fractional_solution(v0, w0, gamma,
+                                                           omega, theta, dt,
+                                                           T):
+    # the exact pair, within 1e-13 of the oracle (RK4 at dt = 1e-4 reads
+    # at most 1.5e-15 from it); finite over any horizon, and no 0/0 at
+    # gamma = 0 (pytest turns the RuntimeWarning into an error)
+    ks = np.arange(0, int(round(T / dt)) + 1, 50)
+    (k, v, w), = qkf._covariance_path(v0, w0, theta, ModeParams(gamma, omega),
+                                      dt, [ks])
+    assert np.array_equal(k, ks)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(w))
+    assert (v[0], w[0]) == (v0, w0)
+    v_ref, w_ref = _linear_fractional_pair(v0, w0, gamma, omega, theta,
+                                           ks * dt)
+    assert np.max(np.abs(v - v_ref)) <= 1e-13
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
+
+
+def test_covariance_path_entry_depends_on_its_step_alone():
+    # entry k has the same bits whatever the blocks, their boundaries or
+    # the other steps asked for; riccati_integrate's record points, at any
+    # run length and stride, are those entries
+    params, dt = ModeParams(1.3, 0.7), 1e-3
+    (_, v, w), = qkf._covariance_path(0.9, 0.2j, 0.4, params, dt,
+                                      [np.arange(3001)])
+    requests = [list(qkf._step_blocks(0, 3001)),
+                [np.arange(0, 1000), np.arange(1000, 3001)],
+                [np.arange(7, 3001, 13)], [np.array([2999, 5, 1500, 0])]]
+    for blocks in requests:
+        for k, v_k, w_k in qkf._covariance_path(0.9, 0.2j, 0.4, params, dt,
+                                                blocks):
+            assert np.array_equal(v_k, v[k]) and np.array_equal(w_k, w[k])
+    for n, stride in ((500, 1), (3000, 100), (1234, 617), (2049, 2049)):
+        series = riccati_integrate(RiccatiState(0.9, 0.2j), 0.4, params, dt,
+                                   n * dt, record_stride=stride)
+        ks = list(range(0, n + 1, stride))
+        assert [s.t for s in series] == [k * dt for k in ks]
+        got_v, got_w = _pair_columns(series)
+        assert np.array_equal(got_v, v[ks]) and np.array_equal(got_w, w[ks])
+
+
+@pytest.mark.parametrize("stride", [1, 2100])
+def test_covariance_path_fails_at_the_step_rk4_fails(stride):
+    # from the unphysical start (0.5, -1.5) RK4 (a callable phase) drives V
+    # below the floor at step 288; the exact path raises the same error at
+    # the same step whatever the stride, and the co-simulation at the end
+    # of its step 287, where RK4 raised it
+    pattern = (r"V must be nonnegative, got -0\.00071567842\d* at step 288 "
+               r"\(t=0\.288")
+    for theta in (0.0, lambda t: 0.0):
+        with pytest.raises(DomainError, match="^" + pattern):
+            riccati_integrate(RiccatiState(0.5, -1.5), theta, ModeParams(1.0),
+                              1e-3, 2.1, record_stride=stride)
+    with pytest.raises(DomainError, match=r"^step 287 \(t=0\.287\): "
+                       + pattern):
+        closed_loop_cosim(0.1, CovariancePair(0.5, -1.5), PIDGains(0.0),
+                          ReferenceSignal("step", 0.3), ModeParams(1.0), 8,
+                          NoiseStream(3, 1e-3), 0.5, 1e-3,
+                          record_stride=min(stride, 500),
+                          truth_cov=CovariancePair(0.0, 0.0j))
+
+
+def test_covariance_path_past_the_blow_up_is_a_divergence():
+    # from (0.5, -1.5) the exact flow blows up at t = ln 2; a step that
+    # jumps past it lands on a finite branch with V > 0, which the
+    # det(I + G N0) > 0 check rejects
+    with pytest.raises(DivergenceError, match=r"^covariance integration "
+                       r"diverged at step 1 \(t=1\.0\)$"):
+        riccati_integrate(RiccatiState(0.5, -1.5), 0.0, ModeParams(1.0), 1.0,
+                          2.0)
+
+
 def _pair_columns(series):
     return np.array([s.V for s in series]), np.array([s.W for s in series])
 
 
 def test_every_filter_advances_the_pair_by_one_recursion():
-    # the co-simulation (one truth and a shard of three), the qkf_step and
-    # pid_filter_step chains and riccati_integrate draw the same bits
+    # the co-simulation (one truth and a shard of three) and
+    # riccati_integrate read the same bits of the exact path; the qkf_step
+    # and pid_filter_step chains take RK4 steps, within 1e-12 of it
+    # (3.2e-13 at dt = 1e-3)
     params, dt, cov = ModeParams(1.3, 0.7), 1e-3, CovariancePair(0.9, 0.2j)
     gains, ref = PIDGains(2.0, 1.0, 0.5), ReferenceSignal("step", 0.3)
     v_ref, w_ref = _pair_columns(riccati_integrate(
@@ -231,9 +313,11 @@ def test_every_filter_advances_the_pair_by_one_recursion():
         dI = float(rng.normal(0.0, math.sqrt(dt)))
         state = qkf_step(state, dI, 0.0, 0.4, params, dt)
         loop = pid_filter_step(loop, dI, gains, ref, params, dt)
-        assert (state.riccati.V, state.riccati.W) == (v_tilt[k], w_tilt[k])
+        assert abs(state.riccati.V - v_tilt[k]) <= 1e-12
+        assert abs(state.riccati.W - w_tilt[k]) <= 1e-12
         ric = loop.filter.riccati
-        assert (ric.V, ric.W) == (v_zero[k], w_zero[k])
+        assert abs(ric.V - v_zero[k]) <= 1e-12
+        assert abs(ric.W - w_zero[k]) <= 1e-12
 
 
 def test_constant_phase_is_resolved_once(monkeypatch):
@@ -270,11 +354,15 @@ def test_v_form_leaving_the_nonnegative_range_names_its_step(stride):
 
 
 def test_integrate_callable_theta_matches_constant():
+    # a callable phase takes RK4 steps, a constant one the exact path:
+    # within 1e-12 of each other (1.1e-13 at dt = 1e-3), on the same grid
     params = ModeParams(1.2, 0.4)
     a = riccati_integrate(RiccatiState(0.8, 0.1j), 0.3, params, 1e-3, 2.0)
     b = riccati_integrate(RiccatiState(0.8, 0.1j), lambda t: 0.3, params, 1e-3, 2.0)
+    assert len(a) == len(b)
     assert all(
-        x.V == y.V and x.W == y.W and x.t == y.t for x, y in zip(a, b)
+        abs(x.V - y.V) <= 1e-12 and abs(x.W - y.W) <= 1e-12 and x.t == y.t
+        for x, y in zip(a, b)
     )
 
 
