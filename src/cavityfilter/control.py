@@ -39,17 +39,21 @@ Every filter of a batch starts from the same covariances, and none of
 r(t), dr/dt, the Riccati pair and the Xi gain depends on the record, so
 the batch reads them from one per-run schedule (``_schedule``): the exact
 pair of ``qkf._covariance_path`` and the reference of ``_reference_at``,
-evaluated as arrays one block of steps at a time.  Each truth keeps its own
-filter mean, integral error, drift and displacement z in Python scalars;
-c1, c2 and w depend on Xi alone, so the truths' coefficients differ only
-in z.  The truths are stepped as one (B, dim) stack of vectors, or one
-(B, dim, r) stack of factors, by one ``trajectory._kraus_update`` on the
-ladder members the gains can make nonzero, and I, which
-``trajectory._ladder_form`` reads off one probe row at Xi = 1: a'a and
-a at zero gain, a' too under P or I (z), all six under D (c2 and w).
-Each step forms every truth's row of dt A0 on those members from its
-scalars by ``trajectory._slh_coefficients`` (once per run without
-gains).  Every truth gets the bits of its own run.
+evaluated as arrays one block of steps at a time.  c1, c2 and w depend on
+Xi alone, so each step forms them once for the shard, and the truths'
+coefficients differ only in z.  The truths are stepped as one (B, dim)
+stack of vectors, or one (B, dim, r) stack of factors, by one
+``trajectory._kraus_update`` on the ladder members the gains can make
+nonzero, and I, which ``trajectory._ladder_form`` reads off one probe
+row at Xi = 1: a'a and a at zero gain, a' too under P or I (z), all six
+under D (c2 and w).  Under gains each step forms one base row of dt A0
+on those members, by one ``trajectory._slh_coefficients`` call at
+z = 0, and ``trajectory._displaced_rows`` sets each truth's a' and a
+entries from its z; at zero gain every step takes the probe's row.  What
+is left per truth runs in loops over Python lists: the drifts and
+displacements (``_feedback_scalars``), the row fill, the innovations
+with their sums, and the filter means and integral errors
+(``_filter_update``).  Every truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from .trajectory import (
     TrajectoryState,
     _at_column,
     _density_factor,
+    _displaced_rows,
     _integrate,
     _kraus_update,
     _ladder_form,
@@ -263,25 +268,15 @@ def drift_estimate(
     skipped outright so that gain-by-gain reductions agree at the bit
     level, not merely numerically.
     """
-    return _drift_at(gains, filt.a_hat, integral_error, ref.value(t),
-                     _d_reference(gains, ref, t), params)
+    ric = filt.riccati
+    return _feedback_scalars(
+        gains, [filt.a_hat], [integral_error],
+        *_shared_scalars(gains, ref, t, ric.V, ric.W, params), params)[4][0]
 
 
 def _d_reference(gains: PIDGains, ref: ReferenceSignal, t: float) -> complex:
     """dr/dt where the derivative channel reads it, else 0."""
     return ref.derivative(t) if gains.k_D != 0.0 else 0.0j
-
-
-def _drift_at(gains: PIDGains, a_hat: complex, integral_error: complex,
-              r_t: complex, dr_t: complex, params: ModeParams) -> complex:
-    num = -complex(0.5 * params.gamma, params.omega) * a_hat
-    if gains.k_P != 0.0:
-        num = num + gains.k_P * (gains.mu * r_t - a_hat)
-    if gains.k_I != 0.0:
-        num = num + gains.k_I * integral_error
-    if gains.k_D != 0.0:
-        num = num + gains.k_D * (gains.nu * dr_t)
-    return num / (1.0 + gains.k_D)
 
 
 def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
@@ -317,13 +312,15 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
                        v.tolist(), w.tolist())
 
 
-def _feedback_scalars(gains: PIDGains, a_hat: complex,
-                      integral_error: complex, r_t: complex, dr_t: complex,
-                      xi: complex, params: ModeParams):
-    """(c1, c2, z, w, drift): everything the PID loop feeds back at one
-    filter state, from the ``_shared_scalars`` (r_t, dr_t, xi) of the
-    step, with the drift evaluated once for both the coefficients and the
-    filter update.
+def _feedback_scalars(gains: PIDGains, a_hats, integral_errors,
+                      r_t: complex, dr_t: complex, xi: complex,
+                      params: ModeParams):
+    """(c1, c2, zs, w, drifts): everything the PID loop feeds back at the
+    filter states (a_hats[b], integral_errors[b]) of a shard, from the
+    ``_shared_scalars`` (r_t, dr_t, xi) of the step.  c1, c2 and w depend
+    on Xi alone and are formed once; the displacement zs[b] and the drift
+    drifts[b] depend on the filter state, and the drift is evaluated once
+    for both the coefficients and the filter update.
 
     S = 1 throughout.  P and I act purely through the displacement z of
     the error and its integral.  D modifies the coupling,
@@ -331,23 +328,46 @@ def _feedback_scalars(gains: PIDGains, a_hat: complex,
     c1 = sqrt(gamma) + k_D Xi* and c2 = -k_D Xi, and adds the
     derivative Hamiltonian to z plus the current-feedback correction
     (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
-    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Only z and
-    the drift depend on the filter state; c1, c2 and w depend on Xi alone.
+    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  The drift
+    is that of ``drift_estimate``, zero-gain terms skipped outright.
+
+    Factors shared by the shard are formed once; every truth's
+    expressions keep their operand order, so each gets the bits of a
+    shard of one.
     """
     sg = math.sqrt(params.gamma)
-    drift = _drift_at(gains, a_hat, integral_error, r_t, dr_t, params)
-    z = 0.0j
-    if gains.k_P != 0.0:
-        z += 1j * gains.k_P * (gains.mu * r_t - a_hat)
-    if gains.k_I != 0.0:
-        z += 1j * gains.k_I * complex(integral_error)
-    if gains.k_D == 0.0:
-        return sg, 0.0j, z, 0.0j, drift
-    lam_hat = sg * 2.0 * a_hat.real
-    z += 1j * gains.k_D * (gains.nu * dr_t - drift + lam_hat * xi)
+    k_P, k_I, k_D = gains.k_P, gains.k_I, gains.k_D
+    kappa = -complex(0.5 * params.gamma, params.omega)
+    scale = 1.0 + k_D
+    if k_P != 0.0:
+        mu_r, i_kp = gains.mu * r_t, 1j * k_P
+    if k_I != 0.0:
+        i_ki = 1j * k_I
+    if k_D != 0.0:
+        nu_dr, i_kd, sg2 = gains.nu * dr_t, 1j * k_D, sg * 2.0
+        d_term = k_D * nu_dr
+    zs, drifts = [], []
+    for a_hat, ie in zip(a_hats, integral_errors):
+        num = kappa * a_hat
+        z = 0.0j
+        if k_P != 0.0:
+            e_p = mu_r - a_hat
+            num = num + k_P * e_p
+            z += i_kp * e_p
+        if k_I != 0.0:
+            num = num + k_I * ie
+            z += i_ki * complex(ie)
+        if k_D != 0.0:
+            num = num + d_term
+        drift = num / scale
+        if k_D != 0.0:
+            z += i_kd * (nu_dr - drift + (sg2 * a_hat.real) * xi)
+        zs.append(z)
+        drifts.append(drift)
+    if k_D == 0.0:
+        return sg, 0.0j, zs, 0.0j, drifts
     xi_c = xi.conjugate()
-    return (sg + gains.k_D * xi_c, -gains.k_D * xi, z,
-            0.5j * sg * gains.k_D * xi_c, drift)
+    return (sg + k_D * xi_c, -k_D * xi, zs, 0.5j * sg * k_D * xi_c, drifts)
 
 
 def controlled_slh(
@@ -365,22 +385,26 @@ def controlled_slh(
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
     ric = filt.riccati
-    c1, c2, z, w, _ = _feedback_scalars(
-        gains, filt.a_hat, integral_error,
+    c1, c2, zs, w, _ = _feedback_scalars(
+        gains, [filt.a_hat], [integral_error],
         *_shared_scalars(gains, ref, t, ric.V, ric.W, params), params)
-    return _ladder_slh(c1, c2, z, w, params.omega, dim)
+    return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
-def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
-                   drift: complex, xi: complex, dI: float, dt: float):
-    """(a_hat, integral_error) one closed-loop filter step later; the
-    covariance pair advances on its own (``qkf._covariances`` in
-    ``pid_filter_step``, the ``_schedule`` in the co-simulation).
+def _filter_update(a_hats, integral_errors, r_t: complex, drifts,
+                   xi: complex, dIs, dt: float):
+    """(a_hats, integral_errors) of a shard one closed-loop filter step
+    later, from the innovations increments dIs; the covariance pair
+    advances on its own (``qkf._covariances`` in ``pid_filter_step``, the
+    ``_schedule`` in the co-simulation).
 
     The one copy of the update arithmetic, shared by ``pid_filter_step``
     and the co-simulation loop."""
-    a_new = _mean_update(a_hat, drift, xi, dI, dt)
-    return a_new, integral_error + error_signal(r_t, a_hat) * dt
+    a_new, ie_new = [], []
+    for a_hat, ie, drift, d_i in zip(a_hats, integral_errors, drifts, dIs):
+        a_new.append(_mean_update(a_hat, drift, xi, d_i, dt))
+        ie_new.append(ie + error_signal(r_t, a_hat) * dt)
+    return a_new, ie_new
 
 
 def pid_filter_step(
@@ -403,14 +427,13 @@ def pid_filter_step(
     filt = state.filter
     ric = filt.riccati
     r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
-    drift = _drift_at(gains, filt.a_hat, state.integral_error, r_t, dr_t,
-                      params)
-    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error, r_t,
-                                   drift, xi, dI, dt)
+    a_hats, ies = [filt.a_hat], [state.integral_error]
+    drifts = _feedback_scalars(gains, a_hats, ies, r_t, dr_t, xi, params)[4]
+    a_new, ie_new = _filter_update(a_hats, ies, r_t, drifts, xi, [dI], dt)
     v_new, w_new = next(_covariances(ric.V, ric.W, 0.0, params, dt))
     return ClosedLoopState(
-        filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
-        integral_error=ie_new,
+        filter=QKFState(a_new[0], RiccatiState(v_new, w_new, ric.t + dt)),
+        integral_error=ie_new[0],
         truth=state.truth,
         t=state.t + dt,
     )
@@ -540,13 +563,16 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     Every filter starts from the same covariances, so r(t), dr/dt, Xi
     and the Riccati pair are one row of the run's ``_schedule`` per step
     for the whole batch; the row of step k + 1 is read after the truths'
-    step k, where an error of the pair is raised.  The means, integral
-    errors, drifts and displacements are kept per
-    truth.  A pure batch is stepped as one (B, dim) stack, a mixed one as
-    a (B, dim, r) stack of factors, by one ``_kraus_update`` on the ladder
-    members the gains can make nonzero (``_ladder_form`` of a probe row:
-    a'a and a at zero gain, a' too under P or I, all six under D) and I.
-    An error of truth b names it as the error's ``column``."""
+    step k, where an error of the pair is raised.  Per step, c1, c2 and w
+    (Xi only) and, under gains, the base row of dt A0 at z = 0 are formed
+    once; the means, integral errors, drifts and displacements are lists
+    over the truths, and each truth's row is the base row with its own z
+    filled in (``_displaced_rows``).  A pure batch is stepped as one
+    (B, dim) stack, a mixed one as a (B, dim, r) stack of factors, by one
+    ``_kraus_update`` on the ladder members the gains can make nonzero
+    (``_ladder_form`` of a probe row: a'a and a at zero gain, a' too under
+    P or I, all six under D) and I.  An error of truth b names it as the
+    error's ``column``."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -565,28 +591,17 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ie = [0.0j] * batch
     i_filter = [0.0] * batch
     qv = [0.0] * batch
-    sg = math.sqrt(params.gamma)
+    sg2 = math.sqrt(params.gamma) * 2.0
     # the members: c1, c2 and w depend on Xi alone, so their row at
     # Xi = 1 with z = i under any gain has every entry the gains can make
     # nonzero; at zero gain it is every step's row
-    c1, c2, _, w, _ = _feedback_scalars(gains, 0.0j, 0.0j, 0.0j, 0.0j, 1.0,
+    zero_gain = gains.all_zero
+    c1, c2, _, w, _ = _feedback_scalars(gains, [], [], 0.0j, 0.0j, 1.0,
                                         params)
-    probe = _slh_coefficients(c1, c2, 0.0j if gains.all_zero else 1.0j, w,
+    probe = _slh_coefficients(c1, c2, 0.0j if zero_gain else 1.0j, w,
                               params.omega)
     basis, cols = _ladder_form(dim, *probe[:2])
-    fixed = (sg, 0.0j), [[dt * probe[1][j] for j in cols]] * batch
-
-    def truth_rows(scalars):
-        """(c1, c2) of L = c1 a + c2 a' and the row of dt A0 on the
-        basis members of every truth; c1, c2 and w depend on Xi alone, so
-        the rows differ only in the displacement z of each truth."""
-        if gains.all_zero:
-            return fixed
-        c1, c2, _, w, _ = scalars[0]
-        return (c1, c2), [
-            [dt * a0[j] for j in cols]
-            for a0 in (_slh_coefficients(c1, c2, sc[2], w, params.omega)[1]
-                       for sc in scalars)]
+    fixed = [[dt * probe[1][j] for j in cols]] * batch
 
     n = _step_total(noises, T, dt, record_stride)
 
@@ -600,22 +615,27 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     row = next(rows)
 
     def step(t, arr, dw):
-        nonlocal row
+        nonlocal row, a_hat, ie
         r_t, dr_t, xi = row[:3]
-        scalars = [_feedback_scalars(gains, a_b, ie_b, r_t, dr_t, xi, params)
-                   for a_b, ie_b in zip(a_hat, ie)]
-        arr, dy = _kraus_update(arr, basis, *truth_rows(scalars), 1.0 + 0.0j,
+        c1, c2, zs, w, drifts = _feedback_scalars(gains, a_hat, ie, r_t, dr_t,
+                                                  xi, params)
+        # the truths' rows differ only in z: one base row per step
+        da_rows = fixed if zero_gain else _displaced_rows(
+            _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1], cols, zs, dt)
+        arr, dy = _kraus_update(arr, basis, (c1, c2), da_rows, 1.0 + 0.0j,
                                 dw, dt)
         row = next(rows)
-        for b, sc in enumerate(scalars):
-            di_f = dy[b] - (sg * 2.0 * a_hat[b].real) * dt
-            a_hat[b], ie[b] = _filter_update(a_hat[b], ie[b], r_t, sc[4], xi,
-                                             di_f, dt)
-            if not cmath.isfinite(ie[b]):
-                raise _at_column(DomainError(
-                    f"filter left its domain (integral_error={ie[b]})"), b)
-            i_filter[b] += di_f
-            qv[b] += di_f * di_f
+        di_f = []
+        for b, (dy_b, a_b) in enumerate(zip(dy, a_hat)):
+            d = dy_b - (sg2 * a_b.real) * dt
+            di_f.append(d)
+            i_filter[b] += d
+            qv[b] += d * d
+        a_hat, ie = _filter_update(a_hat, ie, r_t, drifts, xi, di_f, dt)
+        if not all(map(cmath.isfinite, ie)):
+            b = [cmath.isfinite(ie_b) for ie_b in ie].index(False)
+            raise _at_column(DomainError(
+                f"filter left its domain (integral_error={ie[b]})"), b)
         return arr, dy
 
     def sample(idx):

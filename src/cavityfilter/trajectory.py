@@ -290,6 +290,23 @@ def _ladder_form(dim: int, l_row, a0_row) -> tuple:
     return _ladder_basis(dim, cols), cols
 
 
+def _displaced_rows(a0_row, cols, zs, dt: float) -> list:
+    """The rows of dt A0 on ``cols`` of truths whose coefficients differ
+    only in the displacement z, one for each z of ``zs``: ``a0_row`` is
+    the A0 row of ``_slh_coefficients`` at z = 0, and z enters only the
+    a' and a entries, as -i z and -i conj(z), so each row equals
+    ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""
+    base = [dt * a0_row[j] for j in cols]
+    at_ad, at_a = cols.index(_LADDER_AD), cols.index(_LADDER_A)
+    rows = []
+    for z in zs:
+        row = base.copy()
+        row[at_ad] = dt * (-1j * z)
+        row[at_a] = dt * (-1j * z.conjugate())
+        rows.append(row)
+    return rows
+
+
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows

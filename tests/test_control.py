@@ -270,8 +270,8 @@ def test_noise_free_response_matches_rk4_stage_loop():
     a0, ie0 = 0.3 - 0.2j, 0.1j
 
     def rhs(t, a, ie):
-        return (control._drift_at(gains, a, ie, ref.value(t),
-                                  ref.derivative(t), params),
+        filt = QKFState(a, RiccatiState(0.0, 0.0j, t))
+        return (drift_estimate(gains, filt, ref, ie, t, params),
                 ref.value(t) - a)
 
     a, ie = a0, ie0
@@ -452,10 +452,10 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         assert np.max(np.abs(slh.l.entries - l_ref)) < 1e-12
         assert np.max(np.abs(slh.h.entries - h_ref)) < 1e-12
 
-        c1, c2, z, wz, _ = _feedback_scalars(
-            gains, a_hat, ie, *_shared_scalars(gains, ref, t, v, w, params),
+        c1, c2, zs, wz, _ = _feedback_scalars(
+            gains, [a_hat], [ie], *_shared_scalars(gains, ref, t, v, w, params),
             params)
-        rows = _slh_coefficients(c1, c2, z, wz, params.omega)
+        rows = _slh_coefficients(c1, c2, zs[0], wz, params.omega)
         assert rows[0] == [0.0, c2, 0.0, c1, 0.0, 0.0]
         dense = _ladder_dense(rows, dim)
         for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
@@ -536,26 +536,55 @@ def test_kraus_update_is_batch_invariant(rank):
                 assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
 
 
-def _cosim_steps(monkeypatch, gains, cov, dim, params):
-    """The basis stacks of the ``_kraus_update`` calls of a short
-    co-simulation under ``gains``, and every (L, A0) ladder row formed
-    for it."""
-    seen, rows = [], []
+def _words(values) -> bytes:
+    """The float64 words of complex values, signed zeros included."""
+    return np.asarray(values, dtype=np.complex128).tobytes()
 
-    def spy(x, basis, *args):
-        seen.append(basis[0])
-        return _kraus_update(x, basis, *args)
 
-    def coefficients(*args):
-        out = _slh_coefficients(*args)
-        rows.append(out[:2])
+def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
+    """Per ``_kraus_update`` call of a short co-simulation of ``batch``
+    truths under ``gains`` (dt = 1e-3, 10 steps): the basis stack, L's
+    coefficients and the rows of dt A0 it stepped, with the
+    (c1, c2, zs, w) of the shard's ``_feedback_scalars`` for that step;
+    and the number of ``_slh_coefficients`` calls of the run."""
+    seen, formed, calls = [], [], []
+
+    def scalars(*args):
+        out = _feedback_scalars(*args)
+        if args[1]:
+            formed.append(out[:4])
         return out
 
+    def spy(x, basis, c, da_rows, *args):
+        seen.append((basis[0], c, [list(row) for row in da_rows], formed[-1]))
+        return _kraus_update(x, basis, c, da_rows, *args)
+
+    def coefficients(*args):
+        calls.append(args)
+        return _slh_coefficients(*args)
+
+    monkeypatch.setattr(control, "_feedback_scalars", scalars)
     monkeypatch.setattr(control, "_kraus_update", spy)
     monkeypatch.setattr(control, "_slh_coefficients", coefficients)
-    closed_loop_cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
-                      dim, NoiseStream(4, 1e-3), 0.01, 1e-3)
-    return seen, rows
+    control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
+                   dim, [NoiseStream(4 + b, 1e-3) for b in range(batch)],
+                   0.01, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)], cov)
+    assert len(seen) == 10
+    return seen, len(calls)
+
+
+def _assert_rows_are_the_slh_rows(seen, cols, omega, dt=1e-3):
+    """Every row stepped equals [dt * A0[j] for j in cols] of the truth's
+    own ``_slh_coefficients`` row, word for word, with L's coefficients
+    (c1, c2); returns those full rows."""
+    full = []
+    for _, c, rows, (c1, c2, zs, w) in seen:
+        assert _words(c) == _words((c1, c2))
+        for z, row in zip(zs, rows, strict=True):
+            own = _slh_coefficients(c1, c2, z, w, omega)
+            assert _words(row) == _words([dt * own[1][j] for j in cols])
+            full.append(own)
+    return full
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
@@ -564,8 +593,9 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params):
 def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
     # a' (their z), and D keeps all six members and I; without damping or
-    # detuning a'a drops out unless D is on.  Every row a run forms is
-    # zero off its members
+    # detuning a'a drops out unless D is on.  Every row stepped is the
+    # truth's own SLH row on the members, and that row, with L's, is zero
+    # off them
     dim = 24
     table = _ladder_table(dim)
 
@@ -584,16 +614,105 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
         assert np.array_equal(damped_cavity_slh(params, dim)._kraus[0][0],
                               stack(sets["zero"]))
         for name, members in sets.items():
-            seen, rows = _cosim_steps(monkeypatch, gains[name], cov, dim,
-                                      params)
-            assert len(seen) == 10 and rows
-            for basis in seen:
+            seen, _ = _cosim_steps(monkeypatch, gains[name], cov, dim, params)
+            for basis, _, _, _ in seen:
                 assert basis.shape == ((len(members) + 1) * dim, dim)
                 assert np.array_equal(basis, stack(members))
-            off = [j for j, key in enumerate(_LADDER_KEYS)
-                   if key not in members]
-            assert all(row[j] == 0 for pair in rows for row in pair
+            cols = [_LADDER_KEYS.index(k) for k in members]
+            off = [j for j in ALL if j not in cols]
+            full = _assert_rows_are_the_slh_rows(seen, cols, omega)
+            assert all(row[j] == 0 for own in full for row in own[:2]
                        for j in off)
+
+
+def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
+    # a PID shard of 8 forms its Xi-only base row once per step, not once
+    # per truth, and a zero-gain shard none: one more call forms the probe
+    # row that picks the members
+    params = ModeParams(1.0, 0.5)
+    for gains, per_step in ((PIDGains(2.0, 1.0, 0.5), 1), (PIDGains(0.0), 0)):
+        seen, calls = _cosim_steps(monkeypatch, gains,
+                                   CovariancePair(0.5, 0.0), 24, params, 8)
+        assert calls <= 1 + per_step * len(seen)
+        cols = ALL if per_step else (2, 3)
+        assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 80
+
+
+#: the gain sets of the row identities, with set-point weights off 1
+GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
+             "PI": PIDGains(2.0, 1.0, mu=1.3),
+             "PID": PIDGains(2.0, 1.0, 0.5, mu=0.8, nu=1.2)}
+
+
+@pytest.mark.parametrize("name", list(GAIN_SETS))
+def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
+    # a shard forms c1, c2 and w once and fills each truth's z into one
+    # base row: at random states, signed zeros and z = 0 among them, every
+    # row equals [dt * A0[j] for j in cols] of the truth's own
+    # _slh_coefficients row word for word, and the shard's (c1, c2, z, w,
+    # drift) and filter update are those controlled_slh, drift_estimate
+    # and pid_filter_step form for the truth alone
+    gains, params, dim = GAIN_SETS[name], ModeParams(1.0, 0.5), 12
+    rng = np.random.default_rng(19)
+
+    def normal():
+        return complex(*rng.normal(0.0, 1.0, 2))
+
+    for draw in range(40):
+        dt = (1e-3, 2.5e-4)[draw % 2]
+        t = rng.uniform(0.0, 3.0)
+        quiet = draw % 4 == 3
+        if quiet:
+            # r = dr/dt = Xi = 0: the reference has not started and the
+            # covariances are zero
+            ref = ReferenceSignal("step", normal(), onset=t + 1.0)
+            v, w_cov = 0.0, 0.0j
+        else:
+            ref = ReferenceSignal(("ramp", "sinusoid")[draw % 2], normal(),
+                                  slope=rng.normal(), frequency=rng.normal())
+            v, w_cov = rng.uniform(0.0, 1.0), 0.3 * normal()
+        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w_cov, params)
+        a_hats = [normal() for _ in range(5)] + [
+            gains.mu * r_t, complex(-0.0, 0.0), complex(0.0, -0.0), -0.0j]
+        ies = [normal() for _ in range(5)] + [
+            0.0j, complex(-0.0, -0.0), 0.0j, complex(-0.0, 0.0)]
+        dis = rng.normal(0.0, math.sqrt(dt), len(a_hats)).tolist()
+        c1, c2, zs, w, drifts = _feedback_scalars(gains, a_hats, ies, r_t,
+                                                  dr_t, xi, params)
+        # a = mu r with ie = 0 has no P or I displacement, and with
+        # r = dr/dt = Xi = 0 a zero state has no D displacement either
+        if gains.all_zero:
+            assert _words(zs) == _words([0.0j] * len(zs))
+        if gains.k_D == 0.0 or quiet:
+            assert zs[5] == 0
+        if quiet:
+            assert all(z == 0 for z in zs[5:])
+        a_base = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
+        for cols in ((1, 2, 3), ALL):
+            rows = trajectory._displaced_rows(a_base, cols, zs, dt)
+            for z, row in zip(zs, rows, strict=True):
+                own = _slh_coefficients(c1, c2, z, w, params.omega)[1]
+                assert _words(row) == _words([dt * own[j] for j in cols])
+        a_new, ie_new = control._filter_update(a_hats, ies, r_t, drifts, xi,
+                                               dis, dt)
+        for b, (a_hat, ie) in enumerate(zip(a_hats, ies)):
+            filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
+            slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
+            own = _slh_coefficients(c1, c2, zs[b], w, params.omega)
+            assert _words(slh._ladder[0]) == _words(own[0])
+            assert _words(slh._ladder[1]) == _words(own[1])
+            drift = drift_estimate(gains, filt, ref, ie, t, params)
+            assert _words([drift]) == _words([drifts[b]])
+            new = pid_filter_step(ClosedLoopState(filt, ie, t=t), dis[b],
+                                  gains, ref, params, dt)
+            assert _words([new.filter.a_hat, new.integral_error]) == _words(
+                [a_new[b], ie_new[b]])
+
+    # and a co-simulation of three truths steps exactly those rows
+    seen, _ = _cosim_steps(monkeypatch, gains, CovariancePair(0.4, 0.1j), 24,
+                           params, 3)
+    cols = (2, 3) if gains.all_zero else (1, 2, 3) if gains.k_D == 0.0 else ALL
+    assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 30
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
@@ -736,6 +855,25 @@ def test_cosim_coarse_step_raises_step_tagged_error(cov):
         closed_loop_cosim(1.5, cov, PIDGains(2.0, 1.0, 0.5),
                           ReferenceSignal("step", 1.0), ModeParams(1.0, 0.0),
                           20, NoiseStream(3, 0.5), 1.0, 0.5)
+
+
+def test_cosim_names_the_truth_whose_filter_leaves_its_domain(monkeypatch):
+    # a non-finite integral error stops the run at its step and names the
+    # truth as the error's column, whichever truths share its shard
+    update = control._filter_update
+
+    def leave(*args):
+        a_new, ie_new = update(*args)
+        ie_new[1] = complex(math.inf, 0.0)
+        return a_new, ie_new
+
+    monkeypatch.setattr(control, "_filter_update", leave)
+    with pytest.raises(DomainError, match="step 0 .*left its domain") as info:
+        control._cosim(0.3, CovariancePair(0.0, 0.0), PIDGains(1.0),
+                       ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5), 12,
+                       [NoiseStream(b, 1e-3) for b in range(3)], 0.01, 1e-3,
+                       1, [0.3] * 3, CovariancePair(0.0, 0.0))
+    assert info.value.column == 1
 
 
 def test_cosim_undersized_dim_raises_truncation_error():

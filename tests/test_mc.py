@@ -252,6 +252,40 @@ def test_purify_needs_a_p_function():
         FilterScenario(params=PARAMS, dim=20, alpha=0.0, cov=cov, purify=True)
 
 
+def test_thermal_drawn_truths_stay_coherent(monkeypatch):
+    # every truth of a zero-gain purified shard is the coherent state of
+    # its prior draw alpha_b, and with L = sqrt(gamma) a, H = omega a'a it
+    # stays coherent on every record: <a> = alpha_b e^{-kappa t}, kappa =
+    # gamma/2 + i omega, to the Euler row's O(dt |alpha_b|^2) (the gate of
+    # test_coherent_truths_stay_coherent), and <a'a> - |<a>|^2 stays at
+    # rounding level.  alpha_b is rebuilt from the prior stream; the base
+    # seed, dt and both gates were fixed before the first run
+    params, dim, T, dt, batch = ModeParams(1.0, 0.5), 30, 0.5, 5e-4, 8
+    config = EnsembleConfig(batch, T, dt, 19 << 40, "thermal")
+    scenario = FilterScenario(params, dim, 0.0j, THERMAL, purify=True)
+    recs = []
+
+    def spy(*args):
+        out = _cosim(*args)
+        recs.extend(out)
+        return out
+
+    monkeypatch.setattr(mc, "_cosim", spy)
+    scenario.shard(config, range(batch),
+                   [NoiseStream(config.base_seed ^ i, dt) for i in range(batch)])
+    assert len(recs) == batch
+    kappa = complex(0.5 * params.gamma, params.omega)
+    for i, rec in enumerate(recs):
+        alpha = 0.0j + _draw_displacement(
+            THERMAL, _prior_rng(config.base_seed, i))
+        assert rec.t[-1] == pytest.approx(T)
+        want = alpha * np.exp(-kappa * rec.t)
+        assert (np.max(np.abs(rec.truth_mean_a - want))
+                <= 4 * dt * abs(alpha) ** 2)
+        assert np.max(np.abs(rec.truth_mean_n
+                             - np.abs(rec.truth_mean_a) ** 2)) <= 1e-7
+
+
 def test_ensemble_mean_follows_damped_decay():
     # purified prior: each truth is coherent, so the ensemble mean of
     # <a> must track alpha0 e^{-(gamma/2 + i omega) t} within 3 SE
