@@ -42,18 +42,21 @@ pair of ``qkf._covariance_path`` and the reference of ``_reference_at``,
 evaluated as arrays one block of steps at a time.  c1, c2 and w depend on
 Xi alone, so each step forms them once for the shard, and the truths'
 coefficients differ only in z.  The truths are stepped as one (B, dim)
-stack of vectors, or one (B, dim, r) stack of factors, by one
-``trajectory._kraus_update`` on the ladder members the gains can make
+stack of vectors, or one (B, dim, r) stack of factors, by the run's one
+``trajectory._KrausStepper`` on the ladder members the gains can make
 nonzero, and I, which ``trajectory._ladder_form`` reads off one probe
 row at Xi = 1: a'a and a at zero gain, a' too under P or I (z), all six
 under D (c2 and w).  Under gains each step forms one base row of dt A0
 on those members, by one ``trajectory._slh_coefficients`` call at
-z = 0, and ``trajectory._displaced_rows`` sets each truth's a' and a
-entries from its z; at zero gain every step takes the probe's row.  What
-is left per truth runs in loops over Python lists: the drifts and
-displacements (``_feedback_scalars``), the row fill, the innovations
-with their sums, and the filter means and integral errors
-(``_filter_update``).  Every truth gets the bits of its own run.
+z = 0, and the stepper writes each truth's a' and a entries from its z
+as it fills the rows; at zero gain every step takes the probe's row.
+The run builds the stepper and the factors the feedback reads
+(``_feedback_scalars``) once.  What is left per truth runs in three
+loops over Python lists: the drifts and displacements; the row fill
+inside the stepper; and, after the contraction, the norm guard
+(``trajectory._unit_scale``), the innovation with its sums, the filter
+mean and integral error (``_filter_update``) and the finiteness check.
+Every truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -87,15 +90,15 @@ from .trajectory import (
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
+    _KrausStepper,
     _at_column,
     _density_factor,
-    _displaced_rows,
     _integrate,
-    _kraus_update,
     _ladder_form,
     _ladder_slh,
     _slh_coefficients,
     _step_total,
+    _unit_scale,
 )
 
 __all__ = [
@@ -269,9 +272,9 @@ def drift_estimate(
     level, not merely numerically.
     """
     ric = filt.riccati
-    return _feedback_scalars(
-        gains, [filt.a_hat], [integral_error],
-        *_shared_scalars(gains, ref, t, ric.V, ric.W, params), params)[4][0]
+    return _feedback_scalars(gains, params)(
+        [filt.a_hat], [integral_error],
+        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))[4][0]
 
 
 def _d_reference(gains: PIDGains, ref: ReferenceSignal, t: float) -> complex:
@@ -312,15 +315,17 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
                        v.tolist(), w.tolist())
 
 
-def _feedback_scalars(gains: PIDGains, a_hats, integral_errors,
-                      r_t: complex, dr_t: complex, xi: complex,
-                      params: ModeParams):
-    """(c1, c2, zs, w, drifts): everything the PID loop feeds back at the
-    filter states (a_hats[b], integral_errors[b]) of a shard, from the
-    ``_shared_scalars`` (r_t, dr_t, xi) of the step.  c1, c2 and w depend
-    on Xi alone and are formed once; the displacement zs[b] and the drift
-    drifts[b] depend on the filter state, and the drift is evaluated once
-    for both the coefficients and the filter update.
+def _feedback_scalars(gains: PIDGains, params: ModeParams):
+    """The feedback of a run under ``gains``: a function
+    (a_hats, integral_errors, r_t, dr_t, xi) -> (c1, c2, zs, w, drifts),
+    everything the PID loop feeds back at the filter states
+    (a_hats[b], integral_errors[b]) of a shard, from the
+    ``_shared_scalars`` (r_t, dr_t, xi) of the step.  The factors the run
+    fixes (sqrt(gamma), kappa, 1 + k_D, i k_P, i k_I, i k_D) are formed
+    here, once; c1, c2 and w depend on Xi alone and are formed once per
+    call; the displacement zs[b] and the drift drifts[b] depend on the
+    filter state, and the drift is evaluated once for both the
+    coefficients and the filter update.
 
     S = 1 throughout.  P and I act purely through the displacement z of
     the error and its integral.  D modifies the coupling,
@@ -336,38 +341,43 @@ def _feedback_scalars(gains: PIDGains, a_hats, integral_errors,
     shard of one.
     """
     sg = math.sqrt(params.gamma)
-    k_P, k_I, k_D = gains.k_P, gains.k_I, gains.k_D
+    k_P, k_I, k_D, mu, nu = gains.k_P, gains.k_I, gains.k_D, gains.mu, gains.nu
     kappa = -complex(0.5 * params.gamma, params.omega)
     scale = 1.0 + k_D
-    if k_P != 0.0:
-        mu_r, i_kp = gains.mu * r_t, 1j * k_P
-    if k_I != 0.0:
-        i_ki = 1j * k_I
-    if k_D != 0.0:
-        nu_dr, i_kd, sg2 = gains.nu * dr_t, 1j * k_D, sg * 2.0
-        d_term = k_D * nu_dr
-    zs, drifts = [], []
-    for a_hat, ie in zip(a_hats, integral_errors):
-        num = kappa * a_hat
-        z = 0.0j
+    i_kp, i_ki, i_kd, sg2 = 1j * k_P, 1j * k_I, 1j * k_D, sg * 2.0
+
+    def scalars(a_hats, integral_errors, r_t: complex, dr_t: complex,
+                xi: complex):
         if k_P != 0.0:
-            e_p = mu_r - a_hat
-            num = num + k_P * e_p
-            z += i_kp * e_p
-        if k_I != 0.0:
-            num = num + k_I * ie
-            z += i_ki * complex(ie)
+            mu_r = mu * r_t
         if k_D != 0.0:
-            num = num + d_term
-        drift = num / scale
-        if k_D != 0.0:
-            z += i_kd * (nu_dr - drift + (sg2 * a_hat.real) * xi)
-        zs.append(z)
-        drifts.append(drift)
-    if k_D == 0.0:
-        return sg, 0.0j, zs, 0.0j, drifts
-    xi_c = xi.conjugate()
-    return (sg + k_D * xi_c, -k_D * xi, zs, 0.5j * sg * k_D * xi_c, drifts)
+            nu_dr = nu * dr_t
+            d_term = k_D * nu_dr
+        zs, drifts = [], []
+        for a_hat, ie in zip(a_hats, integral_errors):
+            num = kappa * a_hat
+            z = 0.0j
+            if k_P != 0.0:
+                e_p = mu_r - a_hat
+                num = num + k_P * e_p
+                z += i_kp * e_p
+            if k_I != 0.0:
+                num = num + k_I * ie
+                z += i_ki * complex(ie)
+            if k_D != 0.0:
+                num = num + d_term
+            drift = num / scale
+            if k_D != 0.0:
+                z += i_kd * (nu_dr - drift + (sg2 * a_hat.real) * xi)
+            zs.append(z)
+            drifts.append(drift)
+        if k_D == 0.0:
+            return sg, 0.0j, zs, 0.0j, drifts
+        xi_c = xi.conjugate()
+        return (sg + k_D * xi_c, -k_D * xi, zs, 0.5j * sg * k_D * xi_c,
+                drifts)
+
+    return scalars
 
 
 def controlled_slh(
@@ -385,26 +395,23 @@ def controlled_slh(
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
     ric = filt.riccati
-    c1, c2, zs, w, _ = _feedback_scalars(
-        gains, [filt.a_hat], [integral_error],
-        *_shared_scalars(gains, ref, t, ric.V, ric.W, params), params)
+    c1, c2, zs, w, _ = _feedback_scalars(gains, params)(
+        [filt.a_hat], [integral_error],
+        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))
     return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
-def _filter_update(a_hats, integral_errors, r_t: complex, drifts,
-                   xi: complex, dIs, dt: float):
-    """(a_hats, integral_errors) of a shard one closed-loop filter step
-    later, from the innovations increments dIs; the covariance pair
-    advances on its own (``qkf._covariances`` in ``pid_filter_step``, the
-    ``_schedule`` in the co-simulation).
+def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
+                   drift: complex, xi: complex, d_i: float, dt: float):
+    """(a_hat, integral_error) one closed-loop filter step later, from
+    the innovations increment d_i; the covariance pair advances on its own
+    (``qkf._covariances`` in ``pid_filter_step``, the ``_schedule`` in the
+    co-simulation).
 
     The one copy of the update arithmetic, shared by ``pid_filter_step``
     and the co-simulation loop."""
-    a_new, ie_new = [], []
-    for a_hat, ie, drift, d_i in zip(a_hats, integral_errors, drifts, dIs):
-        a_new.append(_mean_update(a_hat, drift, xi, d_i, dt))
-        ie_new.append(ie + error_signal(r_t, a_hat) * dt)
-    return a_new, ie_new
+    return (_mean_update(a_hat, drift, xi, d_i, dt),
+            integral_error + error_signal(r_t, a_hat) * dt)
 
 
 def pid_filter_step(
@@ -427,13 +434,14 @@ def pid_filter_step(
     filt = state.filter
     ric = filt.riccati
     r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
-    a_hats, ies = [filt.a_hat], [state.integral_error]
-    drifts = _feedback_scalars(gains, a_hats, ies, r_t, dr_t, xi, params)[4]
-    a_new, ie_new = _filter_update(a_hats, ies, r_t, drifts, xi, [dI], dt)
+    drift = _feedback_scalars(gains, params)(
+        [filt.a_hat], [state.integral_error], r_t, dr_t, xi)[4][0]
+    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error, r_t,
+                                   drift, xi, dI, dt)
     v_new, w_new = next(_covariances(ric.V, ric.W, 0.0, params, dt))
     return ClosedLoopState(
-        filter=QKFState(a_new[0], RiccatiState(v_new, w_new, ric.t + dt)),
-        integral_error=ie_new[0],
+        filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
+        integral_error=ie_new,
         truth=state.truth,
         t=state.t + dt,
     )
@@ -567,12 +575,16 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     (Xi only) and, under gains, the base row of dt A0 at z = 0 are formed
     once; the means, integral errors, drifts and displacements are lists
     over the truths, and each truth's row is the base row with its own z
-    filled in (``_displaced_rows``).  A pure batch is stepped as one
-    (B, dim) stack, a mixed one as a (B, dim, r) stack of factors, by one
-    ``_kraus_update`` on the ladder members the gains can make nonzero
-    (``_ladder_form`` of a probe row: a'a and a at zero gain, a' too under
-    P or I, all six under D) and I.  An error of truth b names it as the
-    error's ``column``."""
+    written in by the stepper.  A pure batch is stepped as one (B, dim)
+    stack, a mixed one as a (B, dim, r) stack of factors, by one
+    ``_KrausStepper`` built for the run on the ladder members the gains
+    can make nonzero (``_ladder_form`` of a probe row: a'a and a at zero
+    gain, a' too under P or I, all six under D) and I.  Each step walks
+    the truths three times: the feedback, the stepper's row fill, and
+    the norm guard and scale with the filter's innovation, sums, update
+    and finiteness check.  An error of truth b names it as the error's
+    ``column``; when two truths fail in one step, the lower one is
+    named."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -592,16 +604,17 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     i_filter = [0.0] * batch
     qv = [0.0] * batch
     sg2 = math.sqrt(params.gamma) * 2.0
+    feedback = _feedback_scalars(gains, params)
     # the members: c1, c2 and w depend on Xi alone, so their row at
     # Xi = 1 with z = i under any gain has every entry the gains can make
     # nonzero; at zero gain it is every step's row
     zero_gain = gains.all_zero
-    c1, c2, _, w, _ = _feedback_scalars(gains, [], [], 0.0j, 0.0j, 1.0,
-                                        params)
+    c1, c2, _, w, _ = feedback([], [], 0.0j, 0.0j, 1.0)
     probe = _slh_coefficients(c1, c2, 0.0j if zero_gain else 1.0j, w,
                               params.omega)
     basis, cols = _ladder_form(dim, *probe[:2])
-    fixed = [[dt * probe[1][j] for j in cols]] * batch
+    fixed = [dt * probe[1][j] for j in cols]
+    stepper = _KrausStepper(basis, np.stack(states))
 
     n = _step_total(noises, T, dt, record_stride)
 
@@ -615,36 +628,41 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     row = next(rows)
 
     def step(t, arr, dw):
-        nonlocal row, a_hat, ie
+        nonlocal row
         r_t, dr_t, xi = row[:3]
-        c1, c2, zs, w, drifts = _feedback_scalars(gains, a_hat, ie, r_t, dr_t,
-                                                  xi, params)
-        # the truths' rows differ only in z: one base row per step
-        da_rows = fixed if zero_gain else _displaced_rows(
-            _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1], cols, zs, dt)
-        arr, dy = _kraus_update(arr, basis, (c1, c2), da_rows, 1.0 + 0.0j,
-                                dw, dt)
-        row = next(rows)
-        di_f = []
-        for b, (dy_b, a_b) in enumerate(zip(dy, a_hat)):
+        c1, c2, zs, w, drifts = feedback(a_hat, ie, r_t, dr_t, xi)
+        # the truths' rows differ only in z, which the stepper fills into
+        # one base row per step
+        if zero_gain:
+            dy, sqs = stepper.contract((c1, c2), fixed, None, 1.0 + 0.0j,
+                                       dw, dt)
+        else:
+            a0 = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
+            dy, sqs = stepper.contract((c1, c2), [dt * a0[j] for j in cols],
+                                       zs, 1.0 + 0.0j, dw, dt)
+        scale = []
+        for b, (sq, dy_b, a_b, ie_b, drift) in enumerate(
+                zip(sqs, dy, a_hat, ie, drifts)):
+            scale.append(_unit_scale(sq, b))
             d = dy_b - (sg2 * a_b.real) * dt
-            di_f.append(d)
             i_filter[b] += d
             qv[b] += d * d
-        a_hat, ie = _filter_update(a_hat, ie, r_t, drifts, xi, di_f, dt)
-        if not all(map(cmath.isfinite, ie)):
-            b = [cmath.isfinite(ie_b) for ie_b in ie].index(False)
-            raise _at_column(DomainError(
-                f"filter left its domain (integral_error={ie[b]})"), b)
-        return arr, dy
+            a_hat[b], ie_b = _filter_update(a_b, ie_b, r_t, drift, xi, d, dt)
+            if not cmath.isfinite(ie_b):
+                raise _at_column(DomainError(
+                    f"filter left its domain (integral_error={ie_b})"), b)
+            ie[b] = ie_b
+        stepper.rescale(scale)
+        row = next(rows)
+        return stepper.x, dy
 
     def sample(idx):
         rec_ah[:, idx] = a_hat
         rec_v[idx], rec_w[idx] = row[3:]
         rec_i[:, idx] = i_filter
 
-    truths = _integrate(np.stack(states), "psi" if pure else "rho", noises, n,
-                        dt, record_stride, step, "closed loop", sample)
+    truths = _integrate(stepper.x, "psi" if pure else "rho", noises, n, dt,
+                        record_stride, step, "closed loop", sample)
     for col in (rec_ah, rec_v, rec_w, rec_i):
         col.setflags(write=False)
     v, w_cov = row[3:]

@@ -52,11 +52,13 @@ batch of one over ``_step``, the one SSE, SME or Zakai step,
 which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
 ``control`` passes the feedback scalars, the truth step and the filter
 updates of an ensemble shard.  Every state-vector and density-factor
-step is one ``_kraus_update``: the basis products of the whole stack
-by one product, each truth's K as one row of coefficients on that
-basis, one stacked matmul and the norm guard; the co-simulation uses
-the ladder members its gains can make nonzero.  Every row of a stack
-gets the bits of a lone state.
+step is the Kraus step of one ``_KrausStepper``, built once per run on
+the run's basis and initial stack: the basis products of the whole
+stack by one product into a buffer it keeps, each truth's K as one row
+of coefficients on that basis, one stacked matmul into its other state
+buffer and the norm guard; the co-simulation uses the ladder members
+its gains can make nonzero.  Every row of a stack gets the bits of a
+lone state.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ __all__ = [
     "run_trajectory",
 ]
 
-#: ``_kraus_update`` rejects a step (``StepSizeError``) whose unnormalized
+#: ``_unit_scale`` rejects a step (``StepSizeError``) whose unnormalized
 #: norm is more than this far from 1, or not finite.  It is not a bound on
 #: healthy steps: on a coherent state one Euler step moves the squared
 #: norm by about Im(alpha)^2 (dI^2 - dt), and so the norm by half that.
@@ -290,23 +292,6 @@ def _ladder_form(dim: int, l_row, a0_row) -> tuple:
     return _ladder_basis(dim, cols), cols
 
 
-def _displaced_rows(a0_row, cols, zs, dt: float) -> list:
-    """The rows of dt A0 on ``cols`` of truths whose coefficients differ
-    only in the displacement z, one for each z of ``zs``: ``a0_row`` is
-    the A0 row of ``_slh_coefficients`` at z = 0, and z enters only the
-    a' and a entries, as -i z and -i conj(z), so each row equals
-    ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""
-    base = [dt * a0_row[j] for j in cols]
-    at_ad, at_a = cols.index(_LADDER_AD), cols.index(_LADDER_A)
-    rows = []
-    for z in zs:
-        row = base.copy()
-        row[at_ad] = dt * (-1j * z)
-        row[at_a] = dt * (-1j * z.conjugate())
-        rows.append(row)
-    return rows
-
-
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
@@ -329,86 +314,134 @@ def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
 # kernels on raw arrays
 
 
-def _kraus_update(x: np.ndarray, basis, c, da_rows, cis: complex, dI,
-                  dt: float):
-    """One normalized step x[b] -> K_b x[b] / ||K_b x[b]|| of a stack x of
-    states (B, dim) or density factors (B, dim, r) on the innovations
-    increments dI[b], with the Kraus operator of the module docstring
+class _KrausStepper:
+    """The normalized step x[b] -> K_b x[b] / ||K_b x[b]|| of one run's
+    stack of states (B, dim) or density factors (B, dim, r), with the
+    Kraus operator of the module docstring
 
         K_b = keep_b I + dt A0_b + move_b e^{i theta} L,
         keep = 1 - lam^2 dt/8 - lam dI/2,   move = lam dt/2 + dI,
 
-    lam = 2 Re e^{i theta} <L>, e^{i theta} = cis.  ``basis`` is
-    (stack, k, k'): the (n dim, dim) stack of the basis members X_0 ..
-    X_{n-1}, the last of them I; a ladder basis holds only the members
-    the rows can make nonzero (``fock._ladder_basis``), so a step forms
-    no product whose coefficient is always zero.  ``da_rows[b]`` is the
-    row of dt A0_b on X_0 .. X_{n-2}, and L = c X_k + c' X_k' with
-    (c, c') = ``c``, where X_k' is the adjoint of X_k (and no term if k'
-    is None), so <L> = c m + c' conj(m) with m = <x, X_k x>.  Returns the
-    stack and the list of record increments dY[b] = lam[b] dt + dI[b].
+    lam = 2 Re e^{i theta} <L>, e^{i theta} = cis, on the increments dI[b].
+    ``basis`` is (stack, k, k'): the (n dim, dim) stack of the basis
+    members X_0 .. X_{n-1}, the last of them I; a ladder basis holds only
+    the members the rows can make nonzero (``fock._ladder_basis``), so a
+    step forms no product whose coefficient is always zero.  L = c X_k
+    + c' X_k' with (c, c') = ``c``, where X_k' is the adjoint of X_k (and
+    no term if k' is None), so <L> = c m + c' conj(m) with m = <x, X_k x>.
 
-    The n basis products of the whole stack are one product with
-    ``stack`` (``_basis_products``); each K_b is one row of n Python
-    scalars, and one stacked matmul applies the rows.
-    m and the squared norms come from ``_row_dots``, so every row of a
-    stack gets the bits of a lone state.  A row that fails the norm guard
-    raises, naming the row as ``column``."""
-    stack, k, k_adj = basis
-    c, c_adj = c
-    batch = len(x)
-    prods = _basis_products(x, stack)
-    dy, rows = [], []
-    for m, di, da in zip(_row_dots(x, prods[:, k]), dI, da_rows):
-        lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
-        dy.append(lam * dt + di)
-        move = ((0.5 * lam) * dt + di) * cis
-        row = len(rows)
-        rows += da
-        rows[row + k] += move * c
-        if k_adj is not None:
-            rows[row + k_adj] += move * c_adj
-        rows.append(1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * di)
-    new = np.matmul(np.array(rows, dtype=np.complex128).reshape(batch, 1, -1),
-                    prods)
-    scale = []
-    for b, sq in enumerate(_row_dots(new, new)):
-        nrm = math.sqrt(sq.real)
-        if not abs(nrm - 1.0) <= NORM_GUARD:
-            raise _at_column(StepSizeError(
-                f"norm moved to {nrm:.6f} in one step; reduce dt"), b)
-        scale.append(1.0 / nrm)
-    # a real scale on the float64 view: the same bits for a scalar and
-    # for a column of scalars
-    flat = new.view(np.float64)
-    flat *= scale[0] if batch == 1 else np.array(scale)[:, None, None]
-    return new.reshape(x.shape), dy
+    The stepper copies ``x0`` once into its own C-ordered buffer and
+    keeps two state buffers that swap each step, the products buffer, the
+    coefficient rows and fixed float64 and complex views of all of them,
+    so a step allocates none of them: the n basis products of the whole
+    stack are one matmul (on the float64 view of the states for a real
+    stack, which is exact for a ladder basis), m and the squared norms are
+    one ``np.vecdot`` each over the flattened rows (the bits of a row-wise
+    ``np.vdot``), each K_b is one row of n Python scalars and one stacked
+    matmul applies the rows.  So every row of a stack gets the bits of a
+    lone state.  ``x`` is the current stack."""
+
+    def __init__(self, basis, x0: np.ndarray):
+        self.basis = basis
+        stack, self._k, self._k_adj = basis
+        batch, dim = x0.shape[:2]
+        n = len(stack) // dim
+        real = stack.dtype == np.float64
+        self._stack = stack
+        self._prods = np.empty((batch, n, x0[0].size), dtype=np.complex128)
+        self._prods_f = (self._prods.view(np.float64) if real
+                         else self._prods).reshape(batch, n * dim, -1)
+        self._prods_k = self._prods[:, self._k]
+        self._coef = np.empty((batch, 1, n), dtype=np.complex128)
+        self._coef_flat = self._coef.reshape(-1)
+        sides = []
+        for x in (np.array(x0, dtype=np.complex128, order="C"),
+                  np.empty(x0.shape, dtype=np.complex128)):
+            # (state, matmul operand, flat rows, contraction out, real view)
+            sides.append((x, (x.view(np.float64) if real else x).reshape(
+                batch, dim, -1), x.reshape(batch, -1),
+                x.reshape(batch, 1, -1), x.view(np.float64).reshape(batch, -1)))
+        self._cur, self._next = sides
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._cur[0]
+
+    def products(self) -> np.ndarray:
+        """The (B, n, dim r) products X_j x[b] of the current stack, in the
+        stepper's products buffer."""
+        np.matmul(self._stack, self._cur[1], out=self._prods_f)
+        return self._prods
+
+    def contract(self, c, base, zs, cis: complex, dI, dt: float):
+        """The unnormalized step: the stack becomes K_b x[b], and returns
+        the record increments dY[b] = lam[b] dt + dI[b] and the squared
+        norms of the new rows, for ``rescale``.
+
+        ``base`` is the row of dt A0 on X_0 .. X_{n-2}.  With ``zs`` None
+        every truth takes it; else the truths' A0 differ only in the
+        displacement zs[b] of ``_slh_coefficients``, which enters the a'
+        and a entries (X_k' and X_k) as -i z and -i conj(z), and the row
+        loop writes them from zs[b], so each row equals
+        ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""
+        k, k_adj = self._k, self._k_adj
+        c, c_adj = c
+        prods = self.products()
+        dy, rows = [], []
+        for b, (m, di) in enumerate(zip(
+                np.vecdot(self._cur[2], self._prods_k).tolist(), dI)):
+            lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
+            dy.append(lam * dt + di)
+            move = ((0.5 * lam) * dt + di) * cis
+            row = len(rows)
+            rows += base
+            if zs is None:
+                rows[row + k] += move * c
+                if k_adj is not None:
+                    rows[row + k_adj] += move * c_adj
+            else:
+                z = zs[b]
+                rows[row + k] = dt * (-1j * z.conjugate()) + move * c
+                rows[row + k_adj] = dt * (-1j * z) + move * c_adj
+            rows.append(1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * di)
+        self._coef_flat[:] = rows
+        new = self._next
+        np.matmul(self._coef, prods, out=new[3])
+        self._cur, self._next = new, self._cur
+        return dy, np.vecdot(new[2], new[2]).tolist()
+
+    def rescale(self, scale) -> None:
+        """Multiply row b of the stack by the real scale[b]: on the float64
+        view, which gives the same bits for a scalar and for a column of
+        scalars."""
+        real = self._cur[4]
+        real *= scale[0] if len(scale) == 1 else np.array(scale)[:, None]
+
+    def step(self, c, base, zs, cis: complex, dI, dt: float) -> list:
+        """One normalized step (``contract``, the norm guard of
+        ``_unit_scale`` on every row, ``rescale``); returns the record
+        increments."""
+        dy, sqs = self.contract(c, base, zs, cis, dI, dt)
+        self.rescale([_unit_scale(sq, b) for b, sq in enumerate(sqs)])
+        return dy
 
 
-def _basis_products(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The (B, n, dim r) products X_j x[b] of a stack x of vectors
-    (B, dim) or factors (B, dim, r) with the n members of ``stack``
-    (n dim, dim), by one matmul, so their cost scales with n; a real stack
-    multiplies the float64 view of x, which is exact for a ladder basis
-    (``fock._ladder_basis``)."""
-    batch, dim = x.shape[:2]
-    cols = np.ascontiguousarray(x)
-    if stack.dtype == np.float64:
-        prods = np.matmul(stack, cols.view(np.float64).reshape(batch, dim, -1))
-        prods = prods.view(np.complex128)
-    else:
-        prods = np.matmul(stack, cols.reshape(batch, dim, -1))
-    return prods.reshape(batch, len(stack) // dim, -1)
+def _unit_scale(sq: complex, column: int) -> float:
+    """1 / ||K x|| from the squared norm ``sq`` of the unnormalized step
+    of batch column ``column``, whose norm passed the guard: one more than
+    ``NORM_GUARD`` from 1, or not finite, raises, naming the column."""
+    nrm = math.sqrt(sq.real)
+    if not abs(nrm - 1.0) <= NORM_GUARD:
+        raise _at_column(StepSizeError(
+            f"norm moved to {nrm:.6f} in one step; reduce dt"), column)
+    return 1.0 / nrm
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> list:
-    """<x[b], y[b]> of two stacks, as a list of complex: one ``np.vecdot``
-    over the flattened rows, which gives the bits of a row-wise
-    ``np.vdot``, or the ``np.vdot`` itself for a one-row stack, where it
-    costs less."""
-    if len(x) == 1:
-        return [complex(np.vdot(x, y))]
-    return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1)).tolist()
+def _stepper_for(slh: SLHCoefficients, x: np.ndarray) -> _KrausStepper:
+    """A stepper on the basis of ``slh`` for the stack x, whose states
+    must fit the SLH (``DimensionError``)."""
+    slh._check_dim(x.shape[1])
+    return _KrausStepper(slh._kraus[0], x)
 
 
 def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:
@@ -437,14 +470,16 @@ def _factor_density(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _linear_parts(slh: SLHCoefficients, chi: np.ndarray, cis: complex):
-    """(the ``_kraus`` form of ``slh``, the basis products of the vector
-    chi, lam = 2 Re e^{i theta} <chi, L chi> / <chi, chi>): what the Zakai
+def _linear_parts(slh: SLHCoefficients, stepper: _KrausStepper,
+                  cis: complex):
+    """(the ``_kraus`` form of ``slh``, the basis products of the one
+    vector chi that ``stepper`` holds on the SLH's basis,
+    lam = 2 Re e^{i theta} <chi, L chi> / <chi, chi>): what the Zakai
     step and the record increment read."""
-    slh._check_dim(chi.shape[0])
     form = slh._kraus
-    (stack, k, _), (c, c_adj), _ = form
-    prods = _basis_products(chi[None], stack)[0]
+    (_, k, _), (c, c_adj), _ = form
+    prods = stepper.products()[0]
+    chi = stepper.x[0]
     m = complex(np.vdot(chi, prods[k]))
     lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
     return form, prods, lam / np.vdot(chi, chi).real
@@ -474,24 +509,22 @@ def _zakai_update(prods: np.ndarray, form, cis: complex, dY: float,
     return chi_new
 
 
-def _step(mode: str, slh: SLHCoefficients, cis: complex, x: np.ndarray,
-          dw: float, dt: float):
-    """One step of a single vector or density factor x (mode "sse", "sme"
-    or "zakai") on the innovations increment dw at the measurement phase
-    e^{i theta} = cis, over the (L, A0) of ``slh``.  Returns (new x, dY).
-    Every mode reads the products of x with the SLH's basis: the SSE and
-    SME steps are ``_kraus_update``, and the Zakai step is one row on the
-    same products (``_zakai_update``), driven by the record
-    dY = lam dt + dw of the normalized state."""
+def _step(mode: str, slh: SLHCoefficients, cis: complex,
+          stepper: _KrausStepper, dw: float, dt: float) -> float:
+    """One step of the single vector or density factor that ``stepper``
+    holds on the basis of ``slh`` (mode "sse", "sme" or "zakai"), on the
+    innovations increment dw at the measurement phase e^{i theta} = cis,
+    over the (L, A0) of ``slh``; the stepper holds the new state.  Returns
+    dY.  The SSE and SME steps are the stepper's Kraus step, and the Zakai
+    step is one row on the stepper's products (``_zakai_update``), driven
+    by the record dY = lam dt + dw of the normalized state."""
     if mode == "zakai":
-        form, prods, lam = _linear_parts(slh, x, cis)
+        form, prods, lam = _linear_parts(slh, stepper, cis)
         dy = lam * dt + dw
-        return _zakai_update(prods, form, cis, dy, dt), dy
-    slh._check_dim(x.shape[0])
-    basis, c, a0_row = slh._kraus
-    x_new, dy = _kraus_update(x[None], basis, c, ([dt * a for a in a0_row],),
-                              cis, (dw,), dt)
-    return x_new[0], dy[0]
+        stepper.x[0] = _zakai_update(prods, form, cis, dy, dt)
+        return dy
+    _, c, a0_row = slh._kraus
+    return stepper.step(c, [dt * a for a in a0_row], None, cis, (dw,), dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +561,8 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
     cis = complex(np.exp(1j * float(theta_t)))
     vec = state.psi if state.psi is not None else state.chi
     if vec is not None:
-        lam = _linear_parts(slh, vec.amplitudes, cis)[2]
+        lam = _linear_parts(slh, _stepper_for(slh, vec.amplitudes[None]),
+                            cis)[2]
     else:
         slh._check_dim(state.rho.dim)
         lam = 2.0 * (cis * np.sum(state.rho.entries.T * slh.l.entries)).real
@@ -547,13 +581,14 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
         raise DomainError("sse_step needs a state vector (psi)")
     psi = state.psi.amplitudes
     _check_normalized(psi, "sse_step")
-    psi_new, dy = _step("sse", slh, complex(np.exp(1j * float(theta_t))), psi,
-                        dI, dt)
+    stepper = _stepper_for(slh, psi[None])
+    dy = _step("sse", slh, complex(np.exp(1j * float(theta_t))), stepper, dI,
+               dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dy,
         I=state.I + dI,
-        psi=StateVector(state.psi.dim, psi_new),
+        psi=StateVector(state.psi.dim, stepper.x[0]),
     )
 
 
@@ -569,13 +604,14 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     _check_dt(dt)
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
-    x, dy = _step("sme", slh, complex(np.exp(1j * float(theta_t))),
-                  _density_factor(state.rho.entries), dI, dt)
+    stepper = _stepper_for(slh, _density_factor(state.rho.entries)[None])
+    dy = _step("sme", slh, complex(np.exp(1j * float(theta_t))), stepper, dI,
+               dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dy,
         I=state.I + dI,
-        rho=DensityOperator(state.rho.dim, _factor_density(x)),
+        rho=DensityOperator(state.rho.dim, _factor_density(stepper.x[0])),
     )
 
 
@@ -590,7 +626,8 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
     _check_dt(dt)
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    form, prods, lam = _linear_parts(slh, state.chi.amplitudes, 1.0 + 0.0j)
+    form, prods, lam = _linear_parts(
+        slh, _stepper_for(slh, state.chi.amplitudes[None]), 1.0 + 0.0j)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dY,
@@ -791,9 +828,16 @@ def run_trajectory(
         const_cis = complex(np.exp(1j * const_theta))
         cis_at = lambda _t: const_cis
 
+    # one stepper per run, built again only when a source's basis changes
+    stepper = None
+
     def step(t, arr, dw):
-        x, dy = _step(mode, provider(t, arr[0]), cis_at(t), arr[0], dw[0], dt)
-        return x[None], [dy]
+        nonlocal stepper
+        slh = provider(t, arr[0])
+        if stepper is None or slh._kraus[0] is not stepper.basis:
+            stepper = _stepper_for(slh, arr)
+        dy = _step(mode, slh, cis_at(t), stepper, dw[0], dt)
+        return stepper.x, [dy]
 
     kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]
     n = _step_total([noise], T, dt, record_stride)

@@ -459,12 +459,12 @@ def test_sse_norm_guard_fires():
 
 @pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
 def test_kraus_update_rows_have_lone_row_bits(rank):
-    # m = <x, a x> and the norms of a stack come from one np.vecdot over
-    # the flattened rows: each equals np.vdot on its row alone, bit for
-    # bit, and every row of the update, and its record increment
-    # dY = lambda dt + dI, is that of the row stepped alone, with shared
-    # or per-row A0 rows, on the ladder basis (all seven members or those
-    # a row uses) and on a dense one
+    # m = <x, a x> and the squared norms of a stack come from one np.vecdot
+    # over the flattened rows of the stepper's buffers: each equals np.vdot
+    # on its row alone, bit for bit, and every row of the step, and its
+    # record increment dY = lambda dt + dI, is that of the row stepped
+    # alone, with shared or per-row (displaced) A0 rows, on the ladder
+    # basis (all seven members or those a row uses) and on a dense one
     rng = np.random.default_rng(7)
     for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
         shape = (batch, dim) if rank is None else (batch, dim, rank)
@@ -475,34 +475,46 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
         dI = tuple(rng.normal(0.0, 1e-3, batch).tolist())
         a_psi = np.stack([annihilation_op(dim).entries @ p for p in psi])
         lone = [complex(np.vdot(psi[b], a_psi[b])) for b in range(batch)]
-        assert (np.array(trajectory._row_dots(psi, a_psi)).tobytes()
+        stepper = trajectory._KrausStepper(
+            trajectory._ladder_basis(dim, (2, 3)), psi)
+        prods = stepper.products()
+        assert np.array_equal(prods[:, 1], a_psi.reshape(batch, -1))
+        assert (np.array(np.vecdot(stepper.x.reshape(batch, -1),
+                                   prods[:, 1]).tolist()).tobytes()
                 == np.array(lone).tobytes())
         c1, c2 = complex(*rng.normal(0.0, 0.3, 2)), 0.0j
-        rows = (1e-4 * (rng.normal(0.0, 0.1, (batch, 6))
-                        + 1j * rng.normal(0.0, 0.1, (batch, 6)))).tolist()
+        base = (1e-4 * (rng.normal(0.0, 0.1, 6)
+                        + 1j * rng.normal(0.0, 0.1, 6))).tolist()
+        zs = (rng.normal(0.0, 0.1, batch)
+              + 1j * rng.normal(0.0, 0.1, batch)).tolist()
         # the same L and H as dense operators, so on the dense basis
         ladder = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
         full = trajectory._ladder_basis(dim, tuple(range(6)))
-        cases = [(full, (c1, c2), rows),
-                 (full, (c1, c2), rows[:1] * batch),
+        cases = [(full, (c1, c2), base, zs),
+                 (full, (c1, c2), base, None),
                  (SLHCoefficients(1.0, ladder.l, ladder.h)._kraus[0],
-                  (1.0, 0.0), [[0.0, 1e-4]] * batch),
+                  (1.0, 0.0), [0.0, 1e-4], None),
                  # trimmed bases: the members of a zero-gain and a P/I row
-                 (trajectory._ladder_basis(dim, (2, 3)), (c1, c2),
-                  [r[2:4] for r in rows]),
+                 (trajectory._ladder_basis(dim, (2, 3)), (c1, c2), base[2:4],
+                  None),
                  (trajectory._ladder_basis(dim, (1, 2, 3)), (c1, c2),
-                  [r[1:4] for r in rows])]
-        for basis, c, da in cases:
-            new, dy = trajectory._kraus_update(psi, basis, c, da, 1.0 + 0.0j,
-                                               dI, 1e-4)
-            norms = trajectory._row_dots(new, new)
+                  base[1:4], zs)]
+        for basis, c, row, z_rows in cases:
+            stepper = trajectory._KrausStepper(basis, psi)
+            dy, norms = stepper.contract(c, row, z_rows, 1.0 + 0.0j, dI,
+                                         1e-4)
             for b in range(batch):
-                alone, dy_alone = trajectory._kraus_update(
-                    psi[b:b + 1], basis, c, da[b:b + 1], 1.0 + 0.0j,
-                    dI[b:b + 1], 1e-4)
-                assert new[b].tobytes() == alone[0].tobytes()
+                assert norms[b] == complex(np.vdot(stepper.x[b],
+                                                   stepper.x[b]))
+            stepper.rescale([trajectory._unit_scale(sq, b)
+                             for b, sq in enumerate(norms)])
+            for b in range(batch):
+                alone = trajectory._KrausStepper(basis, psi[b:b + 1])
+                dy_alone = alone.step(
+                    c, row, None if z_rows is None else z_rows[b:b + 1],
+                    1.0 + 0.0j, dI[b:b + 1], 1e-4)
+                assert stepper.x[b].tobytes() == alone.x[0].tobytes()
                 assert dy[b] == dy_alone[0]
-                assert norms[b] == complex(np.vdot(new[b], new[b]))
             if basis[0].dtype == np.float64:
                 assert dy == [2.0 * (c1 * m).real * 1e-4 + di
                               for m, di in zip(lone, dI)]
