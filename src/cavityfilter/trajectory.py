@@ -330,16 +330,16 @@ class _KrausStepper:
     + c' X_k' with (c, c') = ``c``, where X_k' is the adjoint of X_k (and
     no term if k' is None), so <L> = c m + c' conj(m) with m = <x, X_k x>.
 
-    The stepper copies ``x0`` once into its own C-ordered buffer and
-    keeps two state buffers that swap each step, the products buffer, the
-    coefficient rows and fixed float64 and complex views of all of them,
-    so a step allocates none of them: the n basis products of the whole
-    stack are one matmul (on the float64 view of the states for a real
-    stack, which is exact for a ladder basis), m and the squared norms are
-    one ``np.vecdot`` each over the flattened rows (the bits of a row-wise
-    ``np.vdot``), each K_b is one row of n Python scalars and one stacked
-    matmul applies the rows.  So every row of a stack gets the bits of a
-    lone state.  ``x`` is the current stack."""
+    It copies ``x0`` once into its own C-ordered buffer and keeps two
+    state buffers that swap each step, the products buffer, the
+    coefficient rows and fixed views of them all, so a step allocates
+    none of them.  The n basis products of the stack are one matmul (on
+    the float64 view of the states for a real stack, exact for a ladder
+    basis), m and the squared norms one ``np.vecdot`` each over the
+    flattened rows (the bits of a row-wise ``np.vdot``), each K_b one row
+    of n Python scalars, and one stacked matmul applies the rows, so
+    every row of a stack gets the bits of a lone state.  ``x`` is the
+    current stack."""
 
     def __init__(self, basis, x0: np.ndarray):
         self.basis = basis
@@ -374,9 +374,9 @@ class _KrausStepper:
         return self._prods
 
     def contract(self, c, base, zs, cis: complex, dI, dt: float):
-        """The unnormalized step: the stack becomes K_b x[b], and returns
-        the record increments dY[b] = lam[b] dt + dI[b] and the squared
-        norms of the new rows, for ``rescale``.
+        """The unnormalized step: the stack becomes K_b x[b].  Returns the
+        record increments dY[b] = lam[b] dt + dI[b] and the squared norms
+        of the new rows, for the norm guard and ``rescale``.
 
         ``base`` is the row of dt A0 on X_0 .. X_{n-2}.  With ``zs`` None
         every truth takes it; else the truths' A0 differ only in the
@@ -428,8 +428,9 @@ class _KrausStepper:
 
 def _unit_scale(sq: complex, column: int) -> float:
     """1 / ||K x|| from the squared norm ``sq`` of the unnormalized step
-    of batch column ``column``, whose norm passed the guard: one more than
-    ``NORM_GUARD`` from 1, or not finite, raises, naming the column."""
+    of batch column ``column``, after the norm guard: a norm more than
+    ``NORM_GUARD`` from 1, or not finite, raises ``StepSizeError`` naming
+    the column."""
     nrm = math.sqrt(sq.real)
     if not abs(nrm - 1.0) <= NORM_GUARD:
         raise _at_column(StepSizeError(
