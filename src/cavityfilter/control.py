@@ -21,8 +21,8 @@ with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
 materializes them as SLH coefficients on the ladder basis, whose
 steppers read L and A0 = -iH - L'L/2 from the same ladder rows;
 ``closed_loop_cosim`` never does, and steps the truth from those rows
-alone, a state vector and the factor X of a density matrix rho = XX'
-alike.
+alone, a state vector and the factor X of a density matrix
+rho = XX' / tr(XX') alike.
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
@@ -41,22 +41,9 @@ the batch reads them from one per-run schedule (``_schedule``): the exact
 pair of ``qkf._covariance_path`` and the reference of ``_reference_at``,
 evaluated as arrays one block of steps at a time.  c1, c2 and w depend on
 Xi alone, so each step forms them once for the shard, and the truths'
-coefficients differ only in z.  The truths are stepped as one (B, dim)
-stack of vectors, or one (B, dim, r) stack of factors, by the run's one
-``trajectory._KrausStepper`` on the ladder members the gains can make
-nonzero, and I, which ``trajectory._ladder_form`` reads off one probe
-row at Xi = 1: a'a and a at zero gain, a' too under P or I (z), all six
-under D (c2 and w).  Under gains each step forms one base row of dt A0
-on those members, by one ``trajectory._slh_coefficients`` call at
-z = 0, and the stepper writes each truth's a' and a entries from its z
-as it fills the rows; at zero gain every step takes the probe's row.
-The run builds the stepper and the factors the feedback reads
-(``_feedback_scalars``) once.  What is left per truth runs in three
-loops over Python lists: the drifts and displacements; the row fill
-inside the stepper; and, after the contraction, the norm guard
-(``trajectory._unit_scale``), the innovation with its sums, the filter
-mean and integral error (``_filter_update``) and the finiteness check.
-Every truth gets the bits of its own run.
+coefficients differ only in z.  The truths are stepped as one stack by
+the run's one ``trajectory._KrausStepper`` (see ``_cosim``), and every
+truth gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -98,7 +85,6 @@ from .trajectory import (
     _ladder_slh,
     _slh_coefficients,
     _step_total,
-    _unit_scale,
 )
 
 __all__ = [
@@ -544,8 +530,8 @@ def closed_loop_cosim(
     The truth never sees dense SLH coefficients.  It is stepped from the
     ladder rows of L and A0 = -iH - L'L/2 by the Kraus update of
     ``trajectory``: a state vector, or a density matrix as its factor X
-    (rho = XX'), by its exact ladder-basis products and one row of
-    coefficients.
+    (rho = XX' / tr(XX')), by its exact ladder-basis products and one row
+    of coefficients.
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -580,11 +566,11 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``_KrausStepper`` built for the run on the ladder members the gains
     can make nonzero (``_ladder_form`` of a probe row: a'a and a at zero
     gain, a' too under P or I, all six under D) and I.  Each step walks
-    the truths three times: the feedback, the stepper's row fill, and
-    the norm guard and scale with the filter's innovation, sums, update
-    and finiteness check.  An error of truth b names it as the error's
-    ``column``; when two truths fail in one step, the lower one is
-    named."""
+    the truths three times: the feedback, the stepper's ``step`` (row
+    fill, then norm guard), and the filter's innovation, sums, update and
+    finiteness check.  An error of truth b names it as the error's
+    ``column``; when two truths fail one check in one step, the lower
+    one is named, and a norm guard failure comes before a filter one."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -634,16 +620,13 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         # the truths' rows differ only in z, which the stepper fills into
         # one base row per step
         if zero_gain:
-            dy, sqs = stepper.contract((c1, c2), fixed, None, 1.0 + 0.0j,
-                                       dw, dt)
+            dy = stepper.step((c1, c2), fixed, None, 1.0 + 0.0j, dw, dt)
         else:
             a0 = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
-            dy, sqs = stepper.contract((c1, c2), [dt * a0[j] for j in cols],
-                                       zs, 1.0 + 0.0j, dw, dt)
-        scale = []
-        for b, (sq, dy_b, a_b, ie_b, drift) in enumerate(
-                zip(sqs, dy, a_hat, ie, drifts)):
-            scale.append(_unit_scale(sq, b))
+            dy = stepper.step((c1, c2), [dt * a0[j] for j in cols], zs,
+                              1.0 + 0.0j, dw, dt)
+        for b, (dy_b, a_b, ie_b, drift) in enumerate(
+                zip(dy, a_hat, ie, drifts)):
             d = dy_b - (sg2 * a_b.real) * dt
             i_filter[b] += d
             qv[b] += d * d
@@ -652,7 +635,6 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
                 raise _at_column(DomainError(
                     f"filter left its domain (integral_error={ie_b})"), b)
             ie[b] = ie_b
-        stepper.rescale(scale)
         row = next(rows)
         return stepper.x, dy
 

@@ -20,17 +20,14 @@ The steppers are fixed-step Euler-Maruyama (weak order 1).  Each
 (``_kraus``): a basis, the coefficients of L on it and the row of
 A0 = -iH - L'L/2.  For an SLH built on the ladder basis a'^2, a', a'a,
 a, a^2, a a' the basis holds the members its coefficients use, and I
-(their products are exact), else it is the dense basis (L, A0, I), and
-every step reads the products of the state with it.  The state-vector
-step renormalizes; the Zakai step applies the row I + dt A0
-+ dY e^{i theta} L and keeps the unnormalized state, rescaled only by
-powers of two.  ``lindblad_apply`` and the record increment of
-a density matrix read the public L and H.
+(their products are exact), else it is the dense basis (L, A0, I).
+``lindblad_apply`` and the record increment of a density matrix read
+the public L and H.
 
 A density matrix is carried as a factor X (dim x r) with
 rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
 initial rho, and X is stepped by the state-vector update itself,
-X -> KX / ||KX||_F with
+X -> KX with
 
     K = (1 - lam^2 dt/8 - lam dI/2) I + A0 dt + (lam dt/2 + dI) L_th,
 
@@ -39,8 +36,11 @@ a Kraus map (Rouchon & Ralph, PRA 91, 012118, 2015): positive and of
 unit trace by construction, whatever factor is chosen, and on a pure
 state it is the state-vector step.  At dI^2 = dt it differs from the
 Euler SME step by O(dt^{3/2}), and by O(dt^2) averaged over the sign of
-dI.  No per-step eigenvalue guard is needed; the norm guard of the
-update still rejects a non-finite or too coarse step.
+dI.  The map does not see the scale of its input, so states and factors
+are carried unnormalized and divided by their norm only where read (the
+record, a state-dependent source, the final state); no per-step
+eigenvalue guard is needed, and the norm guard still rejects a
+non-finite or too coarse step.
 
 There is one trajectory loop, ``_integrate``: it steps a batch of B
 truths in lockstep (a (B, dim) stack of vectors or a (B, dim, r) stack
@@ -51,14 +51,9 @@ errors with their step and builds the final ``TrajectoryState``s; a
 batch of one over ``_step``, the one SSE, SME or Zakai step,
 which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
 ``control`` passes the feedback scalars, the truth step and the filter
-updates of an ensemble shard.  Every state-vector and density-factor
-step is the Kraus step of one ``_KrausStepper``, built once per run on
-the run's basis and initial stack: the basis products of the whole
-stack by one product into a buffer it keeps, each truth's K as one row
-of coefficients on that basis, one stacked matmul into its other state
-buffer and the norm guard; the co-simulation uses the ladder members
-its gains can make nonzero.  Every row of a stack gets the bits of a
-lone state.
+updates of an ensemble shard.  Every step is one row per truth of the
+run's one ``_KrausStepper``, whose docstring holds the step mechanics;
+the co-simulation uses the ladder members its gains can make nonzero.
 """
 
 from __future__ import annotations
@@ -108,16 +103,19 @@ __all__ = [
     "run_trajectory",
 ]
 
-#: ``_unit_scale`` rejects a step (``StepSizeError``) whose unnormalized
-#: norm is more than this far from 1, or not finite.  It is not a bound on
-#: healthy steps: on a coherent state one Euler step moves the squared
-#: norm by about Im(alpha)^2 (dI^2 - dt), and so the norm by half that.
-#: At |Im alpha| = 1.8 and dt = 5e-4 the norm moves 5.5e-3 on a
-#: 2.8-sigma increment and passes 1e-2 at about 3.7 sigma
+#: A Kraus step is rejected (``StepSizeError``) when the ratio
+#: sqrt(s'/s) of a row's norms after and before it is more than this far
+#: from 1, or not finite.  It is not a bound on healthy steps: on a
+#: coherent state one Euler step moves the squared norm by about
+#: Im(alpha)^2 (dI^2 - dt), and so the norm by half that.  At
+#: |Im alpha| = 1.8 and dt = 5e-4 the norm moves 5.5e-3 on a 2.8-sigma
+#: increment and passes 1e-2 at about 3.7 sigma
 NORM_GUARD = 1e-2
 
-_RESCALE_LO, _RESCALE_HI = 1e-50, 1e50
-_HARD_LO, _HARD_HI = 1e-100, 1e100
+#: the band of squared norms an unnormalized row keeps (rescaled by a
+#: power of two when it leaves), and the one beyond which it is lost
+_BAND_LO, _BAND_HI = 1e-100, 1e100
+_HARD_LO, _HARD_HI = 1e-200, 1e200
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +203,8 @@ class TrajectoryState:
     chi: Union[StateVector, None] = None
 
     def __post_init__(self) -> None:
-        present = sum(x is not None for x in (self.psi, self.rho, self.chi))
+        present = ((self.psi is not None) + (self.rho is not None)
+                   + (self.chi is not None))
         if present != 1:
             raise DomainError(
                 f"exactly one of psi/rho/chi must be set, got {present}"
@@ -315,31 +314,33 @@ def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
 
 
 class _KrausStepper:
-    """The normalized step x[b] -> K_b x[b] / ||K_b x[b]|| of one run's
-    stack of states (B, dim) or density factors (B, dim, r), with the
-    Kraus operator of the module docstring
+    """The Kraus step x[b] -> K_b x[b] of one run's stack of states
+    (B, dim) or density factors (B, dim, r), with the Kraus operator of the
+    module docstring
 
         K_b = keep_b I + dt A0_b + move_b e^{i theta} L,
         keep = 1 - lam^2 dt/8 - lam dI/2,   move = lam dt/2 + dI,
 
-    lam = 2 Re e^{i theta} <L>, e^{i theta} = cis, on the increments dI[b].
-    ``basis`` is (stack, k, k'): the (n dim, dim) stack of the basis
-    members X_0 .. X_{n-1}, the last of them I; a ladder basis holds only
-    the members the rows can make nonzero (``fock._ladder_basis``), so a
-    step forms no product whose coefficient is always zero.  L = c X_k
-    + c' X_k' with (c, c') = ``c``, where X_k' is the adjoint of X_k (and
-    no term if k' is None), so <L> = c m + c' conj(m) with m = <x, X_k x>.
+    e^{i theta} = cis, on the increments dI[b]; ``zakai`` takes the
+    linear row I + dt A0 + dY e^{i theta} L instead.  ``basis`` is (stack,
+    k, k'): the (n dim, dim) stack of the basis members X_0 .. X_{n-1},
+    the last of them I; a ladder basis holds only the members the rows
+    can make nonzero (``fock._ladder_basis``), so a step forms no product
+    whose coefficient is always zero.  L = c X_k + c' X_k' with (c, c') =
+    ``c``, where X_k' is the adjoint of X_k (and no term if k' is None).
 
-    It copies ``x0`` once into its own C-ordered buffer and keeps two
-    state buffers that swap each step, the products buffer, the
-    coefficient rows and fixed views of them all, so a step allocates
-    none of them.  The n basis products of the stack are one matmul (on
-    the float64 view of the states for a real stack, exact for a ladder
-    basis), m and the squared norms one ``np.vecdot`` each over the
-    flattened rows (the bits of a row-wise ``np.vdot``), each K_b one row
-    of n Python scalars, and one stacked matmul applies the rows, so
-    every row of a stack gets the bits of a lone state.  ``x`` is the
-    current stack."""
+    The rows x[b] are carried unnormalized.  The stepper holds ``prods``,
+    the basis products of the current stack (one matmul, on the float64
+    view of the states for a real stack, exact for a ladder basis), and
+    ``ms``, each row's (m, s) = (<x, X_k x>, <x, x>) from one
+    ``np.vecdot`` of the rows against X_k x and I x, so
+    lam = 2 Re cis (c m + c' conj(m)) / s.  A step fills each row's K as
+    n Python scalars, applies them by one stacked matmul into the state
+    buffer and forms the products and (m, s) of the new stack;
+    ``_settle`` then applies the norm guard to sqrt(s'/s) and keeps s in
+    its band by powers of two.  The buffers and their views are made
+    once, so a step allocates none of them, and every row of a stack gets
+    the bits of a lone state.  ``x`` is the current stack."""
 
     def __init__(self, basis, x0: np.ndarray):
         self.basis = basis
@@ -348,35 +349,42 @@ class _KrausStepper:
         n = len(stack) // dim
         real = stack.dtype == np.float64
         self._stack = stack
-        self._prods = np.empty((batch, n, x0[0].size), dtype=np.complex128)
-        self._prods_f = (self._prods.view(np.float64) if real
-                         else self._prods).reshape(batch, n * dim, -1)
-        self._prods_k = self._prods[:, self._k]
+        self.prods = np.empty((batch, n, x0[0].size), dtype=np.complex128)
+        self._prods_f = (self.prods.view(np.float64) if real
+                         else self.prods).reshape(batch, n * dim, -1)
+        # X_k x and I x, the products that (m, s) read
+        self._prods_ms = self.prods[:, self._k::n - 1 - self._k]
         self._coef = np.empty((batch, 1, n), dtype=np.complex128)
         self._coef_flat = self._coef.reshape(-1)
-        sides = []
-        for x in (np.array(x0, dtype=np.complex128, order="C"),
-                  np.empty(x0.shape, dtype=np.complex128)):
-            # (state, matmul operand, flat rows, contraction out, real view)
-            sides.append((x, (x.view(np.float64) if real else x).reshape(
-                batch, dim, -1), x.reshape(batch, -1),
-                x.reshape(batch, 1, -1), x.view(np.float64).reshape(batch, -1)))
-        self._cur, self._next = sides
+        self.x = x = np.array(x0, dtype=np.complex128, order="C")
+        # the products operand, and the rows as contraction out and
+        # (m, s) operand
+        self._x_op = (x.view(np.float64) if real else x).reshape(
+            batch, dim, -1)
+        self._rows = x.reshape(batch, 1, -1)
+        self.ms = self._products()
 
-    @property
-    def x(self) -> np.ndarray:
-        return self._cur[0]
+    def _products(self) -> list:
+        """Form the products of the current stack; return its (m, s)."""
+        np.matmul(self._stack, self._x_op, out=self._prods_f)
+        return np.vecdot(self._rows, self._prods_ms).tolist()
 
-    def products(self) -> np.ndarray:
-        """The (B, n, dim r) products X_j x[b] of the current stack, in the
-        stepper's products buffer."""
-        np.matmul(self._stack, self._cur[1], out=self._prods_f)
-        return self._prods
+    def _apply(self) -> list:
+        """Apply the coefficient rows: the stack becomes their
+        contraction with its products, in place; return the new (m, s)."""
+        np.matmul(self._coef, self.prods, out=self._rows)
+        return self._products()
 
-    def contract(self, c, base, zs, cis: complex, dI, dt: float):
-        """The unnormalized step: the stack becomes K_b x[b].  Returns the
-        record increments dY[b] = lam[b] dt + dI[b] and the squared norms
-        of the new rows, for the norm guard and ``rescale``.
+    def lams(self, c, cis: complex) -> list:
+        """lam[b] = 2 Re e^{i theta} <L> of each row (NaN for a zero row,
+        which the Zakai step's band then rejects)."""
+        c, c_adj = c
+        return [2.0 * (cis * (c * m + c_adj * m.conjugate())).real / s.real
+                if s else math.nan for m, s in self.ms]
+
+    def step(self, c, base, zs, cis: complex, dI, dt: float) -> list:
+        """One Kraus step of every row; returns the record increments
+        dY[b] = lam[b] dt + dI[b].
 
         ``base`` is the row of dt A0 on X_0 .. X_{n-2}.  With ``zs`` None
         every truth takes it; else the truths' A0 differ only in the
@@ -386,11 +394,9 @@ class _KrausStepper:
         ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""
         k, k_adj = self._k, self._k_adj
         c, c_adj = c
-        prods = self.products()
         dy, rows = [], []
-        for b, (m, di) in enumerate(zip(
-                np.vecdot(self._cur[2], self._prods_k).tolist(), dI)):
-            lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
+        for b, ((m, s), di) in enumerate(zip(self.ms, dI)):
+            lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real / s.real
             dy.append(lam * dt + di)
             move = ((0.5 * lam) * dt + di) * cis
             row = len(rows)
@@ -405,37 +411,49 @@ class _KrausStepper:
                 rows[row + k_adj] = dt * (-1j * z) + move * c_adj
             rows.append(1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * di)
         self._coef_flat[:] = rows
-        new = self._next
-        np.matmul(self._coef, prods, out=new[3])
-        self._cur, self._next = new, self._cur
-        return dy, np.vecdot(new[2], new[2]).tolist()
-
-    def rescale(self, scale) -> None:
-        """Multiply row b of the stack by the real scale[b]: on the float64
-        view, which gives the same bits for a scalar and for a column of
-        scalars."""
-        real = self._cur[4]
-        real *= scale[0] if len(scale) == 1 else np.array(scale)[:, None]
-
-    def step(self, c, base, zs, cis: complex, dI, dt: float) -> list:
-        """One normalized step (``contract``, the norm guard of
-        ``_unit_scale`` on every row, ``rescale``); returns the record
-        increments."""
-        dy, sqs = self.contract(c, base, zs, cis, dI, dt)
-        self.rescale([_unit_scale(sq, b) for b, sq in enumerate(sqs)])
+        self._settle(self._apply(), True)
         return dy
 
+    def zakai(self, form, cis: complex, dY: float, dt: float) -> None:
+        """One linear step of the single vector chi held, driven by the raw
+        record: d chi = e^{i theta} L chi dY + A0 chi dt, as the row
+        I + dt A0 + dY e^{i theta} L of the ``_kraus`` form ``form``."""
+        (_, k, k_adj), (c, c_adj), a0_row = form
+        row = [dt * a for a in a0_row] + [1.0]
+        row[k] += dY * cis * c
+        if k_adj is not None:
+            row[k_adj] += dY * cis * c_adj
+        self._coef_flat[:] = row
+        self._settle(self._apply(), False)
 
-def _unit_scale(sq: complex, column: int) -> float:
-    """1 / ||K x|| from the squared norm ``sq`` of the unnormalized step
-    of batch column ``column``, after the norm guard: a norm more than
-    ``NORM_GUARD`` from 1, or not finite, raises ``StepSizeError`` naming
-    the column."""
-    nrm = math.sqrt(sq.real)
-    if not abs(nrm - 1.0) <= NORM_GUARD:
-        raise _at_column(StepSizeError(
-            f"norm moved to {nrm:.6f} in one step; reduce dt"), column)
-    return 1.0 / nrm
+    def _settle(self, ms: list, guard: bool) -> None:
+        """Take ``ms`` as the new (m, s), after the norm guard (when
+        ``guard``) and the band: a row whose s left [1e-100, 1e100] is
+        rescaled by a power of two, which no normalized quantity sees, and
+        one beyond 1e+-200 raises ``NormBoundsError``."""
+        rescaled = False
+        for b, ((_, s), (_, s0)) in enumerate(zip(ms, self.ms)):
+            s = s.real
+            if guard:
+                nrm = math.sqrt(s / s0.real)
+                if not abs(nrm - 1.0) <= NORM_GUARD:
+                    raise _at_column(StepSizeError(
+                        f"norm moved to {nrm:.6f} in one step; reduce dt"), b)
+            if not _BAND_LO < s < _BAND_HI:
+                nrm = math.sqrt(s)
+                if not _HARD_LO < s < _HARD_HI:
+                    raise _at_column(NormBoundsError(
+                        f"unnormalized state norm {nrm:.3e} left the "
+                        f"representable band"), b)
+                self.x[b].view(np.float64)[...] *= 2.0 ** -math.frexp(nrm)[1]
+                rescaled = True
+        self.ms = self._products() if rescaled else ms
+
+
+def _unit(x: np.ndarray, sq=None) -> np.ndarray:
+    """The row x divided by its norm, from its squared norm ``sq`` if
+    given (a stepper's s)."""
+    return x / math.sqrt(np.vdot(x, x).real if sq is None else sq)
 
 
 def _stepper_for(slh: SLHCoefficients, x: np.ndarray) -> _KrausStepper:
@@ -452,7 +470,7 @@ def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:
 
 
 def _density_factor(rho: np.ndarray) -> np.ndarray:
-    """A factor X of unit Frobenius norm with rho = XX' / ||X||_F^2.
+    """A factor X with rho = XX' / ||X||_F^2 and ||X||_F^2 = tr rho.
 
     The columns are the eigenvectors of rho scaled by the square roots of
     their weights; weights within roundoff of zero (relative to the
@@ -460,8 +478,7 @@ def _density_factor(rho: np.ndarray) -> np.ndarray:
     gives one column."""
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > vals[-1] * rho.shape[0] * np.finfo(float).eps
-    x = vecs[:, keep] * np.sqrt(vals[keep])
-    return x / np.linalg.norm(x)
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _factor_density(x: np.ndarray) -> np.ndarray:
@@ -471,45 +488,6 @@ def _factor_density(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _linear_parts(slh: SLHCoefficients, stepper: _KrausStepper,
-                  cis: complex):
-    """(the ``_kraus`` form of ``slh``, the basis products of the one
-    vector chi that ``stepper`` holds on the SLH's basis,
-    lam = 2 Re e^{i theta} <chi, L chi> / <chi, chi>): what the Zakai
-    step and the record increment read."""
-    form = slh._kraus
-    (_, k, _), (c, c_adj), _ = form
-    prods = stepper.products()[0]
-    chi = stepper.x[0]
-    m = complex(np.vdot(chi, prods[k]))
-    lam = 2.0 * (cis * (c * m + c_adj * m.conjugate())).real
-    return form, prods, lam / np.vdot(chi, chi).real
-
-
-def _zakai_update(prods: np.ndarray, form, cis: complex, dY: float,
-                  dt: float) -> np.ndarray:
-    """One linear (unnormalized) step driven by the raw record,
-    d chi = e^{i theta} L chi dY + A0 chi dt, as the row
-    I + dt A0 + dY e^{i theta} L on the basis products ``prods`` of chi
-    (``_linear_parts``).  A norm outside [1e-50, 1e50] is rescaled by a
-    power of two (normalized quantities keep their bits); beyond 1e+-100
-    the caller gets a NormBoundsError."""
-    (_, k, k_adj), (c, c_adj), a0_row = form
-    row = [dt * a for a in a0_row] + [1.0]
-    row[k] += dY * cis * c
-    if k_adj is not None:
-        row[k_adj] += dY * cis * c_adj
-    chi_new = np.array(row, dtype=np.complex128) @ prods
-    nrm = math.sqrt(np.vdot(chi_new, chi_new).real)
-    if not (_RESCALE_LO < nrm < _RESCALE_HI):
-        if not (_HARD_LO < nrm < _HARD_HI):
-            raise NormBoundsError(
-                f"unnormalized state norm {nrm:.3e} left the representable band"
-            )
-        chi_new *= 2.0 ** (-math.frexp(nrm)[1])
-    return chi_new
-
-
 def _step(mode: str, slh: SLHCoefficients, cis: complex,
           stepper: _KrausStepper, dw: float, dt: float) -> float:
     """One step of the single vector or density factor that ``stepper``
@@ -517,14 +495,13 @@ def _step(mode: str, slh: SLHCoefficients, cis: complex,
     innovations increment dw at the measurement phase e^{i theta} = cis,
     over the (L, A0) of ``slh``; the stepper holds the new state.  Returns
     dY.  The SSE and SME steps are the stepper's Kraus step, and the Zakai
-    step is one row on the stepper's products (``_zakai_update``), driven
-    by the record dY = lam dt + dw of the normalized state."""
+    step its linear one, driven by the record dY = lam dt + dw."""
+    form = slh._kraus
     if mode == "zakai":
-        form, prods, lam = _linear_parts(slh, stepper, cis)
-        dy = lam * dt + dw
-        stepper.x[0] = _zakai_update(prods, form, cis, dy, dt)
+        dy = stepper.lams(form[1], cis)[0] * dt + dw
+        stepper.zakai(form, cis, dy, dt)
         return dy
-    _, c, a0_row = slh._kraus
+    _, c, a0_row = form
     return stepper.step(c, [dt * a for a in a0_row], None, cis, (dw,), dt)[0]
 
 
@@ -532,8 +509,9 @@ def _step(mode: str, slh: SLHCoefficients, cis: complex,
 # public operations
 
 
-def _check_normalized(psi: np.ndarray, what: str) -> None:
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
+def _check_normalized(sq: float, what: str) -> None:
+    """DomainError unless the squared norm ``sq`` is 1 (within 1e-9)."""
+    if abs(sq - 1.0) > 1e-9:
         raise DomainError(f"{what} needs a normalized state vector")
 
 
@@ -562,8 +540,8 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
     cis = complex(np.exp(1j * float(theta_t)))
     vec = state.psi if state.psi is not None else state.chi
     if vec is not None:
-        lam = _linear_parts(slh, _stepper_for(slh, vec.amplitudes[None]),
-                            cis)[2]
+        lam = _stepper_for(slh, vec.amplitudes[None]).lams(slh._kraus[1],
+                                                           cis)[0]
     else:
         slh._check_dim(state.rho.dim)
         lam = 2.0 * (cis * np.sum(state.rho.entries.T * slh.l.entries)).real
@@ -580,16 +558,16 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     _check_dt(dt)
     if state.psi is None:
         raise DomainError("sse_step needs a state vector (psi)")
-    psi = state.psi.amplitudes
-    _check_normalized(psi, "sse_step")
-    stepper = _stepper_for(slh, psi[None])
+    stepper = _stepper_for(slh, state.psi.amplitudes[None])
+    _check_normalized(stepper.ms[0][1].real, "sse_step")
     dy = _step("sse", slh, complex(np.exp(1j * float(theta_t))), stepper, dI,
                dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dy,
         I=state.I + dI,
-        psi=StateVector(state.psi.dim, stepper.x[0]),
+        psi=StateVector(state.psi.dim,
+                        _unit(stepper.x[0], stepper.ms[0][1].real)),
     )
 
 
@@ -627,14 +605,14 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
     _check_dt(dt)
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    form, prods, lam = _linear_parts(
-        slh, _stepper_for(slh, state.chi.amplitudes[None]), 1.0 + 0.0j)
+    stepper = _stepper_for(slh, state.chi.amplitudes[None])
+    lam = stepper.lams(slh._kraus[1], 1.0 + 0.0j)[0]
+    stepper.zakai(slh._kraus, 1.0 + 0.0j, dY, dt)
     return TrajectoryState(
         t=state.t + dt,
         Y=state.Y + dY,
         I=state.I + dY - lam * dt,
-        chi=StateVector(state.chi.dim,
-                        _zakai_update(prods, form, 1.0 + 0.0j, dY, dt)),
+        chi=StateVector(state.chi.dim, stepper.x[0]),
     )
 
 
@@ -689,7 +667,8 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     ``arr`` stacks the truths' raw arrays along its first axis and
     ``kind`` is their ``TrajectoryState`` field: vectors (B, dim) for
     "psi" and "chi", density factors X (B, dim, r) for "rho"
-    (``_density_factor``), whose final states are XX'.  The increments are
+    (``_density_factor``); final states are XX' of unit trace and "psi"
+    vectors divided by their norm.  The increments are
     drawn in blocks of ``_NOISE_BLOCK`` steps, which continue each stream
     bit for bit.  ``step(t, arr, dw)`` gets the B increments of one step
     (a tuple of floats) and returns the next stack and the B record
@@ -762,7 +741,7 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     out = []
     for b, x in enumerate(arr):
         state = (DensityOperator(dim, _factor_density(x)) if kind == "rho"
-                 else StateVector(dim, x))
+                 else StateVector(dim, _unit(x) if kind == "psi" else x))
         final = TrajectoryState(n * dt, y_acc[b], i_acc[-1, b],
                                 **{kind: state})
         out.append(TrajectoryRecord(rec_t, rec_a[b], rec_n[b], rec_a2[b],
@@ -788,8 +767,8 @@ def run_trajectory(
         StateVector ("sse": normalized; "zakai"), DensityOperator ("sme").
     slh_source : SLHCoefficients or callable
         Constant coefficients, or ``f(t)`` / ``f(t, state_array)`` for
-        time- or state-dependent coefficients; in mode "sme" the state
-        array is the density matrix.
+        time- or state-dependent coefficients; the state array is the
+        unit vector in mode "sse" and the density matrix in mode "sme".
     theta : float, callable or QuadraturePhase
         Measurement phase.  Mode "zakai" requires a constant phase (it
         is absorbed into L).
@@ -809,8 +788,8 @@ def run_trajectory(
     if mode == "zakai" and const_theta is None:
         raise DomainError("zakai mode needs a constant measurement phase")
 
-    provider = _as_slh_provider(slh_source,
-                                _factor_density if mode == "sme" else None)
+    provider = _as_slh_provider(
+        slh_source, {"sse": _unit, "sme": _factor_density}.get(mode))
 
     if mode == "sme":
         if not isinstance(initial, DensityOperator):
@@ -821,7 +800,8 @@ def run_trajectory(
             raise DomainError(f"{mode} mode needs a StateVector initial state")
         state_arr = initial.amplitudes
         if mode == "sse":
-            _check_normalized(state_arr, "sse mode")
+            _check_normalized(np.vdot(state_arr, state_arr).real,
+                              "sse mode")
 
     if const_theta is None:
         cis_at = lambda t: complex(np.exp(1j * phase.at(t)))

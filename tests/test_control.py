@@ -58,25 +58,26 @@ ALL = tuple(range(len(_LADDER_KEYS)))
 
 
 def _kraus_step(x, basis, c, base, zs, cis, dI, dt):
-    """One step of a fresh ``_KrausStepper`` on the stack x: (new stack,
-    dY)."""
+    """One step of a fresh ``_KrausStepper`` on the stack x: (new,
+    unnormalized stack, dY)."""
     stepper = _KrausStepper(basis, x)
     dy = stepper.step(c, base, zs, cis, dI, dt)
     return stepper.x, dy
 
 
 def _kraus_row(a0_row, cols, basis, x, c, di, dt):
-    """The coefficient row one Kraus step of the state x takes at cis = 1:
-    dt A0 on ``cols`` from the truth's own A0 row ``a0_row``, with
-    move c and move c' added at a and a', and keep at I (the module
-    docstring of ``trajectory``); m from the exact products of x."""
+    """The coefficient row one Kraus step of the unnormalized state x takes
+    at cis = 1: dt A0 on ``cols`` from the truth's own A0 row ``a0_row``,
+    with move c and move c' added at a and a', and keep at I (the module
+    docstring of ``trajectory``); lam from (m, s) = (<x, a x>, <x, I x>)
+    on the exact products of x, as the stepper forms it."""
     stack, k, k_adj = basis
     dim = x.shape[0]
-    prods = np.matmul(stack, x.view(np.float64).reshape(dim, -1))
-    m = complex(np.vdot(x, prods.view(np.complex128).reshape(
-        len(stack) // dim, -1)[k]))
+    prods = np.matmul(stack, x.view(np.float64).reshape(dim, -1)).view(
+        np.complex128).reshape(len(stack) // dim, -1)
+    m, s = complex(np.vdot(x, prods[k])), complex(np.vdot(x, prods[-1]))
     cis = 1.0 + 0.0j
-    lam = 2.0 * (cis * (c[0] * m + c[1] * m.conjugate())).real
+    lam = 2.0 * (cis * (c[0] * m + c[1] * m.conjugate())).real / s.real
     move = ((0.5 * lam) * dt + di) * cis
     row = [dt * a0_row[j] for j in cols]
     row[k] += move * c[0]
@@ -502,8 +503,7 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         lam = 2.0 * np.vdot(psi, l_ref @ psi).real
         kraus = ((1.0 - lam * lam * dt / 8.0 - lam * di / 2.0) * np.eye(dim)
                  + dt * a0_ref + (lam * dt / 2.0 + di) * l_ref)
-        want = kraus @ psi
-        assert np.max(np.abs(new[0] - want / np.linalg.norm(want))) < 1e-12
+        assert np.max(np.abs(new[0] - kraus @ psi)) < 1e-12
         assert abs(dy[0] - (lam * dt + di)) < 1e-14
 
 
@@ -570,7 +570,6 @@ def test_kraus_update_is_batch_invariant(rank):
                 lam = 2.0 * np.vdot(x, l_mat @ x).real
                 want = ((1.0 - lam * lam * dt / 8.0 - lam * dI[b] / 2.0) * x
                         + dt * (a0 @ x) + (lam * dt / 2.0 + dI[b]) * (l_mat @ x))
-                want /= np.linalg.norm(want)
                 assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
 
 
@@ -580,14 +579,14 @@ def _words(values) -> bytes:
 
 
 def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
-    """Per ``_KrausStepper.contract`` call of a short co-simulation of
+    """Per ``_KrausStepper.step`` call of a short co-simulation of
     ``batch`` truths under ``gains`` (dt = 1e-3, 10 steps): the basis, L's
     coefficients and the coefficient rows it stepped, with the
     (c1, c2, zs, w) of the shard's feedback for that step, the stack
     before the step and its increments; and the number of
     ``_slh_coefficients`` calls of the run."""
     seen, formed, calls = [], [], []
-    feedback_of, contract = _feedback_scalars, _KrausStepper.contract
+    feedback_of, kraus_step = _feedback_scalars, _KrausStepper.step
 
     def scalars(*args):
         feedback = feedback_of(*args)
@@ -602,7 +601,7 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
 
     def stepped(self, c, base, zs, cis, dI, dt):
         x = self.x.copy()
-        out = contract(self, c, base, zs, cis, dI, dt)
+        out = kraus_step(self, c, base, zs, cis, dI, dt)
         seen.append((self.basis, c, self._coef.reshape(len(x), -1).copy(),
                      formed[-1], x, dI))
         return out
@@ -612,7 +611,7 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
         return _slh_coefficients(*args)
 
     monkeypatch.setattr(control, "_feedback_scalars", scalars)
-    monkeypatch.setattr(_KrausStepper, "contract", stepped)
+    monkeypatch.setattr(_KrausStepper, "step", stepped)
     monkeypatch.setattr(control, "_slh_coefficients", coefficients)
     control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
                    dim, [NoiseStream(4 + b, 1e-3) for b in range(batch)],
@@ -737,15 +736,17 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         if quiet:
             assert all(z == 0 for z in zs[5:])
         a_base = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
-        # states of their own stream, so the draws above stay as they were
+        # states of their own stream, so the draws above stay as they were,
+        # with Fock weights halving per level, so the step's norm guard
+        # passes at these increments
         x = np.random.default_rng(draw).normal(size=(len(zs), dim, 2)).view(
-            np.complex128)[..., 0]
+            np.complex128)[..., 0] * 0.5 ** np.arange(dim)
         x /= np.linalg.norm(x, axis=1)[:, None]
         for cols in ((1, 2, 3), ALL):
             basis = _ladder_basis(dim, cols)
             stepper = _KrausStepper(basis, x)
-            stepper.contract((c1, c2), [dt * a_base[j] for j in cols], zs,
-                             1.0 + 0.0j, dis, dt)
+            stepper.step((c1, c2), [dt * a_base[j] for j in cols], zs,
+                         1.0 + 0.0j, dis, dt)
             rows = stepper._coef.reshape(len(zs), -1)
             for z, row, x_b, di in zip(zs, rows, x, dis, strict=True):
                 own = _slh_coefficients(c1, c2, z, w, params.omega)[1]
@@ -825,13 +826,13 @@ def test_coherent_truths_stay_coherent(monkeypatch, alpha0, dt):
     # most 2.3e-8); both gates were fixed before the first run
     params, dim, T, batch = ModeParams(1.0, 0.5), 30, 0.5, 8
     seen = []
-    contract = _KrausStepper.contract
+    kraus_step = _KrausStepper.step
 
     def spy(self, *args):
         seen.append(self.basis[0].shape)
-        return contract(self, *args)
+        return kraus_step(self, *args)
 
-    monkeypatch.setattr(_KrausStepper, "contract", spy)
+    monkeypatch.setattr(_KrausStepper, "step", spy)
     noises = [NoiseStream((7 << 40) ^ i, dt) for i in range(batch)]
     recs = control._cosim(alpha0, CovariancePair(0.0, 0.0), PIDGains(0.0),
                           ReferenceSignal("constant", 0.0), params, dim,

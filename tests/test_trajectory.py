@@ -27,7 +27,7 @@ from cavityfilter.fock import (
     identity_op,
     number_op,
 )
-from cavityfilter import fock, trajectory
+from cavityfilter import control, fock, trajectory
 from cavityfilter.qkf import ModeParams, RiccatiState, riccati_integrate
 from cavityfilter.trajectory import (
     NoiseStream,
@@ -90,18 +90,37 @@ def test_noise_stream_chunked_draws_equal_one_draw():
 
 
 def test_run_longer_than_a_noise_block_matches_the_step_chain():
-    # a run across two noise blocks steps the increments of one draw
+    # a run across two noise blocks steps the increments of one draw: the
+    # chain of Kraus steps of one stepper on the unnormalized vector, whose
+    # final state is divided by its norm once; and sse_step is one such
+    # step followed by that division
     dim, dt, n = 8, 1e-4, 4096 + 10
     slh = damped_cavity_slh(ModeParams(1.0, 0.3), dim)
     psi0 = coherent_state(0.3, dim)
     rec = run_trajectory(psi0, slh, 0.0, NoiseStream(9, dt), n * dt, dt,
                          record_stride=n)
-    state = TrajectoryState(0.0, 0.0, 0.0, psi=psi0)
-    for dI in NoiseStream(9, dt).increments(n):
-        state = sse_step(state, slh, 0.0, dI, dt)
-    assert np.array_equal(rec.final.psi.amplitudes, state.psi.amplitudes)
-    assert rec.final.I == state.I
-    assert rec.final.Y == state.Y
+    basis, c, a0_row = slh._kraus
+    stepper = trajectory._KrausStepper(basis, psi0.amplitudes[None])
+    y = i = 0.0
+    for dI in NoiseStream(9, dt).increments(n).tolist():
+        y += stepper.step(c, [dt * a for a in a0_row], None, 1.0 + 0.0j,
+                          (dI,), dt)[0]
+        i += dI
+    x = stepper.x[0]
+    assert np.array_equal(rec.final.psi.amplitudes,
+                          x / math.sqrt(np.vdot(x, x).real))
+    assert rec.final.I == i
+    assert rec.final.Y == y
+
+    one = sse_step(TrajectoryState(0.0, 0.0, 0.0, psi=psi0), slh, 0.0, 0.01,
+                   dt)
+    stepper = trajectory._KrausStepper(basis, psi0.amplitudes[None])
+    dy = stepper.step(c, [dt * a for a in a0_row], None, 1.0 + 0.0j, (0.01,),
+                      dt)
+    x = stepper.x[0]
+    assert np.array_equal(one.psi.amplitudes,
+                          x / math.sqrt(np.vdot(x, x).real))
+    assert (one.Y, one.I) == (dy[0], 0.01)
 
 
 def test_noise_stream_spawn():
@@ -389,6 +408,88 @@ def test_sme_state_dependent_source_sees_the_density_matrix():
     assert np.max(np.abs(seen[-1] - seen[0])) > 1e-6
 
 
+def test_sse_state_dependent_source_sees_a_unit_vector():
+    # the loop carries unnormalized rows; a source of (t, state) still gets
+    # the state vector divided by its norm, a copy of the state recorded
+    # at t
+    dim, dt = 20, 1e-3
+    slh = damped_cavity_slh(ModeParams(1.0, 0.4), dim)
+    seen = []
+
+    def source(t, state):
+        seen.append(state)
+        return slh
+
+    rec = run_trajectory(coherent_state(0.5 + 0.8j, dim), source, 0.0,
+                         NoiseStream(6, dt), 0.05, dt)
+    assert len(seen) == 50
+    a = annihilation_op(dim).entries
+    for psi, mean_a in zip(seen, rec.mean_a):
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert abs(np.vdot(psi, a @ psi) - mean_a) <= 1e-12
+
+
+def _scaled_stepper(monkeypatch, scale: float) -> list:
+    """Make every ``_KrausStepper`` start from its stack times ``scale``
+    (exact for a power of two); returns the steppers made."""
+    made = []
+
+    class Scaled(trajectory._KrausStepper):
+        def __init__(self, basis, x0):
+            x0 = np.ascontiguousarray(x0, dtype=np.complex128)
+            super().__init__(basis, (x0.view(np.float64) * scale).view(
+                np.complex128))
+            made.append(self)
+
+    monkeypatch.setattr(trajectory, "_KrausStepper", Scaled)
+    monkeypatch.setattr(control, "_KrausStepper", Scaled)
+    return made
+
+
+def _record_words(rec) -> list:
+    """The bytes of every array of a record and of its final state."""
+    final = getattr(rec.final, "truth", rec.final)
+    state = (final.psi.amplitudes if final.psi is not None
+             else final.rho.entries)
+    return ([v.tobytes() for v in vars(rec).values()
+             if isinstance(v, np.ndarray)]
+            + [state.tobytes(), repr((final.Y, final.I))])
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 200, 2.0 ** -200],
+                         ids=["2^200", "2^-200"])
+def test_power_of_two_scale_is_invisible(monkeypatch, scale):
+    # the truths are carried unnormalized: stacks 2^+-200 times the unit
+    # ones step outside the band of squared norms [1e-100, 1e100], are
+    # brought back by powers of two after their first step, and every
+    # recorded moment, Y, I and final normalized state keeps its bits, in
+    # SSE and SME runs and in co-simulation shards of pure and mixed
+    # truths
+    dim, dt, T = 24, 1e-3, 0.03
+    params = ModeParams(1.0, 0.4)
+    slh = damped_cavity_slh(params, dim)
+    psi0 = coherent_state(0.4 - 0.3j, dim)
+    runs = [
+        lambda: [run_trajectory(psi0, slh, 0.3, NoiseStream(8, dt), T, dt)],
+        lambda: [run_trajectory(gaussian_state(0.2, CovariancePair(0.4, 0.1),
+                                               dim), slh, 0.3,
+                                NoiseStream(8, dt), T, dt, mode="sme")]]
+    for cov in (CovariancePair(0.0, 0.0), CovariancePair(0.4, 0.1)):
+        runs.append(lambda cov=cov: control._cosim(
+            0.3, cov, PIDGains(2.0, 1.0, 0.5), ReferenceSignal("step", 1.0),
+            params, dim, [NoiseStream(5 ^ b, dt) for b in range(3)], T, dt,
+            1, [0.3, -0.2j, 0.5 + 0.1j], cov))
+    unit = [run() for run in runs]
+    made = _scaled_stepper(monkeypatch, scale)
+    scaled = [run() for run in runs]
+    assert len(made) == len(runs)
+    for stepper in made:
+        assert all(1e-100 < s.real < 1e100 for _, s in stepper.ms)
+    for want, got in zip(unit, scaled):
+        for rec_want, rec_got in zip(want, got, strict=True):
+            assert _record_words(rec_got) == _record_words(rec_want)
+
+
 def test_no_sme_step_takes_an_eigendecomposition(monkeypatch):
     # the factor is taken once per run; no step sweeps eigenvalues
     dim, dt = 30, 1e-3
@@ -459,12 +560,14 @@ def test_sse_norm_guard_fires():
 
 @pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
 def test_kraus_update_rows_have_lone_row_bits(rank):
-    # m = <x, a x> and the squared norms of a stack come from one np.vecdot
-    # over the flattened rows of the stepper's buffers: each equals np.vdot
-    # on its row alone, bit for bit, and every row of the step, and its
-    # record increment dY = lambda dt + dI, is that of the row stepped
-    # alone, with shared or per-row (displaced) A0 rows, on the ladder
-    # basis (all seven members or those a row uses) and on a dense one
+    # each row's (m, s) = (<x, X_k x>, <x, x>) comes from one np.vecdot of
+    # the stepper's rows against their products X_k x and I x: each equals
+    # np.vdot on its row alone, bit for bit, before and after a step, and
+    # every row of the step, and its record increment
+    # dY = lambda dt + dI with lambda = 2 Re(c m) / s, is that of the row
+    # stepped alone, with shared or per-row (displaced) A0 rows, on the
+    # ladder basis (all seven members or those a row uses) and on a dense
+    # one
     rng = np.random.default_rng(7)
     for dim, batch in itertools.product((7, 12, 30), (1, 3, 8)):
         shape = (batch, dim) if rank is None else (batch, dim, rank)
@@ -477,11 +580,10 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
         lone = [complex(np.vdot(psi[b], a_psi[b])) for b in range(batch)]
         stepper = trajectory._KrausStepper(
             trajectory._ladder_basis(dim, (2, 3)), psi)
-        prods = stepper.products()
-        assert np.array_equal(prods[:, 1], a_psi.reshape(batch, -1))
-        assert (np.array(np.vecdot(stepper.x.reshape(batch, -1),
-                                   prods[:, 1]).tolist()).tobytes()
-                == np.array(lone).tobytes())
+        assert np.array_equal(stepper.prods[:, 1], a_psi.reshape(batch, -1))
+        sq = [complex(np.vdot(psi[b], psi[b])) for b in range(batch)]
+        assert (np.array(stepper.ms).tobytes()
+                == np.array(list(zip(lone, sq))).tobytes())
         c1, c2 = complex(*rng.normal(0.0, 0.3, 2)), 0.0j
         base = (1e-4 * (rng.normal(0.0, 0.1, 6)
                         + 1j * rng.normal(0.0, 0.1, 6))).tolist()
@@ -501,13 +603,12 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
                   base[1:4], zs)]
         for basis, c, row, z_rows in cases:
             stepper = trajectory._KrausStepper(basis, psi)
-            dy, norms = stepper.contract(c, row, z_rows, 1.0 + 0.0j, dI,
-                                         1e-4)
-            for b in range(batch):
-                assert norms[b] == complex(np.vdot(stepper.x[b],
-                                                   stepper.x[b]))
-            stepper.rescale([trajectory._unit_scale(sq, b)
-                             for b, sq in enumerate(norms)])
+            dy = stepper.step(c, row, z_rows, 1.0 + 0.0j, dI, 1e-4)
+            k = basis[1]
+            for b, (m, s) in enumerate(stepper.ms):
+                x = stepper.x[b].reshape(-1)
+                assert m == complex(np.vdot(x, stepper.prods[b, k]))
+                assert s == complex(np.vdot(x, x))
             for b in range(batch):
                 alone = trajectory._KrausStepper(basis, psi[b:b + 1])
                 dy_alone = alone.step(
@@ -516,8 +617,8 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
                 assert stepper.x[b].tobytes() == alone.x[0].tobytes()
                 assert dy[b] == dy_alone[0]
             if basis[0].dtype == np.float64:
-                assert dy == [2.0 * (c1 * m).real * 1e-4 + di
-                              for m, di in zip(lone, dI)]
+                assert dy == [2.0 * (c1 * m).real / s.real * 1e-4 + di
+                              for m, s, di in zip(lone, sq, dI)]
 
 
 def test_step_validation():
