@@ -17,33 +17,21 @@ ladder basis (see ``fock._LADDER_KEYS``):
     L = c1 a + c2 a',    H = omega a'a + z a' + conj(z) a
                              + w (a^2 + a'a) + conj(w) (a'^2 + a'a),
 
-with c1 = sqrt(gamma) + k_D conj(Xi) and c2 = -k_D Xi.  ``controlled_slh``
-materializes them as SLH coefficients on the ladder basis, whose
-steppers read L and A0 = -iH - L'L/2 from the same ladder rows;
-``closed_loop_cosim`` never does, and steps the truth from those rows
-alone, a state vector and the factor X of a density matrix
-rho = XX' / tr(XX') alike.
+where c1, c2 and w depend on the innovations gain Xi alone
+(``_xi_terms``) and z on the filter state.  ``controlled_slh``
+materializes them as SLH coefficients; ``closed_loop_cosim`` never does.
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
 truth the cheap filter is judged against everywhere in this package.
-It is the open-loop trajectory with another coefficient source, so it
-runs on the one trajectory loop of ``trajectory._integrate``: its
-``step`` closure computes the feedback scalars, steps the truth and
-updates the filter, and a ``sample`` hook adds the filter's columns to
-the loop's record of the truth.
-
-The loop steps a batch of truths in lockstep (``_cosim``), which is how
-an ensemble shard runs; a single co-simulation is the batch of one.
-Every filter of a batch starts from the same covariances, and none of
-r(t), dr/dt, the Riccati pair and the Xi gain depends on the record, so
-the batch reads them from one per-run schedule (``_schedule``): the exact
-pair of ``qkf._covariance_path`` and the reference of ``_reference_at``,
-evaluated as arrays one block of steps at a time.  c1, c2 and w depend on
-Xi alone, so each step forms them once for the shard, and the truths'
-coefficients differ only in z.  The truths are stepped as one stack by
-the run's one ``trajectory._KrausStepper`` (see ``_cosim``), and every
-truth gets the bits of its own run.
+It steps a batch of truths in lockstep (``_cosim``, which is how an
+ensemble shard runs) on the one trajectory loop of
+``trajectory._integrate``.  Xi depends on time alone, so the run's
+schedule (``_schedule``) forms everything that depends only on time, in
+blocks of steps: r, dr/dt, the covariances, Xi, and the Kraus inputs
+c1, c2 and the row of dt A0 at z = 0.  Per step only each truth's z,
+drift and filter update remain; ``trajectory._KrausStepper`` holds the
+step mechanics.
 """
 
 from __future__ import annotations
@@ -78,12 +66,12 @@ from .trajectory import (
     SLHCoefficients,
     TrajectoryState,
     _KrausStepper,
+    _a0_row,
     _at_column,
     _density_factor,
     _integrate,
     _ladder_form,
     _ladder_slh,
-    _slh_coefficients,
     _step_total,
 )
 
@@ -260,7 +248,7 @@ def drift_estimate(
     ric = filt.riccati
     return _feedback_scalars(gains, params)(
         [filt.a_hat], [integral_error],
-        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))[4][0]
+        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))[1][0]
 
 
 def _d_reference(gains: PIDGains, ref: ReferenceSignal, t: float) -> complex:
@@ -276,17 +264,35 @@ def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
             _xi(V, W, gains.k_D, params.gamma))
 
 
-def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
-              cov: CovariancePair, dt: float, n: int):
-    """Yield (r, dr/dt, Xi, V, W) at steps 0, ..., n of a run from ``cov``:
-    the ``_shared_scalars`` of every step, with the exact covariance pair
-    of ``qkf._covariance_path``, evaluated in its blocks of steps, so the
-    schedule holds one block at a time whatever n.  An error of the path
-    is raised when the row of its step is asked for.
+def _xi_terms(k_D: float, sg: float, xi) -> tuple:
+    """(c1, c2, w) at the innovations gain Xi, for sg = sqrt(gamma).
 
-    (r, dr/dt) are ``_reference_at``'s rows, dr/dt zero unless the
-    derivative channel reads it; Xi takes its real and imaginary parts
-    apart, the arithmetic of ``_xi`` up to the sign of a zero."""
+    D modifies the coupling, L = sqrt(gamma) a - iF_D with
+    F_D = i k_D (Xi* a - Xi a'), so c1 = sqrt(gamma) + k_D Xi* and
+    c2 = -k_D Xi, and adds the current-feedback correction
+    (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
+    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Xi and the
+    result are (re, im) pairs as in ``trajectory._a0_row``, of floats for
+    one Xi or of arrays for a block, with the same bits."""
+    if k_D == 0.0:
+        return (sg, 0.0), (0.0, 0.0), (0.0, 0.0)
+    # conj(Xi) = (xr, xc); float factors taken as (x, 0.0)
+    xr, xc, hw = xi[0], -xi[1], 0.5j * sg * k_D
+    return ((sg + (k_D * xr - 0.0 * xc), 0.0 + (k_D * xc + 0.0 * xr)),
+            (-k_D * xr - 0.0 * xi[1], -k_D * xi[1] + 0.0 * xr),
+            (hw.real * xr - hw.imag * xc, hw.real * xc + hw.imag * xr))
+
+
+def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
+              cov: CovariancePair, dt: float, n: int, cols):
+    """Yield the rows (r, dr/dt, Xi, V, W, (c1, c2), base) of steps 0,
+    ..., n of a run from ``cov``, formed as arrays in the blocks of
+    ``qkf._covariance_path``, which raises an error of the exact pair
+    (V, W) when the row of its step is asked for.  (r, dr/dt) are
+    ``_reference_at``'s rows, dr/dt zero unless the derivative channel
+    reads it; Xi takes its parts apart, the arithmetic of ``_xi`` up to
+    the sign of a zero; (c1, c2) are ``_xi_terms``'s and ``base`` is the
+    row of dt A0 at z = 0 on the ladder columns ``cols``."""
     sg = math.sqrt(params.gamma)
     scale = 1.0 + gains.k_D
     for ks, v, w in _covariance_path(cov.V, cov.W, 0.0, params, dt,
@@ -294,37 +300,34 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
         refs = _reference_at(ref, ks * dt)
         if gains.k_D == 0.0:
             refs[:, 1] = 0.0
-        xi = np.empty(len(ks), dtype=np.complex128)
-        xi.real = sg * (v + w.real) / scale
-        xi.imag = sg * w.imag / scale
-        yield from zip(refs[:, 0].tolist(), refs[:, 1].tolist(), xi.tolist(),
-                       v.tolist(), w.tolist())
+        xi = (sg * (v + w.real) / scale, sg * w.imag / scale)
+        c1, c2, w_d = _xi_terms(gains.k_D, sg, xi)
+        a0 = _a0_row(c1, c2, w_d, params.omega, dt)
+        # columns Xi, c1, c2 and the base row
+        coef = np.empty((len(ks), 3 + len(cols)), dtype=np.complex128)
+        for j, (re, im) in enumerate([xi, c1, c2] + [a0[j] for j in cols]):
+            coef[:, j].real, coef[:, j].imag = re, im
+        # as Python rows 64 steps at a time, so few of them are alive
+        for lo in range(0, len(ks), 64):
+            part = slice(lo, lo + 64)
+            yield from zip(refs[part, 0].tolist(), refs[part, 1].tolist(),
+                           coef[part, 0].tolist(), v[part].tolist(),
+                           w[part].tolist(), coef[part, 1:3].tolist(),
+                           coef[part, 3:].tolist())
 
 
 def _feedback_scalars(gains: PIDGains, params: ModeParams):
     """The feedback of a run under ``gains``: a function
-    (a_hats, integral_errors, r_t, dr_t, xi) -> (c1, c2, zs, w, drifts),
-    everything the PID loop feeds back at the filter states
-    (a_hats[b], integral_errors[b]) of a shard, from the
+    (a_hats, integral_errors, r_t, dr_t, xi) -> (zs, drifts), the
+    displacement z and the drift of ``drift_estimate`` at the filter
+    states (a_hats[b], integral_errors[b]) of a shard, from the
     ``_shared_scalars`` (r_t, dr_t, xi) of the step.  The factors the run
-    fixes (sqrt(gamma), kappa, 1 + k_D, i k_P, i k_I, i k_D) are formed
-    here, once; c1, c2 and w depend on Xi alone and are formed once per
-    call; the displacement zs[b] and the drift drifts[b] depend on the
-    filter state, and the drift is evaluated once for both the
-    coefficients and the filter update.
-
-    S = 1 throughout.  P and I act purely through the displacement z of
-    the error and its integral.  D modifies the coupling,
-    L = sqrt(gamma) a - iF_D with F_D = i k_D (Xi* a - Xi a'), so
-    c1 = sqrt(gamma) + k_D Xi* and c2 = -k_D Xi, and adds the
-    derivative Hamiltonian to z plus the current-feedback correction
-    (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
-    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  The drift
-    is that of ``drift_estimate``, zero-gain terms skipped outright.
-
-    Factors shared by the shard are formed once; every truth's
-    expressions keep their operand order, so each gets the bits of a
-    shard of one.
+    fixes are formed here, once, and the drift is evaluated once for both
+    z and the filter update.  P and I displace by i k_P (mu r - a_hat)
+    and i k_I integral_error; D adds the derivative Hamiltonian
+    i k_D (nu dr/dt - drift + sqrt(gamma) 2 Re(a_hat) Xi).  Zero-gain
+    terms are skipped outright, and every truth's expressions keep their
+    operand order, so each gets the bits of a shard of one.
     """
     sg = math.sqrt(params.gamma)
     k_P, k_I, k_D, mu, nu = gains.k_P, gains.k_I, gains.k_D, gains.mu, gains.nu
@@ -357,11 +360,7 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
                 z += i_kd * (nu_dr - drift + (sg2 * a_hat.real) * xi)
             zs.append(z)
             drifts.append(drift)
-        if k_D == 0.0:
-            return sg, 0.0j, zs, 0.0j, drifts
-        xi_c = xi.conjugate()
-        return (sg + k_D * xi_c, -k_D * xi, zs, 0.5j * sg * k_D * xi_c,
-                drifts)
+        return zs, drifts
 
     return scalars
 
@@ -376,28 +375,44 @@ def controlled_slh(
     dim: int,
 ) -> SLHCoefficients:
     """SLH coefficients of the mode under the PID feedback actuation,
-    materialized densely from the scalars of ``_feedback_scalars``.
+    materialized densely from c1, c2 and w of ``_xi_terms`` and the z of
+    ``_feedback_scalars``.
 
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
     ric = filt.riccati
-    c1, c2, zs, w, _ = _feedback_scalars(gains, params)(
-        [filt.a_hat], [integral_error],
-        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))
+    r_t, dr_t, xi = _shared_scalars(gains, ref, t, ric.V, ric.W, params)
+    zs, _ = _feedback_scalars(gains, params)(
+        [filt.a_hat], [integral_error], r_t, dr_t, xi)
+    c1, c2, w = (complex(*p) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), (xi.real, xi.imag)))
     return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
-def _filter_update(a_hat: complex, integral_error: complex, r_t: complex,
-                   drift: complex, xi: complex, d_i: float, dt: float):
-    """(a_hat, integral_error) one closed-loop filter step later, from
-    the innovations increment d_i; the covariance pair advances on its own
-    (``qkf._covariances`` in ``pid_filter_step``, the ``_schedule`` in the
-    co-simulation).
-
-    The one copy of the update arithmetic, shared by ``pid_filter_step``
-    and the co-simulation loop."""
-    return (_mean_update(a_hat, drift, xi, d_i, dt),
-            integral_error + error_signal(r_t, a_hat) * dt)
+def _filter_update(a_hats, ies, i_sums, qvs, d_ys, drifts, r_t: complex,
+                   xi: complex, dt: float, sg2=None):
+    """The lists (a_hats, ies, i_sums, qvs) of a shard's filters one
+    closed-loop step later: the mean (``qkf._mean_update``), the integral
+    error, and the sum and quadratic variation of the innovations
+    dI' = d_ys[b] - sg2 Re(a_hat) dt, or d_ys[b] when sg2 is None.  The
+    covariance pair advances on its own.  The lowest filter whose integral
+    error is not finite raises ``DomainError`` with its ``column``.  The
+    one copy of the update, for ``pid_filter_step`` and the co-simulation.
+    """
+    a_new, ie_new, i_new, qv_new = [], [], [], []
+    for b, (a_hat, ie, i_sum, qv, d, drift) in enumerate(
+            zip(a_hats, ies, i_sums, qvs, d_ys, drifts)):
+        if sg2 is not None:
+            d = d - (sg2 * a_hat.real) * dt
+        ie = ie + error_signal(r_t, a_hat) * dt
+        if not cmath.isfinite(ie):
+            raise _at_column(DomainError(
+                f"filter left its domain (integral_error={ie})"), b)
+        a_new.append(_mean_update(a_hat, drift, xi, d, dt))
+        ie_new.append(ie)
+        i_new.append(i_sum + d)
+        qv_new.append(qv + d * d)
+    return a_new, ie_new, i_new, qv_new
 
 
 def pid_filter_step(
@@ -420,10 +435,11 @@ def pid_filter_step(
     filt = state.filter
     ric = filt.riccati
     r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
-    drift = _feedback_scalars(gains, params)(
-        [filt.a_hat], [state.integral_error], r_t, dr_t, xi)[4][0]
-    a_new, ie_new = _filter_update(filt.a_hat, state.integral_error, r_t,
-                                   drift, xi, dI, dt)
+    ies = [state.integral_error]
+    drifts = _feedback_scalars(gains, params)([filt.a_hat], ies, r_t, dr_t,
+                                              xi)[1]
+    (a_new,), (ie_new,), _, _ = _filter_update(
+        [filt.a_hat], ies, [0.0], [0.0], [dI], drifts, r_t, xi, dt)
     v_new, w_new = next(_covariances(ric.V, ric.W, 0.0, params, dt))
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
@@ -554,23 +570,14 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``ClosedLoopRecord`` per truth, each bit for bit that of its own
     one-truth run.
 
-    Every filter starts from the same covariances, so r(t), dr/dt, Xi
-    and the Riccati pair are one row of the run's ``_schedule`` per step
-    for the whole batch; the row of step k + 1 is read after the truths'
-    step k, where an error of the pair is raised.  Per step, c1, c2 and w
-    (Xi only) and, under gains, the base row of dt A0 at z = 0 are formed
-    once; the means, integral errors, drifts and displacements are lists
-    over the truths, and each truth's row is the base row with its own z
-    written in by the stepper.  A pure batch is stepped as one (B, dim)
-    stack, a mixed one as a (B, dim, r) stack of factors, by one
-    ``_KrausStepper`` built for the run on the ladder members the gains
-    can make nonzero (``_ladder_form`` of a probe row: a'a and a at zero
-    gain, a' too under P or I, all six under D) and I.  Each step walks
-    the truths three times: the feedback, the stepper's ``step`` (row
-    fill, then norm guard), and the filter's innovation, sums, update and
-    finiteness check.  An error of truth b names it as the error's
-    ``column``; when two truths fail one check in one step, the lower
-    one is named, and a norm guard failure comes before a filter one."""
+    A step takes its row of the run's ``_schedule`` (the row of step
+    k + 1 is read after step k, where an error of the covariance path is
+    raised), forms each truth's z and drift (``_feedback_scalars``), takes
+    one ``step`` of the run's ``_KrausStepper`` on the ladder members the
+    gains can make nonzero, and updates the filters (``_filter_update``).
+    An error of truth b names it as the error's ``column``; when two
+    truths fail one check in one step, the lower one is named, and a norm
+    guard failure comes before a filter one."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -591,15 +598,16 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     qv = [0.0] * batch
     sg2 = math.sqrt(params.gamma) * 2.0
     feedback = _feedback_scalars(gains, params)
-    # the members: c1, c2 and w depend on Xi alone, so their row at
-    # Xi = 1 with z = i under any gain has every entry the gains can make
-    # nonzero; at zero gain it is every step's row
+    # the members: c1, c2 and w depend on Xi alone, so the A0 row at
+    # Xi = 1, with -i z nonzero under any gain, has every entry the gains
+    # can make nonzero (a'a and a at zero gain, a' too under P or I, all
+    # six under D)
     zero_gain = gains.all_zero
-    c1, c2, _, w, _ = feedback([], [], 0.0j, 0.0j, 1.0)
-    probe = _slh_coefficients(c1, c2, 0.0j if zero_gain else 1.0j, w,
-                              params.omega)
-    basis, cols = _ladder_form(dim, *probe[:2])
-    fixed = [dt * probe[1][j] for j in cols]
+    probe = [complex(*e) for e in _a0_row(*_xi_terms(
+        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)), params.omega)]
+    if not zero_gain:
+        probe[1] = 1.0
+    basis, cols = _ladder_form(dim, probe)
     stepper = _KrausStepper(basis, np.stack(states))
 
     n = _step_total(noises, T, dt, record_stride)
@@ -609,45 +617,31 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     rec_v = np.empty(n_rec)
     rec_w = np.empty(n_rec, dtype=np.complex128)
     rec_i = np.empty((batch, n_rec))
-    # the row of the step about to be taken, (r, dr/dt, Xi, V, W)
-    rows = _schedule(gains, ref, params, cov, dt, n)
+    # the row of the step about to be taken
+    rows = _schedule(gains, ref, params, cov, dt, n, cols)
     row = next(rows)
 
     def step(t, arr, dw):
-        nonlocal row
-        r_t, dr_t, xi = row[:3]
-        c1, c2, zs, w, drifts = feedback(a_hat, ie, r_t, dr_t, xi)
-        # the truths' rows differ only in z, which the stepper fills into
-        # one base row per step
-        if zero_gain:
-            dy = stepper.step((c1, c2), fixed, None, 1.0 + 0.0j, dw, dt)
-        else:
-            a0 = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
-            dy = stepper.step((c1, c2), [dt * a0[j] for j in cols], zs,
-                              1.0 + 0.0j, dw, dt)
-        for b, (dy_b, a_b, ie_b, drift) in enumerate(
-                zip(dy, a_hat, ie, drifts)):
-            d = dy_b - (sg2 * a_b.real) * dt
-            i_filter[b] += d
-            qv[b] += d * d
-            a_hat[b], ie_b = _filter_update(a_b, ie_b, r_t, drift, xi, d, dt)
-            if not cmath.isfinite(ie_b):
-                raise _at_column(DomainError(
-                    f"filter left its domain (integral_error={ie_b})"), b)
-            ie[b] = ie_b
+        nonlocal row, a_hat, ie, i_filter, qv
+        r_t, dr_t, xi, _, _, c, base = row
+        zs, drifts = feedback(a_hat, ie, r_t, dr_t, xi)
+        dy = stepper.step(c, base, None if zero_gain else zs, 1.0 + 0.0j,
+                          dw, dt)
+        a_hat, ie, i_filter, qv = _filter_update(
+            a_hat, ie, i_filter, qv, dy, drifts, r_t, xi, dt, sg2)
         row = next(rows)
         return stepper.x, dy
 
     def sample(idx):
         rec_ah[:, idx] = a_hat
-        rec_v[idx], rec_w[idx] = row[3:]
+        rec_v[idx], rec_w[idx] = row[3:5]
         rec_i[:, idx] = i_filter
 
     truths = _integrate(stepper.x, "psi" if pure else "rho", noises, n, dt,
                         record_stride, step, "closed loop", sample)
     for col in (rec_ah, rec_v, rec_w, rec_i):
         col.setflags(write=False)
-    v, w_cov = row[3:]
+    v, w_cov = row[3:5]
     out = []
     for b, truth in enumerate(truths):
         t_end = truth.final.t

@@ -22,14 +22,16 @@ Trajectory seeds are base_seed XOR index: counter-mode generators give
 uncorrelated streams for distinct keys and the ensemble stays exactly
 reproducible.  The worker count is taken from QKF_THREADS (default: the
 CPUs this process may run on).  The indices are split into that many
-contiguous shards of ceil(n_traj / workers) trajectories, one task each,
-and a shard steps its trajectories in lockstep (``control._cosim``): one
-(B, dim) stack of pure truths, one Riccati step per step for the shard,
-the filter means kept per trajectory.  Every trajectory gets the bits
-of its own one-trajectory run, and the reduction is sequential in index
-order, so aggregate bytes depend neither on the worker count nor on the
-shard size.  When several trajectories fail, the lowest failing index is
-reported, with the error its own run raises.
+contiguous shards of ceil(n_traj / workers) trajectories: the calling
+process runs the first, and a pool of one worker per other shard runs
+the rest.  A shard steps its trajectories in lockstep
+(``control._cosim``): one (B, dim) stack of pure truths, one schedule of
+the covariances for the shard, the filter means kept per trajectory.
+Every trajectory gets the bits of its own one-trajectory run, and the
+reduction is sequential in index order, so aggregate bytes depend
+neither on the worker count nor on the shard size.  When several
+trajectories fail, the lowest failing index is reported, with the error
+its own run raises.
 
 ``concurrent.futures`` is imported only by a run with more than one
 shard, so a one-process CLI run does not load the process-pool machinery
@@ -246,10 +248,11 @@ def run_ensemble(config: EnsembleConfig, scenario) -> EnsembleResult:
     The indices are split into ``workers`` contiguous shards of
     ceil(n_traj / workers) trajectories; each shard is stepped in
     lockstep by ``scenario.shard(config, indices, noises)`` (see
-    ``FilterScenario``), in a worker process of its own when there is
-    more than one shard, so the scenario has to be picklable.  The
-    output bytes do not depend on the worker count.  Any trajectory
-    failure aborts the whole run, tagged with the lowest failing index.
+    ``FilterScenario``).  The calling process steps the first shard and a
+    pool of one worker process per other shard steps the rest, so the
+    scenario has to be picklable.  The output bytes do not depend on the
+    worker count.  Any trajectory failure aborts the whole run, tagged
+    with the lowest failing index.
     """
     workers = min(_worker_count(), config.n_traj)
     size = -(-config.n_traj // workers)
@@ -258,9 +261,10 @@ def run_ensemble(config: EnsembleConfig, scenario) -> EnsembleResult:
     if len(shards) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            return _reduce(config, chain.from_iterable(
-                pool.map(_run_shard, shards)))
+        with ProcessPoolExecutor(max_workers=len(shards) - 1) as pool:
+            rest = pool.map(_run_shard, shards[1:])
+            return _reduce(config, chain(_run_shard(shards[0]),
+                                         chain.from_iterable(rest)))
     return _reduce(config, _run_shard(shards[0]))
 
 

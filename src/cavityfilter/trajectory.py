@@ -15,45 +15,28 @@ and the record is synthesized as dY = lambda dt + dI, where lambda is
 the conditional mean photocurrent.  This is statistically exact and
 avoids representing the field the mode radiates into.
 
-The steppers are fixed-step Euler-Maruyama (weak order 1).  Each
-``SLHCoefficients`` derives its coefficients once, in one form
-(``_kraus``): a basis, the coefficients of L on it and the row of
-A0 = -iH - L'L/2.  For an SLH built on the ladder basis a'^2, a', a'a,
-a, a^2, a a' the basis holds the members its coefficients use, and I
-(their products are exact), else it is the dense basis (L, A0, I).
-``lindblad_apply`` and the record increment of a density matrix read
-the public L and H.
-
 A density matrix is carried as a factor X (dim x r) with
 rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
-initial rho, and X is stepped by the state-vector update itself,
-X -> KX with
+initial rho, and X takes the state-vector step X -> KX.  So
+rho -> K rho K' / tr(K rho K') is a Kraus map (Rouchon & Ralph, PRA 91,
+012118, 2015): positive and of unit trace by construction, whatever
+factor is chosen.  At dI^2 = dt it differs from the Euler SME step by
+O(dt^{3/2}), and by O(dt^2) averaged over the sign of dI; the steps are
+fixed (weak order 1).  The map does not see the scale of its input, so
+states and factors are carried unnormalized and divided by their norm
+only where read (the record, a state-dependent source, the final
+state); no per-step eigenvalue guard is needed, and the norm guard still
+rejects a non-finite or too coarse step.
 
-    K = (1 - lam^2 dt/8 - lam dI/2) I + A0 dt + (lam dt/2 + dI) L_th,
-
-lam = 2 Re e^{i theta} tr(L rho).  So rho -> K rho K' / tr(K rho K') is
-a Kraus map (Rouchon & Ralph, PRA 91, 012118, 2015): positive and of
-unit trace by construction, whatever factor is chosen, and on a pure
-state it is the state-vector step.  At dI^2 = dt it differs from the
-Euler SME step by O(dt^{3/2}), and by O(dt^2) averaged over the sign of
-dI.  The map does not see the scale of its input, so states and factors
-are carried unnormalized and divided by their norm only where read (the
-record, a state-dependent source, the final state); no per-step
-eigenvalue guard is needed, and the norm guard still rejects a
-non-finite or too coarse step.
-
-There is one trajectory loop, ``_integrate``: it steps a batch of B
-truths in lockstep (a (B, dim) stack of vectors or a (B, dim, r) stack
-of factors), draws their increments in blocks of 4096 steps, records
-(t, <a>, <a'a>, <a^2>, Y, I) behind the truncation check, tags package
-errors with their step and builds the final ``TrajectoryState``s; a
-``step`` closure says what one step does.  ``run_trajectory`` is the
-batch of one over ``_step``, the one SSE, SME or Zakai step,
-which ``sse_step`` and ``sme_step`` take too; the PID co-simulation in
-``control`` passes the feedback scalars, the truth step and the filter
-updates of an ensemble shard.  Every step is one row per truth of the
-run's one ``_KrausStepper``, whose docstring holds the step mechanics;
-the co-simulation uses the ladder members its gains can make nonzero.
+Every step reads (L, A0 = -iH - L'L/2) in the one form of its
+``SLHCoefficients`` (``_kraus``) and is one row per truth of the run's
+one ``_KrausStepper``, whose docstring holds K and the step mechanics;
+``lindblad_apply`` and the record increment of a density matrix read
+the public L and H.
+There is one trajectory loop, ``_integrate``, which steps a batch of
+truths in lockstep: ``run_trajectory`` is the batch of one over
+``_step``, and the PID co-simulation in ``control`` passes the step of
+an ensemble shard.
 """
 
 from __future__ import annotations
@@ -261,45 +244,61 @@ class TrajectoryRecord:
     final: TrajectoryState
 
 
-def _slh_coefficients(c1: complex, c2: complex, z: complex, w: complex,
-                      omega: float):
-    """Ladder-basis rows of L, A0 = -iH - L'L/2 and H.
-
-    A0 takes L'L in the closed form |c1|^2 a'a + |c2|^2 a a'
-    + conj(c2) c1 a^2 + conj(c1) c2 a'^2: truncated products of a and a'
-    equal their closed forms, so no matrix product is needed and H is
-    Hermitian by construction."""
-    c1c, c2c = complex(c1).conjugate(), complex(c2).conjugate()
-    # columns: a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS); A0 entry by
-    # entry, where L'L has no a' or a entry
-    h = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
-    a0 = [-1j * h[0] - 0.5 * (c1c * c2), -1j * h[1],
-          -1j * h[2] - 0.5 * (c1c * c1).real, -1j * h[3],
-          -1j * h[4] - 0.5 * (c2c * c1), -1j * h[5] - 0.5 * (c2c * c2).real]
-    return [[0.0, c2, 0.0, c1, 0.0, 0.0], a0, h]
+def _mul(a, b) -> tuple:
+    """Python's complex product of (re, im) pairs of floats or of arrays,
+    term by term (numpy's complex product has other bits)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _ladder_form(dim: int, l_row, a0_row) -> tuple:
+def _a0_row(c1, c2, w, omega: float, dt=None) -> list:
+    """The ladder row of A0 = -iH - L'L/2 at z = 0, times dt unless dt is
+    None, for L = c1 a + c2 a' and the H of ``_ladder_slh``, with L'L in
+    its closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
+    + conj(c1) c2 a'^2 (truncated products of a and a' equal it).  c1, c2,
+    w and the entries are (re, im) pairs, of floats or of arrays for a
+    block of steps; each entry is its Python complex expression term by
+    term (a float x is (x, 0.0)), so it has those bits, signed zeros too."""
+    c1c, c2c = (c1[0], -c1[1]), (c2[0], -c2[1])
+    m_i, half = (-0.0, -1.0), (0.5, 0.0)
+    # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS) of -1j * H
+    # minus 0.5 * L'L, which has no a' or a entry
+    p0, q0 = _mul(m_i, (w[0], -w[1])), _mul(half, _mul(c1c, c2))
+    p2, p4 = _mul(m_i, (omega + 2.0 * w[0], 0.0)), _mul(m_i, w)
+    q4, p5 = _mul(half, _mul(c2c, c1)), _mul(m_i, (0.0, 0.0))
+    row = [(p0[0] - q0[0], p0[1] - q0[1]), p5,
+           (p2[0] - 0.5 * _mul(c1c, c1)[0], p2[1] - 0.0),
+           _mul(m_i, (0.0, -0.0)), (p4[0] - q4[0], p4[1] - q4[1]),
+           (p5[0] - 0.5 * _mul(c2c, c2)[0], p5[1] - 0.0)]
+    return row if dt is None else [_mul((dt, 0.0), e) for e in row]
+
+
+def _ladder_form(dim: int, *rows) -> tuple:
     """(basis, cols): the ladder basis (``fock._ladder_basis``) on the
-    columns ``cols`` where the ladder row of L or of A0 has a nonzero
-    entry, and on a, which m = <x, a x> needs, so a step forms no product
-    whose coefficient is zero.  Every ladder stepper takes its members
-    here: an SLH from its own rows, a co-simulation from one row that has
-    every entry its gains can make nonzero."""
-    cols = tuple(j for j, (l, a0) in enumerate(zip(l_row, a0_row))
-                 if j == _LADDER_A or l != 0 or a0 != 0)
+    columns ``cols`` where a ladder row has a nonzero entry, and on a,
+    which m = <x, a x> needs, so a step forms no product whose
+    coefficient is zero.  Every ladder stepper takes its members here:
+    an SLH from its rows of L and A0, a co-simulation from one A0 row
+    that has every entry its gains can make nonzero."""
+    cols = tuple(j for j, row in enumerate(zip(*rows))
+                 if j == _LADDER_A or any(row))
     return _ladder_basis(dim, cols), cols
 
 
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
-    """S = 1, L = c1 a + c2 a' and H of ``_slh_coefficients``; the rows
-    of L and A0 are kept, so the steppers' A0 is the closed form too."""
-    rows = _slh_coefficients(c1, c2, z, w, omega)
-    l_mat, h_mat = _ladder_dense([rows[0], rows[2]], dim)
+    """S = 1, L = c1 a + c2 a' and H = omega a'a + z a' + conj(z) a
+    + w (a^2 + a'a) + conj(w) (a'^2 + a'a); the rows of L and of A0
+    (``_a0_row``, with -i z and -i conj(z) at a' and a) are kept, so the
+    steppers' A0 is the closed form too."""
+    a0 = [complex(*e) for e in _a0_row(
+        *[(complex(v).real, complex(v).imag) for v in (c1, c2, w)], omega)]
+    a0[1], a0[3] = -1j * z, -1j * z.conjugate()
+    l_row = [0.0, c2, 0.0, c1, 0.0, 0.0]
+    h_row = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
+    l_mat, h_mat = _ladder_dense([l_row, h_row], dim)
     slh = SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
                           CavityOperator(dim, h_mat))
-    object.__setattr__(slh, "_ladder", rows[:2])
+    object.__setattr__(slh, "_ladder", [l_row, a0])
     return slh
 
 
@@ -315,18 +314,18 @@ def damped_cavity_slh(params: ModeParams, dim: int) -> SLHCoefficients:
 
 class _KrausStepper:
     """The Kraus step x[b] -> K_b x[b] of one run's stack of states
-    (B, dim) or density factors (B, dim, r), with the Kraus operator of the
-    module docstring
+    (B, dim) or density factors (B, dim, r), with the Kraus operator
 
         K_b = keep_b I + dt A0_b + move_b e^{i theta} L,
         keep = 1 - lam^2 dt/8 - lam dI/2,   move = lam dt/2 + dI,
 
-    e^{i theta} = cis, on the increments dI[b]; ``zakai`` takes the
-    linear row I + dt A0 + dY e^{i theta} L instead.  ``basis`` is (stack,
-    k, k'): the (n dim, dim) stack of the basis members X_0 .. X_{n-1},
-    the last of them I; a ladder basis holds only the members the rows
-    can make nonzero (``fock._ladder_basis``), so a step forms no product
-    whose coefficient is always zero.  L = c X_k + c' X_k' with (c, c') =
+    lam = 2 Re e^{i theta} tr(L rho), e^{i theta} = cis, on the
+    increments dI[b]; ``zakai`` takes the linear row
+    I + dt A0 + dY e^{i theta} L instead.  ``basis`` is (stack, k, k'):
+    the (n dim, dim) stack of the basis members X_0 .. X_{n-1}, the last
+    of them I; a ladder basis holds only the members the rows can make
+    nonzero (``fock._ladder_basis``), so a step forms no product whose
+    coefficient is always zero.  L = c X_k + c' X_k' with (c, c') =
     ``c``, where X_k' is the adjoint of X_k (and no term if k' is None).
 
     The rows x[b] are carried unnormalized.  The stepper holds ``prods``,
@@ -388,7 +387,7 @@ class _KrausStepper:
 
         ``base`` is the row of dt A0 on X_0 .. X_{n-2}.  With ``zs`` None
         every truth takes it; else the truths' A0 differ only in the
-        displacement zs[b] of ``_slh_coefficients``, which enters the a'
+        displacement zs[b] of H (``_ladder_slh``), which enters the a'
         and a entries (X_k' and X_k) as -i z and -i conj(z), and the row
         loop writes them from zs[b], so each row equals
         ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""

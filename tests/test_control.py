@@ -34,6 +34,7 @@ from cavityfilter.control import (
     ReferenceSignal,
     _feedback_scalars,
     _shared_scalars,
+    _xi_terms,
     closed_loop_cosim,
     controlled_slh,
     drift_estimate,
@@ -46,7 +47,7 @@ from cavityfilter.trajectory import (
     NoiseStream,
     TrajectoryState,
     _KrausStepper,
-    _slh_coefficients,
+    _a0_row,
     damped_cavity_slh,
     run_trajectory,
     sme_step,
@@ -55,6 +56,28 @@ from cavityfilter.trajectory import (
 
 #: every member of the ladder basis, as ``fock._ladder_basis`` columns
 ALL = tuple(range(len(_LADDER_KEYS)))
+
+
+def _reference_rows(c1, c2, z, w, omega):
+    """Ladder rows of L, A0 = -iH - L'L/2 and H as Python complex
+    expressions: the reference that the real and imaginary parts of
+    ``trajectory._a0_row`` and ``_ladder_slh`` match word for word."""
+    c1c, c2c = complex(c1).conjugate(), complex(c2).conjugate()
+    h = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
+    a0 = [-1j * h[0] - 0.5 * (c1c * c2), -1j * h[1],
+          -1j * h[2] - 0.5 * (c1c * c1).real, -1j * h[3],
+          -1j * h[4] - 0.5 * (c2c * c1), -1j * h[5] - 0.5 * (c2c * c2).real]
+    return [[0.0, c2, 0.0, c1, 0.0, 0.0], a0, h]
+
+
+def _reference_xi_terms(gains, params, xi):
+    """(c1, c2, w) of the derivative channel at the innovations gain xi, as
+    Python complex expressions: the reference of ``control._xi_terms``."""
+    sg, k_D = math.sqrt(params.gamma), gains.k_D
+    if k_D == 0.0:
+        return sg, 0.0j, 0.0j
+    xi_c = xi.conjugate()
+    return sg + k_D * xi_c, -k_D * xi, 0.5j * sg * k_D * xi_c
 
 
 def _kraus_step(x, basis, c, base, zs, cis, dI, dt):
@@ -487,9 +510,10 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         assert np.max(np.abs(slh.l.entries - l_ref)) < 1e-12
         assert np.max(np.abs(slh.h.entries - h_ref)) < 1e-12
 
-        c1, c2, zs, wz, _ = _feedback_scalars(gains, params)(
-            [a_hat], [ie], *_shared_scalars(gains, ref, t, v, w, params))
-        rows = _slh_coefficients(c1, c2, zs[0], wz, params.omega)
+        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w, params)
+        zs, _ = _feedback_scalars(gains, params)([a_hat], [ie], r_t, dr_t, xi)
+        c1, c2, wz = _reference_xi_terms(gains, params, xi)
+        rows = _reference_rows(c1, c2, zs[0], wz, params.omega)
         assert rows[0] == [0.0, c2, 0.0, c1, 0.0, 0.0]
         dense = _ladder_dense(rows, dim)
         for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
@@ -549,10 +573,10 @@ def test_kraus_update_is_batch_invariant(rank):
                  ((1.0, 0.0j, 0.0j), None, (2, 3)),
                  ((1.0, 0.0j, 0.0j), zs, (1, 2, 3))]
         for (l1, l2, wc), z_rows, cols in cases:
-            rows = [_slh_coefficients(l1, l2, 0.0j if z_rows is None
-                                      else z_rows[b], wc, 0.5)
+            rows = [_reference_rows(l1, l2, 0.0j if z_rows is None
+                                    else z_rows[b], wc, 0.5)
                     for b in range(batch)]
-            a0 = _slh_coefficients(l1, l2, 0.0j, wc, 0.5)[1]
+            a0 = _reference_rows(l1, l2, 0.0j, wc, 0.5)[1]
             base = [dt * a0[j] for j in cols]
             c = (rows[0][0][3], rows[0][0][1])
             basis = _ladder_basis(dim, cols)
@@ -578,13 +602,15 @@ def _words(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
 
 
-def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
+def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
+                 keep=None):
     """Per ``_KrausStepper.step`` call of a short co-simulation of
-    ``batch`` truths under ``gains`` (dt = 1e-3, 10 steps): the basis, L's
-    coefficients and the coefficient rows it stepped, with the
-    (c1, c2, zs, w) of the shard's feedback for that step, the stack
-    before the step and its increments; and the number of
-    ``_slh_coefficients`` calls of the run."""
+    ``batch`` truths under ``gains`` (dt = 1e-3, T / dt steps; only the
+    steps in ``keep`` if given): the basis, L's coefficients and the
+    coefficient rows it stepped, with the reference (c1, c2, w) of the
+    step's Xi (``_reference_xi_terms``) and the zs of the shard's feedback
+    for that step, the stack before the step, its increments and the base
+    row passed; and the number of ``control._a0_row`` calls of the run."""
     seen, formed, calls = [], [], []
     feedback_of, kraus_step = _feedback_scalars, _KrausStepper.step
 
@@ -593,8 +619,8 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
 
         def spy(*step_args):
             out = feedback(*step_args)
-            if step_args[0]:
-                formed.append(out[:4])
+            c1, c2, w = _reference_xi_terms(gains, params, step_args[4])
+            formed.append((c1, c2, out[0], w))
             return out
 
         return spy
@@ -602,33 +628,38 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1):
     def stepped(self, c, base, zs, cis, dI, dt):
         x = self.x.copy()
         out = kraus_step(self, c, base, zs, cis, dI, dt)
-        seen.append((self.basis, c, self._coef.reshape(len(x), -1).copy(),
-                     formed[-1], x, dI))
+        if keep is None or len(formed) - 1 in keep:
+            seen.append((self.basis, c, self._coef.reshape(len(x), -1).copy(),
+                         formed[-1], x, dI, base))
         return out
 
-    def coefficients(*args):
+    def rows(*args):
         calls.append(args)
-        return _slh_coefficients(*args)
+        return _a0_row(*args)
 
     monkeypatch.setattr(control, "_feedback_scalars", scalars)
     monkeypatch.setattr(_KrausStepper, "step", stepped)
-    monkeypatch.setattr(control, "_slh_coefficients", coefficients)
+    monkeypatch.setattr(control, "_a0_row", rows)
     control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
                    dim, [NoiseStream(4 + b, 1e-3) for b in range(batch)],
-                   0.01, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)], cov)
-    assert len(seen) == 10
+                   T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)], cov)
+    assert len(formed) == round(T / 1e-3)
+    assert len(seen) == (len(formed) if keep is None else len(keep))
     return seen, len(calls)
 
 
 def _assert_rows_are_the_slh_rows(seen, cols, omega, dt=1e-3):
     """Every row stepped is the Kraus row (``_kraus_row``) of the truth's
-    own ``_slh_coefficients`` row, word for word, with L's coefficients
-    (c1, c2); returns those full rows."""
+    own reference row (``_reference_rows``), word for word, with L's
+    coefficients (c1, c2), and the base row passed is dt A0 at z = 0 on
+    ``cols`` of the reference row; returns the truths' full rows."""
     full = []
-    for basis, c, rows, (c1, c2, zs, w), x, dI in seen:
+    for basis, c, rows, (c1, c2, zs, w), x, dI, base in seen:
         assert _words(c) == _words((c1, c2))
+        a0 = _reference_rows(c1, c2, 0.0j, w, omega)[1]
+        assert _words(base) == _words([dt * a0[j] for j in cols])
         for z, row, x_b, di in zip(zs, rows, x, dI, strict=True):
-            own = _slh_coefficients(c1, c2, z, w, omega)
+            own = _reference_rows(c1, c2, z, w, omega)
             assert _words(row) == _words(
                 _kraus_row(own[1], cols, basis, x_b, c, di, dt))
             full.append(own)
@@ -663,7 +694,7 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
                               stack(sets["zero"]))
         for name, members in sets.items():
             seen, _ = _cosim_steps(monkeypatch, gains[name], cov, dim, params)
-            for (basis, _, _), _, _, _, _, _ in seen:
+            for (basis, _, _), *_ in seen:
                 assert basis.shape == ((len(members) + 1) * dim, dim)
                 assert np.array_equal(basis, stack(members))
             cols = [_LADDER_KEYS.index(k) for k in members]
@@ -674,15 +705,15 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
 
 
 def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
-    # a PID shard of 8 forms its Xi-only base row once per step, not once
-    # per truth, and a zero-gain shard none: one more call forms the probe
-    # row that picks the members
+    # a shard of 8 forms its Xi-only base rows once per schedule block, not
+    # once per step or per truth: the 11 rows of a 10-step run are one
+    # block, and one more call forms the probe row that picks the members,
+    # under PID and at zero gain alike
     params = ModeParams(1.0, 0.5)
-    for gains, per_step in ((PIDGains(2.0, 1.0, 0.5), 1), (PIDGains(0.0), 0)):
+    for gains, cols in ((PIDGains(2.0, 1.0, 0.5), ALL), (PIDGains(0.0), (2, 3))):
         seen, calls = _cosim_steps(monkeypatch, gains,
                                    CovariancePair(0.5, 0.0), 24, params, 8)
-        assert calls <= 1 + per_step * len(seen)
-        cols = ALL if per_step else (2, 3)
+        assert calls == 2
         assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 80
 
 
@@ -694,12 +725,13 @@ GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
 
 @pytest.mark.parametrize("name", list(GAIN_SETS))
 def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
-    # a shard forms c1, c2 and w once and fills each truth's z into one
+    # c1, c2, w and the base row of dt A0 at z = 0 come from Xi alone
+    # (_xi_terms, _a0_row), and the stepper fills each truth's z into the
     # base row: at random states, signed zeros and z = 0 among them, every
-    # row equals [dt * A0[j] for j in cols] of the truth's own
-    # _slh_coefficients row word for word, and the shard's (c1, c2, z, w,
-    # drift) and filter update are those controlled_slh, drift_estimate
-    # and pid_filter_step form for the truth alone
+    # row equals [dt * A0[j] for j in cols] of the truth's own reference
+    # row word for word, and the shard's (c1, c2, z, w, drift) and its one
+    # filter update call are those controlled_slh, drift_estimate and
+    # pid_filter_step form for the truth alone
     gains, params, dim = GAIN_SETS[name], ModeParams(1.0, 0.5), 12
     rng = np.random.default_rng(19)
 
@@ -725,8 +757,12 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         ies = [normal() for _ in range(5)] + [
             0.0j, complex(-0.0, -0.0), 0.0j, complex(-0.0, 0.0)]
         dis = rng.normal(0.0, math.sqrt(dt), len(a_hats)).tolist()
-        c1, c2, zs, w, drifts = _feedback_scalars(gains, params)(
+        zs, drifts = _feedback_scalars(gains, params)(
             a_hats, ies, r_t, dr_t, xi)
+        parts = _xi_terms(gains.k_D, math.sqrt(params.gamma),
+                          (xi.real, xi.imag))
+        c1, c2, w = _reference_xi_terms(gains, params, xi)
+        assert _words([complex(*p) for p in parts]) == _words([c1, c2, w])
         # a = mu r with ie = 0 has no P or I displacement, and with
         # r = dr/dt = Xi = 0 a zero state has no D displacement either
         if gains.all_zero:
@@ -735,7 +771,9 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             assert zs[5] == 0
         if quiet:
             assert all(z == 0 for z in zs[5:])
-        a_base = _slh_coefficients(c1, c2, 0.0j, w, params.omega)[1]
+        a_base = _reference_rows(c1, c2, 0.0j, w, params.omega)[1]
+        base = [complex(*e) for e in _a0_row(*parts, params.omega, dt)]
+        assert _words(base) == _words([dt * a for a in a_base])
         # states of their own stream, so the draws above stay as they were,
         # with Fock weights halving per level, so the step's norm guard
         # passes at these increments
@@ -745,19 +783,20 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         for cols in ((1, 2, 3), ALL):
             basis = _ladder_basis(dim, cols)
             stepper = _KrausStepper(basis, x)
-            stepper.step((c1, c2), [dt * a_base[j] for j in cols], zs,
+            stepper.step((c1, c2), [base[j] for j in cols], zs,
                          1.0 + 0.0j, dis, dt)
             rows = stepper._coef.reshape(len(zs), -1)
             for z, row, x_b, di in zip(zs, rows, x, dis, strict=True):
-                own = _slh_coefficients(c1, c2, z, w, params.omega)[1]
+                own = _reference_rows(c1, c2, z, w, params.omega)[1]
                 assert _words(row) == _words(
                     _kraus_row(own, cols, basis, x_b, (c1, c2), di, dt))
-        updated = [control._filter_update(a_hat, ie, r_t, drift, xi, di, dt)
-                   for a_hat, ie, drift, di in zip(a_hats, ies, drifts, dis)]
+        zeros = [0.0] * len(a_hats)
+        updated = list(zip(*control._filter_update(
+            a_hats, ies, zeros, zeros, dis, drifts, r_t, xi, dt)[:2]))
         for b, (a_hat, ie) in enumerate(zip(a_hats, ies)):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
             slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
-            own = _slh_coefficients(c1, c2, zs[b], w, params.omega)
+            own = _reference_rows(c1, c2, zs[b], w, params.omega)
             assert _words(slh._ladder[0]) == _words(own[0])
             assert _words(slh._ladder[1]) == _words(own[1])
             drift = drift_estimate(gains, filt, ref, ie, t, params)
@@ -772,6 +811,70 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
                            params, 3)
     cols = (2, 3) if gains.all_zero else (1, 2, 3) if gains.k_D == 0.0 else ALL
     assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 30
+
+
+def _pair_words(pairs, n) -> list:
+    """The words of each of n elements of (re, im) pairs of floats or of
+    (n,) arrays, as ``control._schedule`` stores them."""
+    out = np.empty((n, len(pairs)), dtype=np.complex128)
+    for j, (re, im) in enumerate(pairs):
+        out[:, j].real, out[:, j].imag = re, im
+    return [row.tobytes() for row in out]
+
+
+@pytest.mark.parametrize("name", ["zero", "P", "PI", "PID", "D"])
+def test_xi_only_rows_have_the_bits_of_the_complex_expressions(name):
+    # c1, c2, w and the row of A0 (and of dt A0) at z = 0, formed in real
+    # and imaginary parts, are the reference complex expressions word for
+    # word, for one Xi (floats) and for a block of Xi (arrays) alike, over
+    # Xi with signed zero parts, tiny and large parts and random ones; and
+    # a ladder SLH keeps the reference rows of L and A0 with its own z
+    gains = dict(GAIN_SETS, D=PIDGains(0.0, 0.0, 0.7))[name]
+    rng = np.random.default_rng(22)
+    edges = [0.0, -0.0, 0.3, -1.7, 5e-324, -3e100]
+    xis = [complex(re, im) for re in edges for im in edges] + [
+        complex(*rng.normal(0.0, 2.0, 2)) for _ in range(200)]
+    xr = np.array([xi.real for xi in xis])
+    xc = np.array([xi.imag for xi in xis])
+    for params, dt in ((ModeParams(1.0, 0.5), 1e-3),
+                       (ModeParams(2.0, 0.0), 2.5e-4)):
+        sg = math.sqrt(params.gamma)
+        want = []
+        for xi in xis:
+            c1, c2, w = _reference_xi_terms(gains, params, xi)
+            a0 = _reference_rows(c1, c2, 0.0j, w, params.omega)[1]
+            want.append(_words([c1, c2, w] + a0 + [dt * a for a in a0]))
+            one = _xi_terms(gains.k_D, sg, (xi.real, xi.imag))
+            got = (list(one) + _a0_row(*one, params.omega)
+                   + _a0_row(*one, params.omega, dt))
+            assert _pair_words(got, 1)[0] == want[-1]
+        block = _xi_terms(gains.k_D, sg, (xr, xc))
+        got = (list(block) + _a0_row(*block, params.omega)
+               + _a0_row(*block, params.omega, dt))
+        assert _pair_words(got, len(xis)) == want
+    for _ in range(50):
+        c1, c2, z, w = [complex(*rng.normal(0.0, 1.0, 2)) * rng.integers(2)
+                        for _ in range(4)]
+        slh = trajectory._ladder_slh(c1, c2, z, w, 0.5, 6)
+        rows = _reference_rows(c1, c2, z, w, 0.5)
+        assert [_words(row) for row in slh._ladder] == [
+            _words(row) for row in rows[:2]]
+
+
+def test_schedule_blocks_meet_without_a_seam(monkeypatch):
+    # the schedule forms (c1, c2) and the base row of dt A0 at z = 0 as
+    # arrays, once per block of 512 steps: across the block seams of a
+    # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each stepped row
+    # is the reference row of that step's (c1, c2, 0, w) with the truth's
+    # z, word for word, and the run forms three block rows and the probe
+    params = ModeParams(1.0, 0.5)
+    seen, calls = _cosim_steps(monkeypatch, PIDGains(2.0, 1.0, 0.5),
+                               CovariancePair(0.5, 0.0), 24, params, T=1.1,
+                               keep=(511, 512, 1023, 1024))
+    assert calls == 4
+    assert len(_assert_rows_are_the_slh_rows(seen, ALL, 0.5)) == 4
+    # Xi moves across the seams, so each step has rows of its own
+    assert len({_words(c) for _, c, *_ in seen}) == 4
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
@@ -798,11 +901,11 @@ def test_trimmed_kraus_step_is_the_full_step(rank):
                  ((1, 2, 3), (1.0, 0.0j), 0.0j, zs),
                  (ALL, (c1, c2), w, zs)]
         for cols, c, wc, z_rows in cases:
-            rows = [_slh_coefficients(*c, 0.0j if z_rows is None else z, wc,
-                                      0.5) for z in zs]
+            rows = [_reference_rows(*c, 0.0j if z_rows is None else z, wc,
+                                    0.5) for z in zs]
             assert all(r[1][j] == 0 for r in rows for j in ALL
                        if j not in cols)
-            a0 = _slh_coefficients(*c, 0.0j, wc, 0.5)[1]
+            a0 = _reference_rows(*c, 0.0j, wc, 0.5)[1]
             full, dy_full = _kraus_step(
                 psis, _ladder_basis(dim, ALL), c, [dt * a for a in a0],
                 z_rows, 1.0 + 0.0j, dI, dt)
@@ -1010,17 +1113,15 @@ def test_cosim_coarse_step_raises_step_tagged_error(cov):
 
 def test_cosim_names_the_truth_whose_filter_leaves_its_domain(monkeypatch):
     # a non-finite integral error stops the run at its step and names the
-    # truth as the error's column, whichever truths share its shard
+    # truth as the error's column, whichever truths share its shard: the
+    # shard's filters update in one call per step, which checks them in
+    # truth order, so of truths 1 and 2 leaving at step 0 truth 1 is named
     update = control._filter_update
     calls = []
 
-    def leave(*args):
-        # the filters of a step update in truth order: truth 1 of 3
-        a_new, ie_new = update(*args)
-        calls.append(args)
-        if len(calls) % 3 == 2:
-            ie_new = complex(math.inf, 0.0)
-        return a_new, ie_new
+    def leave(a_hats, ies, *args):
+        calls.append(len(a_hats))
+        return update(a_hats, ies[:1] + [complex(math.inf, 0.0)] * 2, *args)
 
     monkeypatch.setattr(control, "_filter_update", leave)
     with pytest.raises(DomainError, match="step 0 .*left its domain") as info:
@@ -1028,6 +1129,7 @@ def test_cosim_names_the_truth_whose_filter_leaves_its_domain(monkeypatch):
                        ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5), 12,
                        [NoiseStream(b, 1e-3) for b in range(3)], 0.01, 1e-3,
                        1, [0.3] * 3, CovariancePair(0.0, 0.0))
+    assert calls == [3]
     assert info.value.column == 1
 
 

@@ -6,8 +6,11 @@ seeds enumerate the same set of trajectory seeds in different order
 and would not give independent ensembles.
 """
 
+import concurrent.futures
+import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,47 @@ def test_worker_count_does_not_change_bytes(monkeypatch, scenario, threads):
              for i in range(6)]
     monkeypatch.setenv("QKF_THREADS", threads)
     _assert_same_bytes(run_ensemble(cfg, sc), mc._reduce(cfg, alone))
+
+
+@dataclasses.dataclass(frozen=True)
+class _PidLog:
+    """A scenario that writes the pid of the process stepping each shard
+    to ``log``/<first index> and then steps it as ``inner`` does."""
+
+    inner: FilterScenario
+    log: str
+
+    def shard(self, config, indices, noises):
+        Path(self.log, str(indices[0])).write_text(str(os.getpid()))
+        return self.inner.shard(config, indices, noises)
+
+
+def test_the_caller_steps_the_first_shard(monkeypatch, tmp_path):
+    # three shards start a pool of two workers, which step shards 1 and 2,
+    # while the calling process steps shard 0; the bytes are those of a
+    # one-process run
+    spawned, sizes = [], []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def _spawn_process(self):
+            spawned.append(1)
+            super()._spawn_process()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    sc = _SCENARIOS["purified-pid"]
+    cfg = EnsembleConfig(3, 0.02, 1e-3, 3 << 40, "caller", record_stride=10)
+    monkeypatch.setenv("QKF_THREADS", "3")
+    got = run_ensemble(cfg, _PidLog(sc, str(tmp_path)))
+    assert sizes == [2] and len(spawned) == 2
+    pids = {i: int((tmp_path / str(i)).read_text()) for i in range(3)}
+    assert pids[0] == os.getpid()
+    assert os.getpid() not in (pids[1], pids[2])
+    monkeypatch.setenv("QKF_THREADS", "1")
+    _assert_same_bytes(got, run_ensemble(cfg, sc))
 
 
 def test_worker_count_defaults_to_cpu_affinity(monkeypatch):
