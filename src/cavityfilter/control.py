@@ -28,10 +28,10 @@ It steps a batch of truths in lockstep (``_cosim``, which is how an
 ensemble shard runs) on the one trajectory loop of
 ``trajectory._integrate``.  Xi depends on time alone, so the run's
 schedule (``_schedule``) forms everything that depends only on time, in
-blocks of steps: r, dr/dt, the covariances, Xi, and the Kraus inputs
-c1, c2 and the row of dt A0 at z = 0.  Per step only each truth's z,
-drift and filter update remain; ``trajectory._KrausStepper`` holds the
-step mechanics.
+blocks of steps: r, dr/dt, the covariances, Xi, and the Kraus inputs,
+which the run's ``trajectory._KrausStepper`` forms on its own members
+(its docstring holds the members, the row and the step).  Per step only
+each truth's z, drift and filter update remain.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ from .trajectory import (
     SLHCoefficients,
     TrajectoryState,
     _KrausStepper,
-    _a0_row,
     _at_column,
     _density_factor,
     _integrate,
-    _ladder_form,
     _ladder_slh,
     _step_total,
 )
@@ -272,8 +270,8 @@ def _xi_terms(k_D: float, sg: float, xi) -> tuple:
     c2 = -k_D Xi, and adds the current-feedback correction
     (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
     w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Xi and the
-    result are (re, im) pairs as in ``trajectory._a0_row``, of floats for
-    one Xi or of arrays for a block, with the same bits."""
+    result are (re, im) pairs as in ``trajectory._KrausStepper._a0_row``,
+    of floats for one Xi or of arrays for a block, with the same bits."""
     if k_D == 0.0:
         return (sg, 0.0), (0.0, 0.0), (0.0, 0.0)
     # conj(Xi) = (xr, xc); float factors taken as (x, 0.0)
@@ -284,15 +282,15 @@ def _xi_terms(k_D: float, sg: float, xi) -> tuple:
 
 
 def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
-              cov: CovariancePair, dt: float, n: int, cols):
+              cov: CovariancePair, dt: float, n: int, stepper):
     """Yield the rows (r, dr/dt, Xi, V, W, (c1, c2), base) of steps 0,
     ..., n of a run from ``cov``, formed as arrays in the blocks of
     ``qkf._covariance_path``, which raises an error of the exact pair
     (V, W) when the row of its step is asked for.  (r, dr/dt) are
     ``_reference_at``'s rows, dr/dt zero unless the derivative channel
     reads it; Xi takes its parts apart, the arithmetic of ``_xi`` up to
-    the sign of a zero; (c1, c2) are ``_xi_terms``'s and ``base`` is the
-    row of dt A0 at z = 0 on the ladder columns ``cols``."""
+    the sign of a zero; (c1, c2) and ``base`` are the ``block`` of the
+    run's ``stepper`` at ``_xi_terms``'s (c1, c2, w)."""
     sg = math.sqrt(params.gamma)
     scale = 1.0 + gains.k_D
     for ks, v, w in _covariance_path(cov.V, cov.W, 0.0, params, dt,
@@ -301,11 +299,10 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
         if gains.k_D == 0.0:
             refs[:, 1] = 0.0
         xi = (sg * (v + w.real) / scale, sg * w.imag / scale)
-        c1, c2, w_d = _xi_terms(gains.k_D, sg, xi)
-        a0 = _a0_row(c1, c2, w_d, params.omega, dt)
         # columns Xi, c1, c2 and the base row
-        coef = np.empty((len(ks), 3 + len(cols)), dtype=np.complex128)
-        for j, (re, im) in enumerate([xi, c1, c2] + [a0[j] for j in cols]):
+        rows = [xi] + stepper.block(*_xi_terms(gains.k_D, sg, xi))
+        coef = np.empty((len(ks), len(rows)), dtype=np.complex128)
+        for j, (re, im) in enumerate(rows):
             coef[:, j].real, coef[:, j].imag = re, im
         # as Python rows 64 steps at a time, so few of them are alive
         for lo in range(0, len(ks), 64):
@@ -598,17 +595,11 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     qv = [0.0] * batch
     sg2 = math.sqrt(params.gamma) * 2.0
     feedback = _feedback_scalars(gains, params)
-    # the members: c1, c2 and w depend on Xi alone, so the A0 row at
-    # Xi = 1, with -i z nonzero under any gain, has every entry the gains
-    # can make nonzero (a'a and a at zero gain, a' too under P or I, all
-    # six under D)
     zero_gain = gains.all_zero
-    probe = [complex(*e) for e in _a0_row(*_xi_terms(
-        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)), params.omega)]
-    if not zero_gain:
-        probe[1] = 1.0
-    basis, cols = _ladder_form(dim, probe)
-    stepper = _KrausStepper(basis, np.stack(states))
+    c1, c2, w = (complex(*p) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)))
+    stepper = _KrausStepper(np.stack(states), dt, family=(
+        params.omega, c1, c2, 0.0j if zero_gain else 1.0, w))
 
     n = _step_total(noises, T, dt, record_stride)
 
@@ -618,15 +609,15 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     rec_w = np.empty(n_rec, dtype=np.complex128)
     rec_i = np.empty((batch, n_rec))
     # the row of the step about to be taken
-    rows = _schedule(gains, ref, params, cov, dt, n, cols)
+    rows = _schedule(gains, ref, params, cov, dt, n, stepper)
     row = next(rows)
 
     def step(t, arr, dw):
         nonlocal row, a_hat, ie, i_filter, qv
         r_t, dr_t, xi, _, _, c, base = row
         zs, drifts = feedback(a_hat, ie, r_t, dr_t, xi)
-        dy = stepper.step(c, base, None if zero_gain else zs, 1.0 + 0.0j,
-                          dw, dt)
+        dy = stepper.step(1.0 + 0.0j, dw, None if zero_gain else zs, c,
+                          base)
         a_hat, ie, i_filter, qv = _filter_update(
             a_hat, ie, i_filter, qv, dy, drifts, r_t, xi, dt, sg2)
         row = next(rows)

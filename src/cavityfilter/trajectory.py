@@ -30,13 +30,12 @@ rejects a non-finite or too coarse step.
 
 Every step reads (L, A0 = -iH - L'L/2) in the one form of its
 ``SLHCoefficients`` (``_kraus``) and is one row per truth of the run's
-one ``_KrausStepper``, whose docstring holds K and the step mechanics;
-``lindblad_apply`` and the record increment of a density matrix read
-the public L and H.
+one ``_KrausStepper``, whose docstring holds K, the members, the row and
+the step mechanics; ``lindblad_apply`` and the record increment of a
+density matrix read the public L and H.
 There is one trajectory loop, ``_integrate``, which steps a batch of
-truths in lockstep: ``run_trajectory`` is the batch of one over
-``_step``, and the PID co-simulation in ``control`` passes the step of
-an ensemble shard.
+truths in lockstep: ``run_trajectory`` is the batch of one, and the PID
+co-simulation in ``control`` passes the step of an ensemble shard.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .errors import (
 from .fock import (
     LEAK_WARN,
     _LADDER_A,
-    _LADDER_AD,
     CavityOperator,
     DensityOperator,
     StateVector,
@@ -108,15 +106,13 @@ class SLHCoefficients:
     S is a unit-modulus scattering phase (fixed at 1 throughout this
     package), L the coupling operator into the monitored field, H the
     Hamiltonian.  Equality is identity (the fields hold arrays).  Steppers
-    read only (L, A0), in the one form ``_kraus``: the ladder rows that
-    ``_ladder_slh`` instances keep, on the members where L or A0 has a
-    nonzero entry, else a dense basis built once.
+    read only (L, A0), in the one form ``_kraus``.
     """
 
     s: complex
     l: CavityOperator
     h: CavityOperator
-    _ladder: Union[list, None] = field(default=None, init=False, repr=False)
+    _ladder: Union[tuple, None] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(abs(complex(self.s)) - 1.0) > 1e-12:
@@ -139,20 +135,8 @@ class SLHCoefficients:
 
     @cached_property
     def _kraus(self):
-        # (basis, L's coefficients, A0's row), the one form every stepper
-        # reads: when built on the ladder basis (L = c1 a + c2 a'), the
-        # members its rows use (``_ladder_form``); else the dense basis
-        # (L, A0 = -iH - L'L/2, I), built once here
-        if self._ladder is not None:
-            l_row, a0_row = self._ladder
-            basis, cols = _ladder_form(self.dim, l_row, a0_row)
-            return (basis, (l_row[_LADDER_A], l_row[_LADDER_AD]),
-                    [a0_row[j] for j in cols])
-        l_mat = self.l.entries
-        ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
-        stack = np.concatenate([l_mat, -1j * self.h.entries - 0.5 * ll,
-                                np.eye(self.dim)])
-        return (stack, 0, None), (1.0, 0.0), [0.0, 1.0]
+        # the form every stepper reads, built once, by the stepper's rules
+        return _KrausStepper._form(self)
 
 
 @dataclass(frozen=True)
@@ -250,55 +234,17 @@ def _mul(a, b) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _a0_row(c1, c2, w, omega: float, dt=None) -> list:
-    """The ladder row of A0 = -iH - L'L/2 at z = 0, times dt unless dt is
-    None, for L = c1 a + c2 a' and the H of ``_ladder_slh``, with L'L in
-    its closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
-    + conj(c1) c2 a'^2 (truncated products of a and a' equal it).  c1, c2,
-    w and the entries are (re, im) pairs, of floats or of arrays for a
-    block of steps; each entry is its Python complex expression term by
-    term (a float x is (x, 0.0)), so it has those bits, signed zeros too."""
-    c1c, c2c = (c1[0], -c1[1]), (c2[0], -c2[1])
-    m_i, half = (-0.0, -1.0), (0.5, 0.0)
-    # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS) of -1j * H
-    # minus 0.5 * L'L, which has no a' or a entry
-    p0, q0 = _mul(m_i, (w[0], -w[1])), _mul(half, _mul(c1c, c2))
-    p2, p4 = _mul(m_i, (omega + 2.0 * w[0], 0.0)), _mul(m_i, w)
-    q4, p5 = _mul(half, _mul(c2c, c1)), _mul(m_i, (0.0, 0.0))
-    row = [(p0[0] - q0[0], p0[1] - q0[1]), p5,
-           (p2[0] - 0.5 * _mul(c1c, c1)[0], p2[1] - 0.0),
-           _mul(m_i, (0.0, -0.0)), (p4[0] - q4[0], p4[1] - q4[1]),
-           (p5[0] - 0.5 * _mul(c2c, c2)[0], p5[1] - 0.0)]
-    return row if dt is None else [_mul((dt, 0.0), e) for e in row]
-
-
-def _ladder_form(dim: int, *rows) -> tuple:
-    """(basis, cols): the ladder basis (``fock._ladder_basis``) on the
-    columns ``cols`` where a ladder row has a nonzero entry, and on a,
-    which m = <x, a x> needs, so a step forms no product whose
-    coefficient is zero.  Every ladder stepper takes its members here:
-    an SLH from its rows of L and A0, a co-simulation from one A0 row
-    that has every entry its gains can make nonzero."""
-    cols = tuple(j for j, row in enumerate(zip(*rows))
-                 if j == _LADDER_A or any(row))
-    return _ladder_basis(dim, cols), cols
-
-
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H = omega a'a + z a' + conj(z) a
-    + w (a^2 + a'a) + conj(w) (a'^2 + a'a); the rows of L and of A0
-    (``_a0_row``, with -i z and -i conj(z) at a' and a) are kept, so the
-    steppers' A0 is the closed form too."""
-    a0 = [complex(*e) for e in _a0_row(
-        *[(complex(v).real, complex(v).imag) for v in (c1, c2, w)], omega)]
-    a0[1], a0[3] = -1j * z, -1j * z.conjugate()
+    + w (a^2 + a'a) + conj(w) (a'^2 + a'a); the scalars are kept
+    (``_ladder``), and the stepper forms the closed form of A0 from them."""
     l_row = [0.0, c2, 0.0, c1, 0.0, 0.0]
     h_row = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
     l_mat, h_mat = _ladder_dense([l_row, h_row], dim)
     slh = SLHCoefficients(1.0 + 0.0j, CavityOperator(dim, l_mat),
                           CavityOperator(dim, h_mat))
-    object.__setattr__(slh, "_ladder", [l_row, a0])
+    object.__setattr__(slh, "_ladder", (omega, c1, c2, z, w))
     return slh
 
 
@@ -321,12 +267,25 @@ class _KrausStepper:
 
     lam = 2 Re e^{i theta} tr(L rho), e^{i theta} = cis, on the
     increments dI[b]; ``zakai`` takes the linear row
-    I + dt A0 + dY e^{i theta} L instead.  ``basis`` is (stack, k, k'):
-    the (n dim, dim) stack of the basis members X_0 .. X_{n-1}, the last
-    of them I; a ladder basis holds only the members the rows can make
-    nonzero (``fock._ladder_basis``), so a step forms no product whose
-    coefficient is always zero.  L = c X_k + c' X_k' with (c, c') =
-    ``c``, where X_k' is the adjoint of X_k (and no term if k' is None).
+    I + dt A0 + dY e^{i theta} L instead.
+
+    The stepper owns the row.  ``basis`` is (stack, k, k'): the
+    (n dim, dim) stack of the members X_0 .. X_{n-1}, the last of them I,
+    with L = c X_k + c' X_k' (no term if k' is None), X_k' the adjoint of
+    X_k.  Built from ``slh``, it reads the SLH's form ``_kraus``
+    (``_form``): a dense stack (L, A0, I) with (c, c') = (1, 0), or the
+    members of a ladder SLH (omega, c1, c2, z, w) (``_ladder``), the
+    columns where L's row or A0's closed form (``_a0_row``) is nonzero,
+    and a, which m needs.  It keeps (c, c') = ``c`` and ``base``, the row
+    of dt A0 on X_0 .. X_{n-2}, formed once per form; ``take`` hands it
+    the next SLH of a run.  Built from a co-simulation's ``family``, the
+    ladder SLH at unit Xi with z = 1 under any gain, it steps on that
+    SLH's members, which hold every entry the gains can make nonzero,
+    since c1, c2 and w depend on Xi alone: a'a and a at zero gain, a' too
+    under P or I, all six under D.  ``block`` forms the (c, base) of a
+    block of its steps, and each step is given its own.  So a step forms
+    no product whose coefficient is always zero.  ``_a0_row`` is the one
+    row builder: once per ladder SLH, once per family and once per block.
 
     The rows x[b] are carried unnormalized.  The stepper holds ``prods``,
     the basis products of the current stack (one matmul, on the float64
@@ -341,10 +300,15 @@ class _KrausStepper:
     once, so a step allocates none of them, and every row of a stack gets
     the bits of a lone state.  ``x`` is the current stack."""
 
-    def __init__(self, basis, x0: np.ndarray):
-        self.basis = basis
-        stack, self._k, self._k_adj = basis
+    def __init__(self, x0: np.ndarray, dt: float, slh=None, family=None):
+        self.dt = dt
         batch, dim = x0.shape[:2]
+        if family is None:
+            self.basis = self._read(slh, dim)
+        else:
+            self._omega = family[0]
+            self._cols, self.basis, _ = self._ladder(dim, *family)
+        stack, self._k, self._k_adj = self.basis
         n = len(stack) // dim
         real = stack.dtype == np.float64
         self._stack = stack
@@ -363,6 +327,75 @@ class _KrausStepper:
         self._rows = x.reshape(batch, 1, -1)
         self.ms = self._products()
 
+    @staticmethod
+    def _a0_row(c1, c2, w, omega: float, dt=None) -> list:
+        """The ladder row of A0 = -iH - L'L/2 at z = 0, times dt unless dt
+        is None, for L = c1 a + c2 a' and the H of a ladder form, with L'L
+        in its closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
+        + conj(c1) c2 a'^2 (truncated products of a and a' equal it).  c1,
+        c2, w and the entries are (re, im) pairs, of floats or of arrays
+        for a block of steps; each entry is its Python complex expression
+        term by term (a float x is (x, 0.0)), so it has those bits, signed
+        zeros too."""
+        c1c, c2c = (c1[0], -c1[1]), (c2[0], -c2[1])
+        m_i, half = (-0.0, -1.0), (0.5, 0.0)
+        # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS) of -1j * H
+        # minus 0.5 * L'L, which has no a' or a entry
+        p0, q0 = _mul(m_i, (w[0], -w[1])), _mul(half, _mul(c1c, c2))
+        p2, p4 = _mul(m_i, (omega + 2.0 * w[0], 0.0)), _mul(m_i, w)
+        q4, p5 = _mul(half, _mul(c2c, c1)), _mul(m_i, (0.0, 0.0))
+        row = [(p0[0] - q0[0], p0[1] - q0[1]), p5,
+               (p2[0] - 0.5 * _mul(c1c, c1)[0], p2[1] - 0.0),
+               _mul(m_i, (0.0, -0.0)), (p4[0] - q4[0], p4[1] - q4[1]),
+               (p5[0] - 0.5 * _mul(c2c, c2)[0], p5[1] - 0.0)]
+        return row if dt is None else [_mul((dt, 0.0), e) for e in row]
+
+    @staticmethod
+    def _ladder(dim: int, omega: float, c1, c2, z, w) -> tuple:
+        """(cols, basis, A0's row on them) of the ladder SLH
+        (omega, c1, c2, z, w): the columns where L's row or A0's is
+        nonzero, and a."""
+        a0 = [complex(*e) for e in _KrausStepper._a0_row(
+            *[(complex(v).real, complex(v).imag) for v in (c1, c2, w)], omega)]
+        a0[1], a0[3] = -1j * z, -1j * z.conjugate()
+        cols = tuple(j for j, col in enumerate(zip(
+            [0.0, c2, 0.0, c1, 0.0, 0.0], a0)) if j == _LADDER_A or any(col))
+        return cols, _ladder_basis(dim, cols), [a0[j] for j in cols]
+
+    @staticmethod
+    def _form(slh: SLHCoefficients) -> tuple:
+        """(basis, (c, c'), A0's row on X_0 .. X_{n-2}) of ``slh``."""
+        if slh._ladder is None:
+            l_mat = slh.l.entries
+            ll = np.ascontiguousarray(l_mat.conj().T) @ l_mat
+            stack = np.concatenate([l_mat, -1j * slh.h.entries - 0.5 * ll,
+                                    np.eye(slh.dim)])
+            return (stack, 0, None), (1.0, 0.0), [0.0, 1.0]
+        _, basis, a0 = _KrausStepper._ladder(slh.dim, *slh._ladder)
+        return basis, slh._ladder[1:3], a0
+
+    def _read(self, slh: SLHCoefficients, dim: int) -> tuple:
+        """Take ``c`` and ``base`` from the form of ``slh``, whose dim must
+        be ``dim`` (``DimensionError``); return its basis."""
+        slh._check_dim(dim)
+        basis, self.c, a0 = self._form = slh._kraus
+        self._base = [self.dt * a for a in a0]
+        return basis
+
+    def take(self, slh: SLHCoefficients) -> "_KrausStepper":
+        """This stepper on the form of ``slh``, or a new one on the current
+        stack when that form's members or dim differ."""
+        if (slh._kraus is self._form
+                or self._read(slh, self.x.shape[1]) is self.basis):
+            return self
+        return _KrausStepper(self.x, self.dt, slh)
+
+    def block(self, c1, c2, w) -> list:
+        """[c1, c2] and the family's row of dt A0 at z = 0 on
+        X_0 .. X_{n-2}, at (c1, c2, w) as ``_a0_row`` takes them."""
+        a0 = self._a0_row(c1, c2, w, self._omega, self.dt)
+        return [c1, c2] + [a0[j] for j in self._cols]
+
     def _products(self) -> list:
         """Form the products of the current stack; return its (m, s)."""
         np.matmul(self._stack, self._x_op, out=self._prods_f)
@@ -374,24 +407,26 @@ class _KrausStepper:
         np.matmul(self._coef, self.prods, out=self._rows)
         return self._products()
 
-    def lams(self, c, cis: complex) -> list:
+    def lams(self, cis: complex) -> list:
         """lam[b] = 2 Re e^{i theta} <L> of each row (NaN for a zero row,
         which the Zakai step's band then rejects)."""
-        c, c_adj = c
+        c, c_adj = self.c
         return [2.0 * (cis * (c * m + c_adj * m.conjugate())).real / s.real
                 if s else math.nan for m, s in self.ms]
 
-    def step(self, c, base, zs, cis: complex, dI, dt: float) -> list:
+    def step(self, cis: complex, dI, zs=None, c=None, base=None) -> list:
         """One Kraus step of every row; returns the record increments
         dY[b] = lam[b] dt + dI[b].
 
-        ``base`` is the row of dt A0 on X_0 .. X_{n-2}.  With ``zs`` None
-        every truth takes it; else the truths' A0 differ only in the
-        displacement zs[b] of H (``_ladder_slh``), which enters the a'
-        and a entries (X_k' and X_k) as -i z and -i conj(z), and the row
-        loop writes them from zs[b], so each row equals
-        ``[dt * a0[j] for j in cols]`` of its own z bit for bit."""
-        k, k_adj = self._k, self._k_adj
+        (c, base) are the form's unless given (a family's step).  With
+        ``zs`` None every truth takes ``base``; else the truths' A0 differ
+        only in the displacement zs[b] of H, which enters the a' and a
+        entries (X_k' and X_k) as -i z and -i conj(z), and the row loop
+        writes them from zs[b], so each row is dt A0 of its own z bit for
+        bit."""
+        if c is None:
+            c, base = self.c, self._base
+        k, k_adj, dt = self._k, self._k_adj, self.dt
         c, c_adj = c
         dy, rows = [], []
         for b, ((m, s), di) in enumerate(zip(self.ms, dI)):
@@ -413,15 +448,15 @@ class _KrausStepper:
         self._settle(self._apply(), True)
         return dy
 
-    def zakai(self, form, cis: complex, dY: float, dt: float) -> None:
+    def zakai(self, cis: complex, dY: float) -> None:
         """One linear step of the single vector chi held, driven by the raw
         record: d chi = e^{i theta} L chi dY + A0 chi dt, as the row
-        I + dt A0 + dY e^{i theta} L of the ``_kraus`` form ``form``."""
-        (_, k, k_adj), (c, c_adj), a0_row = form
-        row = [dt * a for a in a0_row] + [1.0]
-        row[k] += dY * cis * c
-        if k_adj is not None:
-            row[k_adj] += dY * cis * c_adj
+        I + dt A0 + dY e^{i theta} L."""
+        c, c_adj = self.c
+        row = self._base + [1.0]
+        row[self._k] += dY * cis * c
+        if self._k_adj is not None:
+            row[self._k_adj] += dY * cis * c_adj
         self._coef_flat[:] = row
         self._settle(self._apply(), False)
 
@@ -455,13 +490,6 @@ def _unit(x: np.ndarray, sq=None) -> np.ndarray:
     return x / math.sqrt(np.vdot(x, x).real if sq is None else sq)
 
 
-def _stepper_for(slh: SLHCoefficients, x: np.ndarray) -> _KrausStepper:
-    """A stepper on the basis of ``slh`` for the stack x, whose states
-    must fit the SLH (``DimensionError``)."""
-    slh._check_dim(x.shape[1])
-    return _KrausStepper(slh._kraus[0], x)
-
-
 def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:
     """``exc`` marked as the failure of column ``column`` of a batch."""
     exc.column = column
@@ -485,23 +513,6 @@ def _factor_density(x: np.ndarray) -> np.ndarray:
     rho = x @ x.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
-
-
-def _step(mode: str, slh: SLHCoefficients, cis: complex,
-          stepper: _KrausStepper, dw: float, dt: float) -> float:
-    """One step of the single vector or density factor that ``stepper``
-    holds on the basis of ``slh`` (mode "sse", "sme" or "zakai"), on the
-    innovations increment dw at the measurement phase e^{i theta} = cis,
-    over the (L, A0) of ``slh``; the stepper holds the new state.  Returns
-    dY.  The SSE and SME steps are the stepper's Kraus step, and the Zakai
-    step its linear one, driven by the record dY = lam dt + dw."""
-    form = slh._kraus
-    if mode == "zakai":
-        dy = stepper.lams(form[1], cis)[0] * dt + dw
-        stepper.zakai(form, cis, dy, dt)
-        return dy
-    _, c, a0_row = form
-    return stepper.step(c, [dt * a for a in a0_row], None, cis, (dw,), dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +550,7 @@ def measurement_increment(state: TrajectoryState, slh: SLHCoefficients,
     cis = complex(np.exp(1j * float(theta_t)))
     vec = state.psi if state.psi is not None else state.chi
     if vec is not None:
-        lam = _stepper_for(slh, vec.amplitudes[None]).lams(slh._kraus[1],
-                                                           cis)[0]
+        lam = _KrausStepper(vec.amplitudes[None], dt, slh).lams(cis)[0]
     else:
         slh._check_dim(state.rho.dim)
         lam = 2.0 * (cis * np.sum(state.rho.entries.T * slh.l.entries)).real
@@ -557,17 +567,12 @@ def sse_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     _check_dt(dt)
     if state.psi is None:
         raise DomainError("sse_step needs a state vector (psi)")
-    stepper = _stepper_for(slh, state.psi.amplitudes[None])
+    stepper = _KrausStepper(state.psi.amplitudes[None], dt, slh)
     _check_normalized(stepper.ms[0][1].real, "sse_step")
-    dy = _step("sse", slh, complex(np.exp(1j * float(theta_t))), stepper, dI,
-               dt)
-    return TrajectoryState(
-        t=state.t + dt,
-        Y=state.Y + dy,
-        I=state.I + dI,
-        psi=StateVector(state.psi.dim,
-                        _unit(stepper.x[0], stepper.ms[0][1].real)),
-    )
+    dy = stepper.step(complex(np.exp(1j * float(theta_t))), (dI,))[0]
+    psi = _unit(stepper.x[0], stepper.ms[0][1].real)
+    return TrajectoryState(state.t + dt, state.Y + dy, state.I + dI,
+                           psi=StateVector(state.psi.dim, psi))
 
 
 def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
@@ -582,15 +587,12 @@ def sme_step(state: TrajectoryState, slh: SLHCoefficients, theta_t: float,
     _check_dt(dt)
     if state.rho is None:
         raise DomainError("sme_step needs a density matrix (rho)")
-    stepper = _stepper_for(slh, _density_factor(state.rho.entries)[None])
-    dy = _step("sme", slh, complex(np.exp(1j * float(theta_t))), stepper, dI,
-               dt)
-    return TrajectoryState(
-        t=state.t + dt,
-        Y=state.Y + dy,
-        I=state.I + dI,
-        rho=DensityOperator(state.rho.dim, _factor_density(stepper.x[0])),
-    )
+    stepper = _KrausStepper(_density_factor(state.rho.entries)[None], dt,
+                            slh)
+    dy = stepper.step(complex(np.exp(1j * float(theta_t))), (dI,))[0]
+    rho = _factor_density(stepper.x[0])
+    return TrajectoryState(state.t + dt, state.Y + dy, state.I + dI,
+                           rho=DensityOperator(state.rho.dim, rho))
 
 
 def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
@@ -604,15 +606,11 @@ def belavkin_zakai_step(state: TrajectoryState, slh: SLHCoefficients,
     _check_dt(dt)
     if state.chi is None:
         raise DomainError("belavkin_zakai_step needs an unnormalized vector (chi)")
-    stepper = _stepper_for(slh, state.chi.amplitudes[None])
-    lam = stepper.lams(slh._kraus[1], 1.0 + 0.0j)[0]
-    stepper.zakai(slh._kraus, 1.0 + 0.0j, dY, dt)
-    return TrajectoryState(
-        t=state.t + dt,
-        Y=state.Y + dY,
-        I=state.I + dY - lam * dt,
-        chi=StateVector(state.chi.dim, stepper.x[0]),
-    )
+    stepper = _KrausStepper(state.chi.amplitudes[None], dt, slh)
+    lam = stepper.lams(1.0 + 0.0j)[0]
+    stepper.zakai(1.0 + 0.0j, dY)
+    return TrajectoryState(state.t + dt, state.Y + dY, state.I + dY - lam * dt,
+                           chi=StateVector(state.chi.dim, stepper.x[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -808,15 +806,20 @@ def run_trajectory(
         const_cis = complex(np.exp(1j * const_theta))
         cis_at = lambda _t: const_cis
 
-    # one stepper per run, built again only when a source's basis changes
+    # one stepper per run, built again only when a source's members or dim
+    # change (``_KrausStepper.take``)
     stepper = None
 
     def step(t, arr, dw):
         nonlocal stepper
         slh = provider(t, arr[0])
-        if stepper is None or slh._kraus[0] is not stepper.basis:
-            stepper = _stepper_for(slh, arr)
-        dy = _step(mode, slh, cis_at(t), stepper, dw[0], dt)
+        stepper = (_KrausStepper(arr, dt, slh) if stepper is None
+                   else stepper.take(slh))
+        cis = cis_at(t)
+        if mode != "zakai":
+            return stepper.x, stepper.step(cis, dw)
+        dy = stepper.lams(cis)[0] * dt + dw[0]
+        stepper.zakai(cis, dy)
         return stepper.x, [dy]
 
     kind = {"sse": "psi", "sme": "rho", "zakai": "chi"}[mode]

@@ -47,7 +47,6 @@ from cavityfilter.trajectory import (
     NoiseStream,
     TrajectoryState,
     _KrausStepper,
-    _a0_row,
     damped_cavity_slh,
     run_trajectory,
     sme_step,
@@ -56,6 +55,23 @@ from cavityfilter.trajectory import (
 
 #: every member of the ladder basis, as ``fock._ladder_basis`` columns
 ALL = tuple(range(len(_LADDER_KEYS)))
+
+#: A0's ladder row at z = 0 (``trajectory._KrausStepper``'s row builder)
+_a0_row = _KrausStepper._a0_row
+
+#: a co-simulation's ladder family (omega, c1, c2, z, w) at unit Xi per
+#: member set: a zero-gain, a P/I and a PID one's
+FAMILIES = {(2, 3): (0.5, 1.0, 0.0j, 0.0j, 0.0j),
+            (1, 2, 3): (0.5, 1.0, 0.0j, 1.0, 0.0j),
+            ALL: (0.5, 1.0, 1.0, 1.0, 1j)}
+
+
+def _ladder_stepper(x, cols, dt):
+    """A co-simulation's ``_KrausStepper`` on the stack x whose members
+    are the ladder columns ``cols`` (its (c, base) come with each step)."""
+    stepper = _KrausStepper(x, dt, family=FAMILIES[cols])
+    assert stepper.basis is _ladder_basis(x.shape[1], cols)
+    return stepper
 
 
 def _reference_rows(c1, c2, z, w, omega):
@@ -80,11 +96,19 @@ def _reference_xi_terms(gains, params, xi):
     return sg + k_D * xi_c, -k_D * xi, 0.5j * sg * k_D * xi_c
 
 
-def _kraus_step(x, basis, c, base, zs, cis, dI, dt):
-    """One step of a fresh ``_KrausStepper`` on the stack x: (new,
-    unnormalized stack, dY)."""
-    stepper = _KrausStepper(basis, x)
-    dy = stepper.step(c, base, zs, cis, dI, dt)
+def _members(rows) -> tuple:
+    """The ladder columns where the reference row of L or of A0
+    (``_reference_rows``) is nonzero, and a: the members a stepper on that
+    SLH steps on."""
+    return tuple(j for j in ALL if j == _LADDER_KEYS.index("a")
+                 or rows[0][j] != 0 or rows[1][j] != 0)
+
+
+def _kraus_step(x, cols, c, base, zs, cis, dI, dt):
+    """One step of a fresh ``_KrausStepper`` on the stack x and the ladder
+    columns ``cols``: (new, unnormalized stack, dY)."""
+    stepper = _ladder_stepper(x, cols, dt)
+    dy = stepper.step(cis, dI, zs, c, base)
     return stepper.x, dy
 
 
@@ -521,7 +545,7 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
 
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        new, dy = _kraus_step(psi[None], _ladder_basis(dim, ALL), (c1, c2),
+        new, dy = _kraus_step(psi[None], ALL, (c1, c2),
                               [dt * a for a in rows[1]], None, 1.0 + 0.0j,
                               (di,), dt)
         lam = 2.0 * np.vdot(psi, l_ref @ psi).real
@@ -579,12 +603,11 @@ def test_kraus_update_is_batch_invariant(rank):
             a0 = _reference_rows(l1, l2, 0.0j, wc, 0.5)[1]
             base = [dt * a0[j] for j in cols]
             c = (rows[0][0][3], rows[0][0][1])
-            basis = _ladder_basis(dim, cols)
-            new, dy = _kraus_step(psis, basis, c, base, z_rows, 1.0 + 0.0j,
+            new, dy = _kraus_step(psis, cols, c, base, z_rows, 1.0 + 0.0j,
                                   dI, dt)
             for b in range(batch):
                 alone, dy_alone = _kraus_step(
-                    psis[b:b + 1], basis, c, base,
+                    psis[b:b + 1], cols, c, base,
                     None if z_rows is None else z_rows[b:b + 1],
                     1.0 + 0.0j, dI[b:b + 1], dt)
                 assert new[b].tobytes() == alone[0].tobytes()
@@ -610,7 +633,8 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
     coefficient rows it stepped, with the reference (c1, c2, w) of the
     step's Xi (``_reference_xi_terms``) and the zs of the shard's feedback
     for that step, the stack before the step, its increments and the base
-    row passed; and the number of ``control._a0_row`` calls of the run."""
+    row passed; and the number of calls of the stepper's row builder
+    (``_KrausStepper._a0_row``) in the run."""
     seen, formed, calls = [], [], []
     feedback_of, kraus_step = _feedback_scalars, _KrausStepper.step
 
@@ -625,9 +649,9 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
 
         return spy
 
-    def stepped(self, c, base, zs, cis, dI, dt):
+    def stepped(self, cis, dI, zs=None, c=None, base=None):
         x = self.x.copy()
-        out = kraus_step(self, c, base, zs, cis, dI, dt)
+        out = kraus_step(self, cis, dI, zs, c, base)
         if keep is None or len(formed) - 1 in keep:
             seen.append((self.basis, c, self._coef.reshape(len(x), -1).copy(),
                          formed[-1], x, dI, base))
@@ -639,7 +663,7 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
 
     monkeypatch.setattr(control, "_feedback_scalars", scalars)
     monkeypatch.setattr(_KrausStepper, "step", stepped)
-    monkeypatch.setattr(control, "_a0_row", rows)
+    monkeypatch.setattr(_KrausStepper, "_a0_row", staticmethod(rows))
     control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
                    dim, [NoiseStream(4 + b, 1e-3) for b in range(batch)],
                    T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)], cov)
@@ -690,8 +714,9 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
              "PI": PIDGains(2.0, 1.0), "PID": PIDGains(2.0, 1.0, 0.5)}
     for (gamma, omega), sets in want.items():
         params = ModeParams(gamma, omega)
-        assert np.array_equal(damped_cavity_slh(params, dim)._kraus[0][0],
-                              stack(sets["zero"]))
+        damped = _KrausStepper(np.ones((1, dim), dtype=np.complex128), 1e-3,
+                               damped_cavity_slh(params, dim))
+        assert np.array_equal(damped.basis[0], stack(sets["zero"]))
         for name, members in sets.items():
             seen, _ = _cosim_steps(monkeypatch, gains[name], cov, dim, params)
             for (basis, _, _), *_ in seen:
@@ -707,8 +732,8 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
 def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
     # a shard of 8 forms its Xi-only base rows once per schedule block, not
     # once per step or per truth: the 11 rows of a 10-step run are one
-    # block, and one more call forms the probe row that picks the members,
-    # under PID and at zero gain alike
+    # block, and one more call forms the unit-Xi row from which the
+    # stepper picks its members, under PID and at zero gain alike
     params = ModeParams(1.0, 0.5)
     for gains, cols in ((PIDGains(2.0, 1.0, 0.5), ALL), (PIDGains(0.0), (2, 3))):
         seen, calls = _cosim_steps(monkeypatch, gains,
@@ -781,10 +806,10 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             np.complex128)[..., 0] * 0.5 ** np.arange(dim)
         x /= np.linalg.norm(x, axis=1)[:, None]
         for cols in ((1, 2, 3), ALL):
-            basis = _ladder_basis(dim, cols)
-            stepper = _KrausStepper(basis, x)
-            stepper.step((c1, c2), [base[j] for j in cols], zs,
-                         1.0 + 0.0j, dis, dt)
+            stepper = _ladder_stepper(x, cols, dt)
+            basis = stepper.basis
+            stepper.step(1.0 + 0.0j, dis, zs, (c1, c2),
+                         [base[j] for j in cols])
             rows = stepper._coef.reshape(len(zs), -1)
             for z, row, x_b, di in zip(zs, rows, x, dis, strict=True):
                 own = _reference_rows(c1, c2, z, w, params.omega)[1]
@@ -797,8 +822,17 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
             slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
             own = _reference_rows(c1, c2, zs[b], w, params.omega)
-            assert _words(slh._ladder[0]) == _words(own[0])
-            assert _words(slh._ladder[1]) == _words(own[1])
+            # the SLH keeps the truth's scalars, and a stepper on it forms
+            # the truth's own rows: L's coefficients and dt A0 on its
+            # members, off which both rows are zero
+            assert slh._ladder[0] == params.omega
+            assert _words(slh._ladder[1:]) == _words([c1, c2, zs[b], w])
+            alone = _KrausStepper(x[b:b + 1], dt, slh)
+            members = _members(own)
+            assert alone.basis is _ladder_basis(dim, members)
+            assert _words(alone.c) == _words([own[0][3], own[0][1]])
+            assert _words(alone._base) == _words(
+                [dt * own[1][j] for j in members])
             drift = drift_estimate(gains, filt, ref, ie, t, params)
             assert _words([drift]) == _words([drifts[b]])
             new = pid_filter_step(ClosedLoopState(filt, ie, t=t), dis[b],
@@ -828,7 +862,8 @@ def test_xi_only_rows_have_the_bits_of_the_complex_expressions(name):
     # and imaginary parts, are the reference complex expressions word for
     # word, for one Xi (floats) and for a block of Xi (arrays) alike, over
     # Xi with signed zero parts, tiny and large parts and random ones; and
-    # a ladder SLH keeps the reference rows of L and A0 with its own z
+    # a stepper on a ladder SLH forms the reference rows of L and dt A0
+    # with its own z on its members, off which both rows are zero
     gains = dict(GAIN_SETS, D=PIDGains(0.0, 0.0, 0.7))[name]
     rng = np.random.default_rng(22)
     edges = [0.0, -0.0, 0.3, -1.7, 5e-324, -3e100]
@@ -857,8 +892,13 @@ def test_xi_only_rows_have_the_bits_of_the_complex_expressions(name):
                         for _ in range(4)]
         slh = trajectory._ladder_slh(c1, c2, z, w, 0.5, 6)
         rows = _reference_rows(c1, c2, z, w, 0.5)
-        assert [_words(row) for row in slh._ladder] == [
-            _words(row) for row in rows[:2]]
+        stepper = _KrausStepper(np.ones((1, 6), dtype=np.complex128), 1e-3,
+                                slh)
+        members = _members(rows)
+        assert stepper.basis is _ladder_basis(6, members)
+        assert _words(stepper.c) == _words([rows[0][3], rows[0][1]])
+        assert _words(stepper._base) == _words(
+            [1e-3 * rows[1][j] for j in members])
 
 
 def test_schedule_blocks_meet_without_a_seam(monkeypatch):
@@ -866,7 +906,8 @@ def test_schedule_blocks_meet_without_a_seam(monkeypatch):
     # arrays, once per block of 512 steps: across the block seams of a
     # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each stepped row
     # is the reference row of that step's (c1, c2, 0, w) with the truth's
-    # z, word for word, and the run forms three block rows and the probe
+    # z, word for word, and the run forms three block rows and the
+    # unit-Xi row that picks the members
     params = ModeParams(1.0, 0.5)
     seen, calls = _cosim_steps(monkeypatch, PIDGains(2.0, 1.0, 0.5),
                                CovariancePair(0.5, 0.0), 24, params, T=1.1,
@@ -907,10 +948,10 @@ def test_trimmed_kraus_step_is_the_full_step(rank):
                        if j not in cols)
             a0 = _reference_rows(*c, 0.0j, wc, 0.5)[1]
             full, dy_full = _kraus_step(
-                psis, _ladder_basis(dim, ALL), c, [dt * a for a in a0],
+                psis, ALL, c, [dt * a for a in a0],
                 z_rows, 1.0 + 0.0j, dI, dt)
             new, dy = _kraus_step(
-                psis, _ladder_basis(dim, cols), c,
+                psis, cols, c,
                 [dt * a0[j] for j in cols], z_rows, 1.0 + 0.0j, dI, dt)
             assert dy == dy_full
             assert np.max(np.abs(new - full)) <= 4 * np.finfo(float).eps

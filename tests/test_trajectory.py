@@ -44,6 +44,15 @@ from cavityfilter.trajectory import (
 )
 
 
+#: every ladder column, and a co-simulation's ladder family
+#: (omega, c1, c2, z, w) at unit Xi whose members are the given columns: a
+#: zero-gain, a P/I and a PID one's
+ALL = tuple(range(6))
+LADDER_FAMILIES = {(2, 3): (0.5, 1.0, 0.0j, 0.0j, 0.0j),
+                   (1, 2, 3): (0.5, 1.0, 0.0j, 1.0, 0.0j),
+                   ALL: (0.5, 1.0, 1.0, 1.0, 1j)}
+
+
 def pure_density(psi: StateVector) -> DensityOperator:
     v = psi.normalized().amplitudes
     return DensityOperator(psi.dim, np.outer(v, v.conj()))
@@ -99,12 +108,10 @@ def test_run_longer_than_a_noise_block_matches_the_step_chain():
     psi0 = coherent_state(0.3, dim)
     rec = run_trajectory(psi0, slh, 0.0, NoiseStream(9, dt), n * dt, dt,
                          record_stride=n)
-    basis, c, a0_row = slh._kraus
-    stepper = trajectory._KrausStepper(basis, psi0.amplitudes[None])
+    stepper = trajectory._KrausStepper(psi0.amplitudes[None], dt, slh)
     y = i = 0.0
     for dI in NoiseStream(9, dt).increments(n).tolist():
-        y += stepper.step(c, [dt * a for a in a0_row], None, 1.0 + 0.0j,
-                          (dI,), dt)[0]
+        y += stepper.step(1.0 + 0.0j, (dI,))[0]
         i += dI
     x = stepper.x[0]
     assert np.array_equal(rec.final.psi.amplitudes,
@@ -114,9 +121,8 @@ def test_run_longer_than_a_noise_block_matches_the_step_chain():
 
     one = sse_step(TrajectoryState(0.0, 0.0, 0.0, psi=psi0), slh, 0.0, 0.01,
                    dt)
-    stepper = trajectory._KrausStepper(basis, psi0.amplitudes[None])
-    dy = stepper.step(c, [dt * a for a in a0_row], None, 1.0 + 0.0j, (0.01,),
-                      dt)
+    stepper = trajectory._KrausStepper(psi0.amplitudes[None], dt, slh)
+    dy = stepper.step(1.0 + 0.0j, (0.01,))
     x = stepper.x[0]
     assert np.array_equal(one.psi.amplitudes,
                           x / math.sqrt(np.vdot(x, x).real))
@@ -435,10 +441,10 @@ def _scaled_stepper(monkeypatch, scale: float) -> list:
     made = []
 
     class Scaled(trajectory._KrausStepper):
-        def __init__(self, basis, x0):
+        def __init__(self, x0, *args, **kwargs):
             x0 = np.ascontiguousarray(x0, dtype=np.complex128)
-            super().__init__(basis, (x0.view(np.float64) * scale).view(
-                np.complex128))
+            super().__init__((x0.view(np.float64) * scale).view(
+                np.complex128), *args, **kwargs)
             made.append(self)
 
     monkeypatch.setattr(trajectory, "_KrausStepper", Scaled)
@@ -579,7 +585,8 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
         a_psi = np.stack([annihilation_op(dim).entries @ p for p in psi])
         lone = [complex(np.vdot(psi[b], a_psi[b])) for b in range(batch)]
         stepper = trajectory._KrausStepper(
-            trajectory._ladder_basis(dim, (2, 3)), psi)
+            psi, 1e-4, damped_cavity_slh(ModeParams(1.0, 0.5), dim))
+        assert stepper.basis is trajectory._ladder_basis(dim, (2, 3))
         assert np.array_equal(stepper.prods[:, 1], a_psi.reshape(batch, -1))
         sq = [complex(np.vdot(psi[b], psi[b])) for b in range(batch)]
         assert (np.array(stepper.ms).tobytes()
@@ -591,29 +598,35 @@ def test_kraus_update_rows_have_lone_row_bits(rank):
               + 1j * rng.normal(0.0, 0.1, batch)).tolist()
         # the same L and H as dense operators, so on the dense basis
         ladder = trajectory._ladder_slh(c1, c2, 0.3j, 0.1j, 0.5, dim)
-        full = trajectory._ladder_basis(dim, tuple(range(6)))
-        cases = [(full, (c1, c2), base, zs),
-                 (full, (c1, c2), base, None),
-                 (SLHCoefficients(1.0, ladder.l, ladder.h)._kraus[0],
-                  (1.0, 0.0), [0.0, 1e-4], None),
-                 # trimmed bases: the members of a zero-gain and a P/I row
-                 (trajectory._ladder_basis(dim, (2, 3)), (c1, c2), base[2:4],
-                  None),
-                 (trajectory._ladder_basis(dim, (1, 2, 3)), (c1, c2),
-                  base[1:4], zs)]
-        for basis, c, row, z_rows in cases:
-            stepper = trajectory._KrausStepper(basis, psi)
-            dy = stepper.step(c, row, z_rows, 1.0 + 0.0j, dI, 1e-4)
+        dense = SLHCoefficients(1.0, ladder.l, ladder.h)
+        # steppers on all six ladder members, on the dense basis, and on
+        # the trimmed members of a zero-gain and a P/I row
+        cases = [(ALL, (c1, c2), base, zs), (ALL, (c1, c2), base, None),
+                 (None, (1.0, 0.0), [0.0, 1e-4], None),
+                 ((2, 3), (c1, c2), base[2:4], None),
+                 ((1, 2, 3), (c1, c2), base[1:4], zs)]
+        for cols, c, row, z_rows in cases:
+            def make(x):
+                if cols is None:
+                    return trajectory._KrausStepper(x, 1e-4, dense)
+                return trajectory._KrausStepper(
+                    x, 1e-4, family=LADDER_FAMILIES[cols])
+
+            stepper = make(psi)
+            basis = stepper.basis
+            assert cols is None or basis is trajectory._ladder_basis(dim,
+                                                                     cols)
+            dy = stepper.step(1.0 + 0.0j, dI, z_rows, c, row)
             k = basis[1]
             for b, (m, s) in enumerate(stepper.ms):
                 x = stepper.x[b].reshape(-1)
                 assert m == complex(np.vdot(x, stepper.prods[b, k]))
                 assert s == complex(np.vdot(x, x))
             for b in range(batch):
-                alone = trajectory._KrausStepper(basis, psi[b:b + 1])
+                alone = make(psi[b:b + 1])
                 dy_alone = alone.step(
-                    c, row, None if z_rows is None else z_rows[b:b + 1],
-                    1.0 + 0.0j, dI[b:b + 1], 1e-4)
+                    1.0 + 0.0j, dI[b:b + 1],
+                    None if z_rows is None else z_rows[b:b + 1], c, row)
                 assert stepper.x[b].tobytes() == alone.x[0].tobytes()
                 assert dy[b] == dy_alone[0]
             if basis[0].dtype == np.float64:
@@ -790,14 +803,23 @@ def test_each_mode_runs_one_trajectory_loop(monkeypatch):
 
 
 def test_every_dense_step_goes_through_one_step(monkeypatch):
+    # every step of a run and every single step is one call of the
+    # stepper's Kraus step (on a vector for SSE, a factor for SME) or of
+    # its linear Zakai step
     calls = []
-    one_step = trajectory._step
+    kraus_step, zakai_step = (trajectory._KrausStepper.step,
+                              trajectory._KrausStepper.zakai)
 
-    def counted(mode, *args):
-        calls.append(mode)
-        return one_step(mode, *args)
+    def counted(self, *args):
+        calls.append("sse" if self.x.ndim == 2 else "sme")
+        return kraus_step(self, *args)
 
-    monkeypatch.setattr(trajectory, "_step", counted)
+    def counted_zakai(self, *args):
+        calls.append("zakai")
+        return zakai_step(self, *args)
+
+    monkeypatch.setattr(trajectory._KrausStepper, "step", counted)
+    monkeypatch.setattr(trajectory._KrausStepper, "zakai", counted_zakai)
     dim, dt = 8, 1e-3
     slh = damped_cavity_slh(ModeParams(1.0, 0.0), dim)
     psi0 = coherent_state(0.3, dim)
@@ -869,6 +891,86 @@ def test_state_and_slh_dims_must_agree():
     with pytest.raises(DimensionError, match=r"^step 3 "):
         run_trajectory(psi, lambda t: slh if t > 2.5e-3 else other, 0.0,
                        NoiseStream(1, 1e-3), 0.01, 1e-3)
+
+
+def _counted_steppers(monkeypatch) -> list:
+    """Keep every ``_KrausStepper`` made in the list returned."""
+    made = []
+
+    class Counted(trajectory._KrausStepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(trajectory, "_KrausStepper", Counted)
+    return made
+
+
+def test_a_run_forms_each_row_once(monkeypatch):
+    # a 100-step run on a constant ladder SLH forms its row once, in SSE,
+    # SME and Zakai mode, and a second run on it none (the SLH keeps its
+    # form); a source that returns a fresh SLH every step forms one row per
+    # step, on the one stepper of the run, since the members stay
+    dim, dt, n = 12, 1e-3, 100
+    params = ModeParams(1.0, 0.4)
+    psi0 = coherent_state(0.3, dim)
+    made, rows = _counted_steppers(monkeypatch), []
+    row_builder = trajectory._KrausStepper._a0_row
+
+    def counted_rows(*args):
+        rows.append(args)
+        return row_builder(*args)
+
+    # the stepper's one row builder
+    monkeypatch.setattr(trajectory._KrausStepper, "_a0_row",
+                        staticmethod(counted_rows))
+    for mode, initial in (("sse", psi0), ("sme", pure_density(psi0)),
+                          ("zakai", psi0)):
+        slh = damped_cavity_slh(params, dim)
+        for source, want in ((slh, 1), (slh, 0),
+                             (lambda t: damped_cavity_slh(params, dim), n)):
+            made.clear()
+            rows.clear()
+            run_trajectory(initial, source, 0.0, NoiseStream(2, dt), n * dt,
+                           dt, mode=mode)
+            assert len(made) == 1
+            assert len(rows) == want
+
+
+@pytest.mark.parametrize("mode", ["sse", "sme"])
+def test_a_source_may_change_its_members_mid_run(monkeypatch, mode):
+    # a source that switches from the damped cavity (members a'a, a) to a
+    # driven one (z != 0 adds a') after 100 steps gets a second stepper on
+    # its stack: the records up to the switch are the damped run's, and
+    # those after it match a run started from the switch's state on the
+    # rest of the same stream (measured before this gate was fixed: at
+    # most 1.7e-15 over 20 seeds, both modes)
+    dim, dt, k = 20, 1e-3, 100
+    params = ModeParams(1.0, 0.4)
+    damped = damped_cavity_slh(params, dim)
+    driven = trajectory._ladder_slh(math.sqrt(params.gamma), 0.0j,
+                                    0.8 - 0.3j, 0.0j, params.omega, dim)
+    initial = (coherent_state(0.4 - 0.2j, dim) if mode == "sse" else
+               gaussian_state(0.3, CovariancePair(0.4, 0.1), dim))
+    made = _counted_steppers(monkeypatch)
+    for seed in range(4):
+        made.clear()
+        rec = run_trajectory(
+            initial, lambda t: damped if t < (k - 0.5) * dt else driven, 0.3,
+            NoiseStream(seed, dt), 2 * k * dt, dt, mode=mode)
+        assert [m.basis[0].shape[0] // dim for m in made] == [3, 4]
+        first = run_trajectory(initial, damped, 0.3, NoiseStream(seed, dt),
+                               k * dt, dt, mode=mode)
+        rest_noise = NoiseStream(seed, dt)
+        rest_noise.increments(k)
+        rest = run_trajectory(getattr(first.final, "psi" if mode == "sse"
+                                      else "rho"), driven, 0.3, rest_noise,
+                              k * dt, dt, mode=mode)
+        for name in ("mean_a", "mean_n", "mean_a2", "Y", "I"):
+            got = getattr(rec, name)
+            assert got[:k + 1].tobytes() == getattr(first, name).tobytes()
+            after = got[k:] - (got[k] if name in ("Y", "I") else 0.0)
+            assert np.max(np.abs(after - getattr(rest, name))) <= 1e-13
 
 
 def test_callable_source_leaves_no_slh_alive():
