@@ -532,8 +532,9 @@ def _cmd_classical(cfg: ScenarioConfig, out: Path):
 
     n = int(round(cfg.T / cfg.dt))  # the grid is checked by run_subcommand
     noise = NoiseStream(seed=cfg.seed, dt=cfg.dt)
-    dws = noise.increments(n)
-    dvs = noise.spawn(1).increments(n)
+    # as Python floats: the step loop does no numpy scalar arithmetic
+    dws = noise.increments(n).tolist()
+    dvs = noise.spawn(1).increments(n).tolist()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0x5DEECE66D))
     truth = x0 + math.sqrt(p0) * rng.standard_normal()
     sq = math.sqrt(cfg.dt)

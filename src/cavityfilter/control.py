@@ -31,7 +31,10 @@ schedule (``_schedule``) forms everything that depends only on time, in
 blocks of steps: r, dr/dt, the covariances, Xi, and the Kraus inputs,
 which the run's ``trajectory._KrausStepper`` forms on its own members
 (its docstring holds the members, the row and the step).  Per step only
-each truth's z, drift and filter update remain.
+the Kraus step remains, and under gains each truth's z and drift and
+the filter update.  Without gains the record does not depend on the
+filter (the estimate is a functional of the record alone), so the
+filters read the record once per record window.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .qkf import (
     _step_count,
 )
 from .trajectory import (
+    _NOISE_BLOCK,
     NoiseStream,
     SLHCoefficients,
     TrajectoryState,
@@ -386,30 +390,49 @@ def controlled_slh(
     return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
-def _filter_update(a_hats, ies, i_sums, qvs, d_ys, drifts, r_t: complex,
-                   xi: complex, dt: float, sg2=None):
-    """The lists (a_hats, ies, i_sums, qvs) of a shard's filters one
-    closed-loop step later: the mean (``qkf._mean_update``), the integral
-    error, and the sum and quadratic variation of the innovations
-    dI' = d_ys[b] - sg2 Re(a_hat) dt, or d_ys[b] when sg2 is None.  The
-    covariance pair advances on its own.  The lowest filter whose integral
-    error is not finite raises ``DomainError`` with its ``column``.  The
-    one copy of the update, for ``pid_filter_step`` and the co-simulation.
+def _filter_update(filters, steps, dt: float, first: int = 0, sg2=None,
+                   drifts=None, kappa=None) -> tuple:
+    """The lists (a_hats, ies, i_sums, qvs) of a shard's ``filters`` after
+    ``steps``, the (d_ys, r_t, xi) of consecutive closed-loop steps from
+    step ``first`` of the run: the mean (``qkf._mean_update``), the
+    integral error, and the sum and quadratic variation of the innovations
+    dI' = d_ys[b] - sg2 Re(a_hat) dt, or d_ys[b] when sg2 is None.  Under
+    gains ``steps`` is one step and ``drifts`` the feedback's; without them
+    each step forms ``_feedback_scalars``'s zero-gain drift, kappa a_hat
+    divided by 1 + k_D = 1.0 (a division that can move the sign of a zero
+    part, so it is kept).  r_t and a_hat are complex, so r_t - a_hat is
+    ``error_signal``'s.  The covariance pair advances on its own.  Each
+    filter takes its steps in turn.  The first step at which an integral
+    error is not finite, and of its filters the lowest, raises
+    ``DomainError`` with that ``column`` and ``step``.  The one copy of the
+    update, for ``pid_filter_step`` and the co-simulation.
     """
-    a_new, ie_new, i_new, qv_new = [], [], [], []
-    for b, (a_hat, ie, i_sum, qv, d, drift) in enumerate(
-            zip(a_hats, ies, i_sums, qvs, d_ys, drifts)):
-        if sg2 is not None:
-            d = d - (sg2 * a_hat.real) * dt
-        ie = ie + error_signal(r_t, a_hat) * dt
-        if not cmath.isfinite(ie):
-            raise _at_column(DomainError(
-                f"filter left its domain (integral_error={ie})"), b)
-        a_new.append(_mean_update(a_hat, drift, xi, d, dt))
+    a_new, ie_new, i_new, qv_new = out = [], [], [], []
+    failed = None
+    for b, (a_hat, ie, i_sum, qv) in enumerate(zip(*filters)):
+        for j, (d_ys, r_t, xi) in enumerate(steps):
+            d = d_ys[b]
+            if sg2 is not None:
+                d = d - (sg2 * a_hat.real) * dt
+            drift = kappa * a_hat / 1.0 if drifts is None else drifts[b]
+            ie = ie + (r_t - a_hat) * dt
+            if not cmath.isfinite(ie):
+                failed = _at_column(DomainError(
+                    f"filter left its domain (integral_error={ie})"), b,
+                    first + j)
+                # the filters above b are checked only before step j
+                steps = steps[:j]
+                break
+            a_hat = _mean_update(a_hat, drift, xi, d, dt)
+            i_sum = i_sum + d
+            qv = qv + d * d
+        a_new.append(a_hat)
         ie_new.append(ie)
-        i_new.append(i_sum + d)
-        qv_new.append(qv + d * d)
-    return a_new, ie_new, i_new, qv_new
+        i_new.append(i_sum)
+        qv_new.append(qv)
+    if failed is not None:
+        raise failed
+    return out
 
 
 def pid_filter_step(
@@ -436,7 +459,8 @@ def pid_filter_step(
     drifts = _feedback_scalars(gains, params)([filt.a_hat], ies, r_t, dr_t,
                                               xi)[1]
     (a_new,), (ie_new,), _, _ = _filter_update(
-        [filt.a_hat], ies, [0.0], [0.0], [dI], drifts, r_t, xi, dt)
+        ([complex(filt.a_hat)], ies, [0.0], [0.0]), [([dI], r_t, xi)], dt,
+        drifts=drifts)
     v_new, w_new = next(_covariances(ric.V, ric.W, 0.0, params, dt))
     return ClosedLoopState(
         filter=QKFState(a_new, RiccatiState(v_new, w_new, ric.t + dt)),
@@ -569,12 +593,19 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
 
     A step takes its row of the run's ``_schedule`` (the row of step
     k + 1 is read after step k, where an error of the covariance path is
-    raised), forms each truth's z and drift (``_feedback_scalars``), takes
-    one ``step`` of the run's ``_KrausStepper`` on the ladder members the
-    gains can make nonzero, and updates the filters (``_filter_update``).
-    An error of truth b names it as the error's ``column``; when two
-    truths fail one check in one step, the lower one is named, and a norm
-    guard failure comes before a filter one."""
+    raised), forms each truth's z and drift under gains
+    (``_feedback_scalars``), takes one ``step`` of the run's
+    ``_KrausStepper`` on the ladder members the gains can make nonzero,
+    and puts its (dY row, r, Xi) on a pending list.  One call of
+    ``_filter_update`` then takes the filters over the pending steps:
+    after every step under gains, whose next step reads z; at zero gain,
+    where the record does not depend on the filters, before each record
+    point and at least every ``_NOISE_BLOCK`` steps.  An error of truth b
+    names it as the error's ``column``.  Errors come in the order of a
+    step-by-step run: the lowest step first (a step that fails makes the
+    filters catch up first, and a filter error keeps its own step); in
+    one step a norm guard failure before a filter one, and of two truths
+    failing one check the lower."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []
@@ -589,10 +620,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
         except CavityFilterError as exc:
             raise _at_column(exc, b)
 
-    a_hat = [complex(alpha)] * batch
-    ie = [0.0j] * batch
-    i_filter = [0.0] * batch
-    qv = [0.0] * batch
+    filters = ([complex(alpha)] * batch, [0.0j] * batch, [0.0] * batch,
+               [0.0] * batch)
     sg2 = math.sqrt(params.gamma) * 2.0
     feedback = _feedback_scalars(gains, params)
     zero_gain = gains.all_zero
@@ -611,28 +640,53 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     # the row of the step about to be taken
     rows = _schedule(gains, ref, params, cov, dt, n, stepper)
     row = next(rows)
+    # the (dY row, r, Xi) of the steps from step ``done`` on that the
+    # filters have not taken; they take them when there are ``window``:
+    # one under gains, as the next step reads z, else up to the next
+    # record point, but no more than a noise block
+    kappa = -complex(0.5 * params.gamma, params.omega)
+    pending, done, drifts = [], 0, None
+    window = min(_NOISE_BLOCK, record_stride) if zero_gain else 1
+
+    def catch_up():
+        nonlocal filters, done, window
+        filters = _filter_update(filters, pending, dt, done, sg2, drifts,
+                                 kappa)
+        done += len(pending)
+        pending.clear()
+        if zero_gain:
+            window = min(_NOISE_BLOCK, record_stride - done % record_stride)
 
     def step(t, arr, dw):
-        nonlocal row, a_hat, ie, i_filter, qv
+        nonlocal row, drifts
         r_t, dr_t, xi, _, _, c, base = row
-        zs, drifts = feedback(a_hat, ie, r_t, dr_t, xi)
-        dy = stepper.step(1.0 + 0.0j, dw, None if zero_gain else zs, c,
-                          base)
-        a_hat, ie, i_filter, qv = _filter_update(
-            a_hat, ie, i_filter, qv, dy, drifts, r_t, xi, dt, sg2)
-        row = next(rows)
+        try:
+            if zero_gain:
+                dy = stepper.step(1.0 + 0.0j, dw, None, c, base)
+            else:
+                zs, drifts = feedback(filters[0], filters[1], r_t, dr_t, xi)
+                dy = stepper.step(1.0 + 0.0j, dw, zs, c, base)
+            pending.append((dy, r_t, xi))
+            row = next(rows)
+        except CavityFilterError:
+            # the filters' earlier steps fail first
+            catch_up()
+            raise
+        if len(pending) == window:
+            catch_up()
         return stepper.x, dy
 
     def sample(idx):
-        rec_ah[:, idx] = a_hat
+        rec_ah[:, idx] = filters[0]
         rec_v[idx], rec_w[idx] = row[3:5]
-        rec_i[:, idx] = i_filter
+        rec_i[:, idx] = filters[2]
 
     truths = _integrate(stepper.x, "psi" if pure else "rho", noises, n, dt,
                         record_stride, step, "closed loop", sample)
     for col in (rec_ah, rec_v, rec_w, rec_i):
         col.setflags(write=False)
     v, w_cov = row[3:5]
+    a_hat, ie, _, qv = filters
     out = []
     for b, truth in enumerate(truths):
         t_end = truth.final.t

@@ -383,12 +383,24 @@ class _KrausStepper:
         return basis
 
     def take(self, slh: SLHCoefficients) -> "_KrausStepper":
-        """This stepper on the form of ``slh``, or a new one on the current
-        stack when that form's members or dim differ."""
-        if (slh._kraus is self._form
-                or self._read(slh, self.x.shape[1]) is self.basis):
+        """This stepper on the form of ``slh``, whose dim must be the
+        stack's.  A form on other members whose stack has this one's
+        shape, dtype and (k, k') (a fresh dense form always has) takes
+        this stepper's buffers: the stepper points at its stack and forms
+        the current stack's products and (m, s) on it.  Any other form
+        gets a new stepper on the current stack."""
+        if slh._kraus is self._form:
             return self
-        return _KrausStepper(self.x, self.dt, slh)
+        basis = self._read(slh, self.x.shape[1])
+        if basis is self.basis:
+            return self
+        stack, k, k_adj = basis
+        if (stack.shape, stack.dtype, k, k_adj) != (
+                self._stack.shape, self._stack.dtype, self._k, self._k_adj):
+            return _KrausStepper(self.x, self.dt, slh)
+        self.basis, self._stack = basis, stack
+        self.ms = self._products()
+        return self
 
     def block(self, c1, c2, w) -> list:
         """[c1, c2] and the family's row of dt A0 at z = 0 on
@@ -490,9 +502,14 @@ def _unit(x: np.ndarray, sq=None) -> np.ndarray:
     return x / math.sqrt(np.vdot(x, x).real if sq is None else sq)
 
 
-def _at_column(exc: CavityFilterError, column: int) -> CavityFilterError:
-    """``exc`` marked as the failure of column ``column`` of a batch."""
+def _at_column(exc: CavityFilterError, column: int,
+               step: Union[int, None] = None) -> CavityFilterError:
+    """``exc`` marked as the failure of column ``column`` of a batch, and
+    of step ``step`` of the run when given (``_integrate`` then names that
+    step, not the one it was taking)."""
     exc.column = column
+    if step is not None:
+        exc.step = step
     return exc
 
 
@@ -670,7 +687,9 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     bit for bit.  ``step(t, arr, dw)`` gets the B increments of one step
     (a tuple of floats) and returns the next stack and the B record
     increments dY; package errors it raises are re-raised tagged with the
-    step, and keep the batch column they name as ``column`` (0 if none).
+    step (their own ``step`` if they name one, as a step that catches up
+    on earlier ones does), and keep the batch column they name as
+    ``column`` (0 if none).
     (t, <a>,
     <a'a>, <a^2>, Y, I) of every truth are recorded at t = 0 and every
     ``stride`` steps behind the truncation check labelled ``what``, and
@@ -726,8 +745,10 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
             try:
                 arr, dy = step(t, arr, dw)
             except CavityFilterError as exc:
-                raise _at_column(type(exc)(f"step {k} (t={t:.6g}): {exc}"),
-                                 getattr(exc, "column", 0)) from exc
+                at = getattr(exc, "step", k)
+                raise _at_column(
+                    type(exc)(f"step {at} (t={at * dt:.6g}): {exc}"),
+                    getattr(exc, "column", 0)) from exc
             for b in range(batch):
                 y_acc[b] += dy[b]
             if (k + 1) % stride == 0:
@@ -806,8 +827,8 @@ def run_trajectory(
         const_cis = complex(np.exp(1j * const_theta))
         cis_at = lambda _t: const_cis
 
-    # one stepper per run, built again only when a source's members or dim
-    # change (``_KrausStepper.take``)
+    # one stepper per run, built again only when a source's form changes
+    # its stack's layout (``_KrausStepper.take``)
     stepper = None
 
     def step(t, arr, dw):

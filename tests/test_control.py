@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from cavityfilter.fock import (
     gaussian_state,
     number_op,
 )
-from cavityfilter.qkf import ModeParams, QKFState, RiccatiState, qkf_step
+from cavityfilter.qkf import (
+    ModeParams,
+    QKFState,
+    RiccatiState,
+    _mean_update,
+    qkf_step,
+)
 from cavityfilter.control import (
     ClosedLoopState,
     PIDGains,
@@ -58,6 +65,9 @@ ALL = tuple(range(len(_LADDER_KEYS)))
 
 #: A0's ladder row at z = 0 (``trajectory._KrausStepper``'s row builder)
 _a0_row = _KrausStepper._a0_row
+
+#: the stepper's step, unpatched, for spies that a test sets up again
+_stepper_step = _KrausStepper.step
 
 #: a co-simulation's ladder family (omega, c1, c2, z, w) at unit Xi per
 #: member set: a zero-gain, a P/I and a PID one's
@@ -634,9 +644,11 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
     step's Xi (``_reference_xi_terms``) and the zs of the shard's feedback
     for that step, the stack before the step, its increments and the base
     row passed; and the number of calls of the stepper's row builder
-    (``_KrausStepper._a0_row``) in the run."""
+    (``_KrausStepper._a0_row``) in the run.  A zero-gain step forms no
+    feedback; the stepper records it, with every z 0 and the (c1, c2, w)
+    that no Xi moves."""
     seen, formed, calls = [], [], []
-    feedback_of, kraus_step = _feedback_scalars, _KrausStepper.step
+    feedback_of, kraus_step = _feedback_scalars, _stepper_step
 
     def scalars(*args):
         feedback = feedback_of(*args)
@@ -650,6 +662,9 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
         return spy
 
     def stepped(self, cis, dI, zs=None, c=None, base=None):
+        if zs is None:
+            c1, c2, w = _reference_xi_terms(gains, params, None)
+            formed.append((c1, c2, [0.0j] * len(dI), w))
         x = self.x.copy()
         out = kraus_step(self, cis, dI, zs, c, base)
         if keep is None or len(formed) - 1 in keep:
@@ -816,8 +831,15 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
                 assert _words(row) == _words(
                     _kraus_row(own, cols, basis, x_b, (c1, c2), di, dt))
         zeros = [0.0] * len(a_hats)
-        updated = list(zip(*control._filter_update(
-            a_hats, ies, zeros, zeros, dis, drifts, r_t, xi, dt)[:2]))
+        filters, steps = (a_hats, ies, zeros, zeros), [(dis, r_t, xi)]
+        updated = control._filter_update(filters, steps, dt, drifts=drifts)
+        if gains.all_zero:
+            # without the feedback's drifts the update forms the zero-gain
+            # drift itself, with the same bits
+            kappa = -complex(0.5 * params.gamma, params.omega)
+            assert _words(control._filter_update(
+                filters, steps, dt, kappa=kappa)) == _words(updated)
+        updated = list(zip(*updated[:2]))
         for b, (a_hat, ie) in enumerate(zip(a_hats, ies)):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
             slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
@@ -1154,15 +1176,18 @@ def test_cosim_coarse_step_raises_step_tagged_error(cov):
 
 def test_cosim_names_the_truth_whose_filter_leaves_its_domain(monkeypatch):
     # a non-finite integral error stops the run at its step and names the
-    # truth as the error's column, whichever truths share its shard: the
-    # shard's filters update in one call per step, which checks them in
-    # truth order, so of truths 1 and 2 leaving at step 0 truth 1 is named
+    # truth as the error's column, whichever truths share its shard: under
+    # gains the shard's filters update in one call per step, which checks
+    # them in truth order, so of truths 1 and 2 leaving at step 0 truth 1
+    # is named
     update = control._filter_update
     calls = []
 
-    def leave(a_hats, ies, *args):
+    def leave(filters, *args):
+        a_hats, ies, i_sums, qvs = filters
         calls.append(len(a_hats))
-        return update(a_hats, ies[:1] + [complex(math.inf, 0.0)] * 2, *args)
+        return update((a_hats, ies[:1] + [complex(math.inf, 0.0)] * 2,
+                       i_sums, qvs), *args)
 
     monkeypatch.setattr(control, "_filter_update", leave)
     with pytest.raises(DomainError, match="step 0 .*left its domain") as info:
@@ -1172,6 +1197,278 @@ def test_cosim_names_the_truth_whose_filter_leaves_its_domain(monkeypatch):
                        1, [0.3] * 3, CovariancePair(0.0, 0.0))
     assert calls == [3]
     assert info.value.column == 1
+
+
+def _per_step_update(a_hats, ies, i_sums, qvs, d_ys, drifts, r_t, xi, dt,
+                     sg2):
+    """One filter step of a shard, as a step-by-step run takes it: the
+    reference of ``control._filter_update``."""
+    out = [], [], [], []
+    for a_hat, ie, i_sum, qv, d, drift in zip(a_hats, ies, i_sums, qvs,
+                                              d_ys, drifts):
+        d = d - (sg2 * a_hat.real) * dt
+        ie = ie + error_signal(r_t, a_hat) * dt
+        assert cmath.isfinite(ie)
+        for col, value in zip(out, (_mean_update(a_hat, drift, xi, d, dt),
+                                    ie, i_sum + d, qv + d * d)):
+            col.append(value)
+    return out
+
+
+def _per_step_cosim(gains, ref, params, dim, noises, T, dt, stride,
+                    truth_alphas, truth_cov, alpha=0.2,
+                    cov=CovariancePair(0.5, 0.0)):
+    """``control._cosim`` as a step-by-step run: every step forms the
+    shard's z and drifts (``_feedback_scalars``), takes the Kraus step and
+    updates the filters one step (``_per_step_update``).  Returns one
+    list of outputs per truth: the record's columns, qv and the final
+    state's."""
+    pure = abs(truth_cov.physicality_excess()) <= 1e-8
+    states = [_gaussian_vector(a, truth_cov, dim).amplitudes if pure else
+              trajectory._density_factor(gaussian_state(a, truth_cov,
+                                                        dim).entries)
+              for a in truth_alphas]
+    batch = len(noises)
+    filters = ([complex(alpha)] * batch, [0.0j] * batch, [0.0] * batch,
+               [0.0] * batch)
+    sg2 = math.sqrt(params.gamma) * 2.0
+    feedback = _feedback_scalars(gains, params)
+    c1, c2, w = (complex(*p) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)))
+    stepper = _KrausStepper(np.stack(states), dt, family=(
+        params.omega, c1, c2, 0.0j if gains.all_zero else 1.0, w))
+    n = trajectory._step_total(noises, T, dt, stride)
+    rec_ah, rec_vw, rec_i = [], [], []
+    rows = control._schedule(gains, ref, params, cov, dt, n, stepper)
+    row = next(rows)
+
+    def step(t, arr, dw):
+        nonlocal row, filters
+        r_t, dr_t, xi, _, _, c, base = row
+        zs, drifts = feedback(filters[0], filters[1], r_t, dr_t, xi)
+        dy = stepper.step(1.0 + 0.0j, dw, None if gains.all_zero else zs, c,
+                          base)
+        filters = _per_step_update(*filters, dy, drifts, r_t, xi, dt, sg2)
+        row = next(rows)
+        return stepper.x, dy
+
+    def sample(idx):
+        rec_ah.append(list(filters[0]))
+        rec_vw.append(row[3:5])
+        rec_i.append(list(filters[2]))
+
+    truths = trajectory._integrate(stepper.x, "psi" if pure else "rho",
+                                   noises, n, dt, stride, step, "closed loop",
+                                   sample)
+    out = []
+    for b, truth in enumerate(truths):
+        final = truth.final
+        out.append([truth.t, truth.mean_a, truth.mean_n, truth.Y,
+                    np.array([r[b] for r in rec_ah]),
+                    np.array([v for v, _ in rec_vw]),
+                    np.array([w for _, w in rec_vw], dtype=np.complex128),
+                    np.array([r[b] for r in rec_i]),
+                    _words([filters[0][b], filters[1][b], filters[3][b],
+                            row[3], row[4], final.t, final.Y, final.I]),
+                    final.rho.entries if final.rho is not None
+                    else final.psi.amplitudes])
+    return out
+
+
+def _cosim_outputs(rec) -> list:
+    """The outputs of a ``ClosedLoopRecord`` in ``_per_step_cosim``'s
+    order."""
+    final, truth = rec.final, rec.final.truth
+    ric = final.filter.riccati
+    assert final.t == ric.t == truth.t
+    return [rec.t, rec.truth_mean_a, rec.truth_mean_n, rec.Y, rec.a_hat,
+            rec.V, rec.W, rec.I,
+            _words([final.filter.a_hat, final.integral_error, rec.qv, ric.V,
+                    ric.W, truth.t, truth.Y, truth.I]),
+            truth.rho.entries if truth.rho is not None
+            else truth.psi.amplitudes]
+
+
+def _assert_outputs_are(recs, want):
+    """Each record's outputs (``_cosim_outputs``) are byte for byte the
+    reference's (``_per_step_cosim``)."""
+    for rec, outputs in zip(recs, want, strict=True):
+        for got, ref_out in zip(_cosim_outputs(rec), outputs, strict=True):
+            assert np.asarray(got).tobytes() == np.asarray(ref_out).tobytes()
+
+
+def _counted_updates(monkeypatch) -> list:
+    """The (first step, steps) of each ``control._filter_update`` call of
+    the test from here on, in order."""
+    update, calls = control._filter_update, []
+
+    def counted(filters, steps, dt, first=0, *args):
+        calls.append((first, len(steps)))
+        return update(filters, steps, dt, first, *args)
+
+    monkeypatch.setattr(control, "_filter_update", counted)
+    return calls
+
+
+def _windows(n: int, stride: int) -> list:
+    """(first step, steps) of each window of a zero-gain run: up to the
+    next record point, and no more than a noise block."""
+    out, start = [], 0
+    while start < n:
+        end = min((start // stride + 1) * stride,
+                  start + trajectory._NOISE_BLOCK)
+        out.append((start, end - start))
+        start = end
+    return out
+
+
+@pytest.mark.parametrize("stride,n", [(1, 5000), (7, 5005), (5000, 5000)],
+                         ids=["stride-1", "stride-7", "stride-n"])
+@pytest.mark.parametrize("truths", ["pure-1", "pure-3", "pure-8", "mixed-1"])
+def test_zero_gain_filters_catch_up_on_the_step_by_step_bits(
+        monkeypatch, truths, stride, n):
+    # at zero gain the truths step alone and the filters take the pending
+    # steps once per record window, at most a noise block of them (5,000
+    # steps do not fill whole blocks): every record column and the final
+    # state are byte for byte those of a step-by-step run that forms the
+    # feedback's drifts and updates the filters after every step
+    kind, batch = truths.split("-")
+    batch = int(batch)
+    params, dim, dt = ModeParams(1.0, 0.5), 20, 1e-3
+    gains = PIDGains(0.0)
+    ref = ReferenceSignal("sinusoid", 0.5 + 0.2j, onset=0.5, frequency=2.0)
+    truth_cov = (CovariancePair(0.0, 0.0) if kind == "pure"
+                 else CovariancePair(0.3, 0.0))
+    alphas = [0.3 - 0.1j * b for b in range(batch)]
+
+    def noises():
+        return [NoiseStream(40 + b, dt) for b in range(batch)]
+
+    calls = _counted_updates(monkeypatch)
+    recs = control._cosim(0.2, CovariancePair(0.5, 0.0), gains, ref, params,
+                          dim, noises(), n * dt, dt, stride, alphas, truth_cov)
+    assert calls == _windows(n, stride)
+    assert max(size for _, size in calls) <= trajectory._NOISE_BLOCK
+    _assert_outputs_are(recs, _per_step_cosim(
+        gains, ref, params, dim, noises(), n * dt, dt, stride, alphas,
+        truth_cov))
+
+
+def test_pending_steps_never_exceed_a_noise_block(monkeypatch):
+    # a record stride of more than two noise blocks still makes the filters
+    # catch up every noise block, so the pending list stays bounded
+    n, block = 9000, trajectory._NOISE_BLOCK
+    calls = _counted_updates(monkeypatch)
+    control._cosim(0.2, CovariancePair(0.5, 0.0), PIDGains(0.0),
+                   ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5), 10,
+                   [NoiseStream(3, 1e-3)], n * 1e-3, 1e-3, n, [0.3],
+                   CovariancePair(0.0, 0.0))
+    assert calls == [(0, block), (block, block), (2 * block, n - 2 * block)]
+
+
+def test_filters_under_gains_take_every_step_as_it_comes(monkeypatch):
+    # under gains the next step reads each filter's z, so the filters
+    # update after every step, one step per call, and the run is the
+    # step-by-step one byte for byte
+    params, dim, dt, n, stride = ModeParams(1.0, 0.5), 14, 1e-3, 700, 7
+    gains, ref = PIDGains(2.0, 1.0, 0.5), ReferenceSignal("step", 1.0)
+    pure = CovariancePair(0.0, 0.0)
+
+    def noises():
+        return [NoiseStream(40 + b, dt) for b in range(2)]
+
+    calls = _counted_updates(monkeypatch)
+    recs = control._cosim(0.2, CovariancePair(0.5, 0.0), gains, ref, params,
+                          dim, noises(), n * dt, dt, stride, [0.3, -0.2j],
+                          pure)
+    assert calls == [(k, 1) for k in range(n)]
+    _assert_outputs_are(recs, _per_step_cosim(
+        gains, ref, params, dim, noises(), n * dt, dt, stride, [0.3, -0.2j],
+        pure))
+
+
+def test_a_window_names_its_first_failing_step_then_its_lowest_filter():
+    # each filter takes the window's steps in turn, yet the failure named
+    # is a step-by-step run's: the earliest step, and of the filters that
+    # fail at it the lowest.  NaN innovations at step 4 (filter 0) and at
+    # step 1 (filters 1, 2 and 3) make the integral errors non-finite one
+    # step later
+    dt, kappa = 1e-3, -complex(0.5, 0.5)
+    d_ys = [[0.01, 0.02, -0.01, 0.03] for _ in range(8)]
+    for k, b in ((4, 0), (1, 1), (1, 2), (1, 3)):
+        d_ys[k][b] = math.nan
+    steps = [(row, 1.0 + 0.0j, 0.3 + 0.1j) for row in d_ys]
+    filters = ([0.1j] * 4, [0.0j] * 4, [0.0] * 4, [0.0] * 4)
+    with pytest.raises(DomainError, match="left its domain") as info:
+        control._filter_update(filters, steps, dt, 40, 2.0, kappa=kappa)
+    assert (info.value.step, info.value.column) == (42, 1)
+    # and the steps before the first failure are those of the step-by-step
+    # update
+    got = control._filter_update(filters, steps[:2], dt, 40, 2.0,
+                                 kappa=kappa)
+    for row, r_t, xi in steps[:2]:
+        drifts = [kappa * a / 1.0 for a in filters[0]]
+        filters = _per_step_update(*filters, row, drifts, r_t, xi, dt, 2.0)
+    assert _words(got) == _words(filters)
+
+
+@pytest.mark.parametrize("later", [None, "truth", "truncation"])
+def test_a_filter_failure_inside_a_window_keeps_its_step(monkeypatch, later):
+    # at zero gain truth 1's record increment of step 19 is made NaN, so
+    # its filter's integral error leaves the finite numbers at step 20,
+    # inside the record window of steps 0-49: the run raises that
+    # failure with its own step and the truth's column, as a step-by-step
+    # run does, before a truth failure injected at step 30 of the same
+    # window (truth 0's norm guard) and before a truncation failure at the
+    # window's record (t = 0.05); without the filter fault those are what
+    # the run raises
+    taken = []
+
+    def faulty(self, cis, dI, zs=None, c=None, base=None):
+        k = len(taken)
+        taken.append(k)
+        if later == "truth" and k == 30:
+            raise trajectory._at_column(StepSizeError("injected"), 0)
+        dy = _stepper_step(self, cis, dI, zs, c, base)
+        if fault and k == 19:
+            dy[1] = math.nan
+        return dy
+
+    def leak(pop, what):
+        if not what.endswith("(t=0)"):
+            raise TruncationError(f"injected leak at {what}")
+
+    monkeypatch.setattr(_KrausStepper, "step", faulty)
+    if later == "truncation":
+        monkeypatch.setattr(trajectory, "LEAK_WARN", -1.0)
+        monkeypatch.setattr(trajectory, "_check_truncation", leak)
+
+    def run():
+        taken.clear()
+        control._cosim(0.3, CovariancePair(0.5, 0.0), PIDGains(0.0),
+                       ReferenceSignal("step", 1.0), ModeParams(1.0, 0.5), 12,
+                       [NoiseStream(b, 1e-3) for b in range(3)], 0.1, 1e-3,
+                       50, [0.3, 0.1j, -0.2], CovariancePair(0.0, 0.0))
+
+    fault = True
+    with pytest.raises(DomainError) as info:
+        run()
+    assert re.match(r"step 20 \(t=0\.02\): filter left its domain",
+                    str(info.value))
+    assert info.value.column == 1
+    fault = False
+    if later is None:
+        run()
+        assert len(taken) == 100
+    elif later == "truth":
+        with pytest.raises(StepSizeError,
+                           match=r"^step 30 \(t=0\.03\): injected") as info:
+            run()
+        assert info.value.column == 0
+    else:
+        with pytest.raises(TruncationError,
+                           match=r"^injected leak at closed loop \(t=0\.05\)"):
+            run()
 
 
 def test_cosim_undersized_dim_raises_truncation_error():
