@@ -328,13 +328,26 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
     and i k_I integral_error; D adds the derivative Hamiltonian
     i k_D (nu dr/dt - drift + sqrt(gamma) 2 Re(a_hat) Xi).  Zero-gain
     terms are skipped outright, and every truth's expressions keep their
-    operand order, so each gets the bits of a shard of one.
+    operand order, so each gets the bits of a shard of one.  With every
+    gain zero z is 0 and the drift is the function's ``free_drift(a_hat)``,
+    kappa a_hat / (1 + k_D) (a division by 1.0 that can move the sign of
+    a zero part, so it is kept), which needs nothing of the step.
     """
     sg = math.sqrt(params.gamma)
     k_P, k_I, k_D, mu, nu = gains.k_P, gains.k_I, gains.k_D, gains.mu, gains.nu
     kappa = -complex(0.5 * params.gamma, params.omega)
     scale = 1.0 + k_D
     i_kp, i_ki, i_kd, sg2 = 1j * k_P, 1j * k_I, 1j * k_D, sg * 2.0
+
+    def free_drift(a_hat: complex) -> complex:
+        return kappa * a_hat / scale
+
+    if gains.all_zero:
+        def scalars(a_hats, integral_errors, r_t, dr_t, xi):
+            return [0.0j] * len(a_hats), [free_drift(a) for a in a_hats]
+
+        scalars.free_drift = free_drift
+        return scalars
 
     def scalars(a_hats, integral_errors, r_t: complex, dr_t: complex,
                 xi: complex):
@@ -363,6 +376,7 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
             drifts.append(drift)
         return zs, drifts
 
+    scalars.free_drift = free_drift
     return scalars
 
 
@@ -390,22 +404,23 @@ def controlled_slh(
     return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
-def _filter_update(filters, steps, dt: float, first: int = 0, sg2=None,
-                   drifts=None, kappa=None) -> tuple:
+def _filter_update(filters, steps, dt: float, first=None, sg2=None,
+                   drifts=None, free_drift=None) -> tuple:
     """The lists (a_hats, ies, i_sums, qvs) of a shard's ``filters`` after
     ``steps``, the (d_ys, r_t, xi) of consecutive closed-loop steps from
     step ``first`` of the run: the mean (``qkf._mean_update``), the
     integral error, and the sum and quadratic variation of the innovations
     dI' = d_ys[b] - sg2 Re(a_hat) dt, or d_ys[b] when sg2 is None.  Under
     gains ``steps`` is one step and ``drifts`` the feedback's; without them
-    each step forms ``_feedback_scalars``'s zero-gain drift, kappa a_hat
-    divided by 1 + k_D = 1.0 (a division that can move the sign of a zero
-    part, so it is kept).  r_t and a_hat are complex, so r_t - a_hat is
-    ``error_signal``'s.  The covariance pair advances on its own.  Each
-    filter takes its steps in turn.  The first step at which an integral
-    error is not finite, and of its filters the lowest, raises
-    ``DomainError`` with that ``column`` and ``step``.  The one copy of the
-    update, for ``pid_filter_step`` and the co-simulation.
+    each step takes the drift ``free_drift(a_hat)`` of the zero-gain
+    feedback (``_feedback_scalars``).  r_t and a_hat are complex, so
+    r_t - a_hat is ``error_signal``'s.  The covariance pair advances on
+    its own.  Each filter takes its steps in turn.  The first step at
+    which an integral error is not finite, and of its filters the lowest,
+    raises ``DomainError`` with that ``column``, and with its ``step``
+    when ``first`` is given (``_integrate`` then names that step).  The
+    one copy of the update, for ``pid_filter_step`` and the
+    co-simulation.
     """
     a_new, ie_new, i_new, qv_new = out = [], [], [], []
     failed = None
@@ -414,12 +429,12 @@ def _filter_update(filters, steps, dt: float, first: int = 0, sg2=None,
             d = d_ys[b]
             if sg2 is not None:
                 d = d - (sg2 * a_hat.real) * dt
-            drift = kappa * a_hat / 1.0 if drifts is None else drifts[b]
+            drift = free_drift(a_hat) if drifts is None else drifts[b]
             ie = ie + (r_t - a_hat) * dt
             if not cmath.isfinite(ie):
                 failed = _at_column(DomainError(
                     f"filter left its domain (integral_error={ie})"), b,
-                    first + j)
+                    None if first is None else first + j)
                 # the filters above b are checked only before step j
                 steps = steps[:j]
                 break
@@ -644,14 +659,13 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     # filters have not taken; they take them when there are ``window``:
     # one under gains, as the next step reads z, else up to the next
     # record point, but no more than a noise block
-    kappa = -complex(0.5 * params.gamma, params.omega)
     pending, done, drifts = [], 0, None
     window = min(_NOISE_BLOCK, record_stride) if zero_gain else 1
 
     def catch_up():
         nonlocal filters, done, window
         filters = _filter_update(filters, pending, dt, done, sg2, drifts,
-                                 kappa)
+                                 feedback.free_drift)
         done += len(pending)
         pending.clear()
         if zero_gain:

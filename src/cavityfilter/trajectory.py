@@ -383,24 +383,12 @@ class _KrausStepper:
         return basis
 
     def take(self, slh: SLHCoefficients) -> "_KrausStepper":
-        """This stepper on the form of ``slh``, whose dim must be the
-        stack's.  A form on other members whose stack has this one's
-        shape, dtype and (k, k') (a fresh dense form always has) takes
-        this stepper's buffers: the stepper points at its stack and forms
-        the current stack's products and (m, s) on it.  Any other form
-        gets a new stepper on the current stack."""
-        if slh._kraus is self._form:
+        """This stepper on the form of ``slh``, or a new one on the current
+        stack when that form's members or dim differ."""
+        if (slh._kraus is self._form
+                or self._read(slh, self.x.shape[1]) is self.basis):
             return self
-        basis = self._read(slh, self.x.shape[1])
-        if basis is self.basis:
-            return self
-        stack, k, k_adj = basis
-        if (stack.shape, stack.dtype, k, k_adj) != (
-                self._stack.shape, self._stack.dtype, self._k, self._k_adj):
-            return _KrausStepper(self.x, self.dt, slh)
-        self.basis, self._stack = basis, stack
-        self.ms = self._products()
-        return self
+        return _KrausStepper(self.x, self.dt, slh)
 
     def block(self, c1, c2, w) -> list:
         """[c1, c2] and the family's row of dt A0 at z = 0 on
@@ -827,8 +815,8 @@ def run_trajectory(
         const_cis = complex(np.exp(1j * const_theta))
         cis_at = lambda _t: const_cis
 
-    # one stepper per run, built again only when a source's form changes
-    # its stack's layout (``_KrausStepper.take``)
+    # one stepper per run, built again only when a source's members or dim
+    # change (``_KrausStepper.take``)
     stepper = None
 
     def step(t, arr, dw):

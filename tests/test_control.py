@@ -659,6 +659,7 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
             formed.append((c1, c2, out[0], w))
             return out
 
+        spy.free_drift = feedback.free_drift
         return spy
 
     def stepped(self, cis, dI, zs=None, c=None, base=None):
@@ -834,11 +835,11 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         filters, steps = (a_hats, ies, zeros, zeros), [(dis, r_t, xi)]
         updated = control._filter_update(filters, steps, dt, drifts=drifts)
         if gains.all_zero:
-            # without the feedback's drifts the update forms the zero-gain
-            # drift itself, with the same bits
-            kappa = -complex(0.5 * params.gamma, params.omega)
+            # without the feedback's drifts the update takes the zero-gain
+            # feedback's free drift, with the same bits
+            free = _feedback_scalars(gains, params).free_drift
             assert _words(control._filter_update(
-                filters, steps, dt, kappa=kappa)) == _words(updated)
+                filters, steps, dt, free_drift=free)) == _words(updated)
         updated = list(zip(*updated[:2]))
         for b, (a_hat, ie) in enumerate(zip(a_hats, ies)):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
@@ -1302,7 +1303,7 @@ def _counted_updates(monkeypatch) -> list:
     the test from here on, in order."""
     update, calls = control._filter_update, []
 
-    def counted(filters, steps, dt, first=0, *args):
+    def counted(filters, steps, dt, first=None, *args):
         calls.append((first, len(steps)))
         return update(filters, steps, dt, first, *args)
 
@@ -1393,19 +1394,21 @@ def test_a_window_names_its_first_failing_step_then_its_lowest_filter():
     # fail at it the lowest.  NaN innovations at step 4 (filter 0) and at
     # step 1 (filters 1, 2 and 3) make the integral errors non-finite one
     # step later
-    dt, kappa = 1e-3, -complex(0.5, 0.5)
+    dt = 1e-3
+    free = _feedback_scalars(PIDGains(0.0), ModeParams(1.0, 0.5)).free_drift
     d_ys = [[0.01, 0.02, -0.01, 0.03] for _ in range(8)]
     for k, b in ((4, 0), (1, 1), (1, 2), (1, 3)):
         d_ys[k][b] = math.nan
     steps = [(row, 1.0 + 0.0j, 0.3 + 0.1j) for row in d_ys]
     filters = ([0.1j] * 4, [0.0j] * 4, [0.0] * 4, [0.0] * 4)
     with pytest.raises(DomainError, match="left its domain") as info:
-        control._filter_update(filters, steps, dt, 40, 2.0, kappa=kappa)
+        control._filter_update(filters, steps, dt, 40, 2.0, free_drift=free)
     assert (info.value.step, info.value.column) == (42, 1)
     # and the steps before the first failure are those of the step-by-step
     # update
     got = control._filter_update(filters, steps[:2], dt, 40, 2.0,
-                                 kappa=kappa)
+                                 free_drift=free)
+    kappa = -complex(0.5, 0.5)
     for row, r_t, xi in steps[:2]:
         drifts = [kappa * a / 1.0 for a in filters[0]]
         filters = _per_step_update(*filters, row, drifts, r_t, xi, dt, 2.0)
@@ -1469,6 +1472,30 @@ def test_a_filter_failure_inside_a_window_keeps_its_step(monkeypatch, later):
         with pytest.raises(TruncationError,
                            match=r"^injected leak at closed loop \(t=0\.05\)"):
             run()
+
+
+def test_a_filter_step_failing_inside_a_source_names_the_run_step():
+    # a callable source that advances its own filter with pid_filter_step
+    # and whose filter leaves its domain at step 30 is reported at step 30:
+    # a single filter step names no step of its own, so the run names the
+    # step it was taking
+    params, dim, dt, k = ModeParams(1.0, 0.5), 12, 1e-3, 30
+    slh, ref = damped_cavity_slh(params, dim), ReferenceSignal("step", 1.0)
+    state, calls = make_state(0.3, 0.5), []
+
+    def source(t):
+        nonlocal state
+        if len(calls) == k:
+            state = make_state(complex(math.nan, 0.0), 0.5, t=t)
+        calls.append(t)
+        state = pid_filter_step(state, 0.0, PIDGains(0.0), ref, params, dt)
+        return slh
+
+    with pytest.raises(DomainError,
+                       match=r"^step 30 \(t=0\.03\): filter left its domain"):
+        run_trajectory(coherent_state(0.3, dim), source, 0.0,
+                       NoiseStream(2, dt), 0.1, dt)
+    assert len(calls) == k + 1
 
 
 def test_cosim_undersized_dim_raises_truncation_error():

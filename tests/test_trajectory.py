@@ -973,53 +973,6 @@ def test_a_source_may_change_its_members_mid_run(monkeypatch, mode):
             assert np.max(np.abs(after - getattr(rest, name))) <= 1e-13
 
 
-@pytest.mark.parametrize("mode", ["sse", "sme", "zakai"])
-def test_fresh_dense_slhs_share_one_stepper(monkeypatch, mode):
-    # a callable source that returns a fresh dense SLH (one built from
-    # operators) every step keeps the run's one stepper: a dense form
-    # always has three members, so the stepper points at each new stack
-    # and forms its current stack's products on it.  The records are byte
-    # for byte those of a run that builds a stepper every step, for the
-    # same operators every step and for a drive that moves with t
-    dim, dt, n = 12, 1e-4, 1000
-    a, num = annihilation_op(dim).entries, number_op(dim).entries
-    psi0 = coherent_state(0.4 - 0.2j, dim)
-    initial = (pure_density(psi0) if mode == "sme" else psi0)
-    made = _counted_steppers(monkeypatch)
-
-    def source(drive):
-        def at(t):
-            z = drive * (0.8 - 0.3j) * math.cos(40.0 * t)
-            return SLHCoefficients(
-                1.0, CavityOperator(dim, a),
-                CavityOperator(dim, 0.4 * num + z * a.conj().T
-                               + np.conj(z) * a))
-        return at
-
-    def records(drive):
-        rec = run_trajectory(initial, source(drive), 0.0, NoiseStream(3, dt),
-                             n * dt, dt, mode=mode, record_stride=10)
-        final = getattr(rec.final, {"sme": "rho", "zakai": "chi"}.get(
-            mode, "psi"))
-        return [rec.t, rec.mean_a, rec.mean_n, rec.mean_a2, rec.Y, rec.I,
-                final.entries if mode == "sme" else final.amplitudes]
-
-    shared = {}
-    for drive in (0.0, 1.0):
-        made.clear()
-        shared[drive] = records(drive)
-        assert len(made) == 1
-    monkeypatch.setattr(trajectory._KrausStepper, "take",
-                        lambda self, slh: trajectory._KrausStepper(
-                            self.x, self.dt, slh))
-    for drive in (0.0, 1.0):
-        made.clear()
-        alone = records(drive)
-        assert len(made) == n
-        for got, want in zip(shared[drive], alone, strict=True):
-            assert got.tobytes() == want.tobytes()
-
-
 def test_callable_source_leaves_no_slh_alive():
     # the stepper arrays live on each instance: nothing outlives the run
     dim, dt = 30, 1e-3
