@@ -17,11 +17,12 @@ Exit codes: 0 ok; 2 config error; 3 numeric/stability error;
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -62,9 +63,6 @@ from .mc import (
 
 __all__ = ["ScenarioConfig", "parse_config", "run_subcommand", "main"]
 
-_SUBCOMMANDS = ("riccati", "filter", "closed-loop", "ensemble", "tf", "tune",
-                "classical")
-
 _SECTIONS = {
     "mode": ("gamma", "omega", "dim"),
     "initial": ("state", "alpha", "nbar", "V", "W"),
@@ -75,6 +73,8 @@ _SECTIONS = {
 }
 
 _STATES = ("vacuum", "coherent", "thermal", "gaussian")
+
+_KIND_NAMES = {float: "a number", complex: "a complex number", int: "an integer"}
 
 _MSE_THRESHOLD = 0.10
 
@@ -126,43 +126,22 @@ class _Section:
         val = self._take(key)
         return default if val is None else val
 
-    def number(self, key: str, default=None, required=False) -> Optional[float]:
+    def value(self, key: str, kind=float, default=None, required=False):
+        """The value of ``key`` as ``kind`` (float, complex or int), finite
+        unless an int."""
         val = self._take(key)
         if val is None:
             if required:
                 raise ConfigError(f"{self.name}.{key}: required")
             return default
         try:
-            out = float(val)
+            out = kind(val)
         except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not a number ({val!r})") from None
-        if not math.isfinite(out):
+            raise ConfigError(f"{self.name}.{key}: not {_KIND_NAMES[kind]} "
+                              f"({val!r})") from None
+        if kind is not int and not cmath.isfinite(out):
             raise ConfigError(f"{self.name}.{key}: must be finite")
         return out
-
-    def complex_number(self, key: str, default=None) -> Optional[complex]:
-        val = self._take(key)
-        if val is None:
-            return default
-        try:
-            out = complex(val)
-        except ValueError:
-            raise ConfigError(
-                f"{self.name}.{key}: not a complex number ({val!r})") from None
-        if not np.isfinite(out):
-            raise ConfigError(f"{self.name}.{key}: must be finite")
-        return out
-
-    def integer(self, key: str, default=None, required=False) -> Optional[int]:
-        val = self._take(key)
-        if val is None:
-            if required:
-                raise ConfigError(f"{self.name}.{key}: required")
-            return default
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not an integer ({val!r})") from None
 
     def reject_unused(self) -> None:
         for key in self.raw:
@@ -191,9 +170,9 @@ def parse_config(text: str) -> ScenarioConfig:
         return _Section(name, dict(cp[name]) if cp.has_section(name) else {})
 
     mode = sec("mode")
-    gamma = mode.number("gamma", required=True)
-    omega = mode.number("omega", default=0.0)
-    dim = mode.integer("dim", required=True)
+    gamma = mode.value("gamma", required=True)
+    omega = mode.value("omega", default=0.0)
+    dim = mode.value("dim", int, required=True)
     try:
         params = ModeParams(gamma=gamma, omega=omega)
     except CavityFilterError as exc:
@@ -211,18 +190,18 @@ def parse_config(text: str) -> ScenarioConfig:
     alpha = 0.0 + 0.0j
     cov = CovariancePair(0.0, 0.0j)
     if state == "coherent":
-        alpha = initial.complex_number("alpha")
+        alpha = initial.value("alpha", complex)
         if alpha is None:
             raise ConfigError("initial.alpha: required for state=coherent")
     elif state == "thermal":
-        nbar = initial.number("nbar", required=True)
+        nbar = initial.value("nbar", required=True)
         if nbar < 0.0:
             raise ConfigError(f"initial.nbar: must be >= 0, got {nbar}")
         cov = CovariancePair(nbar, 0.0j)
     elif state == "gaussian":
-        alpha = initial.complex_number("alpha", default=0.0 + 0.0j)
-        v = initial.number("V", required=True)
-        w = initial.complex_number("W", default=0.0 + 0.0j)
+        alpha = initial.value("alpha", complex, 0.0 + 0.0j)
+        v = initial.value("V", required=True)
+        w = initial.value("W", complex, 0.0 + 0.0j)
         try:
             cov = CovariancePair(v, w)
         except CavityFilterError as exc:
@@ -230,27 +209,27 @@ def parse_config(text: str) -> ScenarioConfig:
     initial.reject_unused()
 
     measurement = sec("measurement")
-    theta = measurement.number("theta", default=0.0)
+    theta = measurement.value("theta", default=0.0)
 
     control = sec("control")
     kwargs = {"k_P": 0.0, "k_I": 0.0, "k_D": 0.0, "mu": 1.0, "nu": 1.0}
     for key in tuple(kwargs):
-        val = control.number(key)
+        val = control.value(key)
         if val is not None:
             kwargs[key] = val
     try:
         gains = PIDGains(**kwargs)
     except CavityFilterError as exc:
         raise ConfigError(f"control.{_offending_gain(kwargs)}: {exc}") from None
-    zeta = control.number("zeta")
-    omega0 = control.number("omega0")
+    zeta = control.value("zeta")
+    omega0 = control.value("omega0")
 
     reference = sec("reference")
     kind = reference.text("kind", default="constant")
-    amplitude = reference.complex_number("amplitude", default=0.0 + 0.0j)
-    onset = reference.number("onset", default=0.0)
-    slope = reference.number("slope", default=0.0)
-    frequency = reference.number("frequency", default=0.0)
+    amplitude = reference.value("amplitude", complex, 0.0 + 0.0j)
+    onset = reference.value("onset", default=0.0)
+    slope = reference.value("slope", default=0.0)
+    frequency = reference.value("frequency", default=0.0)
     try:
         ref = ReferenceSignal(kind, amplitude=amplitude, onset=onset,
                               slope=slope, frequency=frequency)
@@ -258,19 +237,19 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"reference.kind: {exc}") from None
 
     run = sec("run")
-    T = run.number("T", required=True)
-    dt = run.number("dt", required=True)
+    T = run.value("T", required=True)
+    dt = run.value("dt", required=True)
     if T <= 0.0:
         raise ConfigError(f"run.T: must be positive, got {T}")
     if dt <= 0.0:
         raise ConfigError(f"run.dt: must be positive, got {dt}")
-    n_traj = run.integer("n_traj", default=1)
+    n_traj = run.value("n_traj", int, 1)
     if n_traj < 1:
         raise ConfigError(f"run.n_traj: must be >= 1, got {n_traj}")
-    seed = run.integer("seed", default=0)
+    seed = run.value("seed", int, 0)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"run.seed: must fit in 64 bits, got {seed}")
-    stride = run.integer("stride", default=1)
+    stride = run.value("stride", int, 1)
     if stride < 1:
         raise ConfigError(f"run.stride: must be >= 1, got {stride}")
     out_dir = run.text("out_dir", default=".")
@@ -339,26 +318,30 @@ def _cmd_riccati(cfg: ScenarioConfig, out: Path):
     return [path], True
 
 
-def _cmd_filter(cfg: ScenarioConfig, out: Path):
-    _require_untilted(cfg, "filter")
-    rec = closed_loop_cosim(
-        cfg.alpha, cfg.cov, PIDGains(0.0),
-        ReferenceSignal("constant", amplitude=0.0 + 0.0j), cfg.params,
-        cfg.dim, NoiseStream(seed=cfg.seed, dt=cfg.dt), cfg.T, cfg.dt,
-        record_stride=cfg.stride)
-    path = out / "trajectory.csv"
-    _write_csv(path, _TRAJ_HEADER, _traj_rows(rec))
-    return [path], True
-
-
-def _cmd_closed_loop(cfg: ScenarioConfig, out: Path):
-    _require_untilted(cfg, "closed-loop")
+def _cosim_csv(cfg: ScenarioConfig, out: Path, name: str, csv_name: str):
+    """The co-simulation of ``cfg`` and the path of its series, written to
+    ``csv_name``."""
+    _require_untilted(cfg, name)
     rec = closed_loop_cosim(
         cfg.alpha, cfg.cov, cfg.gains, cfg.reference, cfg.params, cfg.dim,
         NoiseStream(seed=cfg.seed, dt=cfg.dt), cfg.T, cfg.dt,
         record_stride=cfg.stride)
-    csv_path = out / "closed_loop.csv"
-    _write_csv(csv_path, _TRAJ_HEADER, _traj_rows(rec))
+    path = out / csv_name
+    _write_csv(path, _TRAJ_HEADER, _traj_rows(rec))
+    return rec, path
+
+
+def _cmd_filter(cfg: ScenarioConfig, out: Path):
+    """The co-simulation without feedback: zero gains, zero reference."""
+    _, path = _cosim_csv(
+        replace(cfg, gains=PIDGains(0.0),
+                reference=ReferenceSignal("constant", amplitude=0.0 + 0.0j)),
+        out, "filter", "trajectory.csv")
+    return [path], True
+
+
+def _cmd_closed_loop(cfg: ScenarioConfig, out: Path):
+    rec, csv_path = _cosim_csv(cfg, out, "closed-loop", "closed_loop.csv")
     sq = _sq_error(rec)
     terminal = error_signal(cfg.reference.value(float(rec.t[-1])),
                             complex(rec.a_hat[-1]))
@@ -409,16 +392,8 @@ def _cmd_ensemble(cfg: ScenarioConfig, out: Path):
         "T": cfg.T,
         "dt": cfg.dt,
         "base_seed": cfg.seed,
-        "n_traj": cfg.n_traj,
         "scenario": cfg.state,
-        "terminal_mean": verdict.terminal_mean,
-        "mean_threshold": verdict.mean_threshold,
-        "mean_ok": verdict.mean_ok,
-        "qv_ratio_min": verdict.qv_ratio_min,
-        "qv_ratio_max": verdict.qv_ratio_max,
-        "qv_low": verdict.qv_low,
-        "qv_high": verdict.qv_high,
-        "qv_ok": verdict.qv_ok,
+        **asdict(verdict),
         "innovations_pass": verdict.passed,
         "mse_max_rel_dev": report.max_rel_dev,
         "mse_window_start": report.window_start,
@@ -602,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cavityfilter",
         description="Filtering and feedback runs for a damped bosonic mode.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the scenario config file")
         p.add_argument("--out", default=None,

@@ -24,17 +24,9 @@ materializes them as SLH coefficients; ``closed_loop_cosim`` never does.
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
 truth the cheap filter is judged against everywhere in this package.
-It steps a batch of truths in lockstep (``_cosim``, which is how an
-ensemble shard runs) on the one trajectory loop of
-``trajectory._integrate``.  Xi depends on time alone, so the run's
-schedule (``_schedule``) forms everything that depends only on time, in
-blocks of steps: r, dr/dt, the covariances, Xi, and the Kraus inputs,
-which the run's ``trajectory._KrausStepper`` forms on its own members
-(its docstring holds the members, the row and the step).  Per step only
-the Kraus step remains, and under gains each truth's z and drift and
-the filter update.  Without gains the record does not depend on the
-filter (the estimate is a functional of the record alone), so the
-filters read the record once per record window.
+Every coefficient is frozen at the step start, so neither side
+anticipates, and a batch of truths gets the bits of its one-truth runs.
+How a step is taken is told once, in ``_cosim``'s docstring.
 """
 
 from __future__ import annotations
@@ -253,17 +245,11 @@ def drift_estimate(
         *_shared_scalars(gains, ref, t, ric.V, ric.W, params))[1][0]
 
 
-def _d_reference(gains: PIDGains, ref: ReferenceSignal, t: float) -> complex:
-    """dr/dt where the derivative channel reads it, else 0."""
-    return ref.derivative(t) if gains.k_D != 0.0 else 0.0j
-
-
 def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
                     V: float, W: complex, params: ModeParams):
     """(r(t), dr/dt, Xi): the feedback inputs that depend only on the
     time and the covariances, so every filter of a batch shares them."""
-    return (ref.value(t), _d_reference(gains, ref, t),
-            _xi(V, W, gains.k_D, params.gamma))
+    return ref.value(t), ref.derivative(t), _xi(V, W, gains.k_D, params.gamma)
 
 
 def _xi_terms(k_D: float, sg: float, xi) -> tuple:
@@ -291,17 +277,14 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
     ..., n of a run from ``cov``, formed as arrays in the blocks of
     ``qkf._covariance_path``, which raises an error of the exact pair
     (V, W) when the row of its step is asked for.  (r, dr/dt) are
-    ``_reference_at``'s rows, dr/dt zero unless the derivative channel
-    reads it; Xi takes its parts apart, the arithmetic of ``_xi`` up to
-    the sign of a zero; (c1, c2) and ``base`` are the ``block`` of the
-    run's ``stepper`` at ``_xi_terms``'s (c1, c2, w)."""
+    ``_reference_at``'s rows; Xi takes its parts apart, the arithmetic of
+    ``_xi`` up to the sign of a zero; (c1, c2) and ``base`` are the
+    ``block`` of the run's ``stepper`` at ``_xi_terms``'s (c1, c2, w)."""
     sg = math.sqrt(params.gamma)
     scale = 1.0 + gains.k_D
     for ks, v, w in _covariance_path(cov.V, cov.W, 0.0, params, dt,
                                      _step_blocks(0, n + 1)):
         refs = _reference_at(ref, ks * dt)
-        if gains.k_D == 0.0:
-            refs[:, 1] = 0.0
         xi = (sg * (v + w.real) / scale, sg * w.imag / scale)
         # columns Xi, c1, c2 and the base row
         rows = [xi] + stepper.block(*_xi_terms(gains.k_D, sg, xi))
@@ -326,12 +309,13 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
     fixes are formed here, once, and the drift is evaluated once for both
     z and the filter update.  P and I displace by i k_P (mu r - a_hat)
     and i k_I integral_error; D adds the derivative Hamiltonian
-    i k_D (nu dr/dt - drift + sqrt(gamma) 2 Re(a_hat) Xi).  Zero-gain
-    terms are skipped outright, and every truth's expressions keep their
-    operand order, so each gets the bits of a shard of one.  With every
-    gain zero z is 0 and the drift is the function's ``free_drift(a_hat)``,
-    kappa a_hat / (1 + k_D) (a division by 1.0 that can move the sign of
-    a zero part, so it is kept), which needs nothing of the step.
+    i k_D (nu dr/dt - drift + sqrt(gamma) 2 Re(a_hat) Xi), the one
+    reader of dr/dt.  Zero-gain terms are skipped outright, and every
+    truth's expressions keep their operand order, so each gets the bits of
+    a shard of one.  With every gain zero z is 0 and the drift is the
+    function's ``free_drift(a_hat)``, kappa a_hat / (1 + k_D) (a division
+    by 1.0 that can move the sign of a zero part, so it is kept), which
+    needs nothing of the step.
     """
     sg = math.sqrt(params.gamma)
     k_P, k_I, k_D, mu, nu = gains.k_P, gains.k_I, gains.k_D, gains.mu, gains.nu
@@ -341,13 +325,6 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
 
     def free_drift(a_hat: complex) -> complex:
         return kappa * a_hat / scale
-
-    if gains.all_zero:
-        def scalars(a_hats, integral_errors, r_t, dr_t, xi):
-            return [0.0j] * len(a_hats), [free_drift(a) for a in a_hats]
-
-        scalars.free_drift = free_drift
-        return scalars
 
     def scalars(a_hats, integral_errors, r_t: complex, dr_t: complex,
                 xi: complex):
@@ -571,19 +548,11 @@ def closed_loop_cosim(
 ) -> ClosedLoopRecord:
     """Co-simulate the Fock-space truth and the two-moment filter.
 
-    Per step: (1) the feedback scalars (c1, c2, z, w) and the filter's
-    drift and gain are computed once from the current filter state;
-    (2) the truth advances one step on the sampled noise increment;
-    (3) the record increment dY = lambda_truth dt + dW is synthesized;
-    (4) the filter consumes its own innovations
-    dI' = dY - sqrt(gamma) 2 Re(a_hat) dt.  All coefficients are frozen
-    at step start, so neither side anticipates.
-
-    The truth never sees dense SLH coefficients.  It is stepped from the
-    ladder rows of L and A0 = -iH - L'L/2 by the Kraus update of
-    ``trajectory``: a state vector, or a density matrix as its factor X
-    (rho = XX' / tr(XX')), by its exact ladder-basis products and one row
-    of coefficients.
+    Per step the truth advances on the sampled noise increment, the
+    record increment dY = lambda_truth dt + dW is synthesized, and the
+    filter consumes its own innovations dI' = dY - sqrt(gamma) 2 Re(a_hat)
+    dt, with the feedback computed from the filter state at the step
+    start (``_cosim`` holds the mechanics).
 
     The filter is initialized at (alpha, cov).  The truth defaults to
     the same Gaussian data, integrated as a state vector when the data
@@ -606,21 +575,26 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     ``ClosedLoopRecord`` per truth, each bit for bit that of its own
     one-truth run.
 
-    A step takes its row of the run's ``_schedule`` (the row of step
-    k + 1 is read after step k, where an error of the covariance path is
-    raised), forms each truth's z and drift under gains
-    (``_feedback_scalars``), takes one ``step`` of the run's
-    ``_KrausStepper`` on the ladder members the gains can make nonzero,
-    and puts its (dY row, r, Xi) on a pending list.  One call of
-    ``_filter_update`` then takes the filters over the pending steps:
-    after every step under gains, whose next step reads z; at zero gain,
-    where the record does not depend on the filters, before each record
-    point and at least every ``_NOISE_BLOCK`` steps.  An error of truth b
-    names it as the error's ``column``.  Errors come in the order of a
-    step-by-step run: the lowest step first (a step that fails makes the
-    filters catch up first, and a filter error keeps its own step); in
-    one step a norm guard failure before a filter one, and of two truths
-    failing one check the lower."""
+    Xi depends on time alone, so the run's ``_schedule`` forms everything
+    that depends only on time, in blocks of steps: r, dr/dt, the
+    covariances, Xi, and the Kraus inputs, which the run's
+    ``trajectory._KrausStepper`` forms on its own members (its docstring
+    holds the members, the row and the Kraus step).  The truths never see
+    dense SLH coefficients.  A step takes its row of the schedule (the row
+    of step k + 1 is read after step k, where an error of the covariance
+    path is raised), forms each truth's z and drift under gains
+    (``_feedback_scalars``), takes one ``step`` of the stepper on the
+    ladder members the gains can make nonzero, and puts its (dY row, r,
+    Xi) on a pending list.  One call of ``_filter_update`` then takes the
+    filters over the pending steps: after every step under gains, whose
+    next step reads z; at zero gain, where the record does not depend on
+    the filters (the estimate is a functional of the record alone),
+    before each record point and at least every ``_NOISE_BLOCK`` steps.
+    An error of truth b names it as the error's ``column``.  Errors come
+    in the order of a step-by-step run: the lowest step first (a step
+    that fails makes the filters catch up first, and a filter error keeps
+    its own step); in one step a norm guard failure before a filter one,
+    and of two truths failing one check the lower."""
     batch = len(noises)
     pure = abs(truth_cov.physicality_excess()) <= 1e-8
     states = []

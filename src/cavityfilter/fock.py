@@ -275,11 +275,11 @@ def creation_op(dim: int) -> CavityOperator:
 
 def number_op(dim: int) -> CavityOperator:
     """The photon-number operator N|n> = n|n>."""
-    return CavityOperator(dim, np.diag(np.arange(dim, dtype=np.complex128)))
+    return CavityOperator(dim, _ladder("n", dim))
 
 
 def identity_op(dim: int) -> CavityOperator:
-    return CavityOperator(dim, np.eye(dim, dtype=np.complex128))
+    return CavityOperator(dim, _ladder_table(dim)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,20 @@ a pure truth, while the filter is started on the mixed prior moments.
 The draw uses an RNG stream keyed independently of the measurement
 noise so that enabling it does not shift any dW sequence.
 
-Trajectory seeds are base_seed XOR index: counter-mode generators give
-uncorrelated streams for distinct keys and the ensemble stays exactly
-reproducible.  The worker count is taken from QKF_THREADS (default: the
-CPUs this process may run on).  The indices are split into that many
-contiguous shards of ceil(n_traj / workers) trajectories: the calling
-process runs the first, and a pool of one worker per other shard runs
-the rest.  A shard steps its trajectories in lockstep
-(``control._cosim``): one (B, dim) stack of pure truths, one schedule of
-the covariances for the shard, the filter means kept per trajectory.
-Every trajectory gets the bits of its own one-trajectory run, and the
-reduction is sequential in index order, so aggregate bytes depend
-neither on the worker count nor on the shard size.  When several
-trajectories fail, the lowest failing index is reported, with the error
-its own run raises.
+Trajectory i is driven by ``NoiseStream.spawn(i)`` of the base seed
+(base_seed XOR index): counter-mode generators give uncorrelated
+streams for distinct keys and the ensemble stays exactly reproducible.
+The worker count is taken from QKF_THREADS (default: the CPUs this
+process may run on).  The indices are split into that many contiguous
+shards of ceil(n_traj / workers) trajectories: the calling process runs
+the first, and a pool of one worker per other shard runs the rest.  A
+shard steps its trajectories in lockstep (``control._cosim``): one
+(B, dim) stack of pure truths, one schedule of the covariances for the
+shard, the filter means kept per trajectory.  Every trajectory gets the
+bits of its own one-trajectory run, and the reduction is sequential in
+index order, so aggregate bytes depend neither on the worker count nor
+on the shard size.  When several trajectories fail, the lowest failing
+index is reported, with the error its own run raises.
 
 ``concurrent.futures`` is imported only by a run with more than one
 shard, so a one-process CLI run does not load the process-pool machinery
@@ -231,8 +231,8 @@ def _run_shard(task) -> list:
     (the lower part of the shard is rerun first), as it is when every
     trajectory runs alone."""
     scenario, config, indices = task
-    noises = [NoiseStream(seed=config.base_seed ^ i, dt=config.dt)
-              for i in indices]
+    base = NoiseStream(config.base_seed, config.dt)
+    noises = [base.spawn(i) for i in indices]
     try:
         return scenario.shard(config, indices, noises)
     except CavityFilterError as exc:

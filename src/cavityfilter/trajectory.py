@@ -15,27 +15,19 @@ and the record is synthesized as dY = lambda dt + dI, where lambda is
 the conditional mean photocurrent.  This is statistically exact and
 avoids representing the field the mode radiates into.
 
-A density matrix is carried as a factor X (dim x r) with
-rho = XX'/||X||_F^2, taken once from the eigendecomposition of the
-initial rho, and X takes the state-vector step X -> KX.  So
-rho -> K rho K' / tr(K rho K') is a Kraus map (Rouchon & Ralph, PRA 91,
-012118, 2015): positive and of unit trace by construction, whatever
-factor is chosen.  At dI^2 = dt it differs from the Euler SME step by
-O(dt^{3/2}), and by O(dt^2) averaged over the sign of dI; the steps are
-fixed (weak order 1).  The map does not see the scale of its input, so
-states and factors are carried unnormalized and divided by their norm
-only where read (the record, a state-dependent source, the final
-state); no per-step eigenvalue guard is needed, and the norm guard still
-rejects a non-finite or too coarse step.
+A density matrix is carried as a factor X with rho = XX'/||X||_F^2 and
+takes the state-vector step, so every step is a Kraus map (Rouchon &
+Ralph, PRA 91, 012118, 2015): positive and of unit trace by
+construction, with fixed steps (weak order 1).
 
 Every step reads (L, A0 = -iH - L'L/2) in the one form of its
 ``SLHCoefficients`` (``_kraus``) and is one row per truth of the run's
-one ``_KrausStepper``, whose docstring holds K, the members, the row and
-the step mechanics; ``lindblad_apply`` and the record increment of a
-density matrix read the public L and H.
-There is one trajectory loop, ``_integrate``, which steps a batch of
-truths in lockstep: ``run_trajectory`` is the batch of one, and the PID
-co-simulation in ``control`` passes the step of an ensemble shard.
+one ``_KrausStepper``, whose docstring holds the map, the members, the
+row and the step mechanics; ``lindblad_apply`` and the record increment
+of a density matrix read the public L and H.  There is one trajectory
+loop, ``_integrate``, which steps a batch of truths in lockstep:
+``run_trajectory`` is the batch of one, and the PID co-simulation in
+``control`` passes the step of an ensemble shard.
 """
 
 from __future__ import annotations
@@ -287,16 +279,26 @@ class _KrausStepper:
     no product whose coefficient is always zero.  ``_a0_row`` is the one
     row builder: once per ladder SLH, once per family and once per block.
 
-    The rows x[b] are carried unnormalized.  The stepper holds ``prods``,
-    the basis products of the current stack (one matmul, on the float64
-    view of the states for a real stack, exact for a ladder basis), and
-    ``ms``, each row's (m, s) = (<x, X_k x>, <x, x>) from one
-    ``np.vecdot`` of the rows against X_k x and I x, so
-    lam = 2 Re cis (c m + c' conj(m)) / s.  A step fills each row's K as
-    n Python scalars, applies them by one stacked matmul into the state
-    buffer and forms the products and (m, s) of the new stack;
-    ``_settle`` then applies the norm guard to sqrt(s'/s) and keeps s in
-    its band by powers of two.  The buffers and their views are made
+    A density factor X (dim x r, rho = XX'/||X||_F^2) is taken once from
+    the eigendecomposition of the initial rho (``_density_factor``), and
+    x -> K x maps rho -> K rho K' / tr(K rho K'), whatever factor is
+    chosen.  At dI^2 = dt the map differs from the Euler SME step by
+    O(dt^{3/2}), and by O(dt^2) averaged over the sign of dI.  It does not
+    see the scale of its input, so the rows x[b] are carried unnormalized
+    and divided by their norm only where read (the record, a
+    state-dependent source, the final state); no per-step eigenvalue guard
+    is needed, and the norm guard still rejects a non-finite or too coarse
+    step.
+
+    The stepper holds ``prods``, the basis products of the current stack
+    (one matmul, on the float64 view of the states for a real stack,
+    exact for a ladder basis), and ``ms``, each row's
+    (m, s) = (<x, X_k x>, <x, x>) from one ``np.vecdot`` of the rows
+    against X_k x and I x, so lam = 2 Re cis (c m + c' conj(m)) / s.  A
+    step fills each row's K as n Python scalars, applies them by one
+    stacked matmul into the state buffer and forms the products and
+    (m, s) of the new stack; ``_settle`` then applies the norm guard to
+    sqrt(s'/s) and keeps s in its band by powers of two.  The buffers and their views are made
     once, so a step allocates none of them, and every row of a stack gets
     the bits of a lone state.  ``x`` is the current stack."""
 

@@ -115,6 +115,25 @@ def test_parse_errors_name_the_key():
         parse_config(MINIMAL.replace("state = vacuum", "state = squeezed"))
 
 
+_GAUSSIAN = "state = gaussian\nV = 0.2"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("dim = 20", "dim = 2.5", "mode.dim: not an integer ('2.5')"),
+    ("gamma = 1", "gamma = fast", "mode.gamma: not a number ('fast')"),
+    ("dim = 20", "dim = 20\nomega = inf", "mode.omega: must be finite"),
+    ("state = vacuum", _GAUSSIAN + "\nW = big",
+     "initial.W: not a complex number ('big')"),
+    ("state = vacuum", _GAUSSIAN + "\nalpha = nan+1j",
+     "initial.alpha: must be finite"),
+    ("dt = 1e-3", "dt = 1e-3\nseed = x", "run.seed: not an integer ('x')"),
+])
+def test_reader_failures_give_their_full_message(old, new, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL.replace(old, new))
+    assert str(info.value) == message
+
+
 def test_parse_rejects_unknown_and_unused_keys():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(MINIMAL + "\n[plotting]\nstyle = fancy\n")
@@ -208,6 +227,16 @@ def test_tf_and_classical_reruns_are_byte_identical(tmp_path):
     assert files["b"] == files["a"]
 
 
+def test_filter_is_closed_loop_without_feedback(tmp_path):
+    # no [control] or [reference]: zero gains and a zero constant reference
+    text = MINIMAL.replace("state = vacuum", "state = thermal\nnbar = 0.3")
+    cfg = parse_config(text.replace("T = 1", "T = 0.05"))
+    run_subcommand("filter", cfg, out_dir=tmp_path)
+    run_subcommand("closed-loop", cfg, out_dir=tmp_path)
+    assert ((tmp_path / "trajectory.csv").read_bytes()
+            == (tmp_path / "closed_loop.csv").read_bytes())
+
+
 def test_closed_loop_emits_series_and_summary(tmp_path):
     cfg = parse_config("""\
 [mode]
@@ -236,6 +265,9 @@ stride = 20
     assert code == 0
     assert [p.name for p in written] == ["closed_loop.csv", "closed_loop.json"]
     summary = json.loads(written[1].read_text())
+    assert set(summary) == {"T", "dt", "seed", "terminal_error",
+                            "terminal_innovation", "sq_error_mean",
+                            "sq_error_max", "qv"}
     assert summary["T"] == 0.2 and summary["seed"] == 11
     assert summary["sq_error_max"] < 1e-6  # filter tracks its own truth
     assert 0.0 < summary["terminal_error"] < 1.0
@@ -267,9 +299,12 @@ stride = 20
                       "im_mean_a_hat", "mse", "V"]
     assert data[0, 7] == 0.5
     summary = json.loads(written[1].read_text())
-    for key in ("terminal_mean", "mean_threshold", "qv_ratio_max", "qv_low",
-                "qv_high", "mse_max_rel_dev", "mse_threshold", "overall_pass"):
-        assert key in summary
+    assert set(summary) == {
+        "T", "dt", "base_seed", "n_traj", "scenario", "terminal_mean",
+        "mean_threshold", "mean_ok", "qv_ratio_min", "qv_ratio_max", "qv_low",
+        "qv_high", "qv_ok", "innovations_pass", "mse_max_rel_dev",
+        "mse_window_start", "mse_threshold", "mse_pass", "overall_pass"}
+    assert summary["n_traj"] == 10
     assert summary["mean_threshold"] == 3.0 * math.sqrt(0.2 / 10)
 
     # worker count must not change a single byte of the outputs
