@@ -18,8 +18,11 @@ ladder basis (see ``fock._LADDER_KEYS``):
                              + w (a^2 + a'a) + conj(w) (a'^2 + a'a),
 
 where c1, c2 and w depend on the innovations gain Xi alone
-(``_xi_terms``) and z on the filter state.  ``controlled_slh``
-materializes them as SLH coefficients; ``closed_loop_cosim`` never does.
+(``_xi_terms``) and z on the filter state.  Xi, (c1, c2, w) and A0's
+ladder row are numpy expressions on arrays, evaluated on a block of steps
+by a co-simulation and on length-1 arrays for one step, so both get the
+same bits.  ``controlled_slh`` materializes them as SLH coefficients;
+``closed_loop_cosim`` never does.
 
 ``closed_loop_cosim`` runs the full-Fock-space truth and the two-moment
 filter side by side on one synthesized record, which is the ground
@@ -214,10 +217,12 @@ def error_signal(r_t: complex, a_hat: complex) -> complex:
 
 def xi_gain(cov: RiccatiState, gains: PIDGains, gamma: float) -> complex:
     """Innovations gain sqrt(gamma) (V + W) / (1 + k_D)."""
-    return _xi(cov.V, cov.W, gains.k_D, gamma)
+    w = np.array([cov.W], dtype=np.complex128)
+    return complex(_xi(np.array([cov.V]), w, gains.k_D, gamma)[0])
 
 
-def _xi(v: float, w: complex, k_D: float, gamma: float) -> complex:
+def _xi(v: np.ndarray, w: np.ndarray, k_D: float, gamma: float) -> np.ndarray:
+    """``xi_gain`` of the covariance arrays (v, w), complex w."""
     return math.sqrt(gamma) * (v + w) / (1.0 + k_D)
 
 
@@ -239,36 +244,33 @@ def drift_estimate(
     skipped outright so that gain-by-gain reductions agree at the bit
     level, not merely numerically.
     """
-    ric = filt.riccati
     return _feedback_scalars(gains, params)(
         [filt.a_hat], [integral_error],
-        *_shared_scalars(gains, ref, t, ric.V, ric.W, params))[1][0]
+        *_shared_scalars(gains, ref, t, filt.riccati, params))[1][0]
 
 
 def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
-                    V: float, W: complex, params: ModeParams):
+                    cov: RiccatiState, params: ModeParams):
     """(r(t), dr/dt, Xi): the feedback inputs that depend only on the
     time and the covariances, so every filter of a batch shares them."""
-    return ref.value(t), ref.derivative(t), _xi(V, W, gains.k_D, params.gamma)
+    return ref.value(t), ref.derivative(t), xi_gain(cov, gains, params.gamma)
 
 
-def _xi_terms(k_D: float, sg: float, xi) -> tuple:
-    """(c1, c2, w) at the innovations gain Xi, for sg = sqrt(gamma).
+def _xi_terms(k_D: float, sg: float, xi: np.ndarray) -> tuple:
+    """The arrays (c1, c2, w) at the array of innovations gains ``xi``,
+    for sg = sqrt(gamma).
 
     D modifies the coupling, L = sqrt(gamma) a - iF_D with
     F_D = i k_D (Xi* a - Xi a'), so c1 = sqrt(gamma) + k_D Xi* and
     c2 = -k_D Xi, and adds the current-feedback correction
     (F_D L_0 + L_0' F_D)/2 with L_0 = sqrt(gamma) a, which is
-    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Xi and the
-    result are (re, im) pairs as in ``trajectory._KrausStepper._a0_row``,
-    of floats for one Xi or of arrays for a block, with the same bits."""
+    w (a^2 + a'a) + h.c. with w = i sqrt(gamma) k_D Xi* / 2.  Without D
+    they are the damped mode's (sqrt(gamma), 0, 0)."""
     if k_D == 0.0:
-        return (sg, 0.0), (0.0, 0.0), (0.0, 0.0)
-    # conj(Xi) = (xr, xc); float factors taken as (x, 0.0)
-    xr, xc, hw = xi[0], -xi[1], 0.5j * sg * k_D
-    return ((sg + (k_D * xr - 0.0 * xc), 0.0 + (k_D * xc + 0.0 * xr)),
-            (-k_D * xr - 0.0 * xi[1], -k_D * xi[1] + 0.0 * xr),
-            (hw.real * xr - hw.imag * xc, hw.real * xc + hw.imag * xr))
+        zero = np.zeros_like(xi)
+        return zero + sg, zero, zero
+    xi_c = xi.conj()
+    return sg + k_D * xi_c, -k_D * xi, 0.5j * sg * k_D * xi_c
 
 
 def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
@@ -277,20 +279,17 @@ def _schedule(gains: PIDGains, ref: ReferenceSignal, params: ModeParams,
     ..., n of a run from ``cov``, formed as arrays in the blocks of
     ``qkf._covariance_path``, which raises an error of the exact pair
     (V, W) when the row of its step is asked for.  (r, dr/dt) are
-    ``_reference_at``'s rows; Xi takes its parts apart, the arithmetic of
-    ``_xi`` up to the sign of a zero; (c1, c2) and ``base`` are the
-    ``block`` of the run's ``stepper`` at ``_xi_terms``'s (c1, c2, w)."""
+    ``_reference_at``'s rows, Xi is ``_xi``'s, (c1, c2) are
+    ``_xi_terms``'s and ``base`` is the ``block`` of the run's ``stepper``
+    at ``_xi_terms``'s (c1, c2, w): the expressions a single step
+    evaluates on length-1 arrays."""
     sg = math.sqrt(params.gamma)
-    scale = 1.0 + gains.k_D
     for ks, v, w in _covariance_path(cov.V, cov.W, 0.0, params, dt,
                                      _step_blocks(0, n + 1)):
         refs = _reference_at(ref, ks * dt)
-        xi = (sg * (v + w.real) / scale, sg * w.imag / scale)
-        # columns Xi, c1, c2 and the base row
-        rows = [xi] + stepper.block(*_xi_terms(gains.k_D, sg, xi))
-        coef = np.empty((len(ks), len(rows)), dtype=np.complex128)
-        for j, (re, im) in enumerate(rows):
-            coef[:, j].real, coef[:, j].imag = re, im
+        xi = _xi(v, w, gains.k_D, params.gamma)
+        c1, c2, w_d = _xi_terms(gains.k_D, sg, xi)
+        coef = np.column_stack([xi, c1, c2] + stepper.block(c1, c2, w_d))
         # as Python rows 64 steps at a time, so few of them are alive
         for lo in range(0, len(ks), 64):
             part = slice(lo, lo + 64)
@@ -310,12 +309,11 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
     z and the filter update.  P and I displace by i k_P (mu r - a_hat)
     and i k_I integral_error; D adds the derivative Hamiltonian
     i k_D (nu dr/dt - drift + sqrt(gamma) 2 Re(a_hat) Xi), the one
-    reader of dr/dt.  Zero-gain terms are skipped outright, and every
-    truth's expressions keep their operand order, so each gets the bits of
-    a shard of one.  With every gain zero z is 0 and the drift is the
-    function's ``free_drift(a_hat)``, kappa a_hat / (1 + k_D) (a division
-    by 1.0 that can move the sign of a zero part, so it is kept), which
-    needs nothing of the step.
+    reader of dr/dt.  Zero-gain terms are skipped outright, the division
+    by 1 + k_D too, and every truth's expressions keep their operand
+    order, so each gets the bits of a shard of one.  With every gain zero
+    z is 0 and the drift is the function's ``free_drift(a_hat)``,
+    kappa a_hat, which needs nothing of the step.
     """
     sg = math.sqrt(params.gamma)
     k_P, k_I, k_D, mu, nu = gains.k_P, gains.k_I, gains.k_D, gains.mu, gains.nu
@@ -324,7 +322,7 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
     i_kp, i_ki, i_kd, sg2 = 1j * k_P, 1j * k_I, 1j * k_D, sg * 2.0
 
     def free_drift(a_hat: complex) -> complex:
-        return kappa * a_hat / scale
+        return kappa * a_hat
 
     def scalars(a_hats, integral_errors, r_t: complex, dr_t: complex,
                 xi: complex):
@@ -335,19 +333,17 @@ def _feedback_scalars(gains: PIDGains, params: ModeParams):
             d_term = k_D * nu_dr
         zs, drifts = [], []
         for a_hat, ie in zip(a_hats, integral_errors):
-            num = kappa * a_hat
+            drift = kappa * a_hat
             z = 0.0j
             if k_P != 0.0:
                 e_p = mu_r - a_hat
-                num = num + k_P * e_p
+                drift = drift + k_P * e_p
                 z += i_kp * e_p
             if k_I != 0.0:
-                num = num + k_I * ie
+                drift = drift + k_I * ie
                 z += i_ki * complex(ie)
             if k_D != 0.0:
-                num = num + d_term
-            drift = num / scale
-            if k_D != 0.0:
+                drift = (drift + d_term) / scale
                 z += i_kd * (nu_dr - drift + (sg2 * a_hat.real) * xi)
             zs.append(z)
             drifts.append(drift)
@@ -372,12 +368,11 @@ def controlled_slh(
 
     The result satisfies L + iF_D = sqrt(gamma) a and H = H' exactly.
     """
-    ric = filt.riccati
-    r_t, dr_t, xi = _shared_scalars(gains, ref, t, ric.V, ric.W, params)
+    r_t, dr_t, xi = _shared_scalars(gains, ref, t, filt.riccati, params)
     zs, _ = _feedback_scalars(gains, params)(
         [filt.a_hat], [integral_error], r_t, dr_t, xi)
-    c1, c2, w = (complex(*p) for p in _xi_terms(
-        gains.k_D, math.sqrt(params.gamma), (xi.real, xi.imag)))
+    c1, c2, w = (complex(p[0]) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), np.array([xi])))
     return _ladder_slh(c1, c2, zs[0], w, params.omega, dim)
 
 
@@ -446,7 +441,7 @@ def pid_filter_step(
     _check_dt(dt)
     filt = state.filter
     ric = filt.riccati
-    r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric.V, ric.W, params)
+    r_t, dr_t, xi = _shared_scalars(gains, ref, state.t, ric, params)
     ies = [state.integral_error]
     drifts = _feedback_scalars(gains, params)([filt.a_hat], ies, r_t, dr_t,
                                               xi)[1]
@@ -614,8 +609,8 @@ def _cosim(alpha: complex, cov: CovariancePair, gains: PIDGains,
     sg2 = math.sqrt(params.gamma) * 2.0
     feedback = _feedback_scalars(gains, params)
     zero_gain = gains.all_zero
-    c1, c2, w = (complex(*p) for p in _xi_terms(
-        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)))
+    c1, c2, w = (complex(p[0]) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), np.ones(1, dtype=np.complex128)))
     stepper = _KrausStepper(np.stack(states), dt, family=(
         params.omega, c1, c2, 0.0j if zero_gain else 1.0, w))
 

@@ -220,12 +220,6 @@ class TrajectoryRecord:
     final: TrajectoryState
 
 
-def _mul(a, b) -> tuple:
-    """Python's complex product of (re, im) pairs of floats or of arrays,
-    term by term (numpy's complex product has other bits)."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
 def _ladder_slh(c1: complex, c2: complex, z: complex, w: complex,
                 omega: float, dim: int) -> SLHCoefficients:
     """S = 1, L = c1 a + c2 a' and H = omega a'a + z a' + conj(z) a
@@ -274,10 +268,11 @@ class _KrausStepper:
     ladder SLH at unit Xi with z = 1 under any gain, it steps on that
     SLH's members, which hold every entry the gains can make nonzero,
     since c1, c2 and w depend on Xi alone: a'a and a at zero gain, a' too
-    under P or I, all six under D.  ``block`` forms the (c, base) of a
-    block of its steps, and each step is given its own.  So a step forms
-    no product whose coefficient is always zero.  ``_a0_row`` is the one
-    row builder: once per ladder SLH, once per family and once per block.
+    under P or I, all six under D.  ``block`` forms the base rows of a
+    block of its steps, and each step is given its own (c, base).  So a
+    step forms no product whose coefficient is always zero.  ``_a0_row``
+    is the one row builder, a numpy expression on arrays: once per ladder
+    SLH (on length-1 arrays), once per family and once per block.
 
     A density factor X (dim x r, rho = XX'/||X||_F^2) is taken once from
     the eigendecomposition of the initial rho (``_density_factor``), and
@@ -330,35 +325,28 @@ class _KrausStepper:
         self.ms = self._products()
 
     @staticmethod
-    def _a0_row(c1, c2, w, omega: float, dt=None) -> list:
-        """The ladder row of A0 = -iH - L'L/2 at z = 0, times dt unless dt
-        is None, for L = c1 a + c2 a' and the H of a ladder form, with L'L
-        in its closed form |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2
-        + conj(c1) c2 a'^2 (truncated products of a and a' equal it).  c1,
-        c2, w and the entries are (re, im) pairs, of floats or of arrays
-        for a block of steps; each entry is its Python complex expression
-        term by term (a float x is (x, 0.0)), so it has those bits, signed
-        zeros too."""
-        c1c, c2c = (c1[0], -c1[1]), (c2[0], -c2[1])
-        m_i, half = (-0.0, -1.0), (0.5, 0.0)
-        # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS) of -1j * H
-        # minus 0.5 * L'L, which has no a' or a entry
-        p0, q0 = _mul(m_i, (w[0], -w[1])), _mul(half, _mul(c1c, c2))
-        p2, p4 = _mul(m_i, (omega + 2.0 * w[0], 0.0)), _mul(m_i, w)
-        q4, p5 = _mul(half, _mul(c2c, c1)), _mul(m_i, (0.0, 0.0))
-        row = [(p0[0] - q0[0], p0[1] - q0[1]), p5,
-               (p2[0] - 0.5 * _mul(c1c, c1)[0], p2[1] - 0.0),
-               _mul(m_i, (0.0, -0.0)), (p4[0] - q4[0], p4[1] - q4[1]),
-               (p5[0] - 0.5 * _mul(c2c, c2)[0], p5[1] - 0.0)]
-        return row if dt is None else [_mul((dt, 0.0), e) for e in row]
+    def _a0_row(c1, c2, w, omega: float) -> list:
+        """The ladder row of A0 = -iH - L'L/2 at z = 0 for L = c1 a + c2 a'
+        and the H of a ladder form, with L'L in its closed form
+        |c1|^2 a'a + |c2|^2 a a' + conj(c2) c1 a^2 + conj(c1) c2 a'^2
+        (truncated products of a and a' equal it).  c1, c2 and w are
+        complex arrays, and each entry is one numpy expression on them, for
+        a block of steps and for one ladder SLH (length-1 arrays) alike, so
+        both get the same bits."""
+        c1c, c2c, zero = c1.conj(), c2.conj(), np.zeros_like(c1)
+        # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
+        return [-1j * w.conj() - 0.5 * (c1c * c2), zero,
+                -1j * (omega + 2.0 * w.real) - 0.5 * (c1c * c1).real, zero,
+                -1j * w - 0.5 * (c2c * c1), -0.5 * (c2c * c2).real]
 
     @staticmethod
     def _ladder(dim: int, omega: float, c1, c2, z, w) -> tuple:
         """(cols, basis, A0's row on them) of the ladder SLH
         (omega, c1, c2, z, w): the columns where L's row or A0's is
         nonzero, and a."""
-        a0 = [complex(*e) for e in _KrausStepper._a0_row(
-            *[(complex(v).real, complex(v).imag) for v in (c1, c2, w)], omega)]
+        a0 = [complex(e[0]) for e in _KrausStepper._a0_row(
+            *[np.array([v], dtype=np.complex128) for v in (c1, c2, w)],
+            omega)]
         a0[1], a0[3] = -1j * z, -1j * z.conjugate()
         cols = tuple(j for j, col in enumerate(zip(
             [0.0, c2, 0.0, c1, 0.0, 0.0], a0)) if j == _LADDER_A or any(col))
@@ -393,10 +381,10 @@ class _KrausStepper:
         return _KrausStepper(self.x, self.dt, slh)
 
     def block(self, c1, c2, w) -> list:
-        """[c1, c2] and the family's row of dt A0 at z = 0 on
-        X_0 .. X_{n-2}, at (c1, c2, w) as ``_a0_row`` takes them."""
-        a0 = self._a0_row(c1, c2, w, self._omega, self.dt)
-        return [c1, c2] + [a0[j] for j in self._cols]
+        """The family's row of dt A0 at z = 0 on X_0 .. X_{n-2}, one array
+        per member, at the arrays (c1, c2, w) of a block of steps."""
+        a0 = self._a0_row(c1, c2, w, self._omega)
+        return [self.dt * a0[j] for j in self._cols]
 
     def _products(self) -> list:
         """Form the products of the current stack; return its (m, s)."""

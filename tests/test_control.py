@@ -19,6 +19,7 @@ from cavityfilter.fock import (
     _LADDER_KEYS,
     CavityOperator,
     CovariancePair,
+    StateVector,
     _gaussian_vector,
     _ladder_basis,
     _ladder_dense,
@@ -40,7 +41,6 @@ from cavityfilter.control import (
     PIDGains,
     ReferenceSignal,
     _feedback_scalars,
-    _shared_scalars,
     _xi_terms,
     closed_loop_cosim,
     controlled_slh,
@@ -63,9 +63,6 @@ from cavityfilter.trajectory import (
 #: every member of the ladder basis, as ``fock._ladder_basis`` columns
 ALL = tuple(range(len(_LADDER_KEYS)))
 
-#: A0's ladder row at z = 0 (``trajectory._KrausStepper``'s row builder)
-_a0_row = _KrausStepper._a0_row
-
 #: the stepper's step, unpatched, for spies that a test sets up again
 _stepper_step = _KrausStepper.step
 
@@ -84,63 +81,25 @@ def _ladder_stepper(x, cols, dt):
     return stepper
 
 
-def _reference_rows(c1, c2, z, w, omega):
-    """Ladder rows of L, A0 = -iH - L'L/2 and H as Python complex
-    expressions: the reference that the real and imaginary parts of
-    ``trajectory._a0_row`` and ``_ladder_slh`` match word for word."""
-    c1c, c2c = complex(c1).conjugate(), complex(c2).conjugate()
-    h = [w.conjugate(), z, omega + 2.0 * w.real, z.conjugate(), w, 0.0]
-    a0 = [-1j * h[0] - 0.5 * (c1c * c2), -1j * h[1],
-          -1j * h[2] - 0.5 * (c1c * c1).real, -1j * h[3],
-          -1j * h[4] - 0.5 * (c2c * c1), -1j * h[5] - 0.5 * (c2c * c2).real]
-    return [[0.0, c2, 0.0, c1, 0.0, 0.0], a0, h]
-
-
-def _reference_xi_terms(gains, params, xi):
-    """(c1, c2, w) of the derivative channel at the innovations gain xi, as
-    Python complex expressions: the reference of ``control._xi_terms``."""
-    sg, k_D = math.sqrt(params.gamma), gains.k_D
-    if k_D == 0.0:
-        return sg, 0.0j, 0.0j
-    xi_c = xi.conjugate()
-    return sg + k_D * xi_c, -k_D * xi, 0.5j * sg * k_D * xi_c
-
-
-def _members(rows) -> tuple:
-    """The ladder columns where the reference row of L or of A0
-    (``_reference_rows``) is nonzero, and a: the members a stepper on that
-    SLH steps on."""
-    return tuple(j for j in ALL if j == _LADDER_KEYS.index("a")
-                 or rows[0][j] != 0 or rows[1][j] != 0)
-
-
-def _kraus_step(x, cols, c, base, zs, cis, dI, dt):
-    """One step of a fresh ``_KrausStepper`` on the stack x and the ladder
-    columns ``cols``: (new, unnormalized stack, dY)."""
+def _kraus_step(x, cols, c, w, zs, dI, dt):
+    """One step at cis = 1 of a fresh ``_ladder_stepper`` on the stack x,
+    with L's coefficients c = (c1, c2), the base row its ``block`` forms
+    at (c1, c2, w) and each row's z (zs None: every row at z = 0): (new,
+    unnormalized stack, dY)."""
     stepper = _ladder_stepper(x, cols, dt)
-    dy = stepper.step(cis, dI, zs, c, base)
+    base = [complex(e[0]) for e in stepper.block(
+        *[np.array([v], dtype=complex) for v in (*c, w)])]
+    dy = stepper.step(1.0 + 0.0j, dI, zs, c, base)
     return stepper.x, dy
 
 
-def _kraus_row(a0_row, cols, basis, x, c, di, dt):
-    """The coefficient row one Kraus step of the unnormalized state x takes
-    at cis = 1: dt A0 on ``cols`` from the truth's own A0 row ``a0_row``,
-    with move c and move c' added at a and a', and keep at I (the module
-    docstring of ``trajectory``); lam from (m, s) = (<x, a x>, <x, I x>)
-    on the exact products of x, as the stepper forms it."""
-    stack, k, k_adj = basis
-    dim = x.shape[0]
-    prods = np.matmul(stack, x.view(np.float64).reshape(dim, -1)).view(
-        np.complex128).reshape(len(stack) // dim, -1)
-    m, s = complex(np.vdot(x, prods[k])), complex(np.vdot(x, prods[-1]))
-    cis = 1.0 + 0.0j
-    lam = 2.0 * (cis * (c[0] * m + c[1] * m.conjugate())).real / s.real
-    move = ((0.5 * lam) * dt + di) * cis
-    row = [dt * a0_row[j] for j in cols]
-    row[k] += move * c[0]
-    if k_adj is not None:
-        row[k_adj] += move * c[1]
-    return row + [1.0 - (0.125 * lam * lam) * dt - (0.5 * lam) * di]
+def _kraus_operators(stepper) -> np.ndarray:
+    """The dense Kraus operators sum_j row[j] X_j of the coefficient rows
+    that the stepper's last step applied, one per row of its stack."""
+    stack = stepper.basis[0]
+    dim = stack.shape[1]
+    return np.tensordot(stepper._coef.reshape(len(stepper.x), -1),
+                        stack.reshape(-1, dim, dim), axes=1)
 
 
 def make_state(a_hat=0.0j, v=0.0, w=0.0j, ie=0.0j, t=0.0):
@@ -493,40 +452,46 @@ def test_cosim_validation():
 # structured feedback coefficients
 
 
-def _reference_slh(gains, a_hat, ie, v, w, t, params, ref, dim):
-    """Dense (L, H) of the feedback actuation, assembled term by term from
-    the ladder matrices: the reference the structured forms must match."""
+def _dense_lh(c1, c2, z, w, omega, dim):
+    """Dense (L, H) of the ladder form L = c1 a + c2 a',
+    H = omega a'a + z a' + conj(z) a + w (a^2 + a'a) + conj(w) (a'^2 + a'a),
+    assembled term by term from the dense ladder matrices: the reference
+    the structured forms must match."""
     a = annihilation_op(dim).entries
     ad = a.conj().T
     n = number_op(dim).entries
-    a2 = a @ a
-    m1 = a2 + n
-    sg = math.sqrt(params.gamma)
-    xi = sg * (v + w) / (1.0 + gains.k_D)
-    z = (1j * gains.k_P * (gains.mu * ref.value(t) - a_hat)
-         + 1j * gains.k_I * ie)
-    filt = QKFState(a_hat, RiccatiState(v, w, t))
-    varpi = drift_estimate(gains, filt, ref, ie, t, params)
-    z += 1j * gains.k_D * (gains.nu * ref.derivative(t) - varpi
-                           + sg * 2.0 * a_hat.real * xi)
-    w_c = 0.5j * sg * gains.k_D * np.conj(xi)
-    l_mat = sg * a + gains.k_D * (np.conj(xi) * a - xi * ad)
-    h_mat = (params.omega * n + w_c * m1 + np.conj(w_c) * m1.conj().T
-             + z * ad + np.conj(z) * a)
-    return l_mat, h_mat
+    m1 = a @ a + n
+    return (c1 * a + c2 * ad,
+            omega * n + z * ad + np.conj(z) * a + w * m1
+            + np.conj(w) * m1.conj().T)
+
+
+def _reference_lh(gains, params, xi, z, dim):
+    """``_dense_lh`` of the feedback actuation at the innovations gain xi
+    and the displacement z: D makes L = sqrt(gamma) a - iF_D with
+    F_D = i k_D (conj(xi) a - xi a') and adds w = i sqrt(gamma) k_D
+    conj(xi) / 2."""
+    sg, k_D = math.sqrt(params.gamma), gains.k_D
+    return _dense_lh(sg + k_D * np.conj(xi), -k_D * xi, z,
+                     0.5j * sg * k_D * np.conj(xi), params.omega, dim)
+
+
+def _a0(l_mat, h_mat):
+    """A0 = -iH - L'L/2 of dense (L, H)."""
+    return -1j * h_mat - 0.5 * (l_mat.conj().T @ l_mat)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 30])
 @pytest.mark.parametrize("kp,ki,kd", [(2.0, 0.0, 0.0), (0.0, 1.5, 0.0),
                                       (0.0, 0.0, 0.7), (2.0, 1.5, 0.7)])
 def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
-    # the dense (L, A0, H) rows and one Kraus step on the ladder basis all
-    # equal the term-by-term assembly, as does the public controlled_slh
-    # built from the same scalars
+    # the public controlled_slh's L and H, and one Kraus step of its ladder
+    # form, equal the term-by-term assembly
     rng = np.random.default_rng(dim)
     params = ModeParams(1.3, 0.4)
     ref = ReferenceSignal("ramp", 0.3, slope=0.7)
     dt, di = 1e-5, 3e-3
+    sg = math.sqrt(params.gamma)
     for _ in range(10):
         gains = PIDGains(kp, ki, kd, mu=rng.uniform(0.0, 2.0),
                          nu=rng.uniform(0.0, 2.0))
@@ -534,35 +499,29 @@ def test_structured_coefficients_match_dense_slh(dim, kp, ki, kd):
         ie = complex(*rng.normal(0.0, 1.0, 2))
         v, w = rng.uniform(0.0, 1.0), complex(*rng.normal(0.0, 0.3, 2))
         t = rng.uniform(0.0, 5.0)
-        l_ref, h_ref = _reference_slh(gains, a_hat, ie, v, w, t, params, ref,
-                                      dim)
-        ll_ref = l_ref.conj().T @ l_ref
-        a0_ref = -1j * h_ref - 0.5 * ll_ref
+        filt = QKFState(a_hat, RiccatiState(v, w, t))
+        xi = sg * (v + w) / (1.0 + kd)
+        varpi = drift_estimate(gains, filt, ref, ie, t, params)
+        z = (1j * kp * (gains.mu * ref.value(t) - a_hat) + 1j * ki * ie
+             + 1j * kd * (gains.nu * ref.derivative(t) - varpi
+                          + sg * 2.0 * a_hat.real * xi))
+        l_ref, h_ref = _reference_lh(gains, params, xi, z, dim)
 
-        slh = controlled_slh(gains, QKFState(a_hat, RiccatiState(v, w, t)),
-                             ref, ie, t, params, dim)
+        slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
         assert np.max(np.abs(slh.l.entries - l_ref)) < 1e-12
         assert np.max(np.abs(slh.h.entries - h_ref)) < 1e-12
 
-        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w, params)
-        zs, _ = _feedback_scalars(gains, params)([a_hat], [ie], r_t, dr_t, xi)
-        c1, c2, wz = _reference_xi_terms(gains, params, xi)
-        rows = _reference_rows(c1, c2, zs[0], wz, params.omega)
-        assert rows[0] == [0.0, c2, 0.0, c1, 0.0, 0.0]
-        dense = _ladder_dense(rows, dim)
-        for got, want in zip(dense, (l_ref, a0_ref, h_ref)):
-            assert np.max(np.abs(got - want)) < 1e-12
-
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        new, dy = _kraus_step(psi[None], ALL, (c1, c2),
-                              [dt * a for a in rows[1]], None, 1.0 + 0.0j,
-                              (di,), dt)
+        new = sse_step(TrajectoryState(0.0, 0.0, 0.0,
+                                       psi=StateVector(dim, psi)),
+                       slh, 0.0, di, dt)
         lam = 2.0 * np.vdot(psi, l_ref @ psi).real
         kraus = ((1.0 - lam * lam * dt / 8.0 - lam * di / 2.0) * np.eye(dim)
-                 + dt * a0_ref + (lam * dt / 2.0 + di) * l_ref)
-        assert np.max(np.abs(new[0] - kraus @ psi)) < 1e-12
-        assert abs(dy[0] - (lam * dt + di)) < 1e-14
+                 + dt * _a0(l_ref, h_ref) + (lam * dt / 2.0 + di) * l_ref)
+        want = kraus @ psi / np.linalg.norm(kraus @ psi)
+        assert np.max(np.abs(new.psi.amplitudes - want)) < 1e-12
+        assert abs(new.Y - (lam * dt + di)) < 1e-14
 
 
 @pytest.mark.parametrize("rank", [None, 3], ids=["vectors", "factors"])
@@ -607,26 +566,22 @@ def test_kraus_update_is_batch_invariant(rank):
                  ((1.0, 0.0j, 0.0j), None, (2, 3)),
                  ((1.0, 0.0j, 0.0j), zs, (1, 2, 3))]
         for (l1, l2, wc), z_rows, cols in cases:
-            rows = [_reference_rows(l1, l2, 0.0j if z_rows is None
-                                    else z_rows[b], wc, 0.5)
-                    for b in range(batch)]
-            a0 = _reference_rows(l1, l2, 0.0j, wc, 0.5)[1]
-            base = [dt * a0[j] for j in cols]
-            c = (rows[0][0][3], rows[0][0][1])
-            new, dy = _kraus_step(psis, cols, c, base, z_rows, 1.0 + 0.0j,
-                                  dI, dt)
+            new, dy = _kraus_step(psis, cols, (l1, l2), wc, z_rows, dI, dt)
             for b in range(batch):
                 alone, dy_alone = _kraus_step(
-                    psis[b:b + 1], cols, c, base,
+                    psis[b:b + 1], cols, (l1, l2), wc,
                     None if z_rows is None else z_rows[b:b + 1],
-                    1.0 + 0.0j, dI[b:b + 1], dt)
+                    dI[b:b + 1], dt)
                 assert new[b].tobytes() == alone[0].tobytes()
                 assert dy[b] == dy_alone[0]
-                l_mat, a0 = _ladder_dense(rows[b][:2], dim)
+                l_mat, h_mat = _dense_lh(
+                    l1, l2, 0.0j if z_rows is None else z_rows[b], wc, 0.5,
+                    dim)
                 x = psis[b].reshape(dim, -1)
                 lam = 2.0 * np.vdot(x, l_mat @ x).real
                 want = ((1.0 - lam * lam * dt / 8.0 - lam * dI[b] / 2.0) * x
-                        + dt * (a0 @ x) + (lam * dt / 2.0 + dI[b]) * (l_mat @ x))
+                        + dt * (_a0(l_mat, h_mat) @ x)
+                        + (lam * dt / 2.0 + dI[b]) * (l_mat @ x))
                 assert np.max(np.abs(new[b].reshape(dim, -1) - want)) < 1e-12
 
 
@@ -635,75 +590,67 @@ def _words(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
 
 
-def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01,
-                 keep=None):
-    """Per ``_KrausStepper.step`` call of a short co-simulation of
-    ``batch`` truths under ``gains`` (dt = 1e-3, T / dt steps; only the
-    steps in ``keep`` if given): the basis, L's coefficients and the
-    coefficient rows it stepped, with the reference (c1, c2, w) of the
-    step's Xi (``_reference_xi_terms``) and the zs of the shard's feedback
-    for that step, the stack before the step, its increments and the base
-    row passed; and the number of calls of the stepper's row builder
-    (``_KrausStepper._a0_row``) in the run.  A zero-gain step forms no
-    feedback; the stepper records it, with every z 0 and the (c1, c2, w)
-    that no Xi moves."""
-    seen, formed, calls = [], [], []
-    feedback_of, kraus_step = _feedback_scalars, _stepper_step
-
-    def scalars(*args):
-        feedback = feedback_of(*args)
-
-        def spy(*step_args):
-            out = feedback(*step_args)
-            c1, c2, w = _reference_xi_terms(gains, params, step_args[4])
-            formed.append((c1, c2, out[0], w))
-            return out
-
-        spy.free_drift = feedback.free_drift
-        return spy
+def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01):
+    """A co-simulation of ``batch`` truths from (0.3 + 0.1j b, cov) under
+    ``gains``, their filters from (0.3, cov), on a step reference
+    (dt = 1e-3, T / dt steps, every step recorded): its records, the
+    (basis, c, stack before the step, increments, dY, Kraus operators) of
+    each ``_KrausStepper.step`` call, and the number of base-row blocks
+    (``_KrausStepper.block`` calls) it formed."""
+    steps, blocks = [], []
+    block = _KrausStepper.block
 
     def stepped(self, cis, dI, zs=None, c=None, base=None):
-        if zs is None:
-            c1, c2, w = _reference_xi_terms(gains, params, None)
-            formed.append((c1, c2, [0.0j] * len(dI), w))
         x = self.x.copy()
-        out = kraus_step(self, cis, dI, zs, c, base)
-        if keep is None or len(formed) - 1 in keep:
-            seen.append((self.basis, c, self._coef.reshape(len(x), -1).copy(),
-                         formed[-1], x, dI, base))
-        return out
+        dy = _stepper_step(self, cis, dI, zs, c, base)
+        steps.append((self.basis, c, x, dI, dy, _kraus_operators(self)))
+        return dy
 
-    def rows(*args):
-        calls.append(args)
-        return _a0_row(*args)
+    def counted(self, *args):
+        blocks.append(args)
+        return block(self, *args)
 
-    monkeypatch.setattr(control, "_feedback_scalars", scalars)
     monkeypatch.setattr(_KrausStepper, "step", stepped)
-    monkeypatch.setattr(_KrausStepper, "_a0_row", staticmethod(rows))
-    control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0), params,
-                   dim, [NoiseStream(4 + b, 1e-3) for b in range(batch)],
-                   T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)], cov)
-    assert len(formed) == round(T / 1e-3)
-    assert len(seen) == (len(formed) if keep is None else len(keep))
-    return seen, len(calls)
+    monkeypatch.setattr(_KrausStepper, "block", counted)
+    recs = control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0),
+                          params, dim,
+                          [NoiseStream(4 + b, 1e-3) for b in range(batch)],
+                          T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)],
+                          cov)
+    assert len(steps) == round(T / 1e-3)
+    return recs, steps, len(blocks)
 
 
-def _assert_rows_are_the_slh_rows(seen, cols, omega, dt=1e-3):
-    """Every row stepped is the Kraus row (``_kraus_row``) of the truth's
-    own reference row (``_reference_rows``), word for word, with L's
-    coefficients (c1, c2), and the base row passed is dt A0 at z = 0 on
-    ``cols`` of the reference row; returns the truths' full rows."""
-    full = []
-    for basis, c, rows, (c1, c2, zs, w), x, dI, base in seen:
-        assert _words(c) == _words((c1, c2))
-        a0 = _reference_rows(c1, c2, 0.0j, w, omega)[1]
-        assert _words(base) == _words([dt * a0[j] for j in cols])
-        for z, row, x_b, di in zip(zs, rows, x, dI, strict=True):
-            own = _reference_rows(c1, c2, z, w, omega)
-            assert _words(row) == _words(
-                _kraus_row(own[1], cols, basis, x_b, c, di, dt))
-            full.append(own)
-    return full
+def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
+                                     keep=None):
+    """Along a ``_cosim_steps`` run, each truth's filter is, bit for bit
+    at every step, the chain of ``pid_filter_step`` calls from the prior
+    on the truth's innovations (with the recorded covariances), so the
+    shard's Xi and drifts are those of the truth alone; and at each step
+    in ``keep`` (all if None) the truth's L coefficients, Kraus operator
+    and dY are those of a stepper on its own ``controlled_slh``."""
+    ref, dt = ReferenceSignal("step", 1.0), 1e-3
+    sg2 = math.sqrt(params.gamma) * 2.0
+    for b, rec in enumerate(recs):
+        a_hat, ie = 0.3 + 0.0j, 0.0j
+        for k, (_, c, x, dI, dy, kraus) in enumerate(steps):
+            t = float(rec.t[k])
+            assert _words([a_hat]) == _words([rec.a_hat[k]])
+            filt = QKFState(a_hat, RiccatiState(rec.V[k], rec.W[k], t))
+            if keep is None or k in keep:
+                slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
+                alone = _KrausStepper(x[b:b + 1], dt, slh)
+                assert _words(alone.c) == _words(c)
+                # the unpatched step, so the spy records the run's only
+                assert (_stepper_step(alone, 1.0 + 0.0j, dI[b:b + 1])
+                        == dy[b:b + 1])
+                assert np.array_equal(_kraus_operators(alone)[0], kraus[b])
+            new = pid_filter_step(ClosedLoopState(filt, ie, t=t),
+                                  dy[b] - (sg2 * a_hat.real) * dt, gains,
+                                  ref, params, dt)
+            a_hat, ie = new.filter.a_hat, new.integral_error
+        assert _words([a_hat, ie]) == _words(
+            [rec.final.filter.a_hat, rec.final.integral_error])
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
@@ -712,9 +659,8 @@ def _assert_rows_are_the_slh_rows(seen, cols, omega, dt=1e-3):
 def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
     # a' (their z), and D keeps all six members and I; without damping or
-    # detuning a'a drops out unless D is on.  Every row stepped is the
-    # truth's own SLH row on the members, and that row, with L's, is zero
-    # off them
+    # detuning a'a drops out unless D is on.  Every truth steps its own
+    # SLH's Kraus operator, which is zero off the members
     dim = 24
     table = _ladder_table(dim)
 
@@ -734,28 +680,24 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
                                damped_cavity_slh(params, dim))
         assert np.array_equal(damped.basis[0], stack(sets["zero"]))
         for name, members in sets.items():
-            seen, _ = _cosim_steps(monkeypatch, gains[name], cov, dim, params)
-            for (basis, _, _), *_ in seen:
-                assert basis.shape == ((len(members) + 1) * dim, dim)
+            recs, steps, _ = _cosim_steps(monkeypatch, gains[name], cov, dim,
+                                          params)
+            for (basis, _, _), *_ in steps:
                 assert np.array_equal(basis, stack(members))
-            cols = [_LADDER_KEYS.index(k) for k in members]
-            off = [j for j in ALL if j not in cols]
-            full = _assert_rows_are_the_slh_rows(seen, cols, omega)
-            assert all(row[j] == 0 for own in full for row in own[:2]
-                       for j in off)
+            _assert_steps_are_the_truths_own(recs, steps, gains[name], params,
+                                             dim)
 
 
 def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
     # a shard of 8 forms its Xi-only base rows once per schedule block, not
     # once per step or per truth: the 11 rows of a 10-step run are one
-    # block, and one more call forms the unit-Xi row from which the
-    # stepper picks its members, under PID and at zero gain alike
+    # block, under PID and at zero gain alike
     params = ModeParams(1.0, 0.5)
-    for gains, cols in ((PIDGains(2.0, 1.0, 0.5), ALL), (PIDGains(0.0), (2, 3))):
-        seen, calls = _cosim_steps(monkeypatch, gains,
-                                   CovariancePair(0.5, 0.0), 24, params, 8)
-        assert calls == 2
-        assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 80
+    for gains in (PIDGains(2.0, 1.0, 0.5), PIDGains(0.0)):
+        recs, steps, blocks = _cosim_steps(
+            monkeypatch, gains, CovariancePair(0.5, 0.0), 24, params, 8)
+        assert blocks == 1
+        _assert_steps_are_the_truths_own(recs, steps, gains, params, 24)
 
 
 #: the gain sets of the row identities, with set-point weights off 1
@@ -766,13 +708,14 @@ GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
 
 @pytest.mark.parametrize("name", list(GAIN_SETS))
 def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
-    # c1, c2, w and the base row of dt A0 at z = 0 come from Xi alone
-    # (_xi_terms, _a0_row), and the stepper fills each truth's z into the
-    # base row: at random states, signed zeros and z = 0 among them, every
-    # row equals [dt * A0[j] for j in cols] of the truth's own reference
-    # row word for word, and the shard's (c1, c2, z, w, drift) and its one
-    # filter update call are those controlled_slh, drift_estimate and
-    # pid_filter_step form for the truth alone
+    # c1, c2 and the base row of dt A0 at z = 0 come from Xi alone
+    # (_xi_terms, the stepper's block), and the stepper fills each truth's
+    # z into the base row: at random states, signed zeros and z = 0 among
+    # them, every truth steps the Kraus operator of its own controlled_slh
+    # bit for bit, on the members of a P/I and of a PID family, that
+    # stepper keeps only a and the members its row uses, and the
+    # shard's drifts and its one filter update call are those
+    # drift_estimate and pid_filter_step form for the truth alone
     gains, params, dim = GAIN_SETS[name], ModeParams(1.0, 0.5), 12
     rng = np.random.default_rng(19)
 
@@ -792,7 +735,8 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             ref = ReferenceSignal(("ramp", "sinusoid")[draw % 2], normal(),
                                   slope=rng.normal(), frequency=rng.normal())
             v, w_cov = rng.uniform(0.0, 1.0), 0.3 * normal()
-        r_t, dr_t, xi = _shared_scalars(gains, ref, t, v, w_cov, params)
+        r_t, dr_t = ref.value(t), ref.derivative(t)
+        xi = xi_gain(RiccatiState(v, w_cov), gains, params.gamma)
         a_hats = [normal() for _ in range(5)] + [
             gains.mu * r_t, complex(-0.0, 0.0), complex(0.0, -0.0), -0.0j]
         ies = [normal() for _ in range(5)] + [
@@ -800,10 +744,6 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         dis = rng.normal(0.0, math.sqrt(dt), len(a_hats)).tolist()
         zs, drifts = _feedback_scalars(gains, params)(
             a_hats, ies, r_t, dr_t, xi)
-        parts = _xi_terms(gains.k_D, math.sqrt(params.gamma),
-                          (xi.real, xi.imag))
-        c1, c2, w = _reference_xi_terms(gains, params, xi)
-        assert _words([complex(*p) for p in parts]) == _words([c1, c2, w])
         # a = mu r with ie = 0 has no P or I displacement, and with
         # r = dr/dt = Xi = 0 a zero state has no D displacement either
         if gains.all_zero:
@@ -812,25 +752,26 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             assert zs[5] == 0
         if quiet:
             assert all(z == 0 for z in zs[5:])
-        a_base = _reference_rows(c1, c2, 0.0j, w, params.omega)[1]
-        base = [complex(*e) for e in _a0_row(*parts, params.omega, dt)]
-        assert _words(base) == _words([dt * a for a in a_base])
         # states of their own stream, so the draws above stay as they were,
         # with Fock weights halving per level, so the step's norm guard
         # passes at these increments
         x = np.random.default_rng(draw).normal(size=(len(zs), dim, 2)).view(
             np.complex128)[..., 0] * 0.5 ** np.arange(dim)
         x /= np.linalg.norm(x, axis=1)[:, None]
-        for cols in ((1, 2, 3), ALL):
+        c1, c2, w = _xi_terms(gains.k_D, math.sqrt(params.gamma),
+                              np.array([xi]))
+        c = (complex(c1[0]), complex(c2[0]))
+        shard = []
+        for cols in ((1, 2, 3), ALL) if gains.k_D == 0.0 else (ALL,):
             stepper = _ladder_stepper(x, cols, dt)
-            basis = stepper.basis
-            stepper.step(1.0 + 0.0j, dis, zs, (c1, c2),
-                         [base[j] for j in cols])
-            rows = stepper._coef.reshape(len(zs), -1)
-            for z, row, x_b, di in zip(zs, rows, x, dis, strict=True):
-                own = _reference_rows(c1, c2, z, w, params.omega)[1]
-                assert _words(row) == _words(
-                    _kraus_row(own, cols, basis, x_b, (c1, c2), di, dt))
+            base = [complex(e[0]) for e in stepper.block(c1, c2, w)]
+            dy = stepper.step(1.0 + 0.0j, dis,
+                              None if gains.all_zero else zs, c, base)
+            shard.append((_kraus_operators(stepper), dy))
+        # the last family has all six members: a and the columns where a
+        # truth's row is nonzero are the members its own stepper keeps
+        used = [tuple(j for j in ALL if j == _LADDER_KEYS.index("a") or row[j])
+                for row in stepper._coef.reshape(len(zs), -1)]
         zeros = [0.0] * len(a_hats)
         filters, steps = (a_hats, ies, zeros, zeros), [(dis, r_t, xi)]
         updated = control._filter_update(filters, steps, dt, drifts=drifts)
@@ -844,18 +785,13 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
         for b, (a_hat, ie) in enumerate(zip(a_hats, ies)):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
             slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
-            own = _reference_rows(c1, c2, zs[b], w, params.omega)
-            # the SLH keeps the truth's scalars, and a stepper on it forms
-            # the truth's own rows: L's coefficients and dt A0 on its
-            # members, off which both rows are zero
-            assert slh._ladder[0] == params.omega
-            assert _words(slh._ladder[1:]) == _words([c1, c2, zs[b], w])
             alone = _KrausStepper(x[b:b + 1], dt, slh)
-            members = _members(own)
-            assert alone.basis is _ladder_basis(dim, members)
-            assert _words(alone.c) == _words([own[0][3], own[0][1]])
-            assert _words(alone._base) == _words(
-                [dt * own[1][j] for j in members])
+            assert alone.basis is _ladder_basis(dim, used[b])
+            assert _words(alone.c) == _words(c)
+            dy = alone.step(1.0 + 0.0j, dis[b:b + 1])
+            for kraus, dys in shard:
+                assert np.array_equal(kraus[b], _kraus_operators(alone)[0])
+                assert dys[b] == dy[0]
             drift = drift_estimate(gains, filt, ref, ie, t, params)
             assert _words([drift]) == _words([drifts[b]])
             new = pid_filter_step(ClosedLoopState(filt, ie, t=t), dis[b],
@@ -864,81 +800,65 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
                 updated[b])
 
     # and a co-simulation of three truths steps exactly those rows
-    seen, _ = _cosim_steps(monkeypatch, gains, CovariancePair(0.4, 0.1j), 24,
-                           params, 3)
-    cols = (2, 3) if gains.all_zero else (1, 2, 3) if gains.k_D == 0.0 else ALL
-    assert len(_assert_rows_are_the_slh_rows(seen, cols, 0.5)) == 30
+    recs, steps, _ = _cosim_steps(monkeypatch, gains,
+                                  CovariancePair(0.4, 0.1j), 24, params, 3)
+    _assert_steps_are_the_truths_own(recs, steps, gains, params, 24)
 
 
-def _pair_words(pairs, n) -> list:
-    """The words of each of n elements of (re, im) pairs of floats or of
-    (n,) arrays, as ``control._schedule`` stores them."""
-    out = np.empty((n, len(pairs)), dtype=np.complex128)
-    for j, (re, im) in enumerate(pairs):
-        out[:, j].real, out[:, j].imag = re, im
-    return [row.tobytes() for row in out]
+#: the relative tolerance of a ladder row against the dense assembly
+#: (``_reference_lh``), as a share of the largest entry; measured before
+#: it was fixed: at most 5.9e-16 over the Xi and gain sets of the test
+#: below, at dim 6 and 12
+ROW_TOL = 1e-15
 
 
 @pytest.mark.parametrize("name", ["zero", "P", "PI", "PID", "D"])
 def test_xi_only_rows_have_the_bits_of_the_complex_expressions(name):
-    # c1, c2, w and the row of A0 (and of dt A0) at z = 0, formed in real
-    # and imaginary parts, are the reference complex expressions word for
-    # word, for one Xi (floats) and for a block of Xi (arrays) alike, over
-    # Xi with signed zero parts, tiny and large parts and random ones; and
-    # a stepper on a ladder SLH forms the reference rows of L and dt A0
-    # with its own z on its members, off which both rows are zero
+    # (c1, c2) and the row of dt A0 at z = 0, formed once for a block of Xi
+    # as a schedule block forms them, have the bits of the same expressions
+    # on each Xi alone (length-1 arrays, as controlled_slh forms them),
+    # over Xi with signed zero parts, tiny and large parts and random ones;
+    # and both are the dense assembly of L and dt A0 within ROW_TOL
     gains = dict(GAIN_SETS, D=PIDGains(0.0, 0.0, 0.7))[name]
     rng = np.random.default_rng(22)
     edges = [0.0, -0.0, 0.3, -1.7, 5e-324, -3e100]
-    xis = [complex(re, im) for re in edges for im in edges] + [
-        complex(*rng.normal(0.0, 2.0, 2)) for _ in range(200)]
-    xr = np.array([xi.real for xi in xis])
-    xc = np.array([xi.imag for xi in xis])
+    xis = np.array([complex(re, im) for re in edges for im in edges] + [
+        complex(*rng.normal(0.0, 2.0, 2)) for _ in range(200)])
+    dim = 6
     for params, dt in ((ModeParams(1.0, 0.5), 1e-3),
                        (ModeParams(2.0, 0.0), 2.5e-4)):
-        sg = math.sqrt(params.gamma)
-        want = []
-        for xi in xis:
-            c1, c2, w = _reference_xi_terms(gains, params, xi)
-            a0 = _reference_rows(c1, c2, 0.0j, w, params.omega)[1]
-            want.append(_words([c1, c2, w] + a0 + [dt * a for a in a0]))
-            one = _xi_terms(gains.k_D, sg, (xi.real, xi.imag))
-            got = (list(one) + _a0_row(*one, params.omega)
-                   + _a0_row(*one, params.omega, dt))
-            assert _pair_words(got, 1)[0] == want[-1]
-        block = _xi_terms(gains.k_D, sg, (xr, xc))
-        got = (list(block) + _a0_row(*block, params.omega)
-               + _a0_row(*block, params.omega, dt))
-        assert _pair_words(got, len(xis)) == want
-    for _ in range(50):
-        c1, c2, z, w = [complex(*rng.normal(0.0, 1.0, 2)) * rng.integers(2)
-                        for _ in range(4)]
-        slh = trajectory._ladder_slh(c1, c2, z, w, 0.5, 6)
-        rows = _reference_rows(c1, c2, z, w, 0.5)
-        stepper = _KrausStepper(np.ones((1, 6), dtype=np.complex128), 1e-3,
-                                slh)
-        members = _members(rows)
-        assert stepper.basis is _ladder_basis(6, members)
-        assert _words(stepper.c) == _words([rows[0][3], rows[0][1]])
-        assert _words(stepper._base) == _words(
-            [1e-3 * rows[1][j] for j in members])
+        stepper = _KrausStepper(np.ones((1, dim), dtype=complex), dt,
+                                family=(params.omega, 1.0, 1.0, 1.0, 1j))
+
+        def rows(xi):
+            c1, c2, w = _xi_terms(gains.k_D, math.sqrt(params.gamma), xi)
+            return np.column_stack([c1, c2] + stepper.block(c1, c2, w))
+
+        block = rows(xis)
+        for i, xi in enumerate(xis):
+            assert rows(xis[i:i + 1]).tobytes() == block[i].tobytes()
+            l_ref, h_ref = _reference_lh(gains, params, xi, 0.0, dim)
+            c1, c2, *a0 = block[i]
+            got = _ladder_dense([[0.0, c2, 0.0, c1, 0.0, 0.0], a0], dim)
+            for part, want in zip(got, (l_ref, dt * _a0(l_ref, h_ref))):
+                assert (np.max(np.abs(part - want))
+                        <= ROW_TOL * np.max(np.abs(want)))
 
 
 def test_schedule_blocks_meet_without_a_seam(monkeypatch):
     # the schedule forms (c1, c2) and the base row of dt A0 at z = 0 as
     # arrays, once per block of 512 steps: across the block seams of a
-    # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each stepped row
-    # is the reference row of that step's (c1, c2, 0, w) with the truth's
-    # z, word for word, and the run forms three block rows and the
-    # unit-Xi row that picks the members
-    params = ModeParams(1.0, 0.5)
-    seen, calls = _cosim_steps(monkeypatch, PIDGains(2.0, 1.0, 0.5),
-                               CovariancePair(0.5, 0.0), 24, params, T=1.1,
-                               keep=(511, 512, 1023, 1024))
-    assert calls == 4
-    assert len(_assert_rows_are_the_slh_rows(seen, ALL, 0.5)) == 4
+    # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each truth steps
+    # its own SLH's Kraus operator, and the run forms three blocks
+    params, gains = ModeParams(1.0, 0.5), PIDGains(2.0, 1.0, 0.5)
+    recs, steps, blocks = _cosim_steps(monkeypatch, gains,
+                                       CovariancePair(0.5, 0.0), 24, params,
+                                       T=1.1)
+    assert blocks == 3
+    seams = (511, 512, 1023, 1024)
+    _assert_steps_are_the_truths_own(recs, steps, gains, params, 24, seams)
     # Xi moves across the seams, so each step has rows of its own
-    assert len({_words(c) for _, c, *_ in seen}) == 4
+    assert len({_words(steps[k][1]) for k in seams}) == 4
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
@@ -965,17 +885,8 @@ def test_trimmed_kraus_step_is_the_full_step(rank):
                  ((1, 2, 3), (1.0, 0.0j), 0.0j, zs),
                  (ALL, (c1, c2), w, zs)]
         for cols, c, wc, z_rows in cases:
-            rows = [_reference_rows(*c, 0.0j if z_rows is None else z, wc,
-                                    0.5) for z in zs]
-            assert all(r[1][j] == 0 for r in rows for j in ALL
-                       if j not in cols)
-            a0 = _reference_rows(*c, 0.0j, wc, 0.5)[1]
-            full, dy_full = _kraus_step(
-                psis, ALL, c, [dt * a for a in a0],
-                z_rows, 1.0 + 0.0j, dI, dt)
-            new, dy = _kraus_step(
-                psis, cols, c,
-                [dt * a0[j] for j in cols], z_rows, 1.0 + 0.0j, dI, dt)
+            full, dy_full = _kraus_step(psis, ALL, c, wc, z_rows, dI, dt)
+            new, dy = _kraus_step(psis, cols, c, wc, z_rows, dI, dt)
             assert dy == dy_full
             assert np.max(np.abs(new - full)) <= 4 * np.finfo(float).eps
             if cols == ALL:
@@ -1234,8 +1145,8 @@ def _per_step_cosim(gains, ref, params, dim, noises, T, dt, stride,
                [0.0] * batch)
     sg2 = math.sqrt(params.gamma) * 2.0
     feedback = _feedback_scalars(gains, params)
-    c1, c2, w = (complex(*p) for p in _xi_terms(
-        gains.k_D, math.sqrt(params.gamma), (1.0, 0.0)))
+    c1, c2, w = (complex(p[0]) for p in _xi_terms(
+        gains.k_D, math.sqrt(params.gamma), np.ones(1, dtype=complex)))
     stepper = _KrausStepper(np.stack(states), dt, family=(
         params.omega, c1, c2, 0.0j if gains.all_zero else 1.0, w))
     n = trajectory._step_total(noises, T, dt, stride)
@@ -1410,7 +1321,7 @@ def test_a_window_names_its_first_failing_step_then_its_lowest_filter():
                                  free_drift=free)
     kappa = -complex(0.5, 0.5)
     for row, r_t, xi in steps[:2]:
-        drifts = [kappa * a / 1.0 for a in filters[0]]
+        drifts = [kappa * a for a in filters[0]]
         filters = _per_step_update(*filters, row, drifts, r_t, xi, dt, 2.0)
     assert _words(got) == _words(filters)
 
