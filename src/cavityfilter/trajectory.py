@@ -333,11 +333,14 @@ class _KrausStepper:
         complex arrays, and each entry is one numpy expression on them, for
         a block of steps and for one ladder SLH (length-1 arrays) alike, so
         both get the same bits."""
-        c1c, c2c, zero = c1.conj(), c2.conj(), np.zeros_like(c1)
-        # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS)
-        return [-1j * w.conj() - 0.5 * (c1c * c2), zero,
-                -1j * (omega + 2.0 * w.real) - 0.5 * (c1c * c1).real, zero,
-                -1j * w - 0.5 * (c2c * c1), -0.5 * (c2c * c2).real]
+        c1c, c2c, z = c1.conj(), c2.conj(), np.zeros_like(c1)
+        # columns a'^2, a', a'a, a, a^2, a a' (fock._LADDER_KEYS); the a'
+        # and a entries are -i z and -i conj(z) at z = 0, with the signed
+        # zeros ``_ladder`` writes for a zero z
+        return [-1j * w.conj() - 0.5 * (c1c * c2), -1j * z,
+                -1j * (omega + 2.0 * w.real) - 0.5 * (c1c * c1).real,
+                -1j * z.conj(), -1j * w - 0.5 * (c2c * c1),
+                -0.5 * (c2c * c2).real]
 
     @staticmethod
     def _ladder(dim: int, omega: float, c1, c2, z, w) -> tuple:
@@ -369,7 +372,8 @@ class _KrausStepper:
         be ``dim`` (``DimensionError``); return its basis."""
         slh._check_dim(dim)
         basis, self.c, a0 = self._form = slh._kraus
-        self._base = [self.dt * a for a in a0]
+        # dt A0 by the same numpy product as ``block``
+        self._base = (self.dt * np.array(a0, dtype=np.complex128)).tolist()
         return basis
 
     def take(self, slh: SLHCoefficients) -> "_KrausStepper":

@@ -93,13 +93,16 @@ def _kraus_step(x, cols, c, w, zs, dI, dt):
     return stepper.x, dy
 
 
-def _kraus_operators(stepper) -> np.ndarray:
-    """The dense Kraus operators sum_j row[j] X_j of the coefficient rows
-    that the stepper's last step applied, one per row of its stack."""
-    stack = stepper.basis[0]
-    dim = stack.shape[1]
-    return np.tensordot(stepper._coef.reshape(len(stepper.x), -1),
-                        stack.reshape(-1, dim, dim), axes=1)
+def _assert_row_is_the_truths_own(row, cols, alone):
+    """``row``, a coefficient row that a shard stepped on the ladder
+    columns ``cols`` and I, is word for word the row that ``alone``, a
+    stepper on the truth's own SLH, stepped last: ``alone`` steps on a
+    and the columns where ``row`` is nonzero, with the same entries."""
+    own = tuple(j for j, v in zip(cols, row)
+                if j == _LADDER_KEYS.index("a") or v)
+    assert alone.basis is _ladder_basis(alone.x.shape[1], own)
+    assert _words([v for j, v in zip(cols, row) if j in own]
+                  + [row[-1]]) == _words(alone._coef)
 
 
 def make_state(a_hat=0.0j, v=0.0, w=0.0j, ie=0.0j, t=0.0):
@@ -594,31 +597,33 @@ def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01):
     """A co-simulation of ``batch`` truths from (0.3 + 0.1j b, cov) under
     ``gains``, their filters from (0.3, cov), on a step reference
     (dt = 1e-3, T / dt steps, every step recorded): its records, the
-    (basis, c, stack before the step, increments, dY, Kraus operators) of
-    each ``_KrausStepper.step`` call, and the number of base-row blocks
-    (``_KrausStepper.block`` calls) it formed."""
-    steps, blocks = [], []
-    block = _KrausStepper.block
+    (basis, columns, c, stack before the step, increments, dY,
+    coefficient rows) of each ``_KrausStepper.step`` call, and the number
+    of A0 rows (``_KrausStepper._a0_row`` calls, which every ladder row,
+    a family's, a block's or an SLH's, is formed by) in the run."""
+    steps, formed = [], []
+    a0_row = _KrausStepper._a0_row
 
     def stepped(self, cis, dI, zs=None, c=None, base=None):
         x = self.x.copy()
         dy = _stepper_step(self, cis, dI, zs, c, base)
-        steps.append((self.basis, c, x, dI, dy, _kraus_operators(self)))
+        steps.append((self.basis, self._cols, c, x, dI, dy,
+                      self._coef.reshape(len(x), -1).copy()))
         return dy
 
-    def counted(self, *args):
-        blocks.append(args)
-        return block(self, *args)
+    def counted(*args):
+        formed.append(args)
+        return a0_row(*args)
 
     monkeypatch.setattr(_KrausStepper, "step", stepped)
-    monkeypatch.setattr(_KrausStepper, "block", counted)
+    monkeypatch.setattr(_KrausStepper, "_a0_row", staticmethod(counted))
     recs = control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0),
                           params, dim,
                           [NoiseStream(4 + b, 1e-3) for b in range(batch)],
                           T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)],
                           cov)
     assert len(steps) == round(T / 1e-3)
-    return recs, steps, len(blocks)
+    return recs, steps, len(formed)
 
 
 def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
@@ -627,13 +632,14 @@ def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
     at every step, the chain of ``pid_filter_step`` calls from the prior
     on the truth's innovations (with the recorded covariances), so the
     shard's Xi and drifts are those of the truth alone; and at each step
-    in ``keep`` (all if None) the truth's L coefficients, Kraus operator
-    and dY are those of a stepper on its own ``controlled_slh``."""
+    in ``keep`` (all if None) the truth's L coefficients, coefficient row
+    and dY are, word for word, those of a stepper on its own
+    ``controlled_slh``."""
     ref, dt = ReferenceSignal("step", 1.0), 1e-3
     sg2 = math.sqrt(params.gamma) * 2.0
     for b, rec in enumerate(recs):
         a_hat, ie = 0.3 + 0.0j, 0.0j
-        for k, (_, c, x, dI, dy, kraus) in enumerate(steps):
+        for k, (_, cols, c, x, dI, dy, rows) in enumerate(steps):
             t = float(rec.t[k])
             assert _words([a_hat]) == _words([rec.a_hat[k]])
             filt = QKFState(a_hat, RiccatiState(rec.V[k], rec.W[k], t))
@@ -644,7 +650,7 @@ def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
                 # the unpatched step, so the spy records the run's only
                 assert (_stepper_step(alone, 1.0 + 0.0j, dI[b:b + 1])
                         == dy[b:b + 1])
-                assert np.array_equal(_kraus_operators(alone)[0], kraus[b])
+                _assert_row_is_the_truths_own(rows[b], cols, alone)
             new = pid_filter_step(ClosedLoopState(filt, ie, t=t),
                                   dy[b] - (sg2 * a_hat.real) * dt, gains,
                                   ref, params, dt)
@@ -660,7 +666,7 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
     # a' (their z), and D keeps all six members and I; without damping or
     # detuning a'a drops out unless D is on.  Every truth steps its own
-    # SLH's Kraus operator, which is zero off the members
+    # SLH's coefficient row, which is zero off the members
     dim = 24
     table = _ladder_table(dim)
 
@@ -691,12 +697,13 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
 def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
     # a shard of 8 forms its Xi-only base rows once per schedule block, not
     # once per step or per truth: the 11 rows of a 10-step run are one
-    # block, under PID and at zero gain alike
+    # block, and one more A0 row is the unit-Xi one from which the stepper
+    # picks its members, under PID and at zero gain alike
     params = ModeParams(1.0, 0.5)
     for gains in (PIDGains(2.0, 1.0, 0.5), PIDGains(0.0)):
-        recs, steps, blocks = _cosim_steps(
+        recs, steps, formed = _cosim_steps(
             monkeypatch, gains, CovariancePair(0.5, 0.0), 24, params, 8)
-        assert blocks == 1
+        assert formed == 2
         _assert_steps_are_the_truths_own(recs, steps, gains, params, 24)
 
 
@@ -711,10 +718,10 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
     # c1, c2 and the base row of dt A0 at z = 0 come from Xi alone
     # (_xi_terms, the stepper's block), and the stepper fills each truth's
     # z into the base row: at random states, signed zeros and z = 0 among
-    # them, every truth steps the Kraus operator of its own controlled_slh
-    # bit for bit, on the members of a P/I and of a PID family, that
-    # stepper keeps only a and the members its row uses, and the
-    # shard's drifts and its one filter update call are those
+    # them, every truth steps the coefficient row of its own
+    # controlled_slh word for word, on the members of a P/I and of a PID
+    # family, that stepper keeps only a and the members its row uses, and
+    # the shard's drifts and its one filter update call are those
     # drift_estimate and pid_filter_step form for the truth alone
     gains, params, dim = GAIN_SETS[name], ModeParams(1.0, 0.5), 12
     rng = np.random.default_rng(19)
@@ -767,11 +774,7 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             base = [complex(e[0]) for e in stepper.block(c1, c2, w)]
             dy = stepper.step(1.0 + 0.0j, dis,
                               None if gains.all_zero else zs, c, base)
-            shard.append((_kraus_operators(stepper), dy))
-        # the last family has all six members: a and the columns where a
-        # truth's row is nonzero are the members its own stepper keeps
-        used = [tuple(j for j in ALL if j == _LADDER_KEYS.index("a") or row[j])
-                for row in stepper._coef.reshape(len(zs), -1)]
+            shard.append((cols, stepper._coef.reshape(len(zs), -1), dy))
         zeros = [0.0] * len(a_hats)
         filters, steps = (a_hats, ies, zeros, zeros), [(dis, r_t, xi)]
         updated = control._filter_update(filters, steps, dt, drifts=drifts)
@@ -786,11 +789,10 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             filt = QKFState(a_hat, RiccatiState(v, w_cov, t))
             slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
             alone = _KrausStepper(x[b:b + 1], dt, slh)
-            assert alone.basis is _ladder_basis(dim, used[b])
             assert _words(alone.c) == _words(c)
             dy = alone.step(1.0 + 0.0j, dis[b:b + 1])
-            for kraus, dys in shard:
-                assert np.array_equal(kraus[b], _kraus_operators(alone)[0])
+            for cols, rows, dys in shard:
+                _assert_row_is_the_truths_own(rows[b], cols, alone)
                 assert dys[b] == dy[0]
             drift = drift_estimate(gains, filt, ref, ie, t, params)
             assert _words([drift]) == _words([drifts[b]])
@@ -849,16 +851,17 @@ def test_schedule_blocks_meet_without_a_seam(monkeypatch):
     # the schedule forms (c1, c2) and the base row of dt A0 at z = 0 as
     # arrays, once per block of 512 steps: across the block seams of a
     # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each truth steps
-    # its own SLH's Kraus operator, and the run forms three blocks
+    # its own SLH's coefficient row, and the run forms three blocks (and
+    # the family's unit-Xi row)
     params, gains = ModeParams(1.0, 0.5), PIDGains(2.0, 1.0, 0.5)
-    recs, steps, blocks = _cosim_steps(monkeypatch, gains,
+    recs, steps, formed = _cosim_steps(monkeypatch, gains,
                                        CovariancePair(0.5, 0.0), 24, params,
                                        T=1.1)
-    assert blocks == 3
+    assert formed == 4
     seams = (511, 512, 1023, 1024)
     _assert_steps_are_the_truths_own(recs, steps, gains, params, 24, seams)
     # Xi moves across the seams, so each step has rows of its own
-    assert len({_words(steps[k][1]) for k in seams}) == 4
+    assert len({_words(steps[k][2]) for k in seams}) == 4
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
