@@ -1,203 +1,28 @@
 """Simulation and verification toolkit for measurement-based feedback
 control of a single cavity mode: truncated-Fock-space trajectory
 integrators, classical and quantum Kalman-type filters, a PID-controlled
-closed loop, transfer-function tools, and Monte Carlo verdicts."""
+closed loop, transfer-function tools, and Monte Carlo verdicts.  The
+package re-exports each module's ``__all__``, all but ``cli``'s."""
 
-from cavityfilter.classical import (
-    DiffusionModel1D,
-    DiscreteKalmanState,
-    GridDensity,
-    ScalarLGModel,
-    kalman_bucy_step,
-    kalman_predict,
-    kalman_update,
-    ks_normalize,
-    zakai_grid_step,
-)
-
-from cavityfilter.control import (
-    ClosedLoopRecord,
-    ClosedLoopState,
-    PIDGains,
-    ReferenceSignal,
-    closed_loop_cosim,
-    controlled_slh,
-    drift_estimate,
-    error_signal,
-    noise_free_response,
-    pid_filter_step,
-    xi_gain,
-)
-
-from cavityfilter.errors import (
-    AlgebraError,
-    CavityFilterError,
-    ConfigError,
-    DegenerateDensityError,
-    DegenerateVarianceWarning,
-    DimensionError,
-    DivergenceError,
-    DomainError,
-    InfeasibleGainError,
-    NormBoundsError,
-    PoleEvaluationError,
-    StabilityError,
-    StepSizeError,
-    TruncationError,
-    TruncationWarning,
-)
-
-from cavityfilter.fock import (
-    CavityOperator,
-    CovariancePair,
-    DensityOperator,
-    StateVector,
-    annihilation_op,
-    coherent_state,
-    conditional_covariances,
-    creation_op,
-    expectation,
-    gaussian_state,
-    identity_op,
-    number_op,
-)
-
-from cavityfilter.lti import (
-    RationalTF,
-    StateSpaceRealization,
-    closed_loop,
-    freq_response,
-    pid_tf,
-    plant_tf,
-    pole_place_pi,
-    realize,
-    setpoint_tf,
-    step_response,
-)
-
-from cavityfilter.mc import (
-    EnsembleConfig,
-    EnsembleResult,
-    FilterScenario,
-    InnovationsVerdict,
-    MSEReport,
-    TrajectorySample,
-    innovations_test,
-    mse_vs_V,
-    run_ensemble,
-)
-
-from cavityfilter.qkf import (
-    ModeParams,
-    QKFState,
-    RiccatiState,
-    optimal_quadrature_scan,
-    qkf_step,
-    riccati_integrate,
-    riccati_rhs,
-)
-
-from cavityfilter.trajectory import (
-    NoiseStream,
-    QuadraturePhase,
-    SLHCoefficients,
-    TrajectoryRecord,
-    TrajectoryState,
-    belavkin_zakai_step,
-    damped_cavity_slh,
-    lindblad_apply,
-    measurement_increment,
-    run_trajectory,
-    sme_step,
-    sse_step,
-)
+from cavityfilter import (classical, control, errors, fock, lti, mc, qkf,
+                          trajectory)
+from cavityfilter.classical import *
+from cavityfilter.control import *
+from cavityfilter.errors import *
+from cavityfilter.fock import *
+from cavityfilter.lti import *
+from cavityfilter.mc import *
+from cavityfilter.qkf import *
+from cavityfilter.trajectory import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "CavityFilterError",
-    "CavityOperator",
-    "ClosedLoopRecord",
-    "ClosedLoopState",
-    "ConfigError",
-    "CovariancePair",
-    "DegenerateDensityError",
-    "DegenerateVarianceWarning",
-    "DensityOperator",
-    "DiffusionModel1D",
-    "DimensionError",
-    "DiscreteKalmanState",
-    "DivergenceError",
-    "DomainError",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "FilterScenario",
-    "GridDensity",
-    "InfeasibleGainError",
-    "InnovationsVerdict",
-    "MSEReport",
-    "ModeParams",
-    "NoiseStream",
-    "NormBoundsError",
-    "PIDGains",
-    "PoleEvaluationError",
-    "QKFState",
-    "QuadraturePhase",
-    "RationalTF",
-    "ReferenceSignal",
-    "RiccatiState",
-    "SLHCoefficients",
-    "ScalarLGModel",
-    "StabilityError",
-    "StateSpaceRealization",
-    "StateVector",
-    "StepSizeError",
-    "TrajectoryRecord",
-    "TrajectorySample",
-    "TrajectoryState",
-    "TruncationError",
-    "TruncationWarning",
-    "annihilation_op",
-    "belavkin_zakai_step",
-    "closed_loop",
-    "closed_loop_cosim",
-    "coherent_state",
-    "conditional_covariances",
-    "controlled_slh",
-    "creation_op",
-    "damped_cavity_slh",
-    "drift_estimate",
-    "error_signal",
-    "expectation",
-    "freq_response",
-    "gaussian_state",
-    "identity_op",
-    "innovations_test",
-    "kalman_bucy_step",
-    "kalman_predict",
-    "kalman_update",
-    "ks_normalize",
-    "lindblad_apply",
-    "measurement_increment",
-    "mse_vs_V",
-    "noise_free_response",
-    "number_op",
-    "optimal_quadrature_scan",
-    "pid_filter_step",
-    "pid_tf",
-    "plant_tf",
-    "pole_place_pi",
-    "qkf_step",
-    "realize",
-    "riccati_integrate",
-    "riccati_rhs",
-    "run_ensemble",
-    "run_trajectory",
-    "setpoint_tf",
-    "sme_step",
-    "sse_step",
-    "step_response",
-    "xi_gain",
-    "zakai_grid_step",
-]
+__all__ = []
+__all__ += classical.__all__
+__all__ += control.__all__
+__all__ += errors.__all__
+__all__ += fock.__all__
+__all__ += lti.__all__
+__all__ += mc.__all__
+__all__ += qkf.__all__
+__all__ += trajectory.__all__

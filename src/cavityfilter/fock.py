@@ -65,6 +65,12 @@ LEAK_WARN = 1e-8
 LEAK_ERROR = 1e-4
 
 
+def _require_min_dim(dim: int) -> None:
+    """The minimum truncation: ``DimensionError`` unless dim >= 2."""
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
+
+
 def _frozen_complex_matrix(entries, dim: int) -> np.ndarray:
     mat = np.ascontiguousarray(entries, dtype=np.complex128)
     if mat.shape != (dim, dim):
@@ -91,8 +97,7 @@ class CavityOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DimensionError(f"dim must be >= 2, got {self.dim}")
+        _require_min_dim(self.dim)
         object.__setattr__(
             self, "entries", _frozen_complex_matrix(self.entries, self.dim)
         )
@@ -119,8 +124,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DimensionError(f"dim must be >= 2, got {self.dim}")
+        _require_min_dim(self.dim)
         amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amp.shape != (self.dim,):
             raise DimensionError(
@@ -157,8 +161,7 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DimensionError(f"dim must be >= 2, got {self.dim}")
+        _require_min_dim(self.dim)
         mat = _frozen_complex_matrix(self.entries, self.dim)
         if not np.isfinite(mat).all():
             raise DomainError("density matrix entries must be finite")
@@ -220,8 +223,7 @@ def _ladder_table(dim: int) -> np.ndarray:
     the identity.  Every entry is a closed form, not a matrix product
     (sqrt(k) sqrt(k) rounds away from k); the top level of a a' is
     truncated to 0."""
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _require_min_dim(dim)
     k = np.arange(1.0, dim)
     a, a2 = np.diag(np.sqrt(k), 1), np.diag(np.sqrt(k[:-1] * k[1:]), 2)
     table = np.stack([a2.T, a.T, np.diag(np.arange(dim)), a, a2,
@@ -315,8 +317,7 @@ def coherent_state(alpha: complex, dim: int) -> StateVector:
     Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!),
     computed by the stable recurrence c_{n+1} = c_n alpha / sqrt(n+1).
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _require_min_dim(dim)
     alpha = complex(alpha)
     amp = np.zeros(dim, dtype=np.complex128)
     c = complex(math.exp(-0.5 * abs(alpha) ** 2))
@@ -380,8 +381,7 @@ def gaussian_state(alpha: complex, cov: CovariancePair, dim: int) -> DensityOper
     TruncationError
         If the top two Fock populations of the result exceed 1e-4.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _require_min_dim(dim)
     if not cov.is_physical():
         raise DomainError(
             f"covariances V={cov.V}, W={cov.W} violate V(V+1) >= |W|^2 "
@@ -422,8 +422,7 @@ def _gaussian_vector(alpha: complex, cov: CovariancePair, dim: int) -> StateVect
 
     Valid only for saturated covariances V(V+1) = |W|^2 (within 1e-8),
     the pure slice of the Gaussian family handled by gaussian_state."""
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _require_min_dim(dim)
     if abs(cov.physicality_excess()) > 1e-8:
         raise DomainError(
             f"V={cov.V}, W={cov.W} is not pure: V(V+1) - |W|^2 = "
@@ -449,24 +448,18 @@ def _gaussian_vector(alpha: complex, cov: CovariancePair, dim: int) -> StateVect
 
 def expectation(op: CavityOperator, state) -> complex:
     """<X> on a state: <psi|X|psi>/<psi|psi> or tr(rho X)."""
-    if isinstance(state, StateVector):
-        if op.dim != state.dim:
-            raise DimensionError(
-                f"operator dim {op.dim} != state dim {state.dim}"
-            )
-        psi = state.amplitudes
-        n2 = np.vdot(psi, psi).real
-        if n2 == 0.0:
-            raise DomainError("expectation on the zero vector")
-        return complex(np.vdot(psi, op.entries @ psi) / n2)
+    if not isinstance(state, (StateVector, DensityOperator)):
+        raise DomainError(f"unsupported state type {type(state).__name__}")
+    if op.dim != state.dim:
+        raise DimensionError(f"operator dim {op.dim} != state dim {state.dim}")
     if isinstance(state, DensityOperator):
-        if op.dim != state.dim:
-            raise DimensionError(
-                f"operator dim {op.dim} != state dim {state.dim}"
-            )
         # tr(rho X) without forming the product matrix
         return complex(np.sum(state.entries.T * op.entries))
-    raise DomainError(f"unsupported state type {type(state).__name__}")
+    psi = state.amplitudes
+    n2 = np.vdot(psi, psi).real
+    if n2 == 0.0:
+        raise DomainError("expectation on the zero vector")
+    return complex(np.vdot(psi, op.entries @ psi) / n2)
 
 
 def _moments_from_vector(psi: np.ndarray, a: np.ndarray, n2: float):

@@ -91,9 +91,6 @@ class EnsembleConfig:
         if not 0 <= self.base_seed < 2**64:
             raise DomainError(f"base_seed must be a 64-bit integer, "
                               f"got {self.base_seed}")
-        if self.record_stride < 1:
-            raise DomainError(
-                f"record_stride must be >= 1, got {self.record_stride}")
         _step_count(self.T, self.dt, self.record_stride)
 
 

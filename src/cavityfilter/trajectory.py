@@ -664,19 +664,18 @@ def _integrate(arr: np.ndarray, kind: str, noises, n: int, dt: float,
     ``kind`` is their ``TrajectoryState`` field: vectors (B, dim) for
     "psi" and "chi", density factors X (B, dim, r) for "rho"
     (``_density_factor``); final states are XX' of unit trace and "psi"
-    vectors divided by their norm.  The increments are
-    drawn in blocks of ``_NOISE_BLOCK`` steps, which continue each stream
-    bit for bit.  ``step(t, arr, dw)`` gets the B increments of one step
-    (a tuple of floats) and returns the next stack and the B record
-    increments dY; package errors it raises are re-raised tagged with the
-    step (their own ``step`` if they name one, as a step that catches up
-    on earlier ones does), and keep the batch column they name as
-    ``column`` (0 if none).
-    (t, <a>,
-    <a'a>, <a^2>, Y, I) of every truth are recorded at t = 0 and every
-    ``stride`` steps behind the truncation check labelled ``what``, and
-    ``sample(idx)`` then lets the caller record its own columns at index
-    idx.  Y accumulates dY and I the increments dw.  Returns one
+    vectors divided by their norm.  The increments are drawn in blocks of
+    ``_NOISE_BLOCK`` steps, which continue each stream bit for bit.
+    ``step(t, arr, dw)`` gets the B increments of one step (a tuple of
+    floats) and returns the next stack and the B record increments dY;
+    package errors it raises are re-raised tagged with the step (their own
+    ``step`` if they name one, as a step that catches up on earlier ones
+    does), and keep the batch column they name as ``column`` (0 if none).
+
+    (t, <a>, <a'a>, <a^2>, Y, I) of every truth are recorded at t = 0 and
+    every ``stride`` steps behind the truncation check labelled ``what``,
+    and ``sample(idx)`` then lets the caller record its own columns at
+    index idx.  Y accumulates dY and I the increments dw.  Returns one
     ``TrajectoryRecord`` per truth, in batch order.
     """
     batch, dim = arr.shape[:2]

@@ -227,6 +227,7 @@ def test_tf_and_classical_reruns_are_byte_identical(tmp_path):
     assert files["b"] == files["a"]
 
 
+@pytest.mark.bitwise
 def test_filter_is_closed_loop_without_feedback(tmp_path):
     # no [control] or [reference]: zero gains and a zero constant reference
     text = MINIMAL.replace("state = vacuum", "state = thermal\nnbar = 0.3")

@@ -662,6 +662,7 @@ def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
                                  CovariancePair(0.5, 0.0)],
                          ids=["pure", "mixed"])
+@pytest.mark.bitwise
 def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
     # a' (their z), and D keeps all six members and I; without damping or
@@ -714,6 +715,7 @@ GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
 
 
 @pytest.mark.parametrize("name", list(GAIN_SETS))
+@pytest.mark.bitwise
 def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
     # c1, c2 and the base row of dt A0 at z = 0 come from Xi alone
     # (_xi_terms, the stepper's block), and the stepper fills each truth's
@@ -1459,6 +1461,7 @@ def test_cosim_runs_the_one_trajectory_loop(monkeypatch, cov):
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
                                  CovariancePair(0.5, 0.0)],
                          ids=["pure", "mixed"])
+@pytest.mark.bitwise
 def test_cosim_zero_gain_truth_matches_open_loop_trajectory(cov):
     # without gains the co-simulation's truth is the open-loop trajectory
     # of the damped mode on the same noise, bit for bit: both take the

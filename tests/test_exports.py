@@ -19,10 +19,26 @@ def test_package_exports_are_the_union_of_module_exports():
         for attr in module.__all__:
             assert hasattr(module, attr), f"{name}.{attr}"
         union.update(module.__all__)
+    # a name listed by two modules would be shadowed by the later
+    # star-import without an error
     assert len(cavityfilter.__all__) == len(set(cavityfilter.__all__))
     assert set(cavityfilter.__all__) == union
     for attr in cavityfilter.__all__:
         assert hasattr(cavityfilter, attr), attr
+
+
+def test_each_exported_name_is_its_modules_object():
+    for name in REEXPORTED:
+        module = importlib.import_module(f"cavityfilter.{name}")
+        for attr in module.__all__:
+            assert getattr(cavityfilter, attr) is getattr(module, attr), attr
+
+
+def test_star_import_binds_exactly_the_exports():
+    ns = {}
+    exec("from cavityfilter import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(cavityfilter.__all__)
 
 
 # one fresh interpreter: thermal CLI runs leave scipy unloaded (and a

@@ -14,7 +14,9 @@ from cavityfilter.errors import (
 from cavityfilter.fock import (
     CavityOperator,
     _gaussian_vector,
+    _ladder_table,
     CovariancePair,
+    DensityOperator,
     StateVector,
     annihilation_op,
     coherent_state,
@@ -63,6 +65,28 @@ def test_number_op_diagonal():
 def test_dim_below_two_rejected():
     with pytest.raises(DimensionError):
         annihilation_op(1)
+
+
+# every entry point that checks the minimum truncation itself; the
+# Gaussian constructors get an unphysical (V, W), so that one without its
+# own dim check raises DomainError, not the dim error of a callee
+UNPHYSICAL = CovariancePair(0.0, 1.0)
+DIM_CHECKS = {
+    "CavityOperator": lambda d: CavityOperator(d, np.zeros((d, d))),
+    "StateVector": lambda d: StateVector(d, np.ones(d)),
+    "DensityOperator": lambda d: DensityOperator(d, np.eye(d)),
+    "_ladder_table": _ladder_table,
+    "coherent_state": lambda d: coherent_state(0.0, d),
+    "gaussian_state": lambda d: gaussian_state(0.0, UNPHYSICAL, d),
+    "_gaussian_vector": lambda d: _gaussian_vector(0.0, UNPHYSICAL, d),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 0])
+@pytest.mark.parametrize("entry", sorted(DIM_CHECKS))
+def test_every_entry_point_rejects_dim_below_two(entry, dim):
+    with pytest.raises(DimensionError, match=rf"^dim must be >= 2, got {dim}$"):
+        DIM_CHECKS[entry](dim)
 
 
 def test_operator_entries_read_only():
@@ -126,6 +150,11 @@ def test_expectation_vacuum_annihilation_zero():
 def test_expectation_dimension_mismatch():
     with pytest.raises(DimensionError):
         expectation(annihilation_op(8), coherent_state(0.0, 9))
+    rho = gaussian_state(0.0, CovariancePair(0.0, 0.0), 9)
+    with pytest.raises(DimensionError, match=r"^operator dim 8 != state dim 9$"):
+        expectation(annihilation_op(8), rho)
+    with pytest.raises(DomainError, match=r"^unsupported state type ndarray$"):
+        expectation(annihilation_op(8), rho.entries)
 
 
 def test_expectation_on_density_operator():

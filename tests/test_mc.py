@@ -67,6 +67,8 @@ def test_config_rejects_a_grid_that_does_not_tile_the_run():
     with pytest.raises(DomainError,
                        match=r"^record_stride=3 does not divide 10 steps$"):
         EnsembleConfig(4, 1.0, 0.1, 1, "x", record_stride=3)
+    with pytest.raises(DomainError, match=r"^record_stride=0 must be >= 1$"):
+        EnsembleConfig(4, 1.0, 0.1, 1, "x", record_stride=0)
 
 
 def test_single_trajectory_matches_direct_run_bitwise():
@@ -139,6 +141,7 @@ _SCENARIOS = {
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+@pytest.mark.bitwise
 def test_worker_count_does_not_change_bytes(monkeypatch, scenario, threads):
     # 1, 2 and 3 workers step shards of 6, 3 and 2 trajectories; each
     # reduces to the bytes of the trajectories run one by one
