@@ -234,7 +234,8 @@ def parse_config(text: str) -> ScenarioConfig:
         ref = ReferenceSignal(kind, amplitude=amplitude, onset=onset,
                               slope=slope, frequency=frequency)
     except CavityFilterError as exc:
-        raise ConfigError(f"reference.kind: {exc}") from None
+        # each ReferenceSignal message starts with its field's name
+        raise ConfigError(f"reference.{str(exc).split()[0]}: {exc}") from None
 
     run = sec("run")
     T = run.value("T", required=True)

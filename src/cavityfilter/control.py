@@ -127,6 +127,10 @@ class ReferenceSignal:
                 sees nothing from an ideal step)
       ramp:     r = amplitude + slope (t - onset)  dr = slope
       sinusoid: r = amplitude e^{i freq (t-onset)} dr = i freq r
+
+    One rule computes both, ``_reference_at``: ``value`` and
+    ``derivative`` read its row at t, so they have the bits of every
+    array of the reference the package forms.
     """
 
     kind: str
@@ -149,23 +153,12 @@ class ReferenceSignal:
                 raise DomainError(f"{name} must be finite")
 
     def value(self, t: float) -> complex:
-        if self.kind == "constant":
-            return complex(self.amplitude)
-        if t < self.onset:
-            return 0.0j
-        if self.kind == "step":
-            return complex(self.amplitude)
-        if self.kind == "ramp":
-            return complex(self.amplitude) + self.slope * (t - self.onset)
-        return complex(self.amplitude) * cmath.exp(
-            1j * self.frequency * (t - self.onset))
+        """r(t): the first column of ``_reference_at``'s row at t."""
+        return complex(_reference_at(self, (t,))[0, 0])
 
     def derivative(self, t: float) -> complex:
-        if self.kind in ("constant", "step") or t < self.onset:
-            return 0.0j
-        if self.kind == "ramp":
-            return complex(self.slope)
-        return 1j * self.frequency * self.value(t)
+        """dr/dt at t: the second column of ``_reference_at``'s row."""
+        return complex(_reference_at(self, (t,))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -252,8 +245,10 @@ def drift_estimate(
 def _shared_scalars(gains: PIDGains, ref: ReferenceSignal, t: float,
                     cov: RiccatiState, params: ModeParams):
     """(r(t), dr/dt, Xi): the feedback inputs that depend only on the
-    time and the covariances, so every filter of a batch shares them."""
-    return ref.value(t), ref.derivative(t), xi_gain(cov, gains, params.gamma)
+    time and the covariances, so every filter of a batch shares them;
+    (r, dr/dt) is ``_reference_at``'s row at t."""
+    r_t, dr_t = _reference_at(ref, (t,))[0].tolist()
+    return r_t, dr_t, xi_gain(cov, gains, params.gamma)
 
 
 def _xi_terms(k_D: float, sg: float, xi: np.ndarray) -> tuple:
@@ -460,10 +455,9 @@ def pid_filter_step(
 def _reference_at(ref: ReferenceSignal, times: np.ndarray) -> np.ndarray:
     """(r, dr/dt) at each of ``times``, as the rows of a (len, 2) array.
 
-    Built per kind by array expressions, zero before ``onset``: the same
-    arithmetic as ``ref.value`` and ``ref.derivative``, so constant, step
-    and ramp rows equal theirs bit for bit; the sinusoid's rows take
-    numpy's complex exponential and agree to rounding."""
+    Built per kind by array expressions, zero before ``onset``.  This is
+    the one rule of the reference: ``ref.value``, ``ref.derivative``, the
+    single steps and the co-simulation's schedule all read its rows."""
     t = np.asarray(times, dtype=np.float64)
     out = np.zeros((len(t), 2), dtype=np.complex128)
     amp = complex(ref.amplitude)

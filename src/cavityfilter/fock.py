@@ -31,6 +31,7 @@ need it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -176,6 +177,16 @@ class DensityOperator:
         object.__setattr__(self, "entries", mat)
 
 
+def _check_covariances(v: float, w: complex) -> None:
+    """The one check of a covariance pair (V, W), for ``CovariancePair``
+    and ``qkf.RiccatiState``: both finite and V nonnegative down to a
+    rounding floor of 1e-10, else ``DomainError``."""
+    if not (math.isfinite(v) and cmath.isfinite(w)):
+        raise DomainError("covariances must be finite")
+    if v < -1e-10:
+        raise DomainError(f"V must be nonnegative, got {v}")
+
+
 @dataclass(frozen=True)
 class CovariancePair:
     """Conditional second moments (V, W) of the mode.
@@ -191,10 +202,7 @@ class CovariancePair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "V", float(self.V))
         object.__setattr__(self, "W", complex(self.W))
-        if not (math.isfinite(self.V) and np.isfinite(self.W)):
-            raise DomainError("covariances must be finite")
-        if self.V < -1e-10:
-            raise DomainError(f"V must be nonnegative, got {self.V}")
+        _check_covariances(self.V, self.W)
 
     def physicality_excess(self) -> float:
         """V(V+1) - |W|^2; nonnegative (within roundoff) for Gaussian

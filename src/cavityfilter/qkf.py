@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, DomainError
+from .fock import _check_covariances
 
 __all__ = [
     "ModeParams",
@@ -61,10 +62,7 @@ class RiccatiState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.V) and cmath.isfinite(self.W)):
-            raise DomainError("covariances must be finite")
-        if self.V < -1e-10:
-            raise DomainError(f"V must be nonnegative, got {self.V}")
+        _check_covariances(self.V, self.W)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,11 @@ _GAUSSIAN = "state = gaussian\nV = 0.2"
     ("state = vacuum", _GAUSSIAN + "\nalpha = nan+1j",
      "initial.alpha: must be finite"),
     ("dt = 1e-3", "dt = 1e-3\nseed = x", "run.seed: not an integer ('x')"),
+    ("dt = 1e-3", "dt = 1e-3\n[reference]\nonset = -1",
+     "reference.onset: onset must be a nonnegative real, got -1.0"),
+    ("dt = 1e-3", "dt = 1e-3\n[reference]\nkind = square",
+     "reference.kind: kind must be one of ('constant', 'step', 'ramp', "
+     "'sinusoid'), got 'square'"),
 ])
 def test_reader_failures_give_their_full_message(old, new, message):
     with pytest.raises(ConfigError) as info:

@@ -63,9 +63,6 @@ from cavityfilter.trajectory import (
 #: every member of the ladder basis, as ``fock._ladder_basis`` columns
 ALL = tuple(range(len(_LADDER_KEYS)))
 
-#: the stepper's step, unpatched, for spies that a test sets up again
-_stepper_step = _KrausStepper.step
-
 #: a co-simulation's ladder family (omega, c1, c2, z, w) at unit Xi per
 #: member set: a zero-gain, a P/I and a PID one's
 FAMILIES = {(2, 3): (0.5, 1.0, 0.0j, 0.0j, 0.0j),
@@ -159,6 +156,18 @@ def test_reference_signals():
     sine = ReferenceSignal("sinusoid", 1.0, frequency=2.0)
     assert abs(sine.value(math.pi) - np.exp(2j * math.pi)) < 1e-15
     assert abs(sine.derivative(0.3) - 2j * sine.value(0.3)) < 1e-15
+    # numpy's complex exponential, which the reference rule takes, against
+    # cmath's, on a complex amplitude, before and after the onset
+    eps = np.finfo(float).eps
+    for amp, freq, onset in ((0.3 - 0.4j, -2.5, 0.0), (-1.3 + 0.7j, -3.1, 0.0),
+                             (0.5j, 7.0, 0.013)):
+        sine = ReferenceSignal("sinusoid", amp, onset=onset, frequency=freq)
+        for t in np.linspace(-0.5, 1.0, 151).tolist():
+            want = (amp * cmath.exp(1j * freq * (t - onset)) if t >= onset
+                    else 0.0j)
+            assert abs(sine.value(t) - want) <= 4.0 * eps * abs(want)
+            assert (abs(sine.derivative(t) - 1j * freq * want)
+                    <= 4.0 * eps * abs(freq * want))
 
     with pytest.raises(DomainError):
         ReferenceSignal("square")
@@ -593,81 +602,130 @@ def _words(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
 
 
-def _cosim_steps(monkeypatch, gains, cov, dim, params, batch=1, T=0.01):
-    """A co-simulation of ``batch`` truths from (0.3 + 0.1j b, cov) under
-    ``gains``, their filters from (0.3, cov), on a step reference
-    (dt = 1e-3, T / dt steps, every step recorded): its records, the
-    (basis, columns, c, stack before the step, increments, dY,
-    coefficient rows) of each ``_KrausStepper.step`` call, and the number
-    of A0 rows (``_KrausStepper._a0_row`` calls, which every ladder row,
-    a family's, a block's or an SLH's, is formed by) in the run."""
-    steps, formed = [], []
-    a0_row = _KrausStepper._a0_row
-
-    def stepped(self, cis, dI, zs=None, c=None, base=None):
-        x = self.x.copy()
-        dy = _stepper_step(self, cis, dI, zs, c, base)
-        steps.append((self.basis, self._cols, c, x, dI, dy,
-                      self._coef.reshape(len(x), -1).copy()))
-        return dy
+def _a0_rows(monkeypatch) -> list:
+    """The arguments of each ``_KrausStepper._a0_row`` call of the test
+    from here on: every ladder row, a family's, a block's or an SLH's, is
+    formed by one."""
+    a0_row, calls = _KrausStepper._a0_row, []
 
     def counted(*args):
-        formed.append(args)
+        calls.append(args)
         return a0_row(*args)
 
-    monkeypatch.setattr(_KrausStepper, "step", stepped)
     monkeypatch.setattr(_KrausStepper, "_a0_row", staticmethod(counted))
-    recs = control._cosim(0.3, cov, gains, ReferenceSignal("step", 1.0),
-                          params, dim,
-                          [NoiseStream(4 + b, 1e-3) for b in range(batch)],
-                          T, 1e-3, 1, [0.3 + 0.1j * b for b in range(batch)],
-                          cov)
-    assert len(steps) == round(T / 1e-3)
-    return recs, steps, len(formed)
+    return calls
 
 
-def _assert_steps_are_the_truths_own(recs, steps, gains, params, dim,
-                                     keep=None):
-    """Along a ``_cosim_steps`` run, each truth's filter is, bit for bit
-    at every step, the chain of ``pid_filter_step`` calls from the prior
-    on the truth's innovations (with the recorded covariances), so the
-    shard's Xi and drifts are those of the truth alone; and at each step
-    in ``keep`` (all if None) the truth's L coefficients, coefficient row
-    and dY are, word for word, those of a stepper on its own
-    ``controlled_slh``."""
-    ref, dt = ReferenceSignal("step", 1.0), 1e-3
-    sg2 = math.sqrt(params.gamma) * 2.0
-    for b, rec in enumerate(recs):
-        a_hat, ie = 0.3 + 0.0j, 0.0j
-        for k, (_, cols, c, x, dI, dy, rows) in enumerate(steps):
-            t = float(rec.t[k])
-            assert _words([a_hat]) == _words([rec.a_hat[k]])
+def _built_steppers(monkeypatch) -> list:
+    """The ``_KrausStepper`` of each co-simulation of the test from here
+    on, in order."""
+    stepper_cls, steppers = _KrausStepper, []
+
+    def built(*args, **kwargs):
+        steppers.append(stepper_cls(*args, **kwargs))
+        return steppers[-1]
+
+    monkeypatch.setattr(control, "_KrausStepper", built)
+    return steppers
+
+
+def _shard_run(gains, cov, dim, params, batch=1, T=0.01, own=True):
+    """A co-simulation of ``batch`` truths from (0.3 + 0.1j b, cov) on
+    ``NoiseStream(4 + b)`` under ``gains``, their filters from (0.3, cov),
+    on a step reference (dt = 1e-3, every step recorded): its records, its
+    ``_KrausStepper`` and its number of A0 rows (``_a0_rows``); with
+    ``own``, after asserting that each truth is the run of its own SLH
+    (``_assert_truths_are_their_own_slh_runs``)."""
+    ref, seeds = ReferenceSignal("step", 1.0), range(4, 4 + batch)
+    alphas = [0.3 + 0.1j * b for b in range(batch)]
+    with pytest.MonkeyPatch.context() as patch:
+        steppers, formed = _built_steppers(patch), _a0_rows(patch)
+        recs = control._cosim(0.3, cov, gains, ref, params, dim,
+                              [NoiseStream(seed, 1e-3) for seed in seeds],
+                              T, 1e-3, 1, alphas, cov)
+    if own:
+        _assert_truths_are_their_own_slh_runs(recs, gains, ref, params, dim,
+                                              alphas, cov, seeds)
+    (stepper,) = steppers
+    return recs, stepper, len(formed)
+
+
+def _assert_truths_are_their_own_slh_runs(recs, gains, ref, params, dim,
+                                          alphas, cov, seeds, dt=1e-3):
+    """Each of ``recs``, the every-step records of truths from (alphas[b],
+    cov) on ``NoiseStream(seeds[b])``, is word for word in <a>, <a'a> and
+    Y the ``run_trajectory`` of that truth on the same noise whose source
+    is, at step k, the ``controlled_slh`` of the record's filter state:
+    a_hat and (V, W) of step k, and the integral error rebuilt from them
+    as ie + (r - a_hat) dt.  So each truth steps the coefficients of its
+    own feedback, and nothing of the batch or of the other truths."""
+    pure = abs(cov.physicality_excess()) <= 1e-8
+    for rec, alpha, seed in zip(recs, alphas, seeds, strict=True):
+        k, ie = 0, 0.0j
+
+        def source(t):
+            nonlocal k, ie
+            a_hat = complex(rec.a_hat[k])
             filt = QKFState(a_hat, RiccatiState(rec.V[k], rec.W[k], t))
-            if keep is None or k in keep:
-                slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
-                alone = _KrausStepper(x[b:b + 1], dt, slh)
-                assert _words(alone.c) == _words(c)
-                # the unpatched step, so the spy records the run's only
-                assert (_stepper_step(alone, 1.0 + 0.0j, dI[b:b + 1])
-                        == dy[b:b + 1])
-                _assert_row_is_the_truths_own(rows[b], cols, alone)
-            new = pid_filter_step(ClosedLoopState(filt, ie, t=t),
-                                  dy[b] - (sg2 * a_hat.real) * dt, gains,
-                                  ref, params, dt)
-            a_hat, ie = new.filter.a_hat, new.integral_error
-        assert _words([a_hat, ie]) == _words(
-            [rec.final.filter.a_hat, rec.final.integral_error])
+            slh = controlled_slh(gains, filt, ref, ie, t, params, dim)
+            ie = ie + (ref.value(t) - a_hat) * dt
+            k += 1
+            return slh
+
+        initial = (_gaussian_vector(alpha, cov, dim) if pure
+                   else gaussian_state(alpha, cov, dim))
+        own = run_trajectory(initial, source, 0.0, NoiseStream(seed, dt),
+                             (len(rec.t) - 1) * dt, dt,
+                             mode="sse" if pure else "sme")
+        assert k == len(rec.t) - 1
+        for got, want in ((rec.truth_mean_a, own.mean_a),
+                          (rec.truth_mean_n, own.mean_n), (rec.Y, own.Y)):
+            assert got.tobytes() == want.tobytes()
+
+
+#: the gain sets of the row identities, with set-point weights off 1
+GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
+             "PI": PIDGains(2.0, 1.0, mu=1.3),
+             "PID": PIDGains(2.0, 1.0, 0.5, mu=0.8, nu=1.2)}
+
+
+@pytest.mark.parametrize("name,cov", [
+    (name, cov) for name in ("zero", "P", "PI", "PID")
+    for cov in (CovariancePair(0.0, 0.0), CovariancePair(0.5, 0.0))
+    # a pure prior's PID SLH drops the members of zero coefficients
+    # (a'^2, a^2 and a a', Xi = 0), so its sums differ at rounding level
+    # from the family's; test_stepped_rows_are_the_slh_rows checks its
+    # rows word for word
+    if not (name == "PID" and cov.V == 0.0)],
+    ids=["zero-pure", "zero-mixed", "P-pure", "P-mixed", "PI-pure",
+         "PI-mixed", "PID-mixed"])
+@pytest.mark.bitwise
+def test_a_truth_is_its_own_controlled_slh_run(name, cov):
+    # the co-simulation's truth, whose coefficients the schedule forms in
+    # blocks, is the run_trajectory whose source rebuilds, every step,
+    # the controlled_slh of the run's own filter state, under every kind
+    # of reference.  On the sinusoid's complex amplitude and negative
+    # frequency numpy's and Python's complex products differ, so its r
+    # and dr/dt are the schedule's word for word only under one rule
+    gains, params, dim, dt = GAIN_SETS[name], ModeParams(1.0, 0.5), 24, 1e-3
+    for ref in (ReferenceSignal("step", 1.0, onset=0.02),
+                ReferenceSignal("ramp", 0.3, slope=0.7),
+                ReferenceSignal("sinusoid", -1.3 + 0.7j, frequency=-3.1)):
+        rec = closed_loop_cosim(0.3, cov, gains, ref, params, dim,
+                                NoiseStream(4, dt), 0.1, dt)
+        _assert_truths_are_their_own_slh_runs([rec], gains, ref, params,
+                                              dim, [0.3], cov, [4])
 
 
 @pytest.mark.parametrize("cov", [CovariancePair(0.0, 0.0),
                                  CovariancePair(0.5, 0.0)],
                          ids=["pure", "mixed"])
 @pytest.mark.bitwise
-def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
+def test_truths_step_on_the_members_their_coefficients_use(cov):
     # zero gain keeps a'a, a and I (the damped cavity's form), P and I add
     # a' (their z), and D keeps all six members and I; without damping or
-    # detuning a'a drops out unless D is on.  Every truth steps its own
-    # SLH's coefficient row, which is zero off the members
+    # detuning a'a drops out unless D is on.  Every truth is the run of its
+    # own SLH (a pure prior's PID one aside: its SLH keeps fewer members)
     dim = 24
     table = _ladder_table(dim)
 
@@ -687,36 +745,28 @@ def test_truths_step_on_the_members_their_coefficients_use(monkeypatch, cov):
                                damped_cavity_slh(params, dim))
         assert np.array_equal(damped.basis[0], stack(sets["zero"]))
         for name, members in sets.items():
-            recs, steps, _ = _cosim_steps(monkeypatch, gains[name], cov, dim,
-                                          params)
-            for (basis, _, _), *_ in steps:
-                assert np.array_equal(basis, stack(members))
-            _assert_steps_are_the_truths_own(recs, steps, gains[name], params,
-                                             dim)
+            _, stepper, _ = _shard_run(
+                gains[name], cov, dim, params,
+                own=not (name == "PID" and cov.V == 0.0))
+            assert np.array_equal(stepper.basis[0], stack(members))
 
 
-def test_a_shard_forms_one_coefficient_row_per_step(monkeypatch):
+def test_a_shard_forms_one_coefficient_row_per_step():
     # a shard of 8 forms its Xi-only base rows once per schedule block, not
     # once per step or per truth: the 11 rows of a 10-step run are one
     # block, and one more A0 row is the unit-Xi one from which the stepper
-    # picks its members, under PID and at zero gain alike
+    # picks its members, under PID and at zero gain alike; and each truth
+    # of the shard is the run of its own SLH
     params = ModeParams(1.0, 0.5)
     for gains in (PIDGains(2.0, 1.0, 0.5), PIDGains(0.0)):
-        recs, steps, formed = _cosim_steps(
-            monkeypatch, gains, CovariancePair(0.5, 0.0), 24, params, 8)
+        _, _, formed = _shard_run(gains, CovariancePair(0.5, 0.0), 24,
+                                  params, 8)
         assert formed == 2
-        _assert_steps_are_the_truths_own(recs, steps, gains, params, 24)
-
-
-#: the gain sets of the row identities, with set-point weights off 1
-GAIN_SETS = {"zero": PIDGains(0.0), "P": PIDGains(2.0, mu=0.7),
-             "PI": PIDGains(2.0, 1.0, mu=1.3),
-             "PID": PIDGains(2.0, 1.0, 0.5, mu=0.8, nu=1.2)}
 
 
 @pytest.mark.parametrize("name", list(GAIN_SETS))
 @pytest.mark.bitwise
-def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
+def test_stepped_rows_are_the_slh_rows(name):
     # c1, c2 and the base row of dt A0 at z = 0 come from Xi alone
     # (_xi_terms, the stepper's block), and the stepper fills each truth's
     # z into the base row: at random states, signed zeros and z = 0 among
@@ -803,10 +853,8 @@ def test_stepped_rows_are_the_slh_rows(monkeypatch, name):
             assert _words([new.filter.a_hat, new.integral_error]) == _words(
                 updated[b])
 
-    # and a co-simulation of three truths steps exactly those rows
-    recs, steps, _ = _cosim_steps(monkeypatch, gains,
-                                  CovariancePair(0.4, 0.1j), 24, params, 3)
-    _assert_steps_are_the_truths_own(recs, steps, gains, params, 24)
+    # and each truth of a co-simulation of three is the run of its own SLH
+    _shard_run(gains, CovariancePair(0.4, 0.1j), 24, params, 3)
 
 
 #: the relative tolerance of a ladder row against the dense assembly
@@ -849,21 +897,20 @@ def test_xi_only_rows_have_the_bits_of_the_complex_expressions(name):
                         <= ROW_TOL * np.max(np.abs(want)))
 
 
-def test_schedule_blocks_meet_without_a_seam(monkeypatch):
+def test_schedule_blocks_meet_without_a_seam():
     # the schedule forms (c1, c2) and the base row of dt A0 at z = 0 as
-    # arrays, once per block of 512 steps: across the block seams of a
-    # 1,100-step PID run (steps 511 | 512 and 1023 | 1024) each truth steps
-    # its own SLH's coefficient row, and the run forms three blocks (and
-    # the family's unit-Xi row)
-    params, gains = ModeParams(1.0, 0.5), PIDGains(2.0, 1.0, 0.5)
-    recs, steps, formed = _cosim_steps(monkeypatch, gains,
-                                       CovariancePair(0.5, 0.0), 24, params,
-                                       T=1.1)
+    # arrays, once per block of 512 steps: over a 1,100-step PID run, across
+    # its block seams (steps 511 | 512 and 1023 | 1024), the truth is the
+    # run of its own SLH, and the run forms three blocks (and the family's
+    # unit-Xi row)
+    recs, _, formed = _shard_run(PIDGains(2.0, 1.0, 0.5),
+                                 CovariancePair(0.5, 0.0), 24,
+                                 ModeParams(1.0, 0.5), T=1.1)
     assert formed == 4
-    seams = (511, 512, 1023, 1024)
-    _assert_steps_are_the_truths_own(recs, steps, gains, params, 24, seams)
     # Xi moves across the seams, so each step has rows of its own
-    assert len({_words(steps[k][2]) for k in seams}) == 4
+    (rec,) = recs
+    assert len({_words([rec.V[k], rec.W[k]]) for k in (511, 512, 1023,
+                                                       1024)}) == 4
 
 
 @pytest.mark.parametrize("rank", [None, 4], ids=["vectors", "factors"])
@@ -908,21 +955,15 @@ def test_coherent_truths_stay_coherent(monkeypatch, alpha0, dt):
     # the variance <a'a> - |<a>|^2 stays at rounding level (measured: at
     # most 2.3e-8); both gates were fixed before the first run
     params, dim, T, batch = ModeParams(1.0, 0.5), 30, 0.5, 8
-    seen = []
-    kraus_step = _KrausStepper.step
-
-    def spy(self, *args):
-        seen.append(self.basis[0].shape)
-        return kraus_step(self, *args)
-
-    monkeypatch.setattr(_KrausStepper, "step", spy)
+    steppers = _built_steppers(monkeypatch)
     noises = [NoiseStream((7 << 40) ^ i, dt) for i in range(batch)]
     recs = control._cosim(alpha0, CovariancePair(0.0, 0.0), PIDGains(0.0),
                           ReferenceSignal("constant", 0.0), params, dim,
                           noises, T, dt, 1, [alpha0] * batch,
                           CovariancePair(0.0, 0.0))
     # the zero-gain path: a'a, a and I
-    assert set(seen) == {(3 * dim, dim)}
+    (stepper,) = steppers
+    assert stepper.basis[0].shape == (3 * dim, dim)
     kappa = complex(0.5 * params.gamma, params.omega)
     for rec in recs:
         want = alpha0 * np.exp(-kappa * rec.t)
@@ -1341,14 +1382,14 @@ def test_a_filter_failure_inside_a_window_keeps_its_step(monkeypatch, later):
     # window (truth 0's norm guard) and before a truncation failure at the
     # window's record (t = 0.05); without the filter fault those are what
     # the run raises
-    taken = []
+    taken, kraus_step = [], _KrausStepper.step
 
     def faulty(self, cis, dI, zs=None, c=None, base=None):
         k = len(taken)
         taken.append(k)
         if later == "truth" and k == 30:
             raise trajectory._at_column(StepSizeError("injected"), 0)
-        dy = _stepper_step(self, cis, dI, zs, c, base)
+        dy = kraus_step(self, cis, dI, zs, c, base)
         if fault and k == 19:
             dy[1] = math.nan
         return dy

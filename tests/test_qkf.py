@@ -48,6 +48,21 @@ from cavityfilter.trajectory import (
 )
 
 
+@pytest.mark.parametrize("pair", [CovariancePair, RiccatiState])
+@pytest.mark.parametrize("v,w,message", [
+    (math.nan, 0.0j, "covariances must be finite"),
+    (0.5, complex(math.inf, 0.0), "covariances must be finite"),
+    (-1e-9, 0.0j, "V must be nonnegative, got -1e-09"),
+], ids=["nan-V", "inf-W", "negative-V"])
+def test_covariance_pairs_share_one_check(pair, v, w, message):
+    # the filter's and the Fock prior's covariance pairs reject the same
+    # data with the same message, and share the 1e-10 rounding floor
+    with pytest.raises(DomainError) as info:
+        pair(v, w)
+    assert str(info.value) == message
+    assert pair(-1e-11, 0.0j).V == -1e-11
+
+
 def test_vacuum_is_fixed_point_for_any_phase():
     for gamma, omega in ((1.0, 0.0), (2.5, 1.3), (0.0, 0.4)):
         params = ModeParams(gamma, omega)
